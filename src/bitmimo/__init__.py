@@ -12,7 +12,7 @@ from .adc import QuantizerSpec, bits_per_pri, levels_from_budget, quantize_compl
 from .combiner import (AcquisitionDesign, BlockDesign, analog_filter_response,
                        design_block, design_monotone, design_multitone,
                        emse_of_combiner, equalizing_unitary, load_design,
-                       save_design, support_gamma, theoretical_emse, waterfill)
+                       save_design, support_gamma, waterfill)
 from .dictionary import (SteeringDictionary, apply_fbar, apply_fbar_adjoint,
                          build_dictionary, coherence, eval_c_direct,
                          load_dictionary, save_dictionary)

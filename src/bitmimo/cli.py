@@ -6,7 +6,7 @@
 
 Axis flags of `sweep` take comma-separated lists; `simulate` takes scalars.
 Results go to the CSV named by --out, with provenance (seed, eta, rho rule,
-version, wall times) in <out>.meta.json.
+version, numpy version, config hash, wall times) in <out>.meta.json.
 """
 
 from __future__ import annotations

@@ -45,7 +45,6 @@ __all__ = [
     "design_block",
     "design_monotone",
     "design_multitone",
-    "theoretical_emse",
     "emse_of_combiner",
     "support_gamma",
     "digital_filter_mse",
@@ -246,10 +245,6 @@ def design_monotone(stats: SignalStatistics, compression: CompressionMatrix,
     if stats.L != 1:
         raise ValueError("monotone design requires L = 1 statistics")
     return design_multitone(stats, compression, channels, levels, eta)
-
-
-def theoretical_emse(design: AcquisitionDesign) -> float:
-    return design.emse
 
 
 def emse_of_combiner(combiner_blocks, stats: SignalStatistics,

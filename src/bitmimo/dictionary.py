@@ -5,9 +5,12 @@ Builds, per transmit band m:
     U_m (N x MN):   (U_m)[n, l] = exp( j*2*pi*(xi_m + zeta_n)*(-1 + 2l/MN) )
     V_m (L x ML):   (V_m)[i, l] = exp(-j*2*pi*(i/T0 + f_m) * T0*l/(ML) )
 
-with tone index i running over -(L-1)/2 .. (L-1)/2, and stacks the Kronecker
-blocks into the dictionary Phi = [V_0 (x) U_0; ...; V_{M-1} (x) U_{M-1}] of
-shape MNL x M^2NL, so that ctilde = Phi a for the sparse scene vector a.
+with tone index i running over -(L-1)/2 .. (L-1)/2. The dictionary is
+Phi = [V_0 (x) U_0; ...; V_{M-1} (x) U_{M-1}] of shape MNL x M^2NL, so that
+ctilde = Phi a for the sparse scene vector a. Phi is never formed: with
+a = vec(A) for the MN x ML matrix A, band m of Phi a is vec(U_m A V_m^T), so
+SteeringDictionary applies Phi, Phi^H and K-column restrictions of Phi as a
+few batched matrix products on U and V.
 
 Two orderings of the coefficient vector coexist:
 
@@ -41,25 +44,20 @@ __all__ = [
     "load_dictionary",
 ]
 
-DEFAULT_MEMORY_CAP = 2 << 30  # bytes allowed for the dense Phi
-
 CONVENTION_TAG = "unitary-dft/0-based-vec"
 
 
 @dataclass(frozen=True)
 class SteeringDictionary:
-    """Steering matrices, dense dictionary and the ctilde->c permutation.
-
-    Phi may be None when built matrix-free (memory-capped); the apply methods
-    then fall back to blockwise Kronecker products.
-    """
+    """Steering matrices and the ctilde->c permutation; Phi as an operator."""
 
     config: RadarConfig
     U: np.ndarray          # (M, N, MN)
     V: np.ndarray          # (M, L, ML)
-    Phi: np.ndarray | None # (MNL, M^2NL) dense or None
     perm: np.ndarray       # c = ctilde[perm]
     iperm: np.ndarray      # ctilde = c[iperm]
+
+    Phi = None  # no dense matrix is held; kept for code that reads the old field
 
     @property
     def n_rows(self) -> int:
@@ -70,42 +68,24 @@ class SteeringDictionary:
         return self.config.grid_size
 
     def apply(self, a: np.ndarray) -> np.ndarray:
-        """ctilde = Phi @ a."""
-        if self.Phi is not None:
-            return self.Phi @ a
+        """ctilde = Phi @ a: band m is vec(U_m A V_m^T) with A[l2, l1] = a[l1*MN + l2]."""
         cfg = self.config
-        A = a.reshape(cfg.ml, cfg.mn).T  # a = vec(A), column-major
-        out = np.empty(cfg.mnl, dtype=complex)
-        for m in range(cfg.M):
-            C = self.U[m] @ A @ self.V[m].T            # (N, L)
-            out[m * cfg.N * cfg.L:(m + 1) * cfg.N * cfg.L] = C.flatten(order="F")
-        return out
+        VA = self.V.reshape(cfg.M * cfg.L, cfg.ml) @ a.reshape(cfg.ml, cfg.mn)
+        return (VA.reshape(cfg.M, cfg.L, cfg.mn) @ self.U.transpose(0, 2, 1)).reshape(-1)
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """Phi^H @ y."""
-        if self.Phi is not None:
-            return self.Phi.conj().T @ y
+        """Phi^H @ y = vec(sum_m U_m^H Y_m conj(V_m)) for the per-band (N, L) Y_m."""
         cfg = self.config
-        Z = np.zeros((cfg.mn, cfg.ml), dtype=complex)
-        for m in range(cfg.M):
-            Y = y[m * cfg.N * cfg.L:(m + 1) * cfg.N * cfg.L].reshape(cfg.N, cfg.L, order="F")
-            Z += self.U[m].conj().T @ Y @ self.V[m].conj()
-        return Z.T.reshape(-1)  # vec (column-major) of the MN x ML matrix
+        YU = y.reshape(cfg.M, cfg.L, cfg.N) @ self.U.conj()           # (M, L, MN)
+        return (self.V.reshape(cfg.M * cfg.L, cfg.ml).conj().T
+                @ YU.reshape(cfg.M * cfg.L, cfg.mn)).reshape(-1)
 
     def apply_cells(self, cells: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         """Phi restricted to the given grid cells times alpha (fast K-sparse apply)."""
-        if self.Phi is not None:
-            return self.Phi[:, cells] @ alpha
         cfg = self.config
-        l1 = np.asarray(cells) // cfg.mn
-        l2 = np.asarray(cells) % cfg.mn
-        out = np.empty(cfg.mnl, dtype=complex)
-        for m in range(cfg.M):
-            # column for cell (l1,l2) in block m is kron(V[:,l1], U[:,l2])
-            cols = self.V[m][:, l1][:, None, :] * self.U[m][:, l2][None, :, :]
-            out[m * cfg.N * cfg.L:(m + 1) * cfg.N * cfg.L] = (
-                cols.reshape(cfg.N * cfg.L, -1) @ alpha)
-        return out
+        l1, l2 = np.divmod(np.asarray(cells), cfg.mn)
+        # column for cell (l1, l2) in band m is kron(V_m[:, l1], U_m[:, l2])
+        return ((self.V[:, :, l1] * alpha) @ self.U[:, :, l2].transpose(0, 2, 1)).reshape(-1)
 
 
 def _permutation_maps(M, N, L):
@@ -118,10 +98,8 @@ def _permutation_maps(M, N, L):
     return perm, iperm
 
 
-def build_dictionary(config: RadarConfig, dense=True,
-                     memory_cap_bytes=DEFAULT_MEMORY_CAP) -> SteeringDictionary:
-    """Construct steering matrices, the dense Phi (unless capped) and perm maps."""
-    M, N, L = config.M, config.N, config.L
+def build_dictionary(config: RadarConfig) -> SteeringDictionary:
+    """Construct the steering matrices and the permutation maps."""
     mn, ml = config.mn, config.ml
     tones = config.tone_indices
 
@@ -133,19 +111,8 @@ def build_dictionary(config: RadarConfig, dense=True,
     freq = tones[None, :, None] + (config.tone_offsets * config.pri)[:, None, None]
     V = np.exp(-2j * np.pi * freq * delay_frac[None, None, :])
 
-    Phi = None
-    if dense:
-        nbytes = config.mnl * config.grid_size * 16
-        if nbytes > memory_cap_bytes:
-            raise ValueError(
-                f"dense dictionary needs {nbytes} bytes, above the cap "
-                f"{memory_cap_bytes}; build with dense=False for matrix-free applies")
-        Phi = np.empty((config.mnl, config.grid_size), dtype=complex)
-        for m in range(M):
-            Phi[m * N * L:(m + 1) * N * L] = np.kron(V[m], U[m])
-
-    perm, iperm = _permutation_maps(M, N, L)
-    return SteeringDictionary(config=config, U=U, V=V, Phi=Phi, perm=perm, iperm=iperm)
+    perm, iperm = _permutation_maps(config.M, config.N, config.L)
+    return SteeringDictionary(config=config, U=U, V=V, perm=perm, iperm=iperm)
 
 
 def eval_c_direct(scene: TargetScene, config: RadarConfig) -> np.ndarray:
@@ -221,19 +188,17 @@ def fbar_matrix(L: int, P: int) -> np.ndarray:
 # -- export / import -------------------------------------------------------
 
 def save_dictionary(d: SteeringDictionary, path) -> None:
-    """Binary array bundle with a JSON header (dims, convention tag, config)."""
+    """Binary array bundle (U, V, perm) with a JSON header (dims, convention
+    tag, config). Bundles written with a dense Phi array still load; the
+    array is ignored."""
     header = {
         "convention": CONVENTION_TAG,
         "dims": {"M": d.config.M, "N": d.config.N, "L": d.config.L,
                  "rows": d.n_rows, "atoms": d.n_atoms},
         "config": config_to_dict(d.config),
-        "dense": d.Phi is not None,
     }
-    arrays = {"U": d.U, "V": d.V, "perm": d.perm,
-              "header": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)}
-    if d.Phi is not None:
-        arrays["Phi"] = d.Phi
-    np.savez(path, **arrays)
+    np.savez(path, U=d.U, V=d.V, perm=d.perm,
+             header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8))
 
 
 def load_dictionary(path) -> SteeringDictionary:
@@ -243,6 +208,5 @@ def load_dictionary(path) -> SteeringDictionary:
             raise ValueError(f"unsupported dictionary convention {header['convention']!r}")
         config = config_from_dict(header["config"])
         U, V, perm = data["U"], data["V"], data["perm"]
-        Phi = data["Phi"] if "Phi" in data.files else None
-    return SteeringDictionary(config=config, U=U, V=V, Phi=Phi,
-                              perm=perm, iperm=np.argsort(perm))
+    return SteeringDictionary(config=config, U=U, V=V, perm=perm,
+                              iperm=np.argsort(perm))

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .adc import QuantizerSpec, levels_from_budget, quantize_complex_vector
-from .combiner import AcquisitionDesign, design_multitone
+from .combiner import AcquisitionDesign, config_hash, design_multitone
 from .dictionary import SteeringDictionary, apply_fbar, build_dictionary
 from .model import (RadarConfig, TargetScene, sample_scene,
                     scene_to_sparse_vector, snr_db_to_linear,
@@ -52,6 +52,10 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# Operators with at most this many entries go to the solver as one dense
+# matrix: below it a dense matvec is faster than the structured apply.
+DENSE_OPERATOR_MAX_ENTRIES = 1 << 16
 
 METHODS = ("bilimo", "task_ignorant", "noquan_dr", "noquan_lmmse")
 
@@ -119,6 +123,14 @@ def _operator_pair(mat):
     return (lambda x: mat @ x), (lambda y: (y.conj() @ mat).conj())
 
 
+def _solver_operator(apply, adjoint, rows, cols):
+    """The (apply, adjoint) pair FISTA runs on: the structured pair, or, up to
+    DENSE_OPERATOR_MAX_ENTRIES, its matrix formed row by row from the adjoint."""
+    if rows * cols > DENSE_OPERATOR_MAX_ENTRIES:
+        return apply, adjoint
+    return _operator_pair(np.array([adjoint(e) for e in np.eye(rows)]).conj())
+
+
 def _recover(operator, s_hat, rspec, lipschitz, k, mn):
     a_hat = fista(operator[0], operator[1], s_hat, rspec, lipschitz=lipschitz)
     return a_hat, estimate_support(a_hat, k, mn)
@@ -126,7 +138,7 @@ def _recover(operator, s_hat, rspec, lipschitz, k, mn):
 
 def run_bilimo_trial(design: AcquisitionDesign, dictionary: SteeringDictionary,
                      compression: CompressionMatrix, scene: TargetScene, noise,
-                     rng, rspec: RecoverySpec, task_operator=None,
+                     rng, rspec: RecoverySpec, task_operator,
                      lipschitz=None) -> TrialMetrics:
     """Full designed pipeline: combine, sample-domain DFT, dithered quantize,
     digital filter, then sparse recovery on the task operator M*Phi."""
@@ -139,9 +151,6 @@ def run_bilimo_trial(design: AcquisitionDesign, dictionary: SteeringDictionary,
     z, sat = quantize_with(u, design.levels, design.support, rng)
     s_hat = design.digital @ z
 
-    if task_operator is None:
-        m_dense = compression.dense(dictionary.iperm)
-        task_operator = _operator_pair(m_dense @ dictionary.Phi)
     a_hat, support = _recover(task_operator, s_hat, rspec, lipschitz,
                               scene.k, cfg.mn)
     s_true = compression.apply_to_c(ctilde[dictionary.perm])
@@ -154,7 +163,7 @@ def run_bilimo_trial(design: AcquisitionDesign, dictionary: SteeringDictionary,
 def run_task_ignorant_trial(dictionary: SteeringDictionary,
                             compression: CompressionMatrix, scene: TargetScene,
                             noise, rng, rspec: RecoverySpec, budget_bits,
-                            phi_operator=None, lipschitz=None) -> TrialMetrics:
+                            phi_operator, lipschitz=None) -> TrialMetrics:
     """Baseline that quantizes the separated channels directly with the same
     overall bit budget (support from the same eta rule on the input std)."""
     cfg = dictionary.config
@@ -166,8 +175,6 @@ def run_task_ignorant_trial(dictionary: SteeringDictionary,
     support = cfg.eta * np.sqrt(k_eff * cfg.sigma_alpha_sq + cfg.sigma_n_sq)
     z, sat = quantize_with(ctilde + noise, levels, support, rng)
 
-    if phi_operator is None:
-        phi_operator = _operator_pair(dictionary.Phi)
     a_hat, est = _recover(phi_operator, z, rspec, lipschitz, scene.k, cfg.mn)
     s_true = compression.apply_to_c(ctilde[dictionary.perm])
     s_hat = compression.apply_to_c(z[dictionary.perm])
@@ -179,15 +186,13 @@ def run_task_ignorant_trial(dictionary: SteeringDictionary,
 
 def run_noquan_dr_trial(dictionary: SteeringDictionary,
                         compression: CompressionMatrix, scene: TargetScene,
-                        noise, rspec: RecoverySpec, phi_operator=None,
+                        noise, rspec: RecoverySpec, phi_operator,
                         lipschitz=None) -> TrialMetrics:
     """Unquantized direct recovery of the grid vector from the noisy channels."""
     cfg = dictionary.config
     a = scene_to_sparse_vector(scene, cfg)
     ctilde = dictionary.apply_cells(scene.cells(cfg), scene.alpha)
     v = ctilde + noise
-    if phi_operator is None:
-        phi_operator = _operator_pair(dictionary.Phi)
     a_hat, est = _recover(phi_operator, v, rspec, lipschitz, scene.k, cfg.mn)
     s_true = compression.apply_to_c(ctilde[dictionary.perm])
     s_hat = compression.apply_to_c(v[dictionary.perm])
@@ -199,7 +204,7 @@ def run_noquan_dr_trial(dictionary: SteeringDictionary,
 def run_noquan_lmmse_trial(dictionary: SteeringDictionary,
                            compression: CompressionMatrix,
                            stats: SignalStatistics, scene: TargetScene, noise,
-                           rspec: RecoverySpec, task_operator=None,
+                           rspec: RecoverySpec, task_operator,
                            lipschitz=None, gamma_blocks=None) -> TrialMetrics:
     """Unquantized linear-MMSE estimate of the task vector, then sparse recovery."""
     cfg = dictionary.config
@@ -210,9 +215,6 @@ def run_noquan_lmmse_trial(dictionary: SteeringDictionary,
         gamma_blocks = lmmse_transform(compression, stats)
     s_tilde = np.einsum("ijk,ik->ij", gamma_blocks,
                         v_c.reshape(stats.L, stats.mn)).reshape(-1)
-    if task_operator is None:
-        m_dense = compression.dense(dictionary.iperm)
-        task_operator = _operator_pair(m_dense @ dictionary.Phi)
     a_hat, est = _recover(task_operator, s_tilde, rspec, lipschitz,
                           scene.k, cfg.mn)
     s_true = compression.apply_to_c(ctilde[dictionary.perm])
@@ -317,19 +319,23 @@ class _PointContext:
         self.gamma_blocks = lmmse_transform(self.compression, self.stats)
         self.dictionary = dictionary
 
-        need_task = bool({"bilimo", "noquan_lmmse"} & set(spec.methods))
-        need_phi = bool({"task_ignorant", "noquan_dr"} & set(spec.methods))
+        # Phi and the task operator M*Phi = apply_to_c . perm . Phi
+        comp, perm, iperm = self.compression, dictionary.perm, dictionary.iperm
         self.task_operator = self.lip_task = None
         self.phi_operator = self.lip_phi = None
-        if need_task:
-            a_mat = self.compression.dense(dictionary.iperm) @ dictionary.Phi
-            self.task_operator = _operator_pair(a_mat)
+        if {"bilimo", "noquan_lmmse"} & set(spec.methods):
+            self.task_operator = _solver_operator(
+                lambda x: comp.apply_to_c(dictionary.apply(x)[perm]),
+                lambda y: dictionary.apply_adjoint(comp.apply_adjoint_to_c(y)[iperm]),
+                comp.rows, dictionary.n_atoms)
             self.lip_task = power_iteration_lipschitz(
-                *self.task_operator, a_mat.shape[1])
-        if need_phi:
-            self.phi_operator = _operator_pair(dictionary.Phi)
+                *self.task_operator, dictionary.n_atoms)
+        if {"task_ignorant", "noquan_dr"} & set(spec.methods):
+            self.phi_operator = _solver_operator(
+                dictionary.apply, dictionary.apply_adjoint, dictionary.n_rows,
+                dictionary.n_atoms)
             self.lip_phi = power_iteration_lipschitz(
-                *self.phi_operator, dictionary.Phi.shape[1])
+                *self.phi_operator, dictionary.n_atoms)
 
 
 def _run_point_method(ctx, method, scene, noise, rng, rspec, budget):
@@ -358,7 +364,9 @@ def _run_point_method(ctx, method, scene, noise, rng, rspec, budget):
 
 def run_sweep(spec: ExperimentSpec, out_csv=None, dictionary=None) -> ExperimentResult:
     """Run every sweep point x method; optionally write the CSV and a JSON
-    provenance sidecar (<out_csv>.meta.json)."""
+    provenance sidecar (<out_csv>.meta.json). A trial that fails numerically
+    (ValueError, ArithmeticError) is logged and excluded; other exceptions
+    propagate, and so does a method whose every trial at a point fails."""
     if dictionary is None:
         dictionary = build_dictionary(spec.config)
     methods = [m for m in METHODS if m in spec.methods]
@@ -389,10 +397,13 @@ def run_sweep(spec: ExperimentSpec, out_csv=None, dictionary=None) -> Experiment
                 try:
                     m = _run_point_method(ctx, method, scene, noise, rng_m,
                                           spec.recovery, budget)
-                except Exception:
+                except (ValueError, ArithmeticError) as exc:
                     logger.exception("trial %d of %s at point %d failed; excluded",
                                      t, method, p_idx)
                     acc[method].n_failed += 1
+                    if acc[method].n_failed == spec.trials:
+                        raise RuntimeError(f"every trial of {method} at point "
+                                           f"{p_idx} failed") from exc
                     continue
                 acc[method].wall_ms += (time.perf_counter() - t0) * 1e3
                 acc[method].mse_s.append(m.mse_s)
@@ -448,6 +459,8 @@ def _write_sidecar(spec: ExperimentSpec, wall_info, path) -> None:
     rspec = spec.recovery
     meta = {
         "version": __version__,
+        "numpy": np.__version__,
+        "config_hash": config_hash(spec.config),
         "master_seed": spec.master_seed,
         "eta": spec.config.eta,
         "rho_rule": {"rho": rspec.rho, "rho_scale": rspec.rho_scale,

@@ -29,7 +29,6 @@ __all__ = [
     "relative_mse",
     "RecoveryBound",
     "recovery_error_bound",
-    "debias_on_support",
 ]
 
 
@@ -38,16 +37,13 @@ class RecoverySpec:
     """LASSO regularization and stopping controls.
 
     rho is the absolute regularization weight; when None it is chosen per
-    problem as rho_scale * ||A^H s_hat||_inf. k_hint carries the known target
-    count for support extraction.
+    problem as rho_scale * ||A^H s_hat||_inf.
     """
 
     rho: float | None = None
     rho_scale: float = 0.05
     max_iter: int = 300
     tol: float = 1e-5
-    k_hint: int | None = None
-    debias: bool = False
 
     def __post_init__(self):
         if self.rho is not None and self.rho < 0:
@@ -200,15 +196,3 @@ def recovery_error_bound(k, mu, eps_lmmse, eps_excess, eps_feasibility) -> Recov
                          value=float(total / (1.0 - (4.0 * k - 1.0) * mu)),
                          k_limit=float(k_limit))
 
-
-def debias_on_support(a_dense_op, s_hat, support_cells, n):
-    """Least squares re-fit on the estimated support (optional, off by default).
-
-    a_dense_op must be the dense operator matrix; returns a full-length vector
-    with the refit values on the support.
-    """
-    cols = a_dense_op[:, support_cells]
-    coef, *_ = np.linalg.lstsq(cols, s_hat, rcond=None)
-    out = np.zeros(n, dtype=complex)
-    out[support_cells] = coef
-    return out

@@ -160,7 +160,12 @@ class CompressionMatrix:
     def apply_to_c(self, v_c: np.ndarray) -> np.ndarray:
         """s = blkdiag(M_i) @ v for a tone-major vector v."""
         L, ji, mn = self.blocks.shape
-        return np.einsum("ijk,ik->ij", self.blocks, v_c.reshape(L, mn)).reshape(-1)
+        return (self.blocks @ v_c.reshape(L, mn, 1)).reshape(-1)
+
+    def apply_adjoint_to_c(self, s: np.ndarray) -> np.ndarray:
+        """blkdiag(M_i)^H @ s, a tone-major vector; the adjoint of apply_to_c."""
+        L, ji, mn = self.blocks.shape
+        return (s.reshape(L, 1, ji).conj() @ self.blocks).conj().reshape(-1)
 
     def dense(self, iperm: np.ndarray) -> np.ndarray:
         """Dense J x MNL matrix acting on band-major ctilde vectors."""

@@ -6,7 +6,7 @@ from bitmimo.adc import QuantizerSpec, quantize_complex_vector
 from bitmimo.combiner import (design_block, design_monotone, design_multitone,
                               digital_filter_mse, emse_of_combiner,
                               equalizing_unitary, load_design, save_design,
-                              support_gamma, theoretical_emse, waterfill,
+                              support_gamma, waterfill,
                               analog_filter_response, block_from_responses,
                               write_filter_response_csv)
 from bitmimo.dictionary import apply_fbar
@@ -216,7 +216,7 @@ def test_design_self_consistency(small_design):
     _, _, stats, comp, design = small_design
     val = emse_of_combiner(design.combiner_blocks, stats, comp,
                            design.support, design.levels)
-    assert val == pytest.approx(theoretical_emse(design), rel=1e-9)
+    assert val == pytest.approx(design.emse, rel=1e-9)
     # the optimal digital filter attains exactly the designed excess error
     dmse = digital_filter_mse(design.digital, design.combiner_blocks, stats,
                               comp, design.support, design.levels)

@@ -1,10 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
 import bitmimo as bm
-from bitmimo.dictionary import (apply_fbar, apply_fbar_adjoint, build_dictionary,
-                                coherence, eval_c_direct, fbar_matrix,
-                                load_dictionary, save_dictionary)
+from bitmimo import harness
+from bitmimo.dictionary import (CONVENTION_TAG, apply_fbar, apply_fbar_adjoint,
+                                build_dictionary, coherence, eval_c_direct,
+                                fbar_matrix, load_dictionary, save_dictionary)
+from bitmimo.model import config_to_dict
+from dense_oracle import dense_phi, dense_task
 
 
 @pytest.fixture(scope="module")
@@ -16,8 +21,8 @@ def small():
 def test_scalar_degenerate_case():
     cfg = bm.make_ula_config(1, 1, 1e6, 1e-6)
     d = build_dictionary(cfg)
-    assert d.Phi.shape == (1, 1)
-    assert d.Phi[0, 0] == pytest.approx(1.0)  # xi=zeta=0, l=0 grid point
+    assert (d.n_rows, d.n_atoms) == (1, 1)
+    assert d.apply(np.ones(1))[0] == pytest.approx(1.0)  # xi=zeta=0, l=0 grid point
     assert np.array_equal(d.perm, [0])
     assert np.allclose(fbar_matrix(1, 1), 1.0)
 
@@ -25,17 +30,20 @@ def test_scalar_degenerate_case():
 def test_paper_scale_dimensions():
     cfg = bm.make_ula_config(8, 12, 1e6, 9e-6)
     d = build_dictionary(cfg)
-    assert d.Phi.shape == (864, 6912)
+    assert (d.n_rows, d.n_atoms) == (864, 6912)
+    assert d.apply(np.zeros(6912, dtype=complex)).shape == (864,)
+    assert d.apply_adjoint(np.zeros(864, dtype=complex)).shape == (6912,)
+    assert d.Phi is None  # the dense dictionary is never held
 
 
 def test_unit_modulus_entries(small):
     _, d = small
-    assert np.abs(np.abs(d.Phi) - 1.0).max() <= 1e-12
+    assert np.abs(np.abs(dense_phi(d)) - 1.0).max() <= 1e-12
 
 
 def test_column_norms(small):
     cfg, d = small
-    norms_sq = np.linalg.norm(d.Phi, axis=0) ** 2
+    norms_sq = np.linalg.norm(dense_phi(d), axis=0) ** 2
     assert np.allclose(norms_sq, cfg.mnl)
 
 
@@ -66,7 +74,7 @@ def test_oracle_equivalence_small(small):
         scene = bm.sample_scene(rng, 4, cfg)
         a = bm.scene_to_sparse_vector(scene, cfg)
         direct = eval_c_direct(scene, cfg)
-        rel = np.linalg.norm(d.Phi @ a - direct) / np.linalg.norm(direct)
+        rel = np.linalg.norm(d.apply(a) - direct) / np.linalg.norm(direct)
         assert rel <= 1e-9
 
 
@@ -87,25 +95,90 @@ def test_oracle_delay_free_target_is_tone_flat(small):
         assert np.allclose(blk, expected[None, :])  # same for every tone row
 
 
-def test_matrix_free_matches_dense(small):
-    cfg, d = small
-    dm = build_dictionary(cfg, dense=False)
-    assert dm.Phi is None
+# (M, N, pri) below the harness's dense-operator size rule (18 x 36) and above it
+# (168 x 672)
+OPERATOR_CONFIGS = ((2, 3, 3e-6), (4, 6, 7e-6))
+
+
+def _rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.fixture(scope="module")
+def points():
+    """Each config's dictionary and the point context holding the operators
+    the solver receives, for all four methods."""
+    out = []
+    for M, N, pri in OPERATOR_CONFIGS:
+        cfg = bm.make_random_array_config(np.random.default_rng(8), M, N, 1e6, pri)
+        d = build_dictionary(cfg)
+        spec = harness.ExperimentSpec(config=cfg, budget_bits=(2 * cfg.mnl,),
+                                      methods=bm.METHODS, trials=1)
+        (p_idx, axes), = spec.points()
+        out.append((d, harness._PointContext(d, cfg, spec, p_idx, *axes)))
+    below, above = (d.n_rows * d.n_atoms for d, _ in out)
+    assert below <= harness.DENSE_OPERATOR_MAX_ENTRIES < above
+    return out
+
+
+def test_matrix_free_matches_dense(points):
+    # structured Phi, Phi^H, M*Phi and (M*Phi)^H, as the solver receives them,
+    # against the dense Kronecker oracle
     rng = np.random.default_rng(1)
-    a = rng.standard_normal(cfg.grid_size) + 1j * rng.standard_normal(cfg.grid_size)
-    y = rng.standard_normal(cfg.mnl) + 1j * rng.standard_normal(cfg.mnl)
-    assert np.allclose(dm.apply(a), d.Phi @ a)
-    assert np.allclose(dm.apply_adjoint(y), d.Phi.conj().T @ y)
-    scene = bm.sample_scene(rng, 3, cfg)
-    assert np.allclose(dm.apply_cells(scene.cells(cfg), scene.alpha),
-                       d.Phi[:, scene.cells(cfg)] @ scene.alpha)
+    for d, ctx in points:
+        phi, task = dense_phi(d), dense_task(d, ctx.compression)
+        for _ in range(5):
+            a = rng.standard_normal(d.n_atoms) + 1j * rng.standard_normal(d.n_atoms)
+            y = rng.standard_normal(d.n_rows) + 1j * rng.standard_normal(d.n_rows)
+            s = rng.standard_normal(task.shape[0]) + 1j * rng.standard_normal(task.shape[0])
+            assert _rel(d.apply(a), phi @ a) <= 1e-10
+            assert _rel(d.apply_adjoint(y), phi.conj().T @ y) <= 1e-10
+            assert _rel(ctx.phi_operator[0](a), phi @ a) <= 1e-10
+            assert _rel(ctx.phi_operator[1](y), phi.conj().T @ y) <= 1e-10
+            assert _rel(ctx.task_operator[0](a), task @ a) <= 1e-10
+            assert _rel(ctx.task_operator[1](s), task.conj().T @ s) <= 1e-10
 
 
-def test_memory_cap_guard():
-    cfg = bm.make_ula_config(2, 3, 1e6, 3e-6)
-    with pytest.raises(ValueError):
-        build_dictionary(cfg, memory_cap_bytes=64)
-    build_dictionary(cfg, dense=False, memory_cap_bytes=64)  # matrix-free works
+def test_adjoint_identity(points):
+    # <A x, y> = <x, A^H y> for Phi, the compression and M*Phi
+    rng = np.random.default_rng(2)
+    for d, ctx in points:
+        comp = ctx.compression
+        pairs = [(d.apply, d.apply_adjoint, d.n_atoms, d.n_rows),
+                 (comp.apply_to_c, comp.apply_adjoint_to_c, d.n_rows, comp.rows),
+                 (*ctx.task_operator, d.n_atoms, comp.rows),
+                 (*ctx.phi_operator, d.n_atoms, d.n_rows)]
+        for apply, adjoint, n_in, n_out in pairs:
+            for _ in range(10):
+                x = rng.standard_normal(n_in) + 1j * rng.standard_normal(n_in)
+                y = rng.standard_normal(n_out) + 1j * rng.standard_normal(n_out)
+                lhs, rhs = np.vdot(y, apply(x)), np.vdot(adjoint(y), x)
+                assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+def test_apply_cells_matches_apply(points):
+    rng = np.random.default_rng(3)
+    for d, _ in points:
+        cfg = d.config
+        for k in (1, 4):
+            scene = bm.sample_scene(rng, k, cfg)
+            a = bm.scene_to_sparse_vector(scene, cfg)
+            assert _rel(d.apply_cells(scene.cells(cfg), scene.alpha), d.apply(a)) <= 1e-12
+
+
+def test_sweep_point_beyond_old_dense_cap():
+    # M=16, N=16, L=15: a dense Phi would take 3840 x 61440 x 16 B = 3.8 GB,
+    # above the 2 GiB that used to cap the dictionary build
+    cfg = bm.make_random_array_config(np.random.default_rng(16), 16, 16, 1e6, 15e-6)
+    assert cfg.mnl * cfg.grid_size * 16 > 2 << 30
+    spec = harness.ExperimentSpec(config=cfg, budget_bits=(2 * cfg.mnl,),
+                                  methods=("bilimo", "noquan_dr"), trials=1,
+                                  recovery=bm.RecoverySpec(max_iter=5))
+    result = harness.run_sweep(spec)
+    assert [p.method for p in result.points] == ["bilimo", "noquan_dr"]
+    for p in result.points:
+        assert p.trials == 1 and p.n_failed == 0
+        assert np.isfinite(p.mse_s_mean) and np.isfinite(p.mse_a_mean)
 
 
 def test_coherence_identity():
@@ -174,5 +247,21 @@ def test_save_load_roundtrip(tmp_path, small):
     save_dictionary(d, path)
     back = load_dictionary(path)
     assert np.array_equal(back.perm, d.perm)
-    assert np.allclose(back.Phi, d.Phi)
+    assert np.array_equal(back.U, d.U) and np.array_equal(back.V, d.V)
     assert back.config.M == cfg.M and back.config.L == cfg.L
+    with np.load(path) as data:
+        assert "Phi" not in data.files
+
+
+def test_load_bundle_with_dense_phi(tmp_path, small):
+    # bundles written when the dictionary held a dense Phi still load
+    cfg, d = small
+    header = {"convention": CONVENTION_TAG, "config": config_to_dict(cfg),
+              "dims": {"M": cfg.M, "N": cfg.N, "L": cfg.L,
+                       "rows": d.n_rows, "atoms": d.n_atoms}, "dense": True}
+    path = tmp_path / "old.npz"
+    np.savez(path, U=d.U, V=d.V, perm=d.perm, Phi=dense_phi(d),
+             header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8))
+    back = load_dictionary(path)
+    a = np.arange(d.n_atoms) * (1 - 0.5j)
+    assert np.array_equal(back.apply(a), d.apply(a))

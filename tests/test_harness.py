@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import bitmimo as bm
+from bitmimo import harness
 from bitmimo.harness import CSV_COLUMNS, ExperimentSpec, run_sweep
 from bitmimo.recovery import RecoverySpec
+from dense_oracle import dense_task
 
 
 @pytest.fixture(scope="module")
@@ -72,9 +74,8 @@ def test_lmmse_path_matches_theory(small_cfg):
     d = bm.build_dictionary(cfg)
     stats = bm.build_covariances(cfg, K)
     comp = bm.build_compression_matrix(np.random.default_rng(1), cfg, 2, "gaussian")
-    m_dense = comp.dense(d.iperm)
-    ops = ((lambda x: (m_dense @ d.Phi) @ x),
-           (lambda y: ((y.conj() @ (m_dense @ d.Phi))).conj()))
+    a_mat = dense_task(d, comp)
+    ops = ((lambda x: a_mat @ x), (lambda y: (y.conj() @ a_mat).conj()))
     rng = np.random.default_rng(2)
     rspec = RecoverySpec(max_iter=2)
     acc = 0.0
@@ -121,6 +122,8 @@ def test_csv_bytes_deterministic(tmp_path, small_cfg):
     meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
     assert meta["master_seed"] == spec.master_seed
     assert "timing" in meta and "timestamp" in meta
+    assert meta["config_hash"] == bm.combiner.config_hash(small_cfg)
+    assert meta["numpy"] == np.__version__
 
 
 def test_sweep_axes_cartesian_product(small_cfg):
@@ -145,3 +148,37 @@ def test_budget_below_one_bit_rejected(small_cfg):
     spec = _spec(small_cfg, budget_bits=(4,))
     with pytest.raises(ValueError):
         run_sweep(spec)
+
+
+def test_programming_error_in_a_trial_propagates(small_cfg, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(harness, "run_bilimo_trial", broken)
+    with pytest.raises(TypeError, match="injected"):
+        run_sweep(_spec(small_cfg))
+
+
+def test_method_whose_every_trial_fails_raises(small_cfg, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(harness, "run_noquan_dr_trial", singular)
+    with pytest.raises(RuntimeError, match="every trial of noquan_dr"):
+        run_sweep(_spec(small_cfg, methods=("bilimo", "noquan_dr")))
+
+
+def test_numerical_failure_excludes_one_trial(small_cfg, monkeypatch):
+    original = harness.run_bilimo_trial
+    calls = []
+
+    def fails_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise ValueError("injected")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_bilimo_trial", fails_once)
+    p = run_sweep(_spec(small_cfg, trials=3)).points[0]
+    assert (p.trials, p.n_failed) == (2, 1)
+    assert np.isfinite(p.mse_a_mean)

@@ -4,6 +4,7 @@ import pytest
 import bitmimo as bm
 from bitmimo.statistics import (blkdiag, build_compression_matrix,
                                 build_covariances, lmmse_error, lmmse_transform)
+from dense_oracle import dense_phi
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +51,7 @@ def test_covariance_monte_carlo_oracle(setup):
     # sample 1e5 scenes; empirical covariance of ctilde must be ~ K*I with
     # off-diagonals within 3 standard errors of zero
     cfg, d = setup
+    phi = dense_phi(d)
     K, n = 4, 100_000
     rng = np.random.default_rng(11)
     acc = np.zeros((cfg.mnl, cfg.mnl), dtype=complex)
@@ -57,7 +59,7 @@ def test_covariance_monte_carlo_oracle(setup):
     for _ in range(n // chunk):
         cells = np.argpartition(rng.random((chunk, cfg.grid_size)), K, axis=1)[:, :K]
         alpha = (rng.standard_normal((chunk, K)) + 1j * rng.standard_normal((chunk, K))) / np.sqrt(2)
-        X = np.einsum("rtk,tk->tr", d.Phi[:, cells], alpha)  # (chunk, MNL)
+        X = np.einsum("rtk,tk->tr", phi[:, cells], alpha)  # (chunk, MNL)
         acc += X.conj().T @ X
     emp = acc / n
     diag = np.diag(emp).real
@@ -106,6 +108,7 @@ def test_lmmse_error_orthonormal_rows_closed_form(setup):
 
 def test_lmmse_error_monte_carlo_oracle(setup):
     cfg, d = setup
+    phi = dense_phi(d)
     K = 3
     cfg2 = cfg.with_noise_variance(0.8)
     stats = build_covariances(cfg2, K)
@@ -118,7 +121,7 @@ def test_lmmse_error_monte_carlo_oracle(setup):
     for _ in range(n // chunk):
         cells = np.argpartition(rng.random((chunk, cfg.grid_size)), K, axis=1)[:, :K]
         alpha = (rng.standard_normal((chunk, K)) + 1j * rng.standard_normal((chunk, K))) / np.sqrt(2)
-        ct = np.einsum("rtk,tk->tr", d.Phi[:, cells], alpha)
+        ct = np.einsum("rtk,tk->tr", phi[:, cells], alpha)
         wn = np.sqrt(0.8 / 2) * (rng.standard_normal((chunk, cfg.mnl))
                                  + 1j * rng.standard_normal((chunk, cfg.mnl)))
         v_c = (ct + wn)[:, d.perm]
@@ -132,6 +135,7 @@ def test_lmmse_error_monte_carlo_oracle(setup):
 
 def test_lmmse_beats_random_linear_maps(setup):
     cfg, d = setup
+    phi = dense_phi(d)
     K = 2
     cfg2 = cfg.with_noise_variance(1.0)
     stats = build_covariances(cfg2, K)
@@ -142,7 +146,7 @@ def test_lmmse_beats_random_linear_maps(setup):
     n = 10_000
     cells = np.argpartition(rng.random((n, cfg.grid_size)), K, axis=1)[:, :K]
     alpha = (rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))) / np.sqrt(2)
-    ct = np.einsum("rtk,tk->tr", d.Phi[:, cells], alpha)
+    ct = np.einsum("rtk,tk->tr", phi[:, cells], alpha)
     wn = np.sqrt(0.5) * (rng.standard_normal((n, cfg.mnl))
                          + 1j * rng.standard_normal((n, cfg.mnl)))
     v = (ct + wn)[:, d.perm]
@@ -177,6 +181,7 @@ def test_blockwise_equals_full_matrices(setup):
 
 def test_orthogonality_principle(setup):
     cfg, d = setup
+    phi = dense_phi(d)
     K = 2
     cfg2 = cfg.with_noise_variance(0.6)
     stats = build_covariances(cfg2, K)
@@ -189,7 +194,7 @@ def test_orthogonality_principle(setup):
     for _ in range(n // chunk):
         cells = np.argpartition(rng.random((chunk, cfg.grid_size)), K, axis=1)[:, :K]
         alpha = (rng.standard_normal((chunk, K)) + 1j * rng.standard_normal((chunk, K))) / np.sqrt(2)
-        ct = np.einsum("rtk,tk->tr", d.Phi[:, cells], alpha)
+        ct = np.einsum("rtk,tk->tr", phi[:, cells], alpha)
         wn = np.sqrt(0.3) * (rng.standard_normal((chunk, cfg.mnl))
                              + 1j * rng.standard_normal((chunk, cfg.mnl)))
         v = (ct + wn)[:, d.perm]
