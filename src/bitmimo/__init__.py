@@ -10,9 +10,9 @@ __version__ = "0.1.0"
 
 from .adc import QuantizerSpec, bits_per_pri, levels_from_budget, quantize_complex_vector, quantize_real
 from .combiner import (AcquisitionDesign, BlockDesign, analog_filter_response,
-                       design_block, design_monotone, design_multitone,
-                       emse_of_combiner, equalizing_unitary, load_design,
-                       save_design, support_gamma, waterfill)
+                       design_block, design_multitone, emse_of_combiner,
+                       equalizing_unitary, load_design, save_design,
+                       support_gamma, waterfill)
 from .dictionary import (SteeringDictionary, apply_fbar, apply_fbar_adjoint,
                          build_dictionary, coherence, eval_c_direct,
                          load_dictionary, save_dictionary)

@@ -35,7 +35,7 @@ import numpy as np
 from .dictionary import fbar_matrix
 from .model import RadarConfig, config_to_dict
 from .statistics import (CompressionMatrix, SignalStatistics, blkdiag,
-                         hermitian_inv_sqrt, lmmse_error, lmmse_transform)
+                         hermitian_inv_sqrt, lmmse_error)
 
 __all__ = [
     "BlockDesign",
@@ -43,15 +43,11 @@ __all__ = [
     "waterfill",
     "equalizing_unitary",
     "design_block",
-    "design_monotone",
     "design_multitone",
     "emse_of_combiner",
     "support_gamma",
-    "digital_filter_mse",
     "analog_filter_response",
-    "filter_response_table",
     "write_filter_response_csv",
-    "block_from_responses",
     "save_design",
     "load_design",
 ]
@@ -178,9 +174,6 @@ class AcquisitionDesign:
     def combiner_blocks(self) -> np.ndarray:
         return np.stack([blk.combiner for blk in self.blocks])
 
-    def bbar_dense(self) -> np.ndarray:
-        return blkdiag(self.combiner_blocks)
-
     def apply_combiner(self, v_c: np.ndarray) -> np.ndarray:
         """Bbar @ v for a tone-major coefficient vector v."""
         B = self.combiner_blocks
@@ -239,14 +232,6 @@ def design_multitone(stats: SignalStatistics, compression: CompressionMatrix,
     )
 
 
-def design_monotone(stats: SignalStatistics, compression: CompressionMatrix,
-                    channels, levels, eta) -> AcquisitionDesign:
-    """Single-tone special case (L = 1); the sample-domain DFT is the identity."""
-    if stats.L != 1:
-        raise ValueError("monotone design requires L = 1 statistics")
-    return design_multitone(stats, compression, channels, levels, eta)
-
-
 def emse_of_combiner(combiner_blocks, stats: SignalStatistics,
                      compression: CompressionMatrix, gamma, levels) -> float:
     """Excess MSE of an arbitrary block combiner under the dithered ADC model.
@@ -284,24 +269,6 @@ def support_gamma(combiner_blocks, stats: SignalStatistics, eta) -> float:
     return float(eta * np.sqrt(per_channel.max()))
 
 
-def digital_filter_mse(digital, combiner_blocks, stats: SignalStatistics,
-                       compression: CompressionMatrix, gamma, levels) -> float:
-    """Modeled E||s_tilde - D z||^2 for any digital filter D (dense evaluation).
-
-    Under the dithered ADC model z = Fbar Bbar v + e with white e of per-sample
-    variance 4*gamma^2/(3*b^2), so the MSE relative to the LMMSE estimate is
-    Tr[(Gamma - D G) Sigma (Gamma - D G)^H] + q Tr[D D^H] with G = Fbar Bbar.
-    """
-    B = np.asarray(combiner_blocks)
-    L, P, _ = B.shape
-    q = 4.0 * gamma * gamma / (3.0 * levels * levels)
-    G = fbar_matrix(L, P) @ blkdiag(B)
-    gap = blkdiag(lmmse_transform(compression, stats)) - digital @ G
-    sig = stats.sigma_dense()
-    return float(np.trace(gap @ sig @ gap.conj().T).real
-                 + q * np.trace(digital @ digital.conj().T).real)
-
-
 # -- analog filter synthesis ----------------------------------------------
 
 def analog_filter_response(design: AcquisitionDesign, config: RadarConfig,
@@ -331,31 +298,15 @@ def analog_filter_response(design: AcquisitionDesign, config: RadarConfig,
     return freqs, gains
 
 
-def block_from_responses(gains, config: RadarConfig, pulse_spectrum=None):
-    """Invert analog_filter_response for one (p, n): recover B_i[p, m*N+n]."""
-    L, M = config.L, config.M
-    h0 = np.ones(L, dtype=complex) if pulse_spectrum is None else \
-        np.asarray(pulse_spectrum, dtype=complex)
-    gains = np.asarray(gains, dtype=complex).reshape(M, L)
-    return gains * h0[None, :] / config.pri
-
-
-def filter_response_table(design: AcquisitionDesign, config: RadarConfig,
-                          pulse_spectrum=None):
-    """Rows (p, n, frequency_hz, re, im) over all channels and receive elements."""
-    rows = []
-    for p in range(design.channels):
-        for n in range(config.N):
-            freqs, gains = analog_filter_response(design, config, p, n, pulse_spectrum)
-            rows.extend((p, n, f, g.real, g.imag) for f, g in zip(freqs, gains))
-    return rows
-
-
 def write_filter_response_csv(design, config, path, pulse_spectrum=None):
+    """Rows (p, n, frequency_hz, re, im) over all channels and receive elements."""
     with open(path, "w") as fh:
         fh.write("p,n,frequency_hz,re,im\n")
-        for p, n, f, re, im in filter_response_table(design, config, pulse_spectrum):
-            fh.write(f"{p},{n},{f:.10g},{re:.10g},{im:.10g}\n")
+        for p in range(design.channels):
+            for n in range(config.N):
+                freqs, gains = analog_filter_response(design, config, p, n, pulse_spectrum)
+                for f, g in zip(freqs, gains):
+                    fh.write(f"{p},{n},{f:.10g},{g.real:.10g},{g.imag:.10g}\n")
 
 
 # -- design bundle I/O ------------------------------------------------------

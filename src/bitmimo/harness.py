@@ -1,8 +1,16 @@
 """Monte Carlo experiment engine: trials, sweeps, CSV output.
 
 A sweep point is one combination of (budget_bits, snr_db, dcr, k, matrix_kind).
-Per point the compression matrix and acquisition design are built once and
-shared read-only by all trials. Seeding is fully deterministic:
+Per point the compression matrix, acquisition design and solver operators are
+built once and shared read-only by all trials. Every trial runs in three steps:
+
+    draw       scene and noise, with the grid, channel and task vectors they
+               give; once per trial, shared by every method
+    front end  one per method: the solver's observation and the task-vector
+               estimate the method makes from the draw
+    score      one complex LASSO on Phi or M*Phi, support extraction, metrics
+
+Seeding is fully deterministic:
 
     scene/noise rng   <- SeedSequence([master_seed, point_index, trial, 0])
     method dither rng <- SeedSequence([master_seed, point_index, trial, tag])
@@ -10,12 +18,14 @@ shared read-only by all trials. Seeding is fully deterministic:
 with tag the method's position (1-based) in the canonical method order, so a
 method's results do not depend on which other methods are enabled.
 
-The CSV is byte-reproducible for a fixed spec and seed; wall-clock timings and
-timestamps live only in the JSON sidecar (the wall_ms column is left empty).
+The CSV is byte-reproducible for a fixed spec and seed; wall-clock timings,
+timestamps and solver diagnostics live only in the JSON sidecar (the wall_ms
+column is left empty).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import time
@@ -25,20 +35,21 @@ import numpy as np
 
 from . import __version__
 from .adc import QuantizerSpec, levels_from_budget, quantize_complex_vector
-from .combiner import AcquisitionDesign, config_hash, design_multitone
-from .dictionary import SteeringDictionary, apply_fbar, build_dictionary
+from .combiner import config_hash, design_multitone
+from .dictionary import apply_fbar, build_dictionary
 from .model import (RadarConfig, TargetScene, sample_scene,
                     scene_to_sparse_vector, snr_db_to_linear,
                     snr_to_noise_variance)
 from .recovery import (RecoverySpec, estimate_support, fista, hit_rate,
                        power_iteration_lipschitz, relative_mse)
-from .statistics import (CompressionMatrix, SignalStatistics,
-                         build_compression_matrix, build_covariances,
+from .statistics import (build_compression_matrix, build_covariances,
                          lmmse_transform)
 
 __all__ = [
     "METHODS",
     "ExperimentSpec",
+    "Draw",
+    "draw_trial",
     "TrialMetrics",
     "PointResult",
     "ExperimentResult",
@@ -58,6 +69,11 @@ logger = logging.getLogger(__name__)
 DENSE_OPERATOR_MAX_ENTRIES = 1 << 16
 
 METHODS = ("bilimo", "task_ignorant", "noquan_dr", "noquan_lmmse")
+
+# The solver operator each method recovers on: M*Phi ("task") for the methods
+# that estimate the task vector, Phi ("phi") for those that keep the channels.
+OPERATOR_OF = {"bilimo": "task", "task_ignorant": "phi", "noquan_dr": "phi",
+               "noquan_lmmse": "task"}
 
 CSV_COLUMNS = ("method", "budget_bits", "snr_db", "dcr", "k", "matrix_kind",
                "mse_s_mean", "mse_s_se", "mse_a_mean", "mse_a_se",
@@ -92,15 +108,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown methods {sorted(unknown)}; pick from {METHODS}")
 
     def points(self):
-        idx = 0
-        for budget in self.budget_bits:
-            for snr in self.snr_db:
-                for dcr in self.dcr:
-                    for kk in self.k:
-                        for kind in self.matrix_kinds:
-                            yield idx, (int(budget), float(snr), int(dcr),
-                                        int(kk), str(kind))
-                            idx += 1
+        axes = itertools.product(self.budget_bits, self.snr_db, self.dcr,
+                                 self.k, self.matrix_kinds)
+        for idx, (budget, snr, dcr, kk, kind) in enumerate(axes):
+            yield idx, (int(budget), float(snr), int(dcr), int(kk), str(kind))
 
 
 @dataclass
@@ -108,12 +119,36 @@ class TrialMetrics:
     mse_s: float
     mse_a: float
     hit: float
-    saturation: float | None = None
-    err_s_abs: float = 0.0  # ||s - s_hat||^2, for theory-vs-simulation checks
-    err_a_abs: float = 0.0  # ||a - a_hat||^2, for the stability-bound checks
+    saturation: float | None
+    err_s_abs: float  # ||s - s_hat||^2, for theory-vs-simulation checks
+    iterations: int   # FISTA iterations of the recovery
 
 
-# -- single-trial pipelines -------------------------------------------------
+# -- one trial: draw, front end, score ----------------------------------------
+
+@dataclass(frozen=True)
+class Draw:
+    """What every method of one trial sees: the scene, its grid vector a, the
+    noisy channels v = ctilde + noise (band-major) and the task vector s."""
+
+    scene: TargetScene
+    a: np.ndarray
+    v: np.ndarray
+    s_true: np.ndarray
+
+
+def draw_trial(ctx, rng, k, coeff_model) -> Draw:
+    """Sample a k-target scene, then the channel noise, from rng; form the
+    grid vector, the noisy channels and the noiseless task vector."""
+    cfg, dictionary = ctx.config, ctx.dictionary
+    scene = sample_scene(rng, k, cfg, coeff_model)
+    sig = np.sqrt(cfg.sigma_n_sq / 2.0)
+    noise = sig * (rng.standard_normal(cfg.mnl) + 1j * rng.standard_normal(cfg.mnl))
+    ctilde = dictionary.apply_cells(scene.cells(cfg), scene.alpha)
+    return Draw(scene=scene, a=scene_to_sparse_vector(scene, cfg),
+                v=ctilde + noise,
+                s_true=ctx.compression.apply_to_c(ctilde[dictionary.perm]))
+
 
 def _sq(x):
     return float(np.vdot(x, x).real)
@@ -131,96 +166,51 @@ def _solver_operator(apply, adjoint, rows, cols):
     return _operator_pair(np.array([adjoint(e) for e in np.eye(rows)]).conj())
 
 
-def _recover(operator, s_hat, rspec, lipschitz, k, mn):
-    a_hat = fista(operator[0], operator[1], s_hat, rspec, lipschitz=lipschitz)
-    return a_hat, estimate_support(a_hat, k, mn)
+def _score(ctx, operator_id, draw, y, s_hat, saturation) -> TrialMetrics:
+    """Recover the grid vector from the observation y on the named operator,
+    and score it and the task-vector estimate s_hat against the draw."""
+    apply, adjoint, lipschitz = ctx.operators[operator_id]
+    a_hat, info = fista(apply, adjoint, y, ctx.recovery, lipschitz=lipschitz,
+                        return_info=True)
+    support = estimate_support(a_hat, draw.scene.k, ctx.config.mn)
+    return TrialMetrics(mse_s=relative_mse(draw.s_true, s_hat),
+                        mse_a=relative_mse(draw.a, a_hat),
+                        hit=hit_rate(draw.scene, support), saturation=saturation,
+                        err_s_abs=_sq(draw.s_true - s_hat),
+                        iterations=int(info["iterations"]))
 
 
-def run_bilimo_trial(design: AcquisitionDesign, dictionary: SteeringDictionary,
-                     compression: CompressionMatrix, scene: TargetScene, noise,
-                     rng, rspec: RecoverySpec, task_operator,
-                     lipschitz=None) -> TrialMetrics:
-    """Full designed pipeline: combine, sample-domain DFT, dithered quantize,
-    digital filter, then sparse recovery on the task operator M*Phi."""
-    cfg = dictionary.config
-    a = scene_to_sparse_vector(scene, cfg)
-    ctilde = dictionary.apply_cells(scene.cells(cfg), scene.alpha)
-    v_c = (ctilde + noise)[dictionary.perm]
-
-    u = apply_fbar(design.apply_combiner(v_c), design.L, design.channels)
+def run_bilimo_trial(ctx, draw, rng) -> TrialMetrics:
+    """Designed receiver: combine, sample-domain DFT, dithered quantize,
+    digital filter; recovery on the task operator M*Phi."""
+    design = ctx.design
+    u = apply_fbar(design.apply_combiner(draw.v[ctx.dictionary.perm]),
+                   design.L, design.channels)
     z, sat = quantize_with(u, design.levels, design.support, rng)
     s_hat = design.digital @ z
-
-    a_hat, support = _recover(task_operator, s_hat, rspec, lipschitz,
-                              scene.k, cfg.mn)
-    s_true = compression.apply_to_c(ctilde[dictionary.perm])
-    return TrialMetrics(mse_s=relative_mse(s_true, s_hat),
-                        mse_a=relative_mse(a, a_hat),
-                        hit=hit_rate(scene, support), saturation=sat,
-                        err_s_abs=_sq(s_true - s_hat), err_a_abs=_sq(a - a_hat))
+    return _score(ctx, OPERATOR_OF["bilimo"], draw, s_hat, s_hat, sat)
 
 
-def run_task_ignorant_trial(dictionary: SteeringDictionary,
-                            compression: CompressionMatrix, scene: TargetScene,
-                            noise, rng, rspec: RecoverySpec, budget_bits,
-                            phi_operator, lipschitz=None) -> TrialMetrics:
+def run_task_ignorant_trial(ctx, draw, rng) -> TrialMetrics:
     """Baseline that quantizes the separated channels directly with the same
     overall bit budget (support from the same eta rule on the input std)."""
-    cfg = dictionary.config
-    a = scene_to_sparse_vector(scene, cfg)
-    ctilde = dictionary.apply_cells(scene.cells(cfg), scene.alpha)
-
-    levels = levels_from_budget(budget_bits, cfg.mnl, 1)
-    k_eff = scene.k if scene.k else 1
-    support = cfg.eta * np.sqrt(k_eff * cfg.sigma_alpha_sq + cfg.sigma_n_sq)
-    z, sat = quantize_with(ctilde + noise, levels, support, rng)
-
-    a_hat, est = _recover(phi_operator, z, rspec, lipschitz, scene.k, cfg.mn)
-    s_true = compression.apply_to_c(ctilde[dictionary.perm])
-    s_hat = compression.apply_to_c(z[dictionary.perm])
-    return TrialMetrics(mse_s=relative_mse(s_true, s_hat),
-                        mse_a=relative_mse(a, a_hat),
-                        hit=hit_rate(scene, est), saturation=sat,
-                        err_s_abs=_sq(s_true - s_hat), err_a_abs=_sq(a - a_hat))
+    z, sat = quantize_with(draw.v, ctx.ti_levels, ctx.ti_support, rng)
+    s_hat = ctx.compression.apply_to_c(z[ctx.dictionary.perm])
+    return _score(ctx, OPERATOR_OF["task_ignorant"], draw, z, s_hat, sat)
 
 
-def run_noquan_dr_trial(dictionary: SteeringDictionary,
-                        compression: CompressionMatrix, scene: TargetScene,
-                        noise, rspec: RecoverySpec, phi_operator,
-                        lipschitz=None) -> TrialMetrics:
+def run_noquan_dr_trial(ctx, draw, rng) -> TrialMetrics:
     """Unquantized direct recovery of the grid vector from the noisy channels."""
-    cfg = dictionary.config
-    a = scene_to_sparse_vector(scene, cfg)
-    ctilde = dictionary.apply_cells(scene.cells(cfg), scene.alpha)
-    v = ctilde + noise
-    a_hat, est = _recover(phi_operator, v, rspec, lipschitz, scene.k, cfg.mn)
-    s_true = compression.apply_to_c(ctilde[dictionary.perm])
-    s_hat = compression.apply_to_c(v[dictionary.perm])
-    return TrialMetrics(mse_s=relative_mse(s_true, s_hat),
-                        mse_a=relative_mse(a, a_hat), hit=hit_rate(scene, est),
-                        err_s_abs=_sq(s_true - s_hat), err_a_abs=_sq(a - a_hat))
+    s_hat = ctx.compression.apply_to_c(draw.v[ctx.dictionary.perm])
+    return _score(ctx, OPERATOR_OF["noquan_dr"], draw, draw.v, s_hat, None)
 
 
-def run_noquan_lmmse_trial(dictionary: SteeringDictionary,
-                           compression: CompressionMatrix,
-                           stats: SignalStatistics, scene: TargetScene, noise,
-                           rspec: RecoverySpec, task_operator,
-                           lipschitz=None, gamma_blocks=None) -> TrialMetrics:
+def run_noquan_lmmse_trial(ctx, draw, rng) -> TrialMetrics:
     """Unquantized linear-MMSE estimate of the task vector, then sparse recovery."""
-    cfg = dictionary.config
-    a = scene_to_sparse_vector(scene, cfg)
-    ctilde = dictionary.apply_cells(scene.cells(cfg), scene.alpha)
-    v_c = (ctilde + noise)[dictionary.perm]
-    if gamma_blocks is None:
-        gamma_blocks = lmmse_transform(compression, stats)
-    s_tilde = np.einsum("ijk,ik->ij", gamma_blocks,
-                        v_c.reshape(stats.L, stats.mn)).reshape(-1)
-    a_hat, est = _recover(task_operator, s_tilde, rspec, lipschitz,
-                          scene.k, cfg.mn)
-    s_true = compression.apply_to_c(ctilde[dictionary.perm])
-    return TrialMetrics(mse_s=relative_mse(s_true, s_tilde),
-                        mse_a=relative_mse(a, a_hat), hit=hit_rate(scene, est),
-                        err_s_abs=_sq(s_true - s_tilde), err_a_abs=_sq(a - a_hat))
+    gamma = ctx.gamma_blocks
+    v_c = draw.v[ctx.dictionary.perm].reshape(gamma.shape[0], -1)
+    s_tilde = np.einsum("ijk,ik->ij", gamma, v_c).reshape(-1)
+    return _score(ctx, OPERATOR_OF["noquan_lmmse"], draw, s_tilde, s_tilde, None)
 
 
 def quantize_with(v, levels, support, rng):
@@ -242,6 +232,7 @@ class PointResult:
     mse_a: list
     hits: list
     saturation: list
+    iterations: list
     eps_lmmse: float
     eps_emse: float | None
     n_failed: int
@@ -298,68 +289,45 @@ class ExperimentResult:
 
 
 class _PointContext:
-    """Operators shared by every trial of one sweep point."""
+    """Design, task-ignorant quantizer and solver operators shared by every
+    trial of one sweep point. operators maps each operator id the spec's
+    methods need to (apply, adjoint, lipschitz)."""
 
     def __init__(self, dictionary, config, spec, point_index, budget, snr_db,
                  dcr, k, kind):
         self.config = config.with_noise_variance(
             snr_to_noise_variance(snr_db_to_linear(snr_db), config))
-        self.k = k
-        self.budget = budget
-        self.stats = build_covariances(self.config, k)
+        self.recovery = spec.recovery
+        stats = build_covariances(self.config, k)
         rng_m = np.random.default_rng(
             np.random.SeedSequence([spec.master_seed, point_index, 1 << 20]))
         self.compression = build_compression_matrix(rng_m, self.config, dcr, kind)
-        self.channels = int(np.ceil(self.compression.rows / config.L))
-        levels = levels_from_budget(budget, self.channels, config.L)
-        if "task_ignorant" in spec.methods:  # fail at point setup, not per trial
-            levels_from_budget(budget, config.mnl, 1)
-        self.design = design_multitone(self.stats, self.compression,
-                                       self.channels, levels, config.eta)
-        self.gamma_blocks = lmmse_transform(self.compression, self.stats)
+        channels = int(np.ceil(self.compression.rows / config.L))
+        levels = levels_from_budget(budget, channels, config.L)
+        if "task_ignorant" in spec.methods:
+            base = dictionary.config
+            self.ti_levels = levels_from_budget(budget, base.mnl, 1)
+            # known defect: sigma_n^2 of the base config, not of this point's SNR
+            self.ti_support = base.eta * np.sqrt(
+                (k or 1) * base.sigma_alpha_sq + base.sigma_n_sq)
+        self.design = design_multitone(stats, self.compression, channels,
+                                       levels, config.eta)
+        self.gamma_blocks = lmmse_transform(self.compression, stats)
         self.dictionary = dictionary
 
         # Phi and the task operator M*Phi = apply_to_c . perm . Phi
         comp, perm, iperm = self.compression, dictionary.perm, dictionary.iperm
-        self.task_operator = self.lip_task = None
-        self.phi_operator = self.lip_phi = None
-        if {"bilimo", "noquan_lmmse"} & set(spec.methods):
-            self.task_operator = _solver_operator(
-                lambda x: comp.apply_to_c(dictionary.apply(x)[perm]),
-                lambda y: dictionary.apply_adjoint(comp.apply_adjoint_to_c(y)[iperm]),
-                comp.rows, dictionary.n_atoms)
-            self.lip_task = power_iteration_lipschitz(
-                *self.task_operator, dictionary.n_atoms)
-        if {"task_ignorant", "noquan_dr"} & set(spec.methods):
-            self.phi_operator = _solver_operator(
-                dictionary.apply, dictionary.apply_adjoint, dictionary.n_rows,
-                dictionary.n_atoms)
-            self.lip_phi = power_iteration_lipschitz(
-                *self.phi_operator, dictionary.n_atoms)
-
-
-def _run_point_method(ctx, method, scene, noise, rng, rspec, budget):
-    if method == "bilimo":
-        return run_bilimo_trial(ctx.design, ctx.dictionary, ctx.compression,
-                                scene, noise, rng, rspec,
-                                task_operator=ctx.task_operator,
-                                lipschitz=ctx.lip_task)
-    if method == "task_ignorant":
-        return run_task_ignorant_trial(ctx.dictionary, ctx.compression, scene,
-                                       noise, rng, rspec, budget,
-                                       phi_operator=ctx.phi_operator,
-                                       lipschitz=ctx.lip_phi)
-    if method == "noquan_dr":
-        return run_noquan_dr_trial(ctx.dictionary, ctx.compression, scene,
-                                   noise, rspec, phi_operator=ctx.phi_operator,
-                                   lipschitz=ctx.lip_phi)
-    if method == "noquan_lmmse":
-        return run_noquan_lmmse_trial(ctx.dictionary, ctx.compression,
-                                      ctx.stats, scene, noise, rspec,
-                                      task_operator=ctx.task_operator,
-                                      lipschitz=ctx.lip_task,
-                                      gamma_blocks=ctx.gamma_blocks)
-    raise ValueError(f"unknown method {method!r}")
+        structured = {
+            "task": (lambda x: comp.apply_to_c(dictionary.apply(x)[perm]),
+                     lambda y: dictionary.apply_adjoint(comp.apply_adjoint_to_c(y)[iperm]),
+                     comp.rows),
+            "phi": (dictionary.apply, dictionary.apply_adjoint, dictionary.n_rows),
+        }
+        self.operators = {}
+        for op_id in sorted({OPERATOR_OF[m] for m in spec.methods}):
+            pair = _solver_operator(*structured[op_id], dictionary.n_atoms)
+            self.operators[op_id] = (*pair, power_iteration_lipschitz(
+                *pair, dictionary.n_atoms))
 
 
 def run_sweep(spec: ExperimentSpec, out_csv=None, dictionary=None) -> ExperimentResult:
@@ -371,13 +339,13 @@ def run_sweep(spec: ExperimentSpec, out_csv=None, dictionary=None) -> Experiment
         dictionary = build_dictionary(spec.config)
     methods = [m for m in METHODS if m in spec.methods]
     points = []
-    wall_info = {}
+    point_info = {}
     for p_idx, (budget, snr_db, dcr, k, kind) in spec.points():
         ctx = _PointContext(dictionary, spec.config, spec, p_idx, budget,
                             snr_db, dcr, k, kind)
         acc = {m: PointResult(method=m, budget_bits=budget, snr_db=snr_db,
                               dcr=dcr, k=k, matrix_kind=kind, mse_s=[],
-                              mse_a=[], hits=[], saturation=[],
+                              mse_a=[], hits=[], saturation=[], iterations=[],
                               eps_lmmse=ctx.design.lmmse,
                               eps_emse=ctx.design.emse if m == "bilimo" else None,
                               n_failed=0, wall_ms=0.0)
@@ -385,18 +353,15 @@ def run_sweep(spec: ExperimentSpec, out_csv=None, dictionary=None) -> Experiment
         for t in range(spec.trials):
             rng_scene = np.random.default_rng(
                 np.random.SeedSequence([spec.master_seed, p_idx, t, 0]))
-            scene = sample_scene(rng_scene, k, ctx.config, spec.coeff_model)
-            sig = np.sqrt(ctx.config.sigma_n_sq / 2.0)
-            noise = sig * (rng_scene.standard_normal(ctx.config.mnl)
-                           + 1j * rng_scene.standard_normal(ctx.config.mnl))
+            draw = draw_trial(ctx, rng_scene, k, spec.coeff_model)
             for method in methods:
                 tag = METHODS.index(method) + 1
                 rng_m = np.random.default_rng(
                     np.random.SeedSequence([spec.master_seed, p_idx, t, tag]))
                 t0 = time.perf_counter()
                 try:
-                    m = _run_point_method(ctx, method, scene, noise, rng_m,
-                                          spec.recovery, budget)
+                    # looked up at call time, so a replaced trial function is seen
+                    m = globals()[f"run_{method}_trial"](ctx, draw, rng_m)
                 except (ValueError, ArithmeticError) as exc:
                     logger.exception("trial %d of %s at point %d failed; excluded",
                                      t, method, p_idx)
@@ -409,17 +374,21 @@ def run_sweep(spec: ExperimentSpec, out_csv=None, dictionary=None) -> Experiment
                 acc[method].mse_s.append(m.mse_s)
                 acc[method].mse_a.append(m.mse_a)
                 acc[method].hits.append(m.hit)
+                acc[method].iterations.append(m.iterations)
                 if m.saturation is not None:
                     acc[method].saturation.append(m.saturation)
         for m in methods:
-            points.append(acc[m])
-            wall_info[f"point{p_idx}/{m}"] = {
-                "wall_ms": acc[m].wall_ms, "trials": acc[m].trials,
-                "failed": acc[m].n_failed}
+            p = acc[m]
+            points.append(p)
+            point_info[f"point{p_idx}/{m}"] = {
+                "wall_ms": p.wall_ms, "trials": p.trials, "failed": p.n_failed,
+                "iters_mean": float(np.mean(p.iterations)),
+                "capped_frac": float(np.mean(np.asarray(p.iterations)
+                                             >= spec.recovery.max_iter))}
     result = ExperimentResult(points=points, spec=spec)
     if out_csv is not None:
         write_csv(result, out_csv)
-        _write_sidecar(spec, wall_info, f"{out_csv}.meta.json")
+        _write_sidecar(spec, point_info, f"{out_csv}.meta.json")
     return result
 
 
@@ -455,7 +424,7 @@ def write_csv(result: ExperimentResult, path) -> None:
                 for c in CSV_COLUMNS) + "\n")
 
 
-def _write_sidecar(spec: ExperimentSpec, wall_info, path) -> None:
+def _write_sidecar(spec: ExperimentSpec, point_info, path) -> None:
     rspec = spec.recovery
     meta = {
         "version": __version__,
@@ -469,7 +438,7 @@ def _write_sidecar(spec: ExperimentSpec, wall_info, path) -> None:
         "methods": list(spec.methods),
         "coeff_model": spec.coeff_model,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "timing": wall_info,
+        "timing": point_info,
     }
     with open(path, "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)

@@ -9,6 +9,7 @@ method can resolve).
 """
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from bitmimo.adc import QuantizerSpec, quantize_complex_vector, quantize_real
 from bitmimo.combiner import (design_multitone, emse_of_combiner,
                               support_gamma)
 from bitmimo.dictionary import apply_fbar, build_dictionary, coherence, eval_c_direct
-from bitmimo.harness import (ExperimentSpec, quantize_with, run_bilimo_trial,
-                             run_sweep)
+from bitmimo.harness import (ExperimentSpec, draw_trial, quantize_with,
+                             run_bilimo_trial, run_sweep)
 from bitmimo.recovery import (RecoverySpec, fista, power_iteration_lipschitz,
                               recovery_error_bound)
 from dense_oracle import dense_task
@@ -132,19 +133,17 @@ def test_acceptance_4_theory_vs_simulation():
     design = design_multitone(stats, comp, comp.block_rows, 4, cfg.eta)
     a_mat = dense_task(d, comp)
     ops = ((lambda x: a_mat @ x), (lambda y: (y.conj() @ a_mat).conj()))
-    lip = power_iteration_lipschitz(*ops, a_mat.shape[1])
-    rspec = RecoverySpec(max_iter=3)  # only the task estimate matters here
+    ctx = SimpleNamespace(
+        config=cfg, dictionary=d, compression=comp, design=design,
+        recovery=RecoverySpec(max_iter=3),  # only the task estimate matters here
+        operators={"task": (*ops, power_iteration_lipschitz(*ops, a_mat.shape[1]))})
 
     rng = np.random.default_rng(100)
     trials = 2000
     acc = 0.0
     for _ in range(trials):
-        scene = bm.sample_scene(rng, K, cfg, "gaussian")
-        w = np.sqrt(cfg.sigma_n_sq / 2) * (rng.standard_normal(cfg.mnl)
-                                           + 1j * rng.standard_normal(cfg.mnl))
-        m = run_bilimo_trial(design, d, comp, scene, w, rng, rspec,
-                             task_operator=ops, lipschitz=lip)
-        acc += m.err_s_abs
+        draw = draw_trial(ctx, rng, K, "gaussian")
+        acc += run_bilimo_trial(ctx, draw, rng).err_s_abs
     empirical = acc / trials
     theory = design.lmmse + design.emse
     elapsed = time.perf_counter() - t0

@@ -3,16 +3,15 @@ import pytest
 
 import bitmimo as bm
 from bitmimo.adc import QuantizerSpec, quantize_complex_vector
-from bitmimo.combiner import (design_block, design_monotone, design_multitone,
-                              digital_filter_mse, emse_of_combiner,
+from bitmimo.combiner import (design_block, design_multitone, emse_of_combiner,
                               equalizing_unitary, load_design, save_design,
-                              support_gamma, waterfill,
-                              analog_filter_response, block_from_responses,
+                              support_gamma, waterfill, analog_filter_response,
                               write_filter_response_csv)
 from bitmimo.dictionary import apply_fbar
 from bitmimo.statistics import (CompressionMatrix, blkdiag,
                                 build_compression_matrix, build_covariances,
                                 lmmse_transform)
+from dense_oracle import block_from_responses, digital_filter_mse
 
 
 def _bisect_water_level(lam, channels, levels, eta, block_rows):
@@ -235,21 +234,21 @@ def test_zero_combiner_loses_all_estimation_value(small_design):
 
 
 def test_monotone_reduction():
-    # L = 1 multitone design must coincide with the monotone design
+    # L = 1: the sample-domain DFT is the identity, so the multitone design is
+    # the single block's design followed by its MMSE digital filter
     cfg = bm.make_ula_config(4, 1, 1e6, 1e-6, sigma_n_sq=0.5)
     assert cfg.L == 1
     stats = build_covariances(cfg, K=2)
     comp = build_compression_matrix(np.random.default_rng(6), cfg, 2, "gaussian")
-    mono = design_monotone(stats, comp, 2, 4, cfg.eta)
     multi = design_multitone(stats, comp, 2, 4, cfg.eta)
-    assert np.allclose(mono.digital, multi.digital)
-    assert np.allclose(mono.combiner_blocks, multi.combiner_blocks)
-    assert mono.emse == multi.emse
-    with pytest.raises(ValueError):
-        cfg3 = bm.make_ula_config(2, 2, 1e6, 3e-6)
-        design_monotone(build_covariances(cfg3, 2),
-                        build_compression_matrix(np.random.default_rng(0), cfg3, 2, "gaussian"),
-                        2, 4, 2.0)
+    blk = design_block(comp.blocks[0], stats.cov_signal[0], stats.sigma[0], 2, 4,
+                       cfg.eta)
+    assert np.allclose(multi.combiner_blocks[0], blk.combiner)
+    assert multi.emse == blk.emse
+    B, q = blk.combiner, 4 * multi.support ** 2 / (3 * 4 ** 2)
+    inner = B @ stats.sigma[0] @ B.conj().T + q * np.eye(2)
+    T = comp.blocks[0] @ stats.cov_signal[0]
+    assert np.allclose(multi.digital, T @ B.conj().T @ np.linalg.inv(inner))
 
 
 def test_identical_blocks_share_water_level():
@@ -270,7 +269,7 @@ def test_infinite_resolution_limit():
     cfg = bm.make_ula_config(4, 1, 1e6, 1e-6, sigma_n_sq=0.5)
     stats = build_covariances(cfg, K=2)
     comp = build_compression_matrix(np.random.default_rng(8), cfg, 2, "gaussian")
-    design = design_monotone(stats, comp, 4, 2 ** 31, cfg.eta)
+    design = design_multitone(stats, comp, 4, 2 ** 31, cfg.eta)
     assert design.emse <= 1e-12 * design.lmmse + 1e-12
 
 
@@ -279,7 +278,7 @@ def test_low_channel_count_pays_the_tail():
     cfg = bm.make_ula_config(4, 1, 1e6, 1e-6, sigma_n_sq=0.5)
     stats = build_covariances(cfg, K=2)
     comp = build_compression_matrix(np.random.default_rng(9), cfg, 1, "gaussian")
-    design = design_monotone(stats, comp, 1, 2 ** 31, cfg.eta)
+    design = design_multitone(stats, comp, 1, 2 ** 31, cfg.eta)
     lam = design.blocks[0].singvals
     assert design.emse >= np.sum(lam[1:] ** 2) * (1 - 1e-9)
 
@@ -304,7 +303,7 @@ def test_design_monotone_matches_dithered_simulation():
     K = 2
     stats = build_covariances(cfg, K)
     comp = build_compression_matrix(np.random.default_rng(11), cfg, 2, "gaussian")
-    design = design_monotone(stats, comp, 2, 4, cfg.eta)
+    design = design_multitone(stats, comp, 2, 4, cfg.eta)
 
     rng = np.random.default_rng(12)
     n = 20_000

@@ -133,10 +133,12 @@ def test_matrix_free_matches_dense(points):
             s = rng.standard_normal(task.shape[0]) + 1j * rng.standard_normal(task.shape[0])
             assert _rel(d.apply(a), phi @ a) <= 1e-10
             assert _rel(d.apply_adjoint(y), phi.conj().T @ y) <= 1e-10
-            assert _rel(ctx.phi_operator[0](a), phi @ a) <= 1e-10
-            assert _rel(ctx.phi_operator[1](y), phi.conj().T @ y) <= 1e-10
-            assert _rel(ctx.task_operator[0](a), task @ a) <= 1e-10
-            assert _rel(ctx.task_operator[1](s), task.conj().T @ s) <= 1e-10
+            phi_apply, phi_adjoint, _ = ctx.operators["phi"]
+            task_apply, task_adjoint, _ = ctx.operators["task"]
+            assert _rel(phi_apply(a), phi @ a) <= 1e-10
+            assert _rel(phi_adjoint(y), phi.conj().T @ y) <= 1e-10
+            assert _rel(task_apply(a), task @ a) <= 1e-10
+            assert _rel(task_adjoint(s), task.conj().T @ s) <= 1e-10
 
 
 def test_adjoint_identity(points):
@@ -146,8 +148,8 @@ def test_adjoint_identity(points):
         comp = ctx.compression
         pairs = [(d.apply, d.apply_adjoint, d.n_atoms, d.n_rows),
                  (comp.apply_to_c, comp.apply_adjoint_to_c, d.n_rows, comp.rows),
-                 (*ctx.task_operator, d.n_atoms, comp.rows),
-                 (*ctx.phi_operator, d.n_atoms, d.n_rows)]
+                 (*ctx.operators["task"][:2], d.n_atoms, comp.rows),
+                 (*ctx.operators["phi"][:2], d.n_atoms, d.n_rows)]
         for apply, adjoint, n_in, n_out in pairs:
             for _ in range(10):
                 x = rng.standard_normal(n_in) + 1j * rng.standard_normal(n_in)

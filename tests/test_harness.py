@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ def test_noiseless_high_resolution_pipeline_is_exact(small_cfg):
 def test_lmmse_path_matches_theory(small_cfg):
     # mean ||s - s_tilde||^2 for the unquantized LMMSE baseline equals eps_L
     # within 3 percent (Monte Carlo over scene draws, absolute errors)
-    from bitmimo.harness import run_noquan_lmmse_trial
+    from bitmimo.harness import draw_trial, run_noquan_lmmse_trial
 
     cfg = small_cfg.with_noise_variance(bm.snr_to_noise_variance(1.0, small_cfg))
     K = 3
@@ -76,17 +77,16 @@ def test_lmmse_path_matches_theory(small_cfg):
     comp = bm.build_compression_matrix(np.random.default_rng(1), cfg, 2, "gaussian")
     a_mat = dense_task(d, comp)
     ops = ((lambda x: a_mat @ x), (lambda y: (y.conj() @ a_mat).conj()))
+    ctx = SimpleNamespace(config=cfg, dictionary=d, compression=comp,
+                          gamma_blocks=bm.lmmse_transform(comp, stats),
+                          recovery=RecoverySpec(max_iter=2),
+                          operators={"task": (*ops, 1.0)})
     rng = np.random.default_rng(2)
-    rspec = RecoverySpec(max_iter=2)
     acc = 0.0
     n = 4000
     for _ in range(n):
-        scene = bm.sample_scene(rng, K, cfg)
-        w = np.sqrt(cfg.sigma_n_sq / 2) * (rng.standard_normal(cfg.mnl)
-                                           + 1j * rng.standard_normal(cfg.mnl))
-        m = run_noquan_lmmse_trial(d, comp, stats, scene, w, rspec,
-                                   task_operator=ops, lipschitz=1.0)
-        acc += m.err_s_abs
+        draw = draw_trial(ctx, rng, K, "gaussian")
+        acc += run_noquan_lmmse_trial(ctx, draw, rng).err_s_abs
     assert acc / n == pytest.approx(bm.lmmse_error(comp, stats), rel=0.03)
 
 
@@ -103,11 +103,35 @@ def test_fixed_seed_reproducible_metrics(small_cfg):
 def test_method_metrics_independent_of_selection(small_cfg):
     # per-method dither streams are keyed by canonical method order, so a
     # method's numbers do not change when other methods are toggled
-    only = run_sweep(_spec(small_cfg, methods=("task_ignorant",), trials=2))
-    both = run_sweep(_spec(small_cfg, methods=("bilimo", "task_ignorant"), trials=2))
-    t_only = [p for p in only.points if p.method == "task_ignorant"][0]
-    t_both = [p for p in both.points if p.method == "task_ignorant"][0]
-    assert t_only.mse_a == t_both.mse_a
+    every = run_sweep(_spec(small_cfg, methods=bm.METHODS, trials=2)).points
+    for p_all in every:
+        only, = run_sweep(_spec(small_cfg, methods=(p_all.method,), trials=2)).points
+        assert (only.mse_s, only.mse_a, only.hits) == (p_all.mse_s, p_all.mse_a,
+                                                       p_all.hits)
+
+
+def test_each_trial_synthesizes_its_scene_once(small_cfg, monkeypatch):
+    calls = []
+    original = bm.SteeringDictionary.apply_cells
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(bm.SteeringDictionary, "apply_cells", counted)
+    spec = _spec(small_cfg, methods=bm.METHODS, trials=3, snr_db=(0.0, 10.0))
+    run_sweep(spec)
+    assert len(calls) == spec.trials * len(spec.snr_db)
+
+
+def test_sidecar_reports_capped_solves(tmp_path, small_cfg):
+    spec = _spec(small_cfg, methods=bm.METHODS, trials=2,
+                 recovery=RecoverySpec(max_iter=1))
+    run_sweep(spec, out_csv=tmp_path / "r.csv")
+    timing = json.loads((tmp_path / "r.csv.meta.json").read_text())["timing"]
+    assert sorted(timing) == [f"point0/{m}" for m in sorted(bm.METHODS)]
+    for entry in timing.values():
+        assert (entry["iters_mean"], entry["capped_frac"]) == (1.0, 1.0)
 
 
 def test_csv_bytes_deterministic(tmp_path, small_cfg):
