@@ -122,6 +122,8 @@ class TrialMetrics:
     saturation: float | None
     err_s_abs: float  # ||s - s_hat||^2, for theory-vs-simulation checks
     iterations: int   # FISTA iterations of the recovery
+    objective: float  # final LASSO objective of the recovery
+    rho: float        # l1 weight the recovery used
 
 
 # -- one trial: draw, front end, score ----------------------------------------
@@ -177,7 +179,9 @@ def _score(ctx, operator_id, draw, y, s_hat, saturation) -> TrialMetrics:
                         mse_a=relative_mse(draw.a, a_hat),
                         hit=hit_rate(draw.scene, support), saturation=saturation,
                         err_s_abs=_sq(draw.s_true - s_hat),
-                        iterations=int(info["iterations"]))
+                        iterations=int(info["iterations"]),
+                        objective=float(info["objective"][-1]),
+                        rho=float(info["rho"]))
 
 
 def run_bilimo_trial(ctx, draw, rng) -> TrialMetrics:
@@ -233,6 +237,8 @@ class PointResult:
     hits: list
     saturation: list
     iterations: list
+    objective: list
+    rho: list
     eps_lmmse: float
     eps_emse: float | None
     n_failed: int
@@ -346,6 +352,7 @@ def run_sweep(spec: ExperimentSpec, out_csv=None, dictionary=None) -> Experiment
         acc = {m: PointResult(method=m, budget_bits=budget, snr_db=snr_db,
                               dcr=dcr, k=k, matrix_kind=kind, mse_s=[],
                               mse_a=[], hits=[], saturation=[], iterations=[],
+                              objective=[], rho=[],
                               eps_lmmse=ctx.design.lmmse,
                               eps_emse=ctx.design.emse if m == "bilimo" else None,
                               n_failed=0, wall_ms=0.0)
@@ -375,6 +382,8 @@ def run_sweep(spec: ExperimentSpec, out_csv=None, dictionary=None) -> Experiment
                 acc[method].mse_a.append(m.mse_a)
                 acc[method].hits.append(m.hit)
                 acc[method].iterations.append(m.iterations)
+                acc[method].objective.append(m.objective)
+                acc[method].rho.append(m.rho)
                 if m.saturation is not None:
                     acc[method].saturation.append(m.saturation)
         for m in methods:
@@ -384,7 +393,9 @@ def run_sweep(spec: ExperimentSpec, out_csv=None, dictionary=None) -> Experiment
                 "wall_ms": p.wall_ms, "trials": p.trials, "failed": p.n_failed,
                 "iters_mean": float(np.mean(p.iterations)),
                 "capped_frac": float(np.mean(np.asarray(p.iterations)
-                                             >= spec.recovery.max_iter))}
+                                             >= spec.recovery.max_iter)),
+                "objective_mean": float(np.mean(p.objective)),
+                "rho_mean": float(np.mean(p.rho))}
     result = ExperimentResult(points=points, spec=spec)
     if out_csv is not None:
         write_csv(result, out_csv)

@@ -5,10 +5,12 @@ Solves the complex LASSO
     min_a  0.5*||s_hat - A a||^2 + rho*||a||_1
 
 with a monotone accelerated proximal-gradient iteration (objective-guarded
-FISTA): step 1/L_f with L_f from power iteration on A^H A, complex
-soft-thresholding shrink(v, t) = v * max(1 - t/|v|, 0), and a relative
-iterate-change stopping rule. The operator is taken matrix-free (apply /
-adjoint pair) so the full-scale product never needs an explicit matrix.
+FISTA, Beck & Teboulle 2009): step 1/L_f with L_f from power iteration on
+A^H A, complex soft-thresholding shrink(v, t) = v * max(1 - t/|v|, 0), a
+gradient-based adaptive restart of the momentum (O'Donoghue & Candes 2015)
+and a relative iterate-change stopping rule. The operator is taken matrix-free
+(apply / adjoint pair) so the full-scale product never needs an explicit
+matrix; each iteration applies A once and A^H once, after one A^H s_hat.
 """
 
 from __future__ import annotations
@@ -56,12 +58,15 @@ class RecoverySpec:
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     """Complex soft-thresholding; preserves phase, shrinks magnitude by t."""
-    if t == 0:
-        return v.copy()
+    return _shrink(v, t)[0]
+
+
+def _shrink(v, t):
+    """soft_threshold(v, t) and its magnitude max(|v| - t, 0)."""
     mag = np.abs(v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(mag > 0, np.maximum(1.0 - t / mag, 0.0), 0.0)
-    return v * scale
+    kept = np.maximum(mag - t, 0.0)
+    scale = np.divide(kept, mag, out=np.zeros_like(mag), where=kept > 0)
+    return v * scale, kept
 
 
 def power_iteration_lipschitz(apply_a, apply_at, n, iters=30, tol=1e-6, seed=0x5EED):
@@ -87,14 +92,19 @@ def fista(apply_a, apply_at, s_hat, spec: RecoverySpec, lipschitz=None,
           return_info=False):
     """Monotone FISTA for the complex LASSO; returns the final iterate.
 
-    The proximal candidate from the extrapolated point is accepted only if it
-    does not increase the objective, which guarantees a nonincreasing objective
-    sequence while keeping the accelerated rate.
+    The proximal candidate z from the extrapolated point y is accepted only if
+    it does not increase the objective, which keeps the objective sequence
+    nonincreasing. A x and A z are carried beside x and z, so A y follows by
+    linearity and each iteration applies A and A^H once. The momentum restarts
+    (t = 1, y = the accepted iterate) whenever Re<y - z, z - x> > 0 for the
+    previous iterate x, i.e. when the step z - x points uphill along the
+    generalized gradient y - z.
     """
     s_hat = np.asarray(s_hat, dtype=complex)
     if not np.all(np.isfinite(s_hat)):
         raise ValueError("data vector must be finite")
-    n = apply_at(s_hat).shape[0]
+    corr = apply_at(s_hat)
+    n = corr.shape[0]
     if lipschitz is None:
         lipschitz = power_iteration_lipschitz(apply_a, apply_at, n)
     if lipschitz <= 0:
@@ -104,31 +114,39 @@ def fista(apply_a, apply_at, s_hat, spec: RecoverySpec, lipschitz=None,
 
     rho = spec.rho
     if rho is None:
-        rho = spec.rho_scale * float(np.max(np.abs(apply_at(s_hat))))
-
-    def objective(v, residual=None):
-        r = apply_a(v) - s_hat if residual is None else residual
-        return 0.5 * float(np.vdot(r, r).real) + rho * float(np.abs(v).sum())
+        rho = spec.rho_scale * float(np.max(np.abs(corr)))
+    thr = rho / step_l
 
     x = np.zeros(n, dtype=complex)
-    fx = objective(x, residual=-s_hat)
-    y = x
+    ax = np.zeros_like(s_hat)
+    fx = 0.5 * float(np.vdot(s_hat, s_hat).real)
+    y, ay = x, ax
     t = 1.0
-    z_prev = x
+    z_prev, z_prev_norm = x, 0.0
     history = [fx]
     n_iter = 0
     for n_iter in range(1, spec.max_iter + 1):
-        grad = apply_at(apply_a(y) - s_hat)
-        z = soft_threshold(y - grad / step_l, rho / step_l)
-        fz = objective(z)
-        if fz <= fx:
-            x_new, fx_new = z, fz
+        v = y - apply_at(ay - s_hat) / step_l
+        z, z_mag = _shrink(v, thr)
+        az = apply_a(z)
+        r = az - s_hat
+        fz = 0.5 * float(np.vdot(r, r).real) + rho * float(z_mag.sum())
+        accepted = fz <= fx
+        x_new, ax_new, fx_new = (z, az, fz) if accepted else (x, ax, fx)
+        step = z - x
+        if np.vdot(y - z, step).real > 0:
+            y, ay, t_new = x_new, ax_new, 1.0
         else:
-            x_new, fx_new = x, fx
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = x_new + (t / t_new) * (z - x_new) + ((t - 1.0) / t_new) * (x_new - x)
-        delta = np.linalg.norm(z - z_prev) / max(np.linalg.norm(z_prev), 1e-30)
-        x, fx, t, z_prev = x_new, fx_new, t_new, z
+            # y = x_new + (t/t_new)(z - x_new) + ((t-1)/t_new)(x_new - x), which
+            # is x_new + c (z - x) with c = (t-1)/t_new if z was accepted, else
+            # t/t_new; A y follows from A x_new, A z and A x the same way
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            c = ((t - 1.0) if accepted else t) / t_new
+            y = x_new + c * step
+            ay = ax_new + c * (az - ax)
+        delta = np.linalg.norm(z - z_prev) / max(z_prev_norm, 1e-30)
+        x, ax, fx, t = x_new, ax_new, fx_new, t_new
+        z_prev, z_prev_norm = z, float(np.sqrt(z_mag @ z_mag))
         history.append(fx)
         if delta < spec.tol:
             break

@@ -77,12 +77,6 @@ class SignalStatistics:
         """Per-tone blocks of Sigma = cov(c) + cov(w)."""
         return self.cov_signal + self.cov_noise
 
-    def sigma_dense(self) -> np.ndarray:
-        return blkdiag(self.sigma)
-
-    def cov_signal_dense(self) -> np.ndarray:
-        return blkdiag(self.cov_signal)
-
 
 def blkdiag(blocks: np.ndarray) -> np.ndarray:
     """Stack (L, r, c) blocks into a dense (L*r, L*c) block-diagonal matrix."""

@@ -132,6 +132,8 @@ def test_sidecar_reports_capped_solves(tmp_path, small_cfg):
     assert sorted(timing) == [f"point0/{m}" for m in sorted(bm.METHODS)]
     for entry in timing.values():
         assert (entry["iters_mean"], entry["capped_frac"]) == (1.0, 1.0)
+        for key in ("objective_mean", "rho_mean"):
+            assert np.isfinite(entry[key]) and entry[key] > 0
 
 
 def test_csv_bytes_deterministic(tmp_path, small_cfg):

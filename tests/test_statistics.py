@@ -4,7 +4,7 @@ import pytest
 import bitmimo as bm
 from bitmimo.statistics import (blkdiag, build_compression_matrix,
                                 build_covariances, lmmse_error, lmmse_transform)
-from dense_oracle import dense_phi
+from dense_oracle import cov_signal_dense, dense_phi, sigma_dense
 
 
 @pytest.fixture(scope="module")
@@ -170,8 +170,8 @@ def test_blockwise_equals_full_matrices(setup):
     comp = build_compression_matrix(rng, cfg, 2, "bernoulli")
     m_full = comp.dense(d.iperm)              # acts on ctilde
     perm_mat = np.eye(cfg.mnl)[d.perm]        # c = P ctilde
-    rc = stats.cov_signal_dense()
-    sig = stats.sigma_dense()
+    rc = cov_signal_dense(stats)
+    sig = sigma_dense(stats)
     mp = m_full @ perm_mat.T                  # M P^T
     full = np.trace(mp @ rc @ mp.conj().T
                     - mp @ rc @ np.linalg.solve(sig, rc) @ mp.conj().T).real
