@@ -99,42 +99,59 @@ def waterfill(singvals, channels, levels, eta, block_rows):
     return alloc, float(zeta)
 
 
-def equalizing_unitary(H: np.ndarray, tol=1e-10, max_rotations=None) -> np.ndarray:
+def equalizing_unitary(H: np.ndarray) -> np.ndarray:
     """Unitary U such that U H U^H has all diagonal entries equal to Tr(H)/P.
 
-    Iterates 2x2 rotations on the current (max-diagonal, min-diagonal) index
-    pair, each chosen to equalize that pair; the squared diagonal spread
-    contracts geometrically. Capped at 50*P^2 rotations.
+    H is one (P, P) Hermitian matrix or a stack (L, P, P) of them, and U has
+    the shape of H. Each block iterates 2x2 rotations on its current
+    (max-diagonal, min-diagonal) index pair, each chosen to equalize that
+    pair; the squared diagonal spread contracts geometrically. All blocks
+    rotate in lockstep, one batched step per rotation, and a block drops out
+    once its spread is at most 1e-10 * Tr(H)/P. Capped at 50*P^2 rotations.
+    Every block gets bitwise the U it would get alone.
     """
     H = np.asarray(H, dtype=complex)
-    P = H.shape[0]
-    if H.shape != (P, P):
+    stack = H if H.ndim == 3 else H[None]
+    P = stack.shape[-1]
+    if stack.ndim != 3 or stack.shape[1] != P:
         raise ValueError("H must be square")
-    scale = max(1.0, float(np.abs(H).max()))
-    if np.abs(H - H.conj().T).max() > 1e-10 * scale:
+    Hh = stack.conj().transpose(0, 2, 1)
+    scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+    if np.any(np.abs(stack - Hh).max(axis=(1, 2)) > 1e-10 * scale):
         raise ValueError("H must be Hermitian")
-    if max_rotations is None:
-        max_rotations = 50 * P * P
+    max_rotations = 50 * P * P
 
-    Hw = (H + H.conj().T) / 2.0
-    U = np.eye(P, dtype=complex)
-    target = np.trace(Hw).real / P
-    tol_abs = tol * max(abs(target), np.finfo(float).tiny)
+    Hw = (stack + Hh) / 2.0
+    U = np.tile(np.eye(P, dtype=complex), (len(Hw), 1, 1))
+    target = np.array([np.trace(h).real for h in Hw]) / P
+    tol_abs = 1e-10 * np.maximum(np.abs(target), np.finfo(float).tiny)
+    diag = np.diagonal(Hw, axis1=1, axis2=2)
+    active = np.arange(len(Hw))
     for _ in range(max_rotations):
-        d = Hw.diagonal().real
-        i, j = int(np.argmax(d)), int(np.argmin(d))
-        if d[i] - d[j] <= tol_abs:
-            return U
-        a, c, b = d[i], d[j], Hw[i, j]
-        phi = np.angle(b) if abs(b) > 0 else 0.0
-        theta = 0.5 * np.arctan2(c - a, 2.0 * abs(b))
+        d = diag[active].real
+        i, j = d.argmax(axis=1), d.argmin(axis=1)
+        rows = np.arange(active.size)
+        a, c = d[rows, i], d[rows, j]
+        move = ~(a - c <= tol_abs[active])
+        if not move.any():
+            return U if H.ndim == 3 else U[0]
+        active, i, j, a, c = active[move], i[move], j[move], a[move], c[move]
+        b = Hw[active, i, j]
+        # np.abs on a complex array differs in the last bit from scalar abs; np.hypot does not
+        mag = np.hypot(b.real, b.imag)
+        phi = np.where(mag > 0, np.angle(b), 0.0)
+        theta = 0.5 * np.arctan2(c - a, 2.0 * mag)
         ct, st = np.cos(theta), np.sin(theta)
-        G = np.array([[ct, np.exp(1j * phi) * st],
-                      [-np.exp(-1j * phi) * st, ct]])
-        idx = [i, j]
-        Hw[idx, :] = G @ Hw[idx, :]
-        Hw[:, idx] = Hw[:, idx] @ G.conj().T
-        U[idx, :] = G @ U[idx, :]
+        G = np.empty((active.size, 2, 2), dtype=complex)
+        G[:, 0, 0] = G[:, 1, 1] = ct
+        G[:, 0, 1] = np.exp(1j * phi) * st
+        G[:, 1, 0] = -np.exp(-1j * phi) * st
+        blk, idx = active[:, None], np.stack([i, j], axis=1)
+        Hw[blk, idx] = G @ Hw[blk, idx]
+        # (P, 2) column pairs laid out as Hw[:, idx] is, so each item runs the same gemm
+        Hw[blk, :, idx] = (Hw[blk, :, idx].transpose(0, 2, 1)
+                           @ G.conj().transpose(0, 2, 1)).transpose(0, 2, 1)
+        U[blk, idx] = G @ U[blk, idx]
     raise RuntimeError(
         f"diagonal equalization did not converge within {max_rotations} rotations")
 
@@ -181,25 +198,43 @@ class AcquisitionDesign:
         return np.einsum("ijk,ik->ij", B, v_c.reshape(L, mn)).reshape(-1)
 
 
+def _design_tones(m_blocks, cov_sig_blocks, sigma_blocks, channels, levels, eta):
+    """Optimal combiners of all tone blocks: per tone the whitening, SVD and
+    waterfill, then one equalizer call on the stack of diag(Lam_i^2), then
+    per tone B_i = U_i Lam_i V_i^H Sigma_i^{-1/2}."""
+    whitened, spectra = [], []
+    for m_block, cov_sig, sigma in zip(m_blocks, cov_sig_blocks, sigma_blocks):
+        sigma_inv_sqrt, _ = hermitian_inv_sqrt(sigma)
+        task = m_block @ cov_sig @ sigma_inv_sqrt
+        _, lam, vh = np.linalg.svd(task, full_matrices=True)
+        alloc, zeta = waterfill(lam, channels, levels, eta, block_rows=m_block.shape[0])
+        whitened.append((sigma_inv_sqrt, vh))
+        spectra.append((m_block.shape[0], lam, alloc, zeta))
+    # called through the module global so that a wrapper installed on it sees the call
+    mixers = equalizing_unitary(np.stack([np.diag(alloc) for _, _, alloc, _ in spectra])
+                                .astype(complex))
+
+    blocks = []
+    for mixer, (rows, lam, alloc, zeta) in zip(mixers, spectra):
+        sigma_inv_sqrt, vh = whitened.pop(0)  # freed once its combiner is built
+        mn = sigma_inv_sqrt.shape[0]
+        Lmat = np.zeros((channels, mn))
+        k = min(channels, mn)
+        Lmat[:k, :k] = np.diag(np.sqrt(alloc[:k]))
+        B = mixer @ Lmat @ vh @ sigma_inv_sqrt
+
+        active = min(rows, channels, lam.size)
+        head = (zeta * lam[:active] - 1.0).clip(min=0.0)
+        emse = float(np.sum(lam[:active] ** 2 / (head + 1.0)) + np.sum(lam[active:] ** 2))
+        blocks.append(BlockDesign(combiner=B, gains_sq=alloc, water_level=zeta, singvals=lam,
+                                  right_vectors=vh.conj().T, mixer=mixer, emse=emse))
+    return tuple(blocks)
+
+
 def design_block(m_block, cov_sig_block, sigma_block, channels, levels, eta) -> BlockDesign:
     """Optimal combiner for one tone block (also the whole design when L = 1)."""
-    sigma_inv_sqrt, _ = hermitian_inv_sqrt(sigma_block)
-    task = m_block @ cov_sig_block @ sigma_inv_sqrt
-    _, lam, vh = np.linalg.svd(task, full_matrices=True)
-    alloc, zeta = waterfill(lam, channels, levels, eta, block_rows=m_block.shape[0])
-
-    mn = sigma_block.shape[0]
-    Lmat = np.zeros((channels, mn))
-    k = min(channels, mn)
-    Lmat[:k, :k] = np.diag(np.sqrt(alloc[:k]))
-    mixer = equalizing_unitary(np.diag(alloc).astype(complex))
-    B = mixer @ Lmat @ vh @ sigma_inv_sqrt
-
-    active = min(m_block.shape[0], channels, lam.size)
-    head = (zeta * lam[:active] - 1.0).clip(min=0.0)
-    emse = float(np.sum(lam[:active] ** 2 / (head + 1.0)) + np.sum(lam[active:] ** 2))
-    return BlockDesign(combiner=B, gains_sq=alloc, water_level=zeta, singvals=lam,
-                       right_vectors=vh.conj().T, mixer=mixer, emse=emse)
+    return _design_tones([m_block], [cov_sig_block], [sigma_block],
+                         channels, levels, eta)[0]
 
 
 def design_multitone(stats: SignalStatistics, compression: CompressionMatrix,
@@ -207,19 +242,20 @@ def design_multitone(stats: SignalStatistics, compression: CompressionMatrix,
     """Blockwise optimal design for L >= 1 tones under block-diagonal statistics."""
     if compression.L != stats.L:
         raise ValueError("compression and statistics disagree on the tone count")
-    sigma = stats.sigma
-    blocks = tuple(
-        design_block(compression.blocks[i], stats.cov_signal[i], sigma[i],
-                     channels, levels, eta)
-        for i in range(stats.L)
-    )
+    # Sigma_i is summed per tone where it is used: an (L, MN, MN) stats.sigma
+    # held through the design raised its peak RSS, on top of the per-tone
+    # whitening factors that wait for the equalizer call
+    blocks = _design_tones(compression.blocks, stats.cov_signal,
+                           (c + w for c, w in zip(stats.cov_signal, stats.cov_noise)),
+                           channels, levels, eta)
     gamma = eta / np.sqrt(channels)
     noise_load = 4.0 * gamma * gamma / (3.0 * levels * levels)
 
     dpre = []
     for i, blk in enumerate(blocks):
         T = compression.blocks[i] @ stats.cov_signal[i]
-        inner = blk.combiner @ sigma[i] @ blk.combiner.conj().T
+        sigma = stats.cov_signal[i] + stats.cov_noise[i]
+        inner = blk.combiner @ sigma @ blk.combiner.conj().T
         inner += noise_load * np.eye(channels)
         dpre.append(np.linalg.solve(inner.conj().T, (T @ blk.combiner.conj().T).conj().T).conj().T)
     digital = blkdiag(np.stack(dpre)) @ fbar_matrix(stats.L, channels).conj().T
@@ -271,6 +307,27 @@ def support_gamma(combiner_blocks, stats: SignalStatistics, eta) -> float:
 
 # -- analog filter synthesis ----------------------------------------------
 
+def _filter_table(design: AcquisitionDesign, config: RadarConfig, pulse_spectrum):
+    """(frequencies_hz, gains) of every analog filter: the M*L frequencies
+    i/T0 + f_m in band-major order m*L + i, and the (P, N, M*L) table of gains
+    T0 * B_i[p, m*N + n] * conj(h0_i) / |h0_i|^2."""
+    L, M, N = config.L, config.M, config.N
+    h0 = np.ones(L, dtype=complex) if pulse_spectrum is None else \
+        np.asarray(pulse_spectrum, dtype=complex)
+    if h0.shape != (L,):
+        raise ValueError("pulse spectrum must provide one sample per tone")
+    if np.any(h0 == 0):
+        raise ValueError("pulse spectrum vanishes at a required tone frequency")
+    freqs = (config.tone_indices / config.pri
+             + config.tone_offsets[:, None]).reshape(-1)
+    # (L, P, M*N) -> (P, N, M, L); the only whole-table temporary is this copy
+    B = design.combiner_blocks.reshape(L, design.channels, M, N).transpose(1, 3, 2, 0)
+    gains = np.multiply(config.pri, B, order="C")
+    gains *= h0.conj()
+    gains /= np.abs(h0) ** 2
+    return freqs, gains.reshape(design.channels, N, M * L)
+
+
 def analog_filter_response(design: AcquisitionDesign, config: RadarConfig,
                            p, n, pulse_spectrum=None):
     """Discrete frequency-response samples of the (p, n)th analog filter.
@@ -280,33 +337,20 @@ def analog_filter_response(design: AcquisitionDesign, config: RadarConfig,
     i/T0 + f_m, where h0_i are samples of the baseband pulse spectrum at the
     tone frequencies (default: flat h0 = 1).
     """
-    L, M, N = config.L, config.M, config.N
-    h0 = np.ones(L, dtype=complex) if pulse_spectrum is None else \
-        np.asarray(pulse_spectrum, dtype=complex)
-    if h0.shape != (L,):
-        raise ValueError("pulse spectrum must provide one sample per tone")
-    if np.any(h0 == 0):
-        raise ValueError("pulse spectrum vanishes at a required tone frequency")
-    B = design.combiner_blocks  # (L, P, MN)
-    tones = config.tone_indices
-    freqs = np.empty(M * L)
-    gains = np.empty(M * L, dtype=complex)
-    for m in range(M):
-        sl = slice(m * L, (m + 1) * L)
-        freqs[sl] = tones / config.pri + config.tone_offsets[m]
-        gains[sl] = config.pri * B[:, p, m * N + n] * h0.conj() / np.abs(h0) ** 2
-    return freqs, gains
+    freqs, gains = _filter_table(design, config, pulse_spectrum)
+    return freqs, gains[p, n]
 
 
 def write_filter_response_csv(design, config, path, pulse_spectrum=None):
     """Rows (p, n, frequency_hz, re, im) over all channels and receive elements."""
+    freqs, gains = _filter_table(design, config, pulse_spectrum)
+    fcols = [f"{f:.10g}" for f in freqs.tolist()]
     with open(path, "w") as fh:
         fh.write("p,n,frequency_hz,re,im\n")
-        for p in range(design.channels):
-            for n in range(config.N):
-                freqs, gains = analog_filter_response(design, config, p, n, pulse_spectrum)
-                for f, g in zip(freqs, gains):
-                    fh.write(f"{p},{n},{f:.10g},{g.real:.10g},{g.imag:.10g}\n")
+        for p, per_p in enumerate(gains):
+            for n, row in enumerate(per_p.tolist()):
+                fh.write("".join([f"{p},{n},{f},{g.real:.10g},{g.imag:.10g}\n"
+                                  for f, g in zip(fcols, row)]))
 
 
 # -- design bundle I/O ------------------------------------------------------

@@ -4,7 +4,9 @@ dense_phi stacks the Kronecker blocks V_m (x) U_m of the dictionary, and
 dense_task composes the compression with it, M*Phi, on band-major ctilde.
 reference_fista is the monotone FISTA without restart that applies the
 operator three times per iteration, kept as the differential reference for
-the solver.
+the solver. reference_equalizing_unitary is the one-matrix rotation loop and
+reference_write_filter_response_csv the row-by-row filter export, kept as the
+differential references for the stacked equalizer and the table export.
 sigma_dense and cov_signal_dense expand the per-tone covariance blocks into
 block-diagonal matrices. digital_filter_mse evaluates a digital filter's
 modeled error with dense matrices, and block_from_responses inverts the
@@ -99,3 +101,66 @@ def reference_fista(apply_a, apply_at, s_hat, spec, lipschitz=None):
             break
     return x, {"objective": history, "iterations": n_iter,
                "lipschitz": lipschitz, "rho": rho}
+
+
+def reference_equalizing_unitary(H):
+    """One matrix, one 2x2 rotation per loop pass on the current
+    (max-diagonal, min-diagonal) pair until the diagonal is flat."""
+    H = np.asarray(H, dtype=complex)
+    P = H.shape[0]
+    if H.shape != (P, P):
+        raise ValueError("H must be square")
+    scale = max(1.0, float(np.abs(H).max()))
+    if np.abs(H - H.conj().T).max() > 1e-10 * scale:
+        raise ValueError("H must be Hermitian")
+    max_rotations = 50 * P * P
+
+    Hw = (H + H.conj().T) / 2.0
+    U = np.eye(P, dtype=complex)
+    target = np.trace(Hw).real / P
+    tol_abs = 1e-10 * max(abs(target), np.finfo(float).tiny)
+    for _ in range(max_rotations):
+        d = Hw.diagonal().real
+        i, j = int(np.argmax(d)), int(np.argmin(d))
+        if d[i] - d[j] <= tol_abs:
+            return U
+        a, c, b = d[i], d[j], Hw[i, j]
+        phi = np.angle(b) if abs(b) > 0 else 0.0
+        theta = 0.5 * np.arctan2(c - a, 2.0 * abs(b))
+        ct, st = np.cos(theta), np.sin(theta)
+        G = np.array([[ct, np.exp(1j * phi) * st],
+                      [-np.exp(-1j * phi) * st, ct]])
+        idx = [i, j]
+        Hw[idx, :] = G @ Hw[idx, :]
+        Hw[:, idx] = Hw[:, idx] @ G.conj().T
+        U[idx, :] = G @ U[idx, :]
+    raise RuntimeError(
+        f"diagonal equalization did not converge within {max_rotations} rotations")
+
+
+def reference_filter_response(design, config, p, n, pulse_spectrum=None):
+    """Gains of the (p, n)th analog filter, one (p, n) at a time."""
+    L, M, N = config.L, config.M, config.N
+    h0 = np.ones(L, dtype=complex) if pulse_spectrum is None else \
+        np.asarray(pulse_spectrum, dtype=complex)
+    B = design.combiner_blocks  # (L, P, MN)
+    tones = config.tone_indices
+    freqs = np.empty(M * L)
+    gains = np.empty(M * L, dtype=complex)
+    for m in range(M):
+        sl = slice(m * L, (m + 1) * L)
+        freqs[sl] = tones / config.pri + config.tone_offsets[m]
+        gains[sl] = config.pri * B[:, p, m * N + n] * h0.conj() / np.abs(h0) ** 2
+    return freqs, gains
+
+
+def reference_write_filter_response_csv(design, config, path, pulse_spectrum=None):
+    """The filter CSV written one row at a time."""
+    with open(path, "w") as fh:
+        fh.write("p,n,frequency_hz,re,im\n")
+        for p in range(design.channels):
+            for n in range(config.N):
+                freqs, gains = reference_filter_response(design, config, p, n,
+                                                         pulse_spectrum)
+                for f, g in zip(freqs, gains):
+                    fh.write(f"{p},{n},{f:.10g},{g.real:.10g},{g.imag:.10g}\n")

@@ -11,7 +11,9 @@ from bitmimo.dictionary import apply_fbar
 from bitmimo.statistics import (CompressionMatrix, blkdiag,
                                 build_compression_matrix, build_covariances,
                                 lmmse_transform)
-from dense_oracle import block_from_responses, digital_filter_mse
+from dense_oracle import (block_from_responses, digital_filter_mse,
+                          reference_equalizing_unitary, reference_filter_response,
+                          reference_write_filter_response_csv)
 
 
 def _bisect_water_level(lam, channels, levels, eta, block_rows):
@@ -134,6 +136,50 @@ def test_equalizer_rejects_non_hermitian():
         equalizing_unitary(np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex))
 
 
+def test_equalizer_stack_rejects_any_bad_block():
+    stack = np.tile(np.diag([3.0, 1.0, 0.0]).astype(complex), (4, 1, 1))
+    stack[2, 0, 1] = 1.0  # one non-Hermitian block among Hermitian ones
+    with pytest.raises(ValueError, match="Hermitian"):
+        equalizing_unitary(stack)
+    with pytest.raises(ValueError, match="square"):
+        equalizing_unitary(np.zeros((4, 3, 2), dtype=complex))
+    with pytest.raises(ValueError, match="square"):
+        equalizing_unitary(np.zeros(3, dtype=complex))
+
+
+def test_equalizer_stack_matches_reference_loop_on_mixed_blocks():
+    # blocks that need different rotation counts, and a scaled identity that
+    # needs none, rotate in lockstep exactly as each does alone
+    rng = np.random.default_rng(16)
+    for P in (2, 5, 8):
+        X = rng.standard_normal((P, P)) + 1j * rng.standard_normal((P, P))
+        low = rng.standard_normal((P, 2)) + 1j * rng.standard_normal((P, 2))
+        sparse = np.zeros(P)
+        sparse[:max(1, P // 3)] = rng.uniform(0.5, 2.0, size=max(1, P // 3))
+        stack = np.stack([X @ X.conj().T, low @ low.conj().T, np.diag(sparse),
+                          2.5 * np.eye(P), np.diag(rng.uniform(0.0, 1.0, size=P))])
+        U = equalizing_unitary(stack)
+        assert U.shape == stack.shape
+        for H, U_block in zip(stack, U):
+            assert np.array_equal(U_block, reference_equalizing_unitary(H))
+        assert np.array_equal(equalizing_unitary(stack[0]), U[0])
+
+
+@pytest.mark.parametrize("dcr", [2, 4])
+def test_equalizer_stack_matches_reference_loop_at_paper_scale(dcr):
+    # the design's one stacked call on the nine diag(Lam_i^2) of an M=8, N=12,
+    # L=9 design (P = 48, 24) gives each tone the one-matrix loop's mixer
+    cfg = bm.make_ula_config(8, 12, 1e6, 9e-6, sigma_n_sq=0.1)
+    assert cfg.L == 9
+    stats = build_covariances(cfg, K=4)
+    comp = build_compression_matrix(np.random.default_rng(17), cfg, dcr, "gaussian")
+    design = design_multitone(stats, comp, comp.block_rows, 4, cfg.eta)
+    assert design.channels == 96 // dcr
+    for blk in design.blocks:
+        H = np.diag(blk.gains_sq).astype(complex)
+        assert np.array_equal(blk.mixer, reference_equalizing_unitary(H))
+
+
 # -- block design --------------------------------------------------------------
 
 def _scalar_stats(cfg, K):
@@ -243,12 +289,29 @@ def test_monotone_reduction():
     multi = design_multitone(stats, comp, 2, 4, cfg.eta)
     blk = design_block(comp.blocks[0], stats.cov_signal[0], stats.sigma[0], 2, 4,
                        cfg.eta)
-    assert np.allclose(multi.combiner_blocks[0], blk.combiner)
+    assert np.array_equal(multi.combiner_blocks[0], blk.combiner)
+    assert np.array_equal(multi.blocks[0].mixer, blk.mixer)
     assert multi.emse == blk.emse
     B, q = blk.combiner, 4 * multi.support ** 2 / (3 * 4 ** 2)
     inner = B @ stats.sigma[0] @ B.conj().T + q * np.eye(2)
     T = comp.blocks[0] @ stats.cov_signal[0]
     assert np.allclose(multi.digital, T @ B.conj().T @ np.linalg.inv(inner))
+
+
+def test_design_makes_one_equalizer_call(monkeypatch):
+    import bitmimo.combiner as combiner
+    calls = []
+
+    def counted(H):
+        calls.append(np.shape(H))
+        return equalizing_unitary(H)
+
+    monkeypatch.setattr(combiner, "equalizing_unitary", counted)
+    cfg = bm.make_ula_config(2, 3, 1e6, 3e-6, sigma_n_sq=0.25)
+    stats = build_covariances(cfg, K=3)
+    comp = build_compression_matrix(np.random.default_rng(5), cfg, 2, "gaussian")
+    design_multitone(stats, comp, 3, 4, cfg.eta)
+    assert calls == [(cfg.L, 3, 3)]
 
 
 def test_identical_blocks_share_water_level():
@@ -405,6 +468,46 @@ def test_filter_response_csv(tmp_path, small_design):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "p,n,frequency_hz,re,im"
     assert len(lines) == 1 + design.channels * cfg.N * cfg.ml
+
+
+def _pn_config_design():
+    # P = 4 channels against N = 2 receive elements
+    cfg = bm.make_ula_config(3, 2, 1e6, 3e-6, sigma_n_sq=0.3)
+    stats = build_covariances(cfg, K=2)
+    comp = build_compression_matrix(np.random.default_rng(18), cfg, 1, "gaussian")
+    return cfg, design_multitone(stats, comp, 4, 4, cfg.eta)
+
+
+def test_filter_response_csv_matches_row_writer(tmp_path, small_design):
+    cfg, _, _, _, design = small_design
+    cases = [(cfg, design), _pn_config_design()]
+    assert cases[1][1].channels != cases[1][0].N
+    rng = np.random.default_rng(19)
+    for k, (c, d) in enumerate(cases):
+        tilted = np.exp(1j * rng.uniform(-np.pi, np.pi, size=c.L)) \
+            * rng.uniform(0.5, 2.0, size=c.L)
+        for h0 in (None, tilted):
+            got, want = tmp_path / f"got{k}.csv", tmp_path / f"want{k}.csv"
+            write_filter_response_csv(d, c, got, pulse_spectrum=h0)
+            reference_write_filter_response_csv(d, c, want, pulse_spectrum=h0)
+            assert got.read_bytes() == want.read_bytes()
+            for p in range(d.channels):
+                for n in range(c.N):
+                    freqs, gains = analog_filter_response(d, c, p, n, h0)
+                    ref_freqs, ref_gains = reference_filter_response(d, c, p, n, h0)
+                    assert np.array_equal(freqs, ref_freqs)
+                    assert np.array_equal(gains, ref_gains)
+
+
+def test_filter_response_csv_rejects_bad_pulse_before_writing(tmp_path, small_design):
+    cfg, _, _, _, design = small_design
+    vanishing = np.ones(cfg.L, dtype=complex)
+    vanishing[0] = 0.0
+    for k, h0 in enumerate((vanishing, np.ones(cfg.L + 1))):
+        path = tmp_path / f"bad{k}.csv"
+        with pytest.raises(ValueError):
+            write_filter_response_csv(design, cfg, path, pulse_spectrum=h0)
+        assert not path.exists()
 
 
 def test_design_bundle_roundtrip(tmp_path, small_design):
