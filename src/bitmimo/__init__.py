@@ -9,13 +9,12 @@ deterministic Monte Carlo benchmarking harness with a CLI.
 __version__ = "0.1.0"
 
 from .adc import QuantizerSpec, bits_per_pri, levels_from_budget, quantize_complex_vector, quantize_real
-from .combiner import (AcquisitionDesign, BlockDesign, analog_filter_response,
-                       design_block, design_multitone, emse_of_combiner,
-                       equalizing_unitary, load_design, save_design,
-                       support_gamma, waterfill)
+from .combiner import (AcquisitionDesign, analog_filter_response,
+                       design_multitone, emse_of_combiner, equalizing_unitary,
+                       load_design, save_design, support_gamma, waterfill)
 from .dictionary import (SteeringDictionary, apply_fbar, apply_fbar_adjoint,
-                         build_dictionary, coherence, eval_c_direct,
-                         load_dictionary, save_dictionary)
+                         build_dictionary, coherence, load_dictionary,
+                         save_dictionary)
 from .harness import (METHODS, ExperimentResult, ExperimentSpec, PointResult,
                       TrialMetrics, run_bilimo_trial, run_noquan_dr_trial,
                       run_noquan_lmmse_trial, run_sweep,

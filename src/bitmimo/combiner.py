@@ -17,7 +17,8 @@ gamma = eta/sqrt(P), and the digital filter is the MMSE-optimal
 
     D = blkdiag( M_i cov(c)_i B_i^H (B_i Sigma_i B_i^H + (4*gamma^2/(3*b^2)) I)^{-1} ) Fbar^H
 
-acting on the quantized samples. The per-block excess MSE over the linear MMSE
+acting on the quantized samples, applied as an FFT over tones followed by
+the per-tone blocks D_i. The per-block excess MSE over the linear MMSE
 benchmark is
 
     eps_i = sum_{l<=min(J_i,P)} lam_l^2 / ((zeta*lam_l - 1)^+ + 1)
@@ -32,17 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import fbar_matrix
+from .dictionary import apply_fbar_adjoint
 from .model import RadarConfig, config_to_dict
-from .statistics import (CompressionMatrix, SignalStatistics, blkdiag,
-                         hermitian_inv_sqrt, lmmse_error)
+from .statistics import CompressionMatrix, SignalStatistics, hermitian_inv_sqrt
 
 __all__ = [
-    "BlockDesign",
     "AcquisitionDesign",
+    "BUNDLE_ARRAYS",
     "waterfill",
     "equalizing_unitary",
-    "design_block",
     "design_multitone",
     "emse_of_combiner",
     "support_gamma",
@@ -157,115 +156,109 @@ def equalizing_unitary(H: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BlockDesign:
-    """Per-tone analog combiner and its design internals."""
-
-    combiner: np.ndarray      # B_i, (P, MN)
-    gains_sq: np.ndarray      # Lam_i^2 diagonal, (P,)
-    water_level: float        # zeta_i
-    singvals: np.ndarray      # singular values of the whitened task matrix
-    right_vectors: np.ndarray # V_i (MN, MN)
-    mixer: np.ndarray         # U_i (P, P)
-    emse: float               # eps_i
-
-
-@dataclass(frozen=True)
 class AcquisitionDesign:
-    """Assembled block-diagonal analog combiner, digital filter and quantizer."""
+    """Per-tone analog combiner, digital filter and quantizer, held as (L, ...)
+    tone stacks under the design bundle's array names.
 
-    blocks: tuple
-    digital: np.ndarray       # D, (J, P*L)
-    support: float            # gamma
-    levels: int               # b
+    The filter on the quantized samples z is D = blkdiag(D_i) Fbar^H; it is
+    never formed, apply_digital runs an FFT over tones and then each D_i.
+    """
+
+    combiner_blocks: np.ndarray  # B_i, (L, P, MN)
+    digital_blocks: np.ndarray   # D_i, (L, J_i, P)
+    gains_sq: np.ndarray         # Lam_i^2 diagonals, (L, P)
+    water_levels: np.ndarray     # zeta_i, (L,)
+    singvals: np.ndarray         # whitened task matrices' singular values, (L, min(J_i, MN))
+    right_vectors: np.ndarray    # V_i, (L, MN, MN)
+    mixers: np.ndarray           # U_i, (L, P, P)
+    block_emse: np.ndarray       # eps_i, (L,)
+    support: float               # gamma
+    levels: int                  # b
     eta: float
-    channels: int             # P
+    channels: int                # P
 
     emse: float               # designed excess MSE over the LMMSE benchmark
     lmmse: float              # LMMSE of the task vector from unquantized data
 
     @property
     def L(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def combiner_blocks(self) -> np.ndarray:
-        return np.stack([blk.combiner for blk in self.blocks])
+        return self.combiner_blocks.shape[0]
 
     def apply_combiner(self, v_c: np.ndarray) -> np.ndarray:
         """Bbar @ v for a tone-major coefficient vector v."""
-        B = self.combiner_blocks
-        L, P, mn = B.shape
-        return np.einsum("ijk,ik->ij", B, v_c.reshape(L, mn)).reshape(-1)
+        L, _, mn = self.combiner_blocks.shape
+        return (self.combiner_blocks @ v_c.reshape(L, mn, 1)).reshape(-1)
+
+    def apply_digital(self, z: np.ndarray) -> np.ndarray:
+        """D @ z = blkdiag(D_i) Fbar^H z for the quantized samples z."""
+        L, _, P = self.digital_blocks.shape
+        return (self.digital_blocks @ apply_fbar_adjoint(z, L, P).reshape(L, P, 1)).reshape(-1)
 
 
-def _design_tones(m_blocks, cov_sig_blocks, sigma_blocks, channels, levels, eta):
-    """Optimal combiners of all tone blocks: per tone the whitening, SVD and
-    waterfill, then one equalizer call on the stack of diag(Lam_i^2), then
-    per tone B_i = U_i Lam_i V_i^H Sigma_i^{-1/2}."""
-    whitened, spectra = [], []
-    for m_block, cov_sig, sigma in zip(m_blocks, cov_sig_blocks, sigma_blocks):
-        sigma_inv_sqrt, _ = hermitian_inv_sqrt(sigma)
-        task = m_block @ cov_sig @ sigma_inv_sqrt
-        _, lam, vh = np.linalg.svd(task, full_matrices=True)
+# the arrays of a design bundle, in <prefix>.npz under these names
+BUNDLE_ARRAYS = ("combiner_blocks", "digital_blocks", "gains_sq", "water_levels",
+                 "singvals", "right_vectors", "mixers", "block_emse")
+
+
+def design_multitone(stats: SignalStatistics, compression: CompressionMatrix,
+                     channels, levels, eta) -> AcquisitionDesign:
+    """Blockwise optimal design for L >= 1 tones under block-diagonal statistics.
+
+    Per tone the whitening, SVD and waterfill; then one equalizer call on the
+    stack of diag(Lam_i^2); then per tone B_i = U_i Lam_i V_i^H Sigma_i^{-1/2}
+    and its MMSE filter D_i. The LMMSE comes from the same SVDs:
+    Tr(T_i Sigma_i^{-1} T_i^H) is the squared norm of the singular values.
+    """
+    if compression.L != stats.L:
+        raise ValueError("compression and statistics disagree on the tone count")
+    gamma = eta / np.sqrt(channels)
+    noise_load = 4.0 * gamma * gamma / (3.0 * levels * levels)
+    # Sigma_i is summed per tone where it is used: an (L, MN, MN) stats.sigma
+    # held through the design raised its peak RSS, on top of the per-tone
+    # factors that wait for the equalizer call
+    factors, singvals, gains_sq, water_levels = [], [], [], []
+    right_vectors, block_emse = [], []
+    lmmse = 0.0
+    for m_block, cov_sig, cov_noise in zip(compression.blocks, stats.cov_signal,
+                                           stats.cov_noise):
+        sigma_inv_sqrt, _ = hermitian_inv_sqrt(cov_sig + cov_noise)
+        T = m_block @ cov_sig
+        _, lam, vh = np.linalg.svd(T @ sigma_inv_sqrt, full_matrices=True)
         alloc, zeta = waterfill(lam, channels, levels, eta, block_rows=m_block.shape[0])
-        whitened.append((sigma_inv_sqrt, vh))
-        spectra.append((m_block.shape[0], lam, alloc, zeta))
+        lmmse += np.trace(T @ m_block.conj().T).real - np.sum(lam ** 2)
+        active = min(m_block.shape[0], channels, lam.size)
+        head = (zeta * lam[:active] - 1.0).clip(min=0.0)
+        block_emse.append(float(np.sum(lam[:active] ** 2 / (head + 1.0))
+                                + np.sum(lam[active:] ** 2)))
+        factors.append((T, sigma_inv_sqrt, vh))
+        singvals.append(lam)
+        gains_sq.append(alloc)
+        water_levels.append(zeta)
+        right_vectors.append(vh.conj().T)
     # called through the module global so that a wrapper installed on it sees the call
-    mixers = equalizing_unitary(np.stack([np.diag(alloc) for _, _, alloc, _ in spectra])
-                                .astype(complex))
+    mixers = equalizing_unitary(np.stack([np.diag(a) for a in gains_sq]).astype(complex))
 
-    blocks = []
-    for mixer, (rows, lam, alloc, zeta) in zip(mixers, spectra):
-        sigma_inv_sqrt, vh = whitened.pop(0)  # freed once its combiner is built
+    combiners, digitals = [], []
+    for i, (mixer, alloc) in enumerate(zip(mixers, gains_sq)):
+        T, sigma_inv_sqrt, vh = factors[i]
+        factors[i] = None  # freed once its combiner and filter are built
         mn = sigma_inv_sqrt.shape[0]
         Lmat = np.zeros((channels, mn))
         k = min(channels, mn)
         Lmat[:k, :k] = np.diag(np.sqrt(alloc[:k]))
         B = mixer @ Lmat @ vh @ sigma_inv_sqrt
-
-        active = min(rows, channels, lam.size)
-        head = (zeta * lam[:active] - 1.0).clip(min=0.0)
-        emse = float(np.sum(lam[:active] ** 2 / (head + 1.0)) + np.sum(lam[active:] ** 2))
-        blocks.append(BlockDesign(combiner=B, gains_sq=alloc, water_level=zeta, singvals=lam,
-                                  right_vectors=vh.conj().T, mixer=mixer, emse=emse))
-    return tuple(blocks)
-
-
-def design_block(m_block, cov_sig_block, sigma_block, channels, levels, eta) -> BlockDesign:
-    """Optimal combiner for one tone block (also the whole design when L = 1)."""
-    return _design_tones([m_block], [cov_sig_block], [sigma_block],
-                         channels, levels, eta)[0]
-
-
-def design_multitone(stats: SignalStatistics, compression: CompressionMatrix,
-                     channels, levels, eta) -> AcquisitionDesign:
-    """Blockwise optimal design for L >= 1 tones under block-diagonal statistics."""
-    if compression.L != stats.L:
-        raise ValueError("compression and statistics disagree on the tone count")
-    # Sigma_i is summed per tone where it is used: an (L, MN, MN) stats.sigma
-    # held through the design raised its peak RSS, on top of the per-tone
-    # whitening factors that wait for the equalizer call
-    blocks = _design_tones(compression.blocks, stats.cov_signal,
-                           (c + w for c, w in zip(stats.cov_signal, stats.cov_noise)),
-                           channels, levels, eta)
-    gamma = eta / np.sqrt(channels)
-    noise_load = 4.0 * gamma * gamma / (3.0 * levels * levels)
-
-    dpre = []
-    for i, blk in enumerate(blocks):
-        T = compression.blocks[i] @ stats.cov_signal[i]
-        sigma = stats.cov_signal[i] + stats.cov_noise[i]
-        inner = blk.combiner @ sigma @ blk.combiner.conj().T
+        inner = B @ (stats.cov_signal[i] + stats.cov_noise[i]) @ B.conj().T
         inner += noise_load * np.eye(channels)
-        dpre.append(np.linalg.solve(inner.conj().T, (T @ blk.combiner.conj().T).conj().T).conj().T)
-    digital = blkdiag(np.stack(dpre)) @ fbar_matrix(stats.L, channels).conj().T
+        digitals.append(np.linalg.solve(inner.conj().T, (T @ B.conj().T).conj().T).conj().T)
+        combiners.append(B)
 
     return AcquisitionDesign(
-        blocks=blocks, digital=digital, support=float(gamma), levels=int(levels),
-        eta=float(eta), channels=int(channels),
-        emse=float(sum(blk.emse for blk in blocks)),
-        lmmse=lmmse_error(compression, stats),
-    )
+        combiner_blocks=np.stack(combiners), digital_blocks=np.stack(digitals),
+        gains_sq=np.stack(gains_sq), water_levels=np.array(water_levels),
+        singvals=np.stack(singvals), right_vectors=np.stack(right_vectors),
+        mixers=mixers, block_emse=np.array(block_emse),
+        support=float(gamma), levels=int(levels), eta=float(eta),
+        channels=int(channels), emse=float(sum(block_emse)), lmmse=float(lmmse))
 
 
 def emse_of_combiner(combiner_blocks, stats: SignalStatistics,
@@ -361,18 +354,9 @@ def config_hash(config: RadarConfig) -> str:
 
 
 def save_design(design: AcquisitionDesign, path_prefix, config: RadarConfig) -> None:
-    """Binary-plus-JSON bundle: arrays in <prefix>.npz, scalars in <prefix>.json."""
-    np.savez(
-        f"{path_prefix}.npz",
-        combiner_blocks=design.combiner_blocks,
-        digital=design.digital,
-        gains_sq=np.stack([b.gains_sq for b in design.blocks]),
-        water_levels=np.array([b.water_level for b in design.blocks]),
-        singvals=np.stack([b.singvals for b in design.blocks]),
-        right_vectors=np.stack([b.right_vectors for b in design.blocks]),
-        mixers=np.stack([b.mixer for b in design.blocks]),
-        block_emse=np.array([b.emse for b in design.blocks]),
-    )
+    """Binary-plus-JSON bundle: the BUNDLE_ARRAYS tone stacks in <prefix>.npz,
+    scalars in <prefix>.json."""
+    np.savez(f"{path_prefix}.npz", **{name: getattr(design, name) for name in BUNDLE_ARRAYS})
     meta = {
         "support": design.support, "levels": design.levels, "eta": design.eta,
         "channels": design.channels, "emse": design.emse, "lmmse": design.lmmse,
@@ -383,21 +367,16 @@ def save_design(design: AcquisitionDesign, path_prefix, config: RadarConfig) -> 
 
 
 def load_design(path_prefix) -> AcquisitionDesign:
+    """The design of a bundle written by save_design. A bundle that lacks one
+    of BUNDLE_ARRAYS (such as one holding a dense `digital` filter in place of
+    `digital_blocks`) raises ValueError naming the first missing array."""
     with open(f"{path_prefix}.json") as fh:
         meta = json.load(fh)
     with np.load(f"{path_prefix}.npz") as data:
-        blocks = tuple(
-            BlockDesign(combiner=data["combiner_blocks"][i],
-                        gains_sq=data["gains_sq"][i],
-                        water_level=float(data["water_levels"][i]),
-                        singvals=data["singvals"][i],
-                        right_vectors=data["right_vectors"][i],
-                        mixer=data["mixers"][i],
-                        emse=float(data["block_emse"][i]))
-            for i in range(data["combiner_blocks"].shape[0])
-        )
-        digital = data["digital"]
+        for name in BUNDLE_ARRAYS:
+            if name not in data.files:
+                raise ValueError(f"design bundle {path_prefix}.npz has no {name!r} array")
+        arrays = {name: data[name] for name in BUNDLE_ARRAYS}
     return AcquisitionDesign(
-        blocks=blocks, digital=digital, support=meta["support"],
-        levels=meta["levels"], eta=meta["eta"], channels=meta["channels"],
-        emse=meta["emse"], lmmse=meta["lmmse"])
+        **arrays, support=meta["support"], levels=meta["levels"], eta=meta["eta"],
+        channels=meta["channels"], emse=meta["emse"], lmmse=meta["lmmse"])

@@ -30,16 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RadarConfig, TargetScene, config_from_dict, config_to_dict
+from .model import RadarConfig, config_from_dict, config_to_dict
 
 __all__ = [
     "SteeringDictionary",
     "build_dictionary",
-    "eval_c_direct",
     "coherence",
     "apply_fbar",
     "apply_fbar_adjoint",
-    "fbar_matrix",
     "save_dictionary",
     "load_dictionary",
 ]
@@ -115,32 +113,6 @@ def build_dictionary(config: RadarConfig) -> SteeringDictionary:
     return SteeringDictionary(config=config, U=U, V=V, perm=perm, iperm=iperm)
 
 
-def eval_c_direct(scene: TargetScene, config: RadarConfig) -> np.ndarray:
-    """Closed-form Fourier coefficients, band-major (ctilde) order.
-
-    c_{m,n}[i] = sum_k alpha_k exp(j*2*pi*((xi_m+zeta_n)*theta_k
-                                           - i*tau_k/T0 - f_m*tau_k))
-
-    evaluated directly from the scene, independent of the dictionary machinery;
-    serves as the brute-force oracle for Phi.
-    """
-    M, N, L = config.M, config.N, config.L
-    out = np.zeros(config.mnl, dtype=complex)
-    if scene.k == 0:
-        return out
-    tau = scene.delays(config)
-    theta = scene.angle_sines(config)
-    tones = config.tone_indices
-    for m in range(M):
-        virt = config.tx_pos[m] + config.rx_pos                      # (N,)
-        phase = (virt[None, :, None] * theta[None, None, :]
-                 - tones[:, None, None] * (tau / config.pri)[None, None, :]
-                 - (config.tone_offsets[m] * tau)[None, None, :])    # (L, N, K)
-        cm = np.exp(2j * np.pi * phase) @ scene.alpha                # (L, N)
-        out[m * N * L:(m + 1) * N * L] = cm.reshape(-1)              # tone-major
-    return out
-
-
 def coherence(A: np.ndarray, chunk=256) -> float:
     """Largest absolute normalized inner product between distinct columns."""
     A = np.asarray(A)
@@ -177,12 +149,6 @@ def apply_fbar_adjoint(y: np.ndarray, L: int, P: int) -> np.ndarray:
         raise ValueError(f"expected length {L * P}, got {y.shape[-1]}")
     Y = y.reshape(y.shape[:-1] + (L, P))
     return (np.fft.fft(Y, axis=-2) / np.sqrt(L)).reshape(y.shape)
-
-
-def fbar_matrix(L: int, P: int) -> np.ndarray:
-    """Dense PL x PL matrix F_L^H (x) I_P (unitary DFT convention)."""
-    F = np.fft.fft(np.eye(L)) / np.sqrt(L)
-    return np.kron(F.conj().T, np.eye(P))
 
 
 # -- export / import -------------------------------------------------------

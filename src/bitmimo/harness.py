@@ -191,7 +191,7 @@ def run_bilimo_trial(ctx, draw, rng) -> TrialMetrics:
     u = apply_fbar(design.apply_combiner(draw.v[ctx.dictionary.perm]),
                    design.L, design.channels)
     z, sat = quantize_with(u, design.levels, design.support, rng)
-    s_hat = design.digital @ z
+    s_hat = design.apply_digital(z)
     return _score(ctx, OPERATOR_OF["bilimo"], draw, s_hat, s_hat, sat)
 
 
@@ -212,8 +212,8 @@ def run_noquan_dr_trial(ctx, draw, rng) -> TrialMetrics:
 def run_noquan_lmmse_trial(ctx, draw, rng) -> TrialMetrics:
     """Unquantized linear-MMSE estimate of the task vector, then sparse recovery."""
     gamma = ctx.gamma_blocks
-    v_c = draw.v[ctx.dictionary.perm].reshape(gamma.shape[0], -1)
-    s_tilde = np.einsum("ijk,ik->ij", gamma, v_c).reshape(-1)
+    v_c = draw.v[ctx.dictionary.perm].reshape(gamma.shape[0], -1, 1)
+    s_tilde = (gamma @ v_c).reshape(-1)
     return _score(ctx, OPERATOR_OF["noquan_lmmse"], draw, s_tilde, s_tilde, None)
 
 
@@ -318,7 +318,8 @@ class _PointContext:
                 (k or 1) * base.sigma_alpha_sq + base.sigma_n_sq)
         self.design = design_multitone(stats, self.compression, channels,
                                        levels, config.eta)
-        self.gamma_blocks = lmmse_transform(self.compression, stats)
+        if "noquan_lmmse" in spec.methods:
+            self.gamma_blocks = lmmse_transform(self.compression, stats)
         self.dictionary = dictionary
 
         # Phi and the task operator M*Phi = apply_to_c . perm . Phi

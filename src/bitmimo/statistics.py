@@ -78,15 +78,6 @@ class SignalStatistics:
         return self.cov_signal + self.cov_noise
 
 
-def blkdiag(blocks: np.ndarray) -> np.ndarray:
-    """Stack (L, r, c) blocks into a dense (L*r, L*c) block-diagonal matrix."""
-    L, r, c = blocks.shape
-    out = np.zeros((L * r, L * c), dtype=blocks.dtype)
-    for i in range(L):
-        out[i * r:(i + 1) * r, i * c:(i + 1) * c] = blocks[i]
-    return out
-
-
 def build_covariances(config: RadarConfig, K: int, cov_signal=None,
                       cov_noise=None) -> SignalStatistics:
     """Defaults: cov(c) = K*sigma_alpha_sq*I, cov(w) = sigma_n_sq*I per tone."""
@@ -160,10 +151,6 @@ class CompressionMatrix:
         """blkdiag(M_i)^H @ s, a tone-major vector; the adjoint of apply_to_c."""
         L, ji, mn = self.blocks.shape
         return (s.reshape(L, 1, ji).conj() @ self.blocks).conj().reshape(-1)
-
-    def dense(self, iperm: np.ndarray) -> np.ndarray:
-        """Dense J x MNL matrix acting on band-major ctilde vectors."""
-        return blkdiag(self.blocks)[:, iperm]
 
 
 def build_compression_matrix(rng, config: RadarConfig, dcr: int,

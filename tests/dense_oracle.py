@@ -1,7 +1,12 @@
 """Dense reference computations for the structured code paths, built only in tests.
 
-dense_phi stacks the Kronecker blocks V_m (x) U_m of the dictionary, and
-dense_task composes the compression with it, M*Phi, on band-major ctilde.
+blkdiag and fbar_matrix form the block-diagonal and sample-domain DFT
+matrices the library only ever applies. dense_phi stacks the Kronecker
+blocks V_m (x) U_m of the dictionary, compression_dense is blkdiag(M_i) on
+band-major ctilde, dense_task composes the two, M*Phi, and eval_c_direct
+evaluates the Fourier coefficients straight from a scene, the brute-force
+oracle for Phi. dense_digital forms the digital filter blkdiag(D_i) Fbar^H
+that a design applies per tone.
 reference_fista is the monotone FISTA without restart that applies the
 operator three times per iteration, kept as the differential reference for
 the solver. reference_equalizing_unitary is the one-matrix rotation loop and
@@ -15,9 +20,58 @@ analog filter export.
 
 import numpy as np
 
-from bitmimo.dictionary import fbar_matrix
 from bitmimo.recovery import power_iteration_lipschitz, soft_threshold
-from bitmimo.statistics import blkdiag, lmmse_transform
+from bitmimo.statistics import lmmse_transform
+
+
+def blkdiag(blocks):
+    """Stack (L, r, c) blocks into a dense (L*r, L*c) block-diagonal matrix."""
+    L, r, c = blocks.shape
+    out = np.zeros((L * r, L * c), dtype=blocks.dtype)
+    for i in range(L):
+        out[i * r:(i + 1) * r, i * c:(i + 1) * c] = blocks[i]
+    return out
+
+
+def fbar_matrix(L, P):
+    """Dense PL x PL matrix F_L^H (x) I_P (unitary DFT convention)."""
+    F = np.fft.fft(np.eye(L)) / np.sqrt(L)
+    return np.kron(F.conj().T, np.eye(P))
+
+
+def dense_digital(design):
+    """D = blkdiag(D_i) Fbar^H, shape J x PL, acting on the quantized samples."""
+    return blkdiag(design.digital_blocks) @ fbar_matrix(design.L, design.channels).conj().T
+
+
+def compression_dense(compression, iperm):
+    """Dense J x MNL matrix blkdiag(M_i) acting on band-major ctilde vectors."""
+    return blkdiag(compression.blocks)[:, iperm]
+
+
+def eval_c_direct(scene, config):
+    """Closed-form Fourier coefficients, band-major (ctilde) order.
+
+    c_{m,n}[i] = sum_k alpha_k exp(j*2*pi*((xi_m+zeta_n)*theta_k
+                                           - i*tau_k/T0 - f_m*tau_k))
+
+    evaluated directly from the scene, independent of the dictionary machinery.
+    """
+    M, N, L = config.M, config.N, config.L
+    out = np.zeros(config.mnl, dtype=complex)
+    if scene.k == 0:
+        return out
+    tau = scene.delays(config)
+    theta = scene.angle_sines(config)
+    tones = config.tone_indices
+    for m in range(M):
+        virt = config.tx_pos[m] + config.rx_pos                      # (N,)
+        phase = (virt[None, :, None] * theta[None, None, :]
+                 - tones[:, None, None] * (tau / config.pri)[None, None, :]
+                 - (config.tone_offsets[m] * tau)[None, None, :])    # (L, N, K)
+        cm = np.exp(2j * np.pi * phase) @ scene.alpha                # (L, N)
+        out[m * N * L:(m + 1) * N * L] = cm.reshape(-1)              # tone-major
+    return out
 
 
 def dense_phi(d):
@@ -27,7 +81,7 @@ def dense_phi(d):
 
 def dense_task(d, compression):
     """M*Phi, shape J x M^2NL."""
-    return compression.dense(d.iperm) @ dense_phi(d)
+    return compression_dense(compression, d.iperm) @ dense_phi(d)
 
 
 def sigma_dense(stats):

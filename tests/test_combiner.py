@@ -1,18 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import bitmimo as bm
 from bitmimo.adc import QuantizerSpec, quantize_complex_vector
-from bitmimo.combiner import (design_block, design_multitone, emse_of_combiner,
+from bitmimo.combiner import (BUNDLE_ARRAYS, design_multitone, emse_of_combiner,
                               equalizing_unitary, load_design, save_design,
                               support_gamma, waterfill, analog_filter_response,
                               write_filter_response_csv)
 from bitmimo.dictionary import apply_fbar
-from bitmimo.statistics import (CompressionMatrix, blkdiag,
-                                build_compression_matrix, build_covariances,
-                                lmmse_transform)
-from dense_oracle import (block_from_responses, digital_filter_mse,
-                          reference_equalizing_unitary, reference_filter_response,
+from bitmimo.statistics import (CompressionMatrix, build_compression_matrix,
+                                build_covariances, lmmse_error, lmmse_transform)
+from dense_oracle import (blkdiag, block_from_responses, dense_digital,
+                          digital_filter_mse, reference_equalizing_unitary,
+                          reference_filter_response,
                           reference_write_filter_response_csv)
 
 
@@ -175,28 +177,33 @@ def test_equalizer_stack_matches_reference_loop_at_paper_scale(dcr):
     comp = build_compression_matrix(np.random.default_rng(17), cfg, dcr, "gaussian")
     design = design_multitone(stats, comp, comp.block_rows, 4, cfg.eta)
     assert design.channels == 96 // dcr
-    for blk in design.blocks:
-        H = np.diag(blk.gains_sq).astype(complex)
-        assert np.array_equal(blk.mixer, reference_equalizing_unitary(H))
+    for gains_sq, mixer in zip(design.gains_sq, design.mixers):
+        H = np.diag(gains_sq).astype(complex)
+        assert np.array_equal(mixer, reference_equalizing_unitary(H))
 
 
 # -- block design --------------------------------------------------------------
 
-def _scalar_stats(cfg, K):
-    return build_covariances(cfg, K)
+def _one_tone_design(m_block, cov_signal, cov_noise, channels, levels, eta):
+    """(stats, compression, design): design_multitone at L = 1 on one tone's
+    task matrix and covariance blocks."""
+    stats = bm.SignalStatistics(L=1, mn=cov_signal.shape[0], cov_signal=cov_signal[None],
+                                cov_noise=cov_noise[None])
+    comp = CompressionMatrix(blocks=m_block[None], kind="gaussian", dcr=1)
+    return stats, comp, design_multitone(stats, comp, channels, levels, eta)
 
 
 def test_design_block_isotropic_case():
     # M_i R_c = Sigma^{1/2} scaled so the whitened task matrix is the identity:
     # all singular values equal, uniform waterfill, B Sigma B^H proportional to I
     mn = 4
-    sigma = 2.0 * np.eye(mn, dtype=complex)
     rc = np.eye(mn, dtype=complex)
     m_block = np.sqrt(2.0) * np.eye(mn, dtype=complex)  # M Rc = Sigma^{1/2}
-    blk = design_block(m_block, rc, sigma, channels=mn, levels=4, eta=2.0)
-    assert np.allclose(blk.singvals, 1.0)
-    assert np.allclose(blk.gains_sq, 1.0 / mn)
-    bsb = blk.combiner @ sigma @ blk.combiner.conj().T
+    stats, _, design = _one_tone_design(m_block, rc, rc, channels=mn, levels=4, eta=2.0)
+    B = design.combiner_blocks[0]
+    assert np.allclose(design.singvals[0], 1.0)
+    assert np.allclose(design.gains_sq[0], 1.0 / mn)
+    bsb = B @ stats.sigma[0] @ B.conj().T
     assert np.allclose(bsb, np.eye(mn) / mn, atol=1e-8)
 
 
@@ -205,25 +212,23 @@ def test_design_block_single_task_row_is_rank_one():
     mn = 5
     m_block = (rng.standard_normal((1, mn)) + 1j * rng.standard_normal((1, mn)))
     rc = 2.0 * np.eye(mn, dtype=complex)
-    sigma = rc + 0.5 * np.eye(mn)
-    blk = design_block(m_block, rc, sigma, channels=3, levels=4, eta=2.0)
-    assert np.linalg.matrix_rank(blk.combiner, tol=1e-9) == 1
-    assert np.count_nonzero(blk.gains_sq > 0) == 1
+    _, _, design = _one_tone_design(m_block, rc, 0.5 * np.eye(mn, dtype=complex),
+                                    channels=3, levels=4, eta=2.0)
+    assert np.linalg.matrix_rank(design.combiner_blocks[0], tol=1e-9) == 1
+    assert np.count_nonzero(design.gains_sq[0] > 0) == 1
 
 
 def test_design_block_beats_random_search():
     rng = np.random.default_rng(3)
     mn, ji, channels, levels, eta = 4, 4, 4, 4, 2.0
     rc = 1.5 * np.eye(mn, dtype=complex)
-    sigma = rc + 0.7 * np.eye(mn)
+    noise = 0.7 * np.eye(mn, dtype=complex)
+    sigma = rc + noise
     m_block = rng.standard_normal((ji, mn)) + 1j * rng.standard_normal((ji, mn))
-    blk = design_block(m_block, rc, sigma, channels, levels, eta)
-
-    stats = bm.SignalStatistics(L=1, mn=mn, cov_signal=rc[None], cov_noise=(sigma - rc)[None])
-    comp = CompressionMatrix(blocks=m_block[None], kind="gaussian", dcr=1)
-    designed = emse_of_combiner(blk.combiner[None], stats, comp,
+    stats, comp, design = _one_tone_design(m_block, rc, noise, channels, levels, eta)
+    designed = emse_of_combiner(design.combiner_blocks, stats, comp,
                                 eta / np.sqrt(channels), levels)
-    assert designed == pytest.approx(blk.emse, rel=1e-9)
+    assert designed == pytest.approx(design.block_emse[0], rel=1e-9)
     for _ in range(200):
         B = rng.standard_normal((channels, mn)) + 1j * rng.standard_normal((channels, mn))
         scale = np.sqrt(np.trace(B @ sigma @ B.conj().T).real)
@@ -249,12 +254,12 @@ def small_design():
 def test_design_invariants(small_design):
     cfg, _, stats, comp, design = small_design
     assert design.support == pytest.approx(cfg.eta / np.sqrt(design.channels), abs=1e-12)
-    for i, blk in enumerate(design.blocks):
-        assert blk.gains_sq.sum() == pytest.approx(1.0, abs=1e-10)
-        bsb = blk.combiner @ stats.sigma[i] @ blk.combiner.conj().T
+    for i, B in enumerate(design.combiner_blocks):
+        assert design.gains_sq[i].sum() == pytest.approx(1.0, abs=1e-10)
+        bsb = B @ stats.sigma[i] @ B.conj().T
         dg = np.diag(bsb).real
         assert dg.max() - dg.min() <= 1e-8 * np.trace(bsb).real / design.channels
-        assert np.all(np.diff(blk.singvals) <= 1e-12)
+        assert np.all(np.diff(design.singvals[i]) <= 1e-12)
 
 
 def test_design_self_consistency(small_design):
@@ -263,7 +268,7 @@ def test_design_self_consistency(small_design):
                            design.support, design.levels)
     assert val == pytest.approx(design.emse, rel=1e-9)
     # the optimal digital filter attains exactly the designed excess error
-    dmse = digital_filter_mse(design.digital, design.combiner_blocks, stats,
+    dmse = digital_filter_mse(dense_digital(design), design.combiner_blocks, stats,
                               comp, design.support, design.levels)
     assert dmse == pytest.approx(design.emse, rel=1e-9)
 
@@ -280,22 +285,21 @@ def test_zero_combiner_loses_all_estimation_value(small_design):
 
 
 def test_monotone_reduction():
-    # L = 1: the sample-domain DFT is the identity, so the multitone design is
-    # the single block's design followed by its MMSE digital filter
+    # L = 1: the sample-domain DFT is the identity, so the design is the single
+    # block's combiner followed by its MMSE digital filter
     cfg = bm.make_ula_config(4, 1, 1e6, 1e-6, sigma_n_sq=0.5)
     assert cfg.L == 1
     stats = build_covariances(cfg, K=2)
     comp = build_compression_matrix(np.random.default_rng(6), cfg, 2, "gaussian")
     multi = design_multitone(stats, comp, 2, 4, cfg.eta)
-    blk = design_block(comp.blocks[0], stats.cov_signal[0], stats.sigma[0], 2, 4,
-                       cfg.eta)
-    assert np.array_equal(multi.combiner_blocks[0], blk.combiner)
-    assert np.array_equal(multi.blocks[0].mixer, blk.mixer)
-    assert multi.emse == blk.emse
-    B, q = blk.combiner, 4 * multi.support ** 2 / (3 * 4 ** 2)
+    assert multi.emse == multi.block_emse[0]
+    B, q = multi.combiner_blocks[0], 4 * multi.support ** 2 / (3 * 4 ** 2)
     inner = B @ stats.sigma[0] @ B.conj().T + q * np.eye(2)
     T = comp.blocks[0] @ stats.cov_signal[0]
-    assert np.allclose(multi.digital, T @ B.conj().T @ np.linalg.inv(inner))
+    D = T @ B.conj().T @ np.linalg.inv(inner)
+    assert np.allclose(multi.digital_blocks[0], D)
+    z = np.random.default_rng(6).standard_normal(2) + 0j
+    assert np.allclose(multi.apply_digital(z), D @ z)
 
 
 def test_design_makes_one_equalizer_call(monkeypatch):
@@ -320,8 +324,7 @@ def test_identical_blocks_share_water_level():
     one = build_compression_matrix(np.random.default_rng(7), cfg, 2, "gaussian").blocks[0]
     comp = CompressionMatrix(blocks=np.tile(one, (cfg.L, 1, 1)), kind="gaussian", dcr=2)
     design = design_multitone(stats, comp, comp.block_rows, 4, cfg.eta)
-    zs = [blk.water_level for blk in design.blocks]
-    es = [blk.emse for blk in design.blocks]
+    zs, es = design.water_levels, design.block_emse
     assert np.allclose(zs, zs[0])
     assert np.allclose(es, es[0])
     assert design.emse == pytest.approx(cfg.L * es[0], rel=1e-12)
@@ -342,7 +345,7 @@ def test_low_channel_count_pays_the_tail():
     stats = build_covariances(cfg, K=2)
     comp = build_compression_matrix(np.random.default_rng(9), cfg, 1, "gaussian")
     design = design_multitone(stats, comp, 1, 2 ** 31, cfg.eta)
-    lam = design.blocks[0].singvals
+    lam = design.singvals[0]
     assert design.emse >= np.sum(lam[1:] ** 2) * (1 - 1e-9)
 
 
@@ -378,7 +381,7 @@ def test_design_monotone_matches_dithered_simulation():
     u = v @ design.combiner_blocks[0].T
     spec = QuantizerSpec(levels=4, support=design.support, dither=True)
     z = quantize_complex_vector(u, spec, rng)
-    s_hat = z @ design.digital.T
+    s_hat = z @ dense_digital(design).T
     emp = np.mean(np.sum(np.abs(s_tilde - s_hat) ** 2, axis=1))
     assert emp == pytest.approx(design.emse, rel=0.10)
 
@@ -402,15 +405,16 @@ def test_support_consistency_monte_carlo(small_design):
 
 def test_digital_filter_is_stationary_point(small_design):
     _, _, stats, comp, design = small_design
-    base = digital_filter_mse(design.digital, design.combiner_blocks, stats,
+    digital = dense_digital(design)
+    base = digital_filter_mse(digital, design.combiner_blocks, stats,
                               comp, design.support, design.levels)
     rng = np.random.default_rng(14)
-    scale = 1e-3 * np.linalg.norm(design.digital)
+    scale = 1e-3 * np.linalg.norm(digital)
     for _ in range(20):
-        delta = rng.standard_normal(design.digital.shape) \
-            + 1j * rng.standard_normal(design.digital.shape)
+        delta = rng.standard_normal(digital.shape) \
+            + 1j * rng.standard_normal(digital.shape)
         delta *= scale / np.linalg.norm(delta)
-        perturbed = digital_filter_mse(design.digital + delta,
+        perturbed = digital_filter_mse(digital + delta,
                                        design.combiner_blocks, stats, comp,
                                        design.support, design.levels)
         assert perturbed >= base - 1e-12 * base
@@ -445,10 +449,8 @@ def test_filter_response_roundtrip(small_design):
 
 def test_filter_response_zero_row(small_design):
     cfg, _, _, _, design = small_design
-    import dataclasses
-    zero_blocks = tuple(dataclasses.replace(blk, combiner=np.zeros_like(blk.combiner))
-                        for blk in design.blocks)
-    zeroed = dataclasses.replace(design, blocks=zero_blocks)
+    zeroed = dataclasses.replace(design,
+                                 combiner_blocks=np.zeros_like(design.combiner_blocks))
     _, gains = analog_filter_response(zeroed, cfg, 0, 0)
     assert np.count_nonzero(gains) == 0
 
@@ -515,9 +517,62 @@ def test_design_bundle_roundtrip(tmp_path, small_design):
     prefix = tmp_path / "bundle"
     save_design(design, prefix, cfg)
     back = load_design(prefix)
-    assert np.allclose(back.digital, design.digital)
-    assert np.allclose(back.combiner_blocks, design.combiner_blocks)
-    assert back.support == design.support
-    assert back.levels == design.levels
-    assert back.emse == pytest.approx(design.emse)
-    assert back.lmmse == pytest.approx(design.lmmse)
+    for field in dataclasses.fields(design):
+        want, got = getattr(design, field.name), getattr(back, field.name)
+        if field.name in BUNDLE_ARRAYS:
+            assert np.array_equal(got, want), field.name
+        else:
+            assert got == want, field.name
+
+
+def test_load_design_rejects_dense_digital_bundle(tmp_path, small_design):
+    # a bundle with the dense J x PL filter `digital` in place of the per-tone
+    # `digital_blocks` is refused by name, not with a bare KeyError
+    cfg, _, _, _, design = small_design
+    prefix = tmp_path / "old"
+    save_design(design, prefix, cfg)
+    with np.load(f"{prefix}.npz") as data:
+        arrays = {name: data[name] for name in data.files if name != "digital_blocks"}
+    np.savez(f"{prefix}.npz", digital=dense_digital(design), **arrays)
+    with pytest.raises(ValueError, match="'digital_blocks'"):
+        load_design(prefix)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli", "dft"])
+@pytest.mark.parametrize("dcr", [2, 4])
+def test_apply_digital_matches_dense_filter(kind, dcr):
+    # the per-tone filter behind an FFT over tones equals the dense
+    # blkdiag(D_i) Fbar^H product at M=8, N=12, L=9
+    cfg = bm.make_ula_config(8, 12, 1e6, 9e-6, sigma_n_sq=0.1)
+    stats = build_covariances(cfg, K=4)
+    comp = build_compression_matrix(np.random.default_rng(20), cfg, dcr, kind)
+    design = design_multitone(stats, comp, comp.block_rows, 4, cfg.eta)
+    rng = np.random.default_rng(21)
+    z = rng.standard_normal((3, cfg.L * design.channels)) \
+        + 1j * rng.standard_normal((3, cfg.L * design.channels))
+    dense = dense_digital(design)
+    for col in z:
+        want = dense @ col
+        assert np.linalg.norm(design.apply_digital(col) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_apply_combiner_matches_einsum(small_design):
+    cfg, _, _, _, design = small_design
+    rng = np.random.default_rng(22)
+    v = rng.standard_normal(cfg.mnl) + 1j * rng.standard_normal(cfg.mnl)
+    want = np.einsum("ijk,ik->ij", design.combiner_blocks,
+                     v.reshape(cfg.L, cfg.mn)).reshape(-1)
+    assert np.linalg.norm(design.apply_combiner(v) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli", "dft"])
+def test_design_lmmse_matches_lmmse_error(kind):
+    # the LMMSE the design takes from its SVDs equals the solve-based lmmse_error
+    base = bm.make_ula_config(3, 4, 1e6, 3e-6)
+    for snr_db in (-30.0, 10.0, 30.0):
+        cfg = base.with_noise_variance(
+            bm.snr_to_noise_variance(bm.snr_db_to_linear(snr_db), base))
+        stats = build_covariances(cfg, K=3)
+        comp = build_compression_matrix(np.random.default_rng(23), cfg, 2, kind)
+        design = design_multitone(stats, comp, comp.block_rows, 4, cfg.eta)
+        assert design.lmmse == pytest.approx(lmmse_error(comp, stats), rel=1e-10)

@@ -6,10 +6,10 @@ import pytest
 import bitmimo as bm
 from bitmimo import harness
 from bitmimo.dictionary import (CONVENTION_TAG, apply_fbar, apply_fbar_adjoint,
-                                build_dictionary, coherence, eval_c_direct,
-                                fbar_matrix, load_dictionary, save_dictionary)
+                                build_dictionary, coherence, load_dictionary,
+                                save_dictionary)
 from bitmimo.model import config_to_dict
-from dense_oracle import dense_phi, dense_task
+from dense_oracle import dense_phi, dense_task, eval_c_direct, fbar_matrix
 
 
 @pytest.fixture(scope="module")

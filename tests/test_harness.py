@@ -90,6 +90,28 @@ def test_lmmse_path_matches_theory(small_cfg):
     assert acc / n == pytest.approx(bm.lmmse_error(comp, stats), rel=0.03)
 
 
+def test_noquan_lmmse_product_matches_einsum(small_cfg, monkeypatch):
+    # the batched Gamma_i @ v_c of the LMMSE front end equals the per-tone
+    # einsum; Gamma is built only for a spec that selects noquan_lmmse
+    d = bm.build_dictionary(small_cfg)
+    contexts = {}
+    for method in ("bilimo", "noquan_lmmse"):
+        spec = _spec(small_cfg, methods=(method,))
+        index, axes = next(spec.points())
+        contexts[method] = harness._PointContext(d, small_cfg, spec, index, *axes)
+    assert not hasattr(contexts["bilimo"], "gamma_blocks")
+    ctx = contexts["noquan_lmmse"]
+    seen = []
+    monkeypatch.setattr(harness, "_score",
+                        lambda ctx, op, draw, y, s_hat, sat: seen.append(s_hat))
+    rng = np.random.default_rng(24)
+    draw = harness.draw_trial(ctx, rng, 2, "gaussian")
+    harness.run_noquan_lmmse_trial(ctx, draw, rng)
+    v_c = draw.v[d.perm].reshape(small_cfg.L, small_cfg.mn)
+    want = np.einsum("ijk,ik->ij", ctx.gamma_blocks, v_c).reshape(-1)
+    assert np.linalg.norm(seen[0] - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_fixed_seed_reproducible_metrics(small_cfg):
     spec = _spec(small_cfg, trials=2)
     r1 = run_sweep(spec)
