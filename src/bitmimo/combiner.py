@@ -23,6 +23,10 @@ benchmark is
 
     eps_i = sum_{l<=min(J_i,P)} lam_l^2 / ((zeta*lam_l - 1)^+ + 1)
             + sum_{l>P} lam_l^2                      (only when P < J_i).
+
+Every step but the waterfill runs on the (L, ...) tone stacks at once.
+numpy's stacked linalg and matmul calls run the same LAPACK/BLAS call per
+tone, so each tone gets bitwise the result it would get alone.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 
 from .dictionary import apply_fbar_adjoint
 from .model import RadarConfig, config_to_dict
-from .statistics import CompressionMatrix, SignalStatistics, hermitian_inv_sqrt
+from .statistics import CompressionMatrix, SignalStatistics, _hermitian, hermitian_inv_sqrt
 
 __all__ = [
     "AcquisitionDesign",
@@ -70,9 +74,9 @@ def waterfill(singvals, channels, levels, eta, block_rows):
     (alloc, zeta) : allocation Lam^2 as a length-`channels` array, and the
         water level solving (4*eta^2/(3*b^2*P)) * sum (zeta*lam - 1)^+ = 1.
 
-    The water level is found by an exact active-set scan: for active-set size
-    r the normalization is linear in zeta, and the unique r with
-    zeta*lam_r > 1 >= zeta*lam_{r+1} is accepted.
+    The active set is closed form: (1/coef + r) * lam_r - sum_{l<=r} lam_l is
+    nonincreasing in r, so it is the largest r whose candidate level
+    zeta_r = (1/coef + r) / sum_{l<=r} lam_l gives zeta_r * lam_r > 1.
     """
     lam = np.asarray(singvals, dtype=float)
     if lam.size == 0 or lam.max() <= 0:
@@ -81,18 +85,9 @@ def waterfill(singvals, channels, levels, eta, block_rows):
         raise ValueError("singular values must be sorted in descending order")
     coef = 4.0 * eta * eta / (3.0 * levels * levels * channels)
     r_max = int(min(channels, block_rows, np.count_nonzero(lam > 0)))
-
-    zeta = None
-    csum = np.cumsum(lam[:r_max])
-    for r in range(1, r_max + 1):
-        cand = (1.0 / coef + r) / csum[r - 1]
-        if cand * lam[r - 1] > 1.0 and (r == r_max or cand * lam[r] <= 1.0):
-            zeta = cand
-            active = r
-    if zeta is None:  # no candidate passed both checks; fall back to largest feasible
-        feas = [(r, (1.0 / coef + r) / csum[r - 1]) for r in range(1, r_max + 1)
-                if ((1.0 / coef + r) / csum[r - 1]) * lam[r - 1] > 1.0]
-        active, zeta = feas[-1]
+    cand = (1.0 / coef + np.arange(1, r_max + 1)) / np.cumsum(lam[:r_max])
+    active = np.flatnonzero(cand * lam[:r_max] > 1.0)[-1] + 1
+    zeta = cand[active - 1]
     alloc = np.zeros(int(channels))
     alloc[:active] = coef * (zeta * lam[:active] - 1.0)
     return alloc, float(zeta)
@@ -114,7 +109,7 @@ def equalizing_unitary(H: np.ndarray) -> np.ndarray:
     P = stack.shape[-1]
     if stack.ndim != 3 or stack.shape[1] != P:
         raise ValueError("H must be square")
-    Hh = stack.conj().transpose(0, 2, 1)
+    Hh = _hermitian(stack)
     scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
     if np.any(np.abs(stack - Hh).max(axis=(1, 2)) > 1e-10 * scale):
         raise ValueError("H must be Hermitian")
@@ -122,7 +117,7 @@ def equalizing_unitary(H: np.ndarray) -> np.ndarray:
 
     Hw = (stack + Hh) / 2.0
     U = np.tile(np.eye(P, dtype=complex), (len(Hw), 1, 1))
-    target = np.array([np.trace(h).real for h in Hw]) / P
+    target = np.trace(Hw, axis1=1, axis2=2).real / P
     tol_abs = 1e-10 * np.maximum(np.abs(target), np.finfo(float).tiny)
     diag = np.diagonal(Hw, axis1=1, axis2=2)
     active = np.arange(len(Hw))
@@ -149,7 +144,7 @@ def equalizing_unitary(H: np.ndarray) -> np.ndarray:
         Hw[blk, idx] = G @ Hw[blk, idx]
         # (P, 2) column pairs laid out as Hw[:, idx] is, so each item runs the same gemm
         Hw[blk, :, idx] = (Hw[blk, :, idx].transpose(0, 2, 1)
-                           @ G.conj().transpose(0, 2, 1)).transpose(0, 2, 1)
+                           @ _hermitian(G)).transpose(0, 2, 1)
         U[blk, idx] = G @ U[blk, idx]
     raise RuntimeError(
         f"diagonal equalization did not converge within {max_rotations} rotations")
@@ -204,61 +199,51 @@ def design_multitone(stats: SignalStatistics, compression: CompressionMatrix,
                      channels, levels, eta) -> AcquisitionDesign:
     """Blockwise optimal design for L >= 1 tones under block-diagonal statistics.
 
-    Per tone the whitening, SVD and waterfill; then one equalizer call on the
-    stack of diag(Lam_i^2); then per tone B_i = U_i Lam_i V_i^H Sigma_i^{-1/2}
-    and its MMSE filter D_i. The LMMSE comes from the same SVDs:
-    Tr(T_i Sigma_i^{-1} T_i^H) is the squared norm of the singular values.
+    One pass over the (L, ...) tone stacks: the whitening, the SVDs, a waterfill
+    per tone, one equalizer call on the stack of diag(Lam_i^2), the combiners
+    B_i = U_i Lam_i V_i^H Sigma_i^{-1/2} and one solve for their MMSE filters
+    D_i. The LMMSE comes from the same SVDs: Tr(T_i Sigma_i^{-1} T_i^H) is the
+    squared norm of the singular values.
     """
     if compression.L != stats.L:
         raise ValueError("compression and statistics disagree on the tone count")
+    L, rows, mn = compression.blocks.shape
     gamma = eta / np.sqrt(channels)
     noise_load = 4.0 * gamma * gamma / (3.0 * levels * levels)
-    # Sigma_i is summed per tone where it is used: an (L, MN, MN) stats.sigma
-    # held through the design raised its peak RSS, on top of the per-tone
-    # factors that wait for the equalizer call
-    factors, singvals, gains_sq, water_levels = [], [], [], []
-    right_vectors, block_emse = [], []
-    lmmse = 0.0
-    for m_block, cov_sig, cov_noise in zip(compression.blocks, stats.cov_signal,
-                                           stats.cov_noise):
-        sigma_inv_sqrt, _ = hermitian_inv_sqrt(cov_sig + cov_noise)
-        T = m_block @ cov_sig
-        _, lam, vh = np.linalg.svd(T @ sigma_inv_sqrt, full_matrices=True)
-        alloc, zeta = waterfill(lam, channels, levels, eta, block_rows=m_block.shape[0])
-        lmmse += np.trace(T @ m_block.conj().T).real - np.sum(lam ** 2)
-        active = min(m_block.shape[0], channels, lam.size)
-        head = (zeta * lam[:active] - 1.0).clip(min=0.0)
-        block_emse.append(float(np.sum(lam[:active] ** 2 / (head + 1.0))
-                                + np.sum(lam[active:] ** 2)))
-        factors.append((T, sigma_inv_sqrt, vh))
-        singvals.append(lam)
-        gains_sq.append(alloc)
-        water_levels.append(zeta)
-        right_vectors.append(vh.conj().T)
+    sigma_inv_sqrt = hermitian_inv_sqrt(stats.sigma)
+    T = compression.blocks @ stats.cov_signal
+    singvals, vh = np.linalg.svd(T @ sigma_inv_sqrt, full_matrices=True)[1:]
+    gains_sq, water_levels = map(np.array, zip(*[
+        waterfill(lam, channels, levels, eta, block_rows=rows) for lam in singvals]))
     # called through the module global so that a wrapper installed on it sees the call
-    mixers = equalizing_unitary(np.stack([np.diag(a) for a in gains_sq]).astype(complex))
+    mixers = equalizing_unitary((gains_sq[:, :, None] * np.eye(channels)).astype(complex))
 
-    combiners, digitals = [], []
-    for i, (mixer, alloc) in enumerate(zip(mixers, gains_sq)):
-        T, sigma_inv_sqrt, vh = factors[i]
-        factors[i] = None  # freed once its combiner and filter are built
-        mn = sigma_inv_sqrt.shape[0]
-        Lmat = np.zeros((channels, mn))
-        k = min(channels, mn)
-        Lmat[:k, :k] = np.diag(np.sqrt(alloc[:k]))
-        B = mixer @ Lmat @ vh @ sigma_inv_sqrt
-        inner = B @ (stats.cov_signal[i] + stats.cov_noise[i]) @ B.conj().T
-        inner += noise_load * np.eye(channels)
-        digitals.append(np.linalg.solve(inner.conj().T, (T @ B.conj().T).conj().T).conj().T)
-        combiners.append(B)
+    k = min(channels, mn)
+    gains = np.zeros((L, channels, mn))
+    gains[:, range(k), range(k)] = np.sqrt(gains_sq[:, :k])
+    B = mixers @ gains @ vh @ sigma_inv_sqrt
+    # each (L, MN, MN) stack is let go once used: they set the design's peak RSS
+    del sigma_inv_sqrt, gains
+    right_vectors = np.conjugate(vh.swapaxes(1, 2), order="C")
+    del vh
+    inner = B @ stats.sigma @ _hermitian(B)
+    inner += noise_load * np.eye(channels)
+    digital_h = np.linalg.solve(_hermitian(inner), _hermitian(T @ _hermitian(B)))
 
+    sq = singvals ** 2
+    active = min(rows, channels, singvals.shape[1])
+    head = (water_levels[:, None] * singvals[:, :active] - 1.0).clip(min=0.0)
+    block_emse = (np.sum(sq[:, :active] / (head + 1.0), axis=1)
+                  + np.sum(sq[:, active:], axis=1))
+    lmmse = (np.trace(T @ _hermitian(compression.blocks), axis1=1, axis2=2).real
+             - np.sum(sq, axis=1))
     return AcquisitionDesign(
-        combiner_blocks=np.stack(combiners), digital_blocks=np.stack(digitals),
-        gains_sq=np.stack(gains_sq), water_levels=np.array(water_levels),
-        singvals=np.stack(singvals), right_vectors=np.stack(right_vectors),
-        mixers=mixers, block_emse=np.array(block_emse),
+        combiner_blocks=B, digital_blocks=np.conjugate(digital_h.swapaxes(1, 2), order="C"),
+        gains_sq=gains_sq, water_levels=water_levels, singvals=singvals,
+        right_vectors=right_vectors, mixers=mixers, block_emse=block_emse,
         support=float(gamma), levels=int(levels), eta=float(eta),
-        channels=int(channels), emse=float(sum(block_emse)), lmmse=float(lmmse))
+        channels=int(channels), emse=float(sum(block_emse.tolist())),
+        lmmse=float(np.cumsum(lmmse)[-1]))  # running totals in tone order
 
 
 def emse_of_combiner(combiner_blocks, stats: SignalStatistics,
@@ -268,34 +253,30 @@ def emse_of_combiner(combiner_blocks, stats: SignalStatistics,
     Evaluates, per tone block,
     Tr[T_i Sigma_i^{-1} T_i^H] - Tr[T_i B_i^H (B_i Sigma_i B_i^H + q I)^{-1} B_i T_i^H]
     with T_i = M_i cov(c)_i and q = 4*gamma^2/(3*b^2); used by baselines and
-    optimality searches.
+    optimality searches. An all-zero B_i contributes only its first term.
     """
     B = np.asarray(combiner_blocks)
     q = 4.0 * gamma * gamma / (3.0 * levels * levels)
     sigma = stats.sigma
-    total = 0.0
-    for i in range(stats.L):
-        T = compression.blocks[i] @ stats.cov_signal[i]
-        total += np.trace(T @ np.linalg.solve(sigma[i], T.conj().T)).real
-        if np.any(B[i]):
-            inner = B[i] @ sigma[i] @ B[i].conj().T + q * np.eye(B[i].shape[0])
-            TB = T @ B[i].conj().T
-            total -= np.trace(TB @ np.linalg.solve(inner, TB.conj().T)).real
-    return float(total)
+    T = compression.blocks @ stats.cov_signal
+    terms = np.zeros((stats.L, 2))
+    terms[:, 0] = np.trace(T @ np.linalg.solve(sigma, _hermitian(T)), axis1=1, axis2=2).real
+    live = np.flatnonzero(B.any(axis=(1, 2)))
+    B, sigma, T = B[live], sigma[live], T[live]
+    inner = B @ sigma @ _hermitian(B) + q * np.eye(B.shape[1])
+    TB = T @ _hermitian(B)
+    terms[live, 1] = -np.trace(TB @ np.linalg.solve(inner, _hermitian(TB)),
+                               axis1=1, axis2=2).real
+    return float(np.cumsum(terms)[-1])  # a running total in tone order
 
 
 def support_gamma(combiner_blocks, stats: SignalStatistics, eta) -> float:
     """Quantizer support for an arbitrary combiner: eta times the largest
     per-channel standard deviation of the sample-domain ADC input."""
     B = np.asarray(combiner_blocks)
-    sigma = stats.sigma
-    diags = np.stack([
-        np.einsum("ij,jk,ik->i", B[i], sigma[i], B[i].conj()).real
-        for i in range(stats.L)
-    ])
+    diags = np.einsum("lij,ljk,lik->li", B, stats.sigma, B.conj()).real
     # the DFT's flat modulus averages the per-tone diagonals onto every sample
-    per_channel = diags.mean(axis=0)
-    return float(eta * np.sqrt(per_channel.max()))
+    return float(eta * np.sqrt(diags.mean(axis=0).max()))
 
 
 # -- analog filter synthesis ----------------------------------------------

@@ -407,8 +407,6 @@ def run_sweep(spec: ExperimentSpec, out_csv=None, dictionary=None) -> Experiment
 def _fmt(x):
     if x is None:
         return ""
-    if isinstance(x, bool):
-        return str(int(x))
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.10g}"

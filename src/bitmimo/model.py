@@ -135,12 +135,6 @@ class RadarConfig:
         """Tone index grid i = -(L-1)/2 .. (L-1)/2."""
         return np.arange(self.L) - (self.L - 1) // 2
 
-    def delay_grid(self) -> np.ndarray:
-        return self.pri * np.arange(self.ml) / self.ml
-
-    def angle_grid(self) -> np.ndarray:
-        return -1.0 + 2.0 * np.arange(self.mn) / self.mn
-
     def with_noise_variance(self, sigma_n_sq: float) -> "RadarConfig":
         return replace(self, sigma_n_sq=float(sigma_n_sq))
 

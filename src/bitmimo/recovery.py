@@ -159,7 +159,9 @@ def fista(apply_a, apply_at, s_hat, spec: RecoverySpec, lipschitz=None,
 def estimate_support(a_hat, k, mn):
     """Grid cells of the k largest-magnitude entries, as (delay, angle) pairs.
 
-    Ties break toward the lower flat index. The flat layout is l1*mn + l2.
+    Exact ties break toward the lower flat index; magnitudes that differ only
+    by rounding follow that rounding, so a last-bit change upstream can swap
+    such near-tied cells. The flat layout is l1*mn + l2.
     """
     a_hat = np.asarray(a_hat)
     if k < 0 or k > a_hat.size:

@@ -36,31 +36,31 @@ RIDGE_COND_LIMIT = 1e12
 RIDGE_SCALE = 1e-12
 
 
+def _hermitian(stack):
+    """Conjugate transpose of every matrix in an (L, r, c) stack."""
+    return stack.conj().swapaxes(1, 2)
+
+
 def _as_blocks(mat, L, mn, name):
     mat = np.asarray(mat, dtype=complex)
     if mat.shape == (L, mn, mn):
         return mat.copy()
     if mat.shape == (L * mn, L * mn):
-        blocks = np.empty((L, mn, mn), dtype=complex)
-        mask = np.ones_like(mat, dtype=bool)
-        for i in range(L):
-            sl = slice(i * mn, (i + 1) * mn)
-            blocks[i] = mat[sl, sl]
-            mask[sl, sl] = False
-        if np.any(mat[mask] != 0):
+        if np.any(mat[~np.kron(np.eye(L, dtype=bool), np.ones((mn, mn), dtype=bool))]):
             raise ValueError(f"{name} must be exactly block diagonal per tone")
-        return blocks
+        tone = np.arange(L)
+        return mat.reshape(L, mn, L, mn)[tone, :, tone]
     raise ValueError(f"{name} must be (L, MN, MN) blocks or a (MNL, MNL) matrix")
 
 
 def _check_hermitian_psd(blocks, name):
-    for i, blk in enumerate(blocks):
-        scale = max(1.0, float(np.abs(blk).max(initial=0.0)))
-        if np.abs(blk - blk.conj().T).max(initial=0.0) > 1e-10 * scale:
-            raise ValueError(f"{name} block {i} is not Hermitian")
-        w = np.linalg.eigvalsh((blk + blk.conj().T) / 2.0)
-        if w.min(initial=0.0) < -1e-10 * scale:
-            raise ValueError(f"{name} block {i} is not positive semidefinite")
+    scale = np.maximum(1.0, np.abs(blocks).max(axis=(1, 2), initial=0.0))
+    skew = np.abs(blocks - _hermitian(blocks)).max(axis=(1, 2), initial=0.0)
+    low = np.linalg.eigvalsh((blocks + _hermitian(blocks)) / 2.0).min(axis=1, initial=0.0)
+    for bad, what in ((skew > 1e-10 * scale, "Hermitian"),
+                      (low < -1e-10 * scale, "positive semidefinite")):
+        if bad.any():
+            raise ValueError(f"{name} block {np.argmax(bad)} is not {what}")
 
 
 @dataclass(frozen=True)
@@ -94,31 +94,33 @@ def build_covariances(config: RadarConfig, K: int, cov_signal=None,
         cov_noise = _as_blocks(cov_noise, L, mn, "cov_noise")
         _check_hermitian_psd(cov_noise, "cov_noise")
     sigma = cov_signal + cov_noise
-    for i in range(L):
-        w = np.linalg.eigvalsh((sigma[i] + sigma[i].conj().T) / 2.0)
-        if w.min() <= 0:
-            raise ValueError(f"Sigma block {i} is singular; need cov(c)+cov(w) > 0")
+    singular = np.linalg.eigvalsh((sigma + _hermitian(sigma)) / 2.0).min(axis=1) <= 0
+    if singular.any():
+        raise ValueError(f"Sigma block {np.argmax(singular)} is singular; "
+                         "need cov(c)+cov(w) > 0")
     return SignalStatistics(L=L, mn=mn, cov_signal=np.array(cov_signal, dtype=complex),
                             cov_noise=np.array(cov_noise, dtype=complex))
 
 
-def hermitian_inv_sqrt(H: np.ndarray):
-    """(H^{-1/2}, H^{1/2}) for Hermitian positive definite H.
+def hermitian_inv_sqrt(H: np.ndarray) -> np.ndarray:
+    """H_i^{-1/2} for an (L, n, n) stack of Hermitian positive definite H_i.
 
-    If the eigenvalue spread exceeds 1e12 a ridge of 1e-12 * trace/dim is added
-    and the event is logged.
+    A block whose eigenvalue spread exceeds 1e12 gets a ridge of
+    1e-12 * trace/n, and the event is logged once per such block.
     """
-    H = (H + H.conj().T) / 2.0
-    w, Q = np.linalg.eigh(H)
-    dim = H.shape[0]
-    if w.min() <= 0 or w.max() / max(w.min(), np.finfo(float).tiny) > RIDGE_COND_LIMIT:
-        ridge = RIDGE_SCALE * np.trace(H).real / dim
-        logger.warning("ill-conditioned covariance (cond=%.3e); adding ridge %.3e",
-                       w.max() / max(w.min(), np.finfo(float).tiny), ridge)
-        w = w + ridge
-    inv_sqrt = (Q * (w ** -0.5)) @ Q.conj().T
-    sqrt = (Q * (w ** 0.5)) @ Q.conj().T
-    return inv_sqrt, sqrt
+    sym = _hermitian(H)  # conj() copies, so the symmetrization runs in place
+    sym += H
+    sym /= 2.0
+    w, Q = np.linalg.eigh(sym)
+    cond = w.max(axis=1) / np.maximum(w.min(axis=1), np.finfo(float).tiny)
+    for i in np.flatnonzero((w.min(axis=1) <= 0) | (cond > RIDGE_COND_LIMIT)):
+        ridge = RIDGE_SCALE * np.trace(sym[i]).real / sym.shape[1]
+        logger.warning("ill-conditioned covariance block %d (cond=%.3e); adding ridge %.3e",
+                       i, cond[i], ridge)
+        w[i] += ridge
+    del sym  # with Q conjugated in place below: the design's memory peak is here
+    scaled = Q * w[:, None, :] ** -0.5
+    return scaled @ np.conjugate(Q, out=Q).swapaxes(1, 2)
 
 
 @dataclass(frozen=True)
@@ -192,21 +194,15 @@ def lmmse_transform(compression: CompressionMatrix,
     Stacked block-diagonally (tone-major), Gamma estimates s = M Phi a from the
     noisy tone-major observation c + w.
     """
-    sigma = stats.sigma
-    out = np.empty_like(compression.blocks)
-    for i in range(stats.L):
-        out[i] = np.linalg.solve(
-            sigma[i].conj().T, (compression.blocks[i] @ stats.cov_signal[i]).conj().T
-        ).conj().T
-    return out
+    gamma_h = np.linalg.solve(_hermitian(stats.sigma),
+                              _hermitian(compression.blocks @ stats.cov_signal))
+    return np.conjugate(gamma_h.swapaxes(1, 2), order="C")
 
 
 def lmmse_error(compression: CompressionMatrix, stats: SignalStatistics) -> float:
     """Minimum MSE of any linear estimate of s from c + w."""
-    total = 0.0
-    gamma = lmmse_transform(compression, stats)
-    for i in range(stats.L):
-        T = compression.blocks[i] @ stats.cov_signal[i]
-        total += np.trace(T @ compression.blocks[i].conj().T
-                          - gamma[i] @ T.conj().T).real
-    return float(total)
+    T = compression.blocks @ stats.cov_signal
+    per_tone = np.trace(T @ _hermitian(compression.blocks)
+                        - lmmse_transform(compression, stats) @ _hermitian(T),
+                        axis1=1, axis2=2).real
+    return float(np.cumsum(per_tone)[-1])  # a running total in tone order

@@ -16,12 +16,17 @@ sigma_dense and cov_signal_dense expand the per-tone covariance blocks into
 block-diagonal matrices. digital_filter_mse evaluates a digital filter's
 modeled error with dense matrices, and block_from_responses inverts the
 analog filter export.
+The reference_* functions from reference_waterfill on are the design and the
+LMMSE helpers as one Python loop over the tones (and the waterfill as an
+active-set scan), kept as the differential references for the stacked code,
+which must match them bitwise.
 """
 
 import numpy as np
 
+from bitmimo.combiner import AcquisitionDesign, equalizing_unitary
 from bitmimo.recovery import power_iteration_lipschitz, soft_threshold
-from bitmimo.statistics import lmmse_transform
+from bitmimo.statistics import RIDGE_COND_LIMIT, RIDGE_SCALE, lmmse_transform
 
 
 def blkdiag(blocks):
@@ -218,3 +223,139 @@ def reference_write_filter_response_csv(design, config, path, pulse_spectrum=Non
                                                          pulse_spectrum)
                 for f, g in zip(freqs, gains):
                     fh.write(f"{p},{n},{f:.10g},{g.real:.10g},{g.imag:.10g}\n")
+
+
+def reference_waterfill(singvals, channels, levels, eta, block_rows):
+    """waterfill by an active-set scan: the last r with zeta*lam_r > 1 >=
+    zeta*lam_{r+1}, else the largest r with zeta*lam_r > 1."""
+    lam = np.asarray(singvals, dtype=float)
+    if lam.size == 0 or lam.max() <= 0:
+        raise ValueError("waterfilling needs at least one positive singular value")
+    if np.any(np.diff(lam) > 1e-12 * max(1.0, lam[0])):
+        raise ValueError("singular values must be sorted in descending order")
+    coef = 4.0 * eta * eta / (3.0 * levels * levels * channels)
+    r_max = int(min(channels, block_rows, np.count_nonzero(lam > 0)))
+
+    zeta = None
+    csum = np.cumsum(lam[:r_max])
+    for r in range(1, r_max + 1):
+        cand = (1.0 / coef + r) / csum[r - 1]
+        if cand * lam[r - 1] > 1.0 and (r == r_max or cand * lam[r] <= 1.0):
+            zeta = cand
+            active = r
+    if zeta is None:  # no candidate passed both checks; fall back to largest feasible
+        feas = [(r, (1.0 / coef + r) / csum[r - 1]) for r in range(1, r_max + 1)
+                if ((1.0 / coef + r) / csum[r - 1]) * lam[r - 1] > 1.0]
+        active, zeta = feas[-1]
+    alloc = np.zeros(int(channels))
+    alloc[:active] = coef * (zeta * lam[:active] - 1.0)
+    return alloc, float(zeta)
+
+
+def reference_hermitian_inv_sqrt(H):
+    """(H^{-1/2}, H^{1/2}) of one Hermitian positive definite matrix, with the
+    ridge of hermitian_inv_sqrt."""
+    H = (H + H.conj().T) / 2.0
+    w, Q = np.linalg.eigh(H)
+    dim = H.shape[0]
+    if w.min() <= 0 or w.max() / max(w.min(), np.finfo(float).tiny) > RIDGE_COND_LIMIT:
+        w = w + RIDGE_SCALE * np.trace(H).real / dim
+    return (Q * (w ** -0.5)) @ Q.conj().T, (Q * (w ** 0.5)) @ Q.conj().T
+
+
+def reference_design_multitone(stats, compression, channels, levels, eta):
+    """design_multitone with a loop over the tones before and after the one
+    equalizer call."""
+    gamma = eta / np.sqrt(channels)
+    noise_load = 4.0 * gamma * gamma / (3.0 * levels * levels)
+    factors, singvals, gains_sq, water_levels = [], [], [], []
+    right_vectors, block_emse = [], []
+    lmmse = 0.0
+    for m_block, cov_sig, cov_noise in zip(compression.blocks, stats.cov_signal,
+                                           stats.cov_noise):
+        sigma_inv_sqrt, _ = reference_hermitian_inv_sqrt(cov_sig + cov_noise)
+        T = m_block @ cov_sig
+        _, lam, vh = np.linalg.svd(T @ sigma_inv_sqrt, full_matrices=True)
+        alloc, zeta = reference_waterfill(lam, channels, levels, eta,
+                                          block_rows=m_block.shape[0])
+        lmmse += np.trace(T @ m_block.conj().T).real - np.sum(lam ** 2)
+        active = min(m_block.shape[0], channels, lam.size)
+        head = (zeta * lam[:active] - 1.0).clip(min=0.0)
+        block_emse.append(float(np.sum(lam[:active] ** 2 / (head + 1.0))
+                                + np.sum(lam[active:] ** 2)))
+        factors.append((T, sigma_inv_sqrt, vh))
+        singvals.append(lam)
+        gains_sq.append(alloc)
+        water_levels.append(zeta)
+        right_vectors.append(vh.conj().T)
+    mixers = equalizing_unitary(np.stack([np.diag(a) for a in gains_sq]).astype(complex))
+
+    combiners, digitals = [], []
+    for i, (mixer, alloc) in enumerate(zip(mixers, gains_sq)):
+        T, sigma_inv_sqrt, vh = factors[i]
+        mn = sigma_inv_sqrt.shape[0]
+        Lmat = np.zeros((channels, mn))
+        k = min(channels, mn)
+        Lmat[:k, :k] = np.diag(np.sqrt(alloc[:k]))
+        B = mixer @ Lmat @ vh @ sigma_inv_sqrt
+        inner = B @ (stats.cov_signal[i] + stats.cov_noise[i]) @ B.conj().T
+        inner += noise_load * np.eye(channels)
+        digitals.append(np.linalg.solve(inner.conj().T, (T @ B.conj().T).conj().T).conj().T)
+        combiners.append(B)
+
+    return AcquisitionDesign(
+        combiner_blocks=np.stack(combiners), digital_blocks=np.stack(digitals),
+        gains_sq=np.stack(gains_sq), water_levels=np.array(water_levels),
+        singvals=np.stack(singvals), right_vectors=np.stack(right_vectors),
+        mixers=mixers, block_emse=np.array(block_emse),
+        support=float(gamma), levels=int(levels), eta=float(eta),
+        channels=int(channels), emse=float(sum(block_emse)), lmmse=float(lmmse))
+
+
+def reference_lmmse_transform(compression, stats):
+    """lmmse_transform, one solve per tone."""
+    sigma = stats.sigma
+    out = np.empty_like(compression.blocks)
+    for i in range(stats.L):
+        out[i] = np.linalg.solve(
+            sigma[i].conj().T, (compression.blocks[i] @ stats.cov_signal[i]).conj().T
+        ).conj().T
+    return out
+
+
+def reference_lmmse_error(compression, stats):
+    """lmmse_error, one trace per tone summed in tone order."""
+    total = 0.0
+    gamma = reference_lmmse_transform(compression, stats)
+    for i in range(stats.L):
+        T = compression.blocks[i] @ stats.cov_signal[i]
+        total += np.trace(T @ compression.blocks[i].conj().T
+                          - gamma[i] @ T.conj().T).real
+    return float(total)
+
+
+def reference_emse_of_combiner(combiner_blocks, stats, compression, gamma, levels):
+    """emse_of_combiner, two solves per tone summed in tone order."""
+    B = np.asarray(combiner_blocks)
+    q = 4.0 * gamma * gamma / (3.0 * levels * levels)
+    sigma = stats.sigma
+    total = 0.0
+    for i in range(stats.L):
+        T = compression.blocks[i] @ stats.cov_signal[i]
+        total += np.trace(T @ np.linalg.solve(sigma[i], T.conj().T)).real
+        if np.any(B[i]):
+            inner = B[i] @ sigma[i] @ B[i].conj().T + q * np.eye(B[i].shape[0])
+            TB = T @ B[i].conj().T
+            total -= np.trace(TB @ np.linalg.solve(inner, TB.conj().T)).real
+    return float(total)
+
+
+def reference_support_gamma(combiner_blocks, stats, eta):
+    """support_gamma, one einsum per tone."""
+    B = np.asarray(combiner_blocks)
+    sigma = stats.sigma
+    diags = np.stack([
+        np.einsum("ij,jk,ik->i", B[i], sigma[i], B[i].conj()).real
+        for i in range(stats.L)
+    ])
+    return float(eta * np.sqrt(diags.mean(axis=0).max()))

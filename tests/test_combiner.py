@@ -13,9 +13,11 @@ from bitmimo.dictionary import apply_fbar
 from bitmimo.statistics import (CompressionMatrix, build_compression_matrix,
                                 build_covariances, lmmse_error, lmmse_transform)
 from dense_oracle import (blkdiag, block_from_responses, dense_digital,
-                          digital_filter_mse, reference_equalizing_unitary,
-                          reference_filter_response,
-                          reference_write_filter_response_csv)
+                          digital_filter_mse, reference_design_multitone,
+                          reference_emse_of_combiner, reference_equalizing_unitary,
+                          reference_filter_response, reference_lmmse_error,
+                          reference_lmmse_transform, reference_support_gamma,
+                          reference_waterfill, reference_write_filter_response_csv)
 
 
 def _bisect_water_level(lam, channels, levels, eta, block_rows):
@@ -91,6 +93,29 @@ def test_waterfill_zero_tail_modes():
     alloc, _ = waterfill([3.0, 1e-18, 0.0], channels=3, levels=4, eta=2.0,
                          block_rows=3)
     assert alloc[0] == pytest.approx(1.0)
+
+
+def test_waterfill_closed_form_matches_active_set_scan():
+    # the largest feasible active set is the one the scan accepts: bitwise
+    # equal allocations and water levels on random, tied, all-equal and
+    # zero-tailed spectra
+    rng = np.random.default_rng(31)
+    for case in range(400):
+        size = int(rng.integers(1, 40))
+        lam = np.sort(rng.exponential(size=size))[::-1]
+        if case % 4 == 1:
+            lam = np.repeat(lam[:max(1, size // 3)], 3)
+        elif case % 4 == 2:
+            lam = np.full(size, rng.exponential())
+        elif case % 4 == 3:
+            lam[int(rng.integers(1, size + 1)):] = 0.0
+        channels = int(rng.integers(1, 50))
+        block_rows = int(rng.integers(1, 50))
+        levels = 2 ** int(rng.integers(1, 8))
+        eta = float(rng.uniform(0.5, 4.0))
+        alloc, zeta = waterfill(lam, channels, levels, eta, block_rows)
+        ref_alloc, ref_zeta = reference_waterfill(lam, channels, levels, eta, block_rows)
+        assert np.array_equal(alloc, ref_alloc) and zeta == ref_zeta
 
 
 def test_waterfill_rejects_bad_input():
@@ -576,3 +601,68 @@ def test_design_lmmse_matches_lmmse_error(kind):
         comp = build_compression_matrix(np.random.default_rng(23), cfg, 2, kind)
         design = design_multitone(stats, comp, comp.block_rows, 4, cfg.eta)
         assert design.lmmse == pytest.approx(lmmse_error(comp, stats), rel=1e-10)
+
+
+def _random_covariances(rng, cfg):
+    """Per-tone Hermitian positive definite cov(c) and cov(w) blocks."""
+    shape = (cfg.L, cfg.mn, cfg.mn)
+    a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+    return (a @ a.conj().transpose(0, 2, 1) / cfg.mn,
+            0.1 * b @ b.conj().transpose(0, 2, 1) / cfg.mn + 0.05 * np.eye(cfg.mn))
+
+
+def _assert_design_matches_reference(stats, comp, channels, levels, eta):
+    design = design_multitone(stats, comp, channels, levels, eta)
+    ref = reference_design_multitone(stats, comp, channels, levels, eta)
+    # C order too: a transposed layout would take other BLAS paths downstream
+    for name in BUNDLE_ARRAYS:
+        got = getattr(design, name)
+        assert np.array_equal(got, getattr(ref, name)) and got.flags.c_contiguous, name
+    assert design.emse == ref.emse and design.lmmse == ref.lmmse
+    return design
+
+
+@pytest.mark.parametrize("covariances", ["identity", "random"])
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli", "dft"])
+@pytest.mark.parametrize("dcr", [2, 4])
+@pytest.mark.parametrize("budget", [1728, 3456])
+def test_stacked_design_matches_per_tone_loop(covariances, kind, dcr, budget):
+    # the stacked design and LMMSE helpers give bitwise the per-tone loop's
+    # arrays and scalars at M=8, N=12, L=9; random covariances run at
+    # P = J_i - 3, so the modes past P enter the excess MSE
+    cfg = bm.make_ula_config(8, 12, 1e6, 9e-6, sigma_n_sq=0.1)
+    rng = np.random.default_rng([dcr, budget, len(kind)])
+    if covariances == "identity":
+        stats = build_covariances(cfg, K=4)
+    else:
+        cov_signal, cov_noise = _random_covariances(rng, cfg)
+        stats = build_covariances(cfg, K=4, cov_signal=cov_signal, cov_noise=cov_noise)
+    comp = build_compression_matrix(rng, cfg, dcr, kind)
+    channels = comp.block_rows - (3 if covariances == "random" else 0)
+    levels = bm.levels_from_budget(budget, channels, cfg.L)
+    design = _assert_design_matches_reference(stats, comp, channels, levels, cfg.eta)
+    gamma = lmmse_transform(comp, stats)
+    assert np.array_equal(gamma, reference_lmmse_transform(comp, stats))
+    assert gamma.flags.c_contiguous
+    assert lmmse_error(comp, stats) == reference_lmmse_error(comp, stats)
+    B = design.combiner_blocks.copy()
+    B[1] = 0.0  # an all-zero block contributes only its LMMSE term
+    for blocks in (design.combiner_blocks, B):
+        assert (emse_of_combiner(blocks, stats, comp, design.support, levels)
+                == reference_emse_of_combiner(blocks, stats, comp, design.support, levels))
+        assert (support_gamma(blocks, stats, cfg.eta)
+                == reference_support_gamma(blocks, stats, cfg.eta))
+
+
+def test_stacked_design_matches_per_tone_loop_over_many_draws():
+    # nine tones with random covariances per draw, so the tone sums of emse
+    # and lmmse round differently in any order but the running one
+    cfg = bm.make_ula_config(2, 3, 1e6, 9e-6, sigma_n_sq=0.1)
+    assert cfg.L == 9
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        cov_signal, cov_noise = _random_covariances(rng, cfg)
+        stats = build_covariances(cfg, K=4, cov_signal=cov_signal, cov_noise=cov_noise)
+        comp = build_compression_matrix(rng, cfg, 2, "gaussian")
+        _assert_design_matches_reference(stats, comp, comp.block_rows, 8, cfg.eta)
+        assert lmmse_error(comp, stats) == reference_lmmse_error(comp, stats)

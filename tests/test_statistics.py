@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import bitmimo as bm
-from bitmimo.statistics import (build_compression_matrix, build_covariances,
-                                lmmse_error, lmmse_transform)
+from bitmimo.statistics import (RIDGE_SCALE, build_compression_matrix, build_covariances,
+                                hermitian_inv_sqrt, lmmse_error, lmmse_transform)
 from dense_oracle import (blkdiag, compression_dense, cov_signal_dense, dense_phi,
-                          sigma_dense)
+                          reference_hermitian_inv_sqrt, sigma_dense)
 
 
 @pytest.fixture(scope="module")
@@ -36,16 +36,20 @@ def test_user_covariance_validation(setup):
     cfg, _ = setup
     bad = np.eye(cfg.mn, dtype=complex)
     bad = np.broadcast_to(bad, (cfg.L, cfg.mn, cfg.mn)).copy()
-    bad[0, 0, 1] = 5.0  # not Hermitian
-    with pytest.raises(ValueError):
+    bad[1, 0, 1] = 5.0  # not Hermitian
+    with pytest.raises(ValueError, match="block 1 is not Hermitian"):
         build_covariances(cfg, 2, cov_signal=bad)
     full = np.ones((cfg.mnl, cfg.mnl), dtype=complex)  # not block diagonal
     with pytest.raises(ValueError):
         build_covariances(cfg, 2, cov_signal=full)
     neg = -np.broadcast_to(np.eye(cfg.mn, dtype=complex),
                            (cfg.L, cfg.mn, cfg.mn)).copy()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="block 0 is not positive semidefinite"):
         build_covariances(cfg, 2, cov_noise=neg)
+    # a dense block-diagonal matrix gives the blocks it holds
+    blocks = np.arange(1, cfg.L + 1)[:, None, None] * np.eye(cfg.mn, dtype=complex)
+    assert np.array_equal(build_covariances(cfg, 2, cov_signal=blkdiag(blocks)).cov_signal,
+                          blocks)
 
 
 def test_covariance_monte_carlo_oracle(setup):
@@ -222,6 +226,29 @@ def test_invariance_under_row_permutation(setup):
         shuffled_blocks[i] = shuffled_blocks[i][rng.permutation(comp.block_rows)]
     comp2 = bm.CompressionMatrix(blocks=shuffled_blocks, kind="gaussian", dcr=2)
     assert lmmse_error(comp2, stats) == pytest.approx(base, rel=1e-12)
+
+
+def test_inverse_sqrt_ridges_only_the_ill_conditioned_block(caplog):
+    # block 2 has an eigenvalue spread of 1e14: it alone gets the ridge and
+    # one warning naming it; every block equals its result computed alone
+    rng = np.random.default_rng(40)
+    n = 6
+    q, _ = np.linalg.qr(rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n)))
+    spectra = rng.uniform(0.5, 2.0, (4, n))
+    spectra[2] = np.logspace(0, -14, n)
+    H = (q * spectra[:, None, :]) @ q.conj().transpose(0, 2, 1)
+    with caplog.at_level("WARNING", logger="bitmimo.statistics"):
+        out = hermitian_inv_sqrt(H)
+    warnings = [r.getMessage() for r in caplog.records if r.name == "bitmimo.statistics"]
+    assert len(warnings) == 1 and "block 2 " in warnings[0]
+    for i in range(4):
+        assert np.array_equal(out[i], reference_hermitian_inv_sqrt(H[i])[0])
+        caplog.clear()
+        assert np.array_equal(out[i], hermitian_inv_sqrt(H[i:i + 1])[0])
+        assert len(caplog.records) == (i == 2)
+    ridge = RIDGE_SCALE * spectra[2].sum() / n
+    assert np.linalg.norm(out[2], 2) == pytest.approx((spectra[2, -1] + ridge) ** -0.5, rel=0.05)
+    assert np.allclose(out[0] @ H[0] @ out[0], np.eye(n), atol=1e-12)
 
 
 # -- compression matrices ---------------------------------------------------
