@@ -36,23 +36,20 @@ def _names(text):
     return tuple(x.strip() for x in text.split(",") if x.strip())
 
 
+# the sweep axes: flag, scalar type (simulate), comma-list type (sweep), default
+AXIS_FLAGS = (("--budget-bits", int, _ints, 1728), ("--snr-db", float, _floats, 10.0),
+              ("--dcr", int, _ints, 2), ("--k", int, _ints, 4),
+              ("--matrix-kind", str, _names, "gaussian"))
+
+
 def _common_flags(p, lists):
     p.add_argument("--config", required=True, help="JSON radar config file")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--eta", type=float, default=None,
                    help="override the config's quantizer support multiplier")
-    if lists:
-        p.add_argument("--budget-bits", type=_ints, default=(1728,))
-        p.add_argument("--snr-db", type=_floats, default=(10.0,))
-        p.add_argument("--dcr", type=_ints, default=(2,))
-        p.add_argument("--k", type=_ints, default=(4,))
-        p.add_argument("--matrix-kind", type=_names, default=("gaussian",))
-    else:
-        p.add_argument("--budget-bits", type=int, default=1728)
-        p.add_argument("--snr-db", type=float, default=10.0)
-        p.add_argument("--dcr", type=int, default=2)
-        p.add_argument("--k", type=int, default=4)
-        p.add_argument("--matrix-kind", default="gaussian")
+    for flag, scalar, listed, default in AXIS_FLAGS:
+        p.add_argument(flag, type=listed if lists else scalar,
+                       default=(default,) if lists else default)
 
 
 def _sim_flags(p):
@@ -77,13 +74,11 @@ def build_parser():
     p.add_argument("--filters-csv", default=None,
                    help="also export analog filter responses to this CSV")
 
-    p = sub.add_parser("simulate", help="run one sweep point")
-    _common_flags(p, lists=False)
-    _sim_flags(p)
-
-    p = sub.add_parser("sweep", help="run a full experiment sweep")
-    _common_flags(p, lists=True)
-    _sim_flags(p)
+    for command, help_text in (("simulate", "run one sweep point"),
+                               ("sweep", "run a full experiment sweep")):
+        p = sub.add_parser(command, help=help_text)
+        _common_flags(p, lists=command == "sweep")
+        _sim_flags(p)
     return parser
 
 
@@ -127,15 +122,9 @@ def _experiment_spec(args, scalar_axes):
         **axes)
 
 
-def cmd_simulate(args):
-    spec = _experiment_spec(args, scalar_axes=True)
-    run_sweep(spec, out_csv=args.out)
-    print(f"wrote {args.out}")
-    return 0
-
-
 def cmd_sweep(args):
-    spec = _experiment_spec(args, scalar_axes=False)
+    """simulate (scalar axis flags) and sweep (comma-list axis flags)."""
+    spec = _experiment_spec(args, scalar_axes=args.command == "simulate")
     run_sweep(spec, out_csv=args.out)
     print(f"wrote {args.out}")
     return 0
@@ -143,11 +132,7 @@ def cmd_sweep(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.command == "design":
-        return cmd_design(args)
-    if args.command == "simulate":
-        return cmd_simulate(args)
-    return cmd_sweep(args)
+    return cmd_design(args) if args.command == "design" else cmd_sweep(args)
 
 
 if __name__ == "__main__":

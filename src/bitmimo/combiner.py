@@ -242,7 +242,7 @@ def design_multitone(stats: SignalStatistics, compression: CompressionMatrix,
         gains_sq=gains_sq, water_levels=water_levels, singvals=singvals,
         right_vectors=right_vectors, mixers=mixers, block_emse=block_emse,
         support=float(gamma), levels=int(levels), eta=float(eta),
-        channels=int(channels), emse=float(sum(block_emse.tolist())),
+        channels=int(channels), emse=float(np.cumsum(block_emse)[-1]),
         lmmse=float(np.cumsum(lmmse)[-1]))  # running totals in tone order
 
 

@@ -224,74 +224,45 @@ def quantize_with(v, levels, support, rng):
 
 # -- sweep machinery ---------------------------------------------------------
 
-@dataclass
+def _mean_se(values):
+    arr = np.asarray(values, dtype=float)
+    se = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
+    return float(arr.mean()), se
+
+
 class PointResult:
-    method: str
-    budget_bits: int
-    snr_db: float
-    dcr: int
-    k: int
-    matrix_kind: str
-    mse_s: list
-    mse_a: list
-    hits: list
-    saturation: list
-    iterations: list
-    objective: list
-    rho: list
-    eps_lmmse: float
-    eps_emse: float | None
-    n_failed: int
-    wall_ms: float
+    """One (sweep point, method), built once when the point closes from the
+    trials it kept (at least one): the per-trial metrics, the CSV aggregates
+    and the sidecar's solver diagnostics. index is the point's position in
+    spec.points(); wall_ms sums the kept trials' wall time."""
 
-    @staticmethod
-    def _mean_se(values):
-        if not values:
-            return float("nan"), float("nan")
-        arr = np.asarray(values, dtype=float)
-        se = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
-        return float(arr.mean()), se
-
-    @property
-    def mse_s_mean(self):
-        return self._mean_se(self.mse_s)[0]
-
-    @property
-    def mse_s_se(self):
-        return self._mean_se(self.mse_s)[1]
-
-    @property
-    def mse_a_mean(self):
-        return self._mean_se(self.mse_a)[0]
-
-    @property
-    def mse_a_se(self):
-        return self._mean_se(self.mse_a)[1]
-
-    @property
-    def hit_rate_mean(self):
-        return self._mean_se(self.hits)[0]
-
-    @property
-    def hit_rate_se(self):
-        return self._mean_se(self.hits)[1]
-
-    @property
-    def saturation_rate(self):
-        return self._mean_se(self.saturation)[0] if self.saturation else None
-
-    @property
-    def trials(self):
-        return len(self.mse_s)
+    def __init__(self, method, index, axes, kept, n_failed, wall_ms,
+                 eps_lmmse, eps_emse, max_iter):
+        self.method, self.index = method, index
+        self.budget_bits, self.snr_db, self.dcr, self.k, self.matrix_kind = axes
+        self.eps_lmmse, self.eps_emse = eps_lmmse, eps_emse
+        self.n_failed, self.wall_ms = n_failed, wall_ms
+        self.mse_s = [m.mse_s for m in kept]
+        self.mse_a = [m.mse_a for m in kept]
+        self.hits = [m.hit for m in kept]
+        self.saturation = [m.saturation for m in kept if m.saturation is not None]
+        self.trials = len(kept)
+        self.mse_s_mean, self.mse_s_se = _mean_se(self.mse_s)
+        self.mse_a_mean, self.mse_a_se = _mean_se(self.mse_a)
+        self.hit_rate_mean, self.hit_rate_se = _mean_se(self.hits)
+        self.saturation_rate = (_mean_se(self.saturation)[0] if self.saturation
+                                else None)
+        iterations = np.array([m.iterations for m in kept])
+        self.iters_mean = float(np.mean(iterations))
+        self.capped_frac = float(np.mean(iterations >= max_iter))
+        self.objective_mean = float(np.mean([m.objective for m in kept]))
+        self.rho_mean = float(np.mean([m.rho for m in kept]))
 
 
 @dataclass
 class ExperimentResult:
     points: list
     spec: ExperimentSpec
-
-    def rows(self):
-        return [point_row(p) for p in self.points]
 
 
 class _PointContext:
@@ -346,22 +317,16 @@ def run_sweep(spec: ExperimentSpec, out_csv=None, dictionary=None) -> Experiment
         dictionary = build_dictionary(spec.config)
     methods = [m for m in METHODS if m in spec.methods]
     points = []
-    point_info = {}
-    for p_idx, (budget, snr_db, dcr, k, kind) in spec.points():
-        ctx = _PointContext(dictionary, spec.config, spec, p_idx, budget,
-                            snr_db, dcr, k, kind)
-        acc = {m: PointResult(method=m, budget_bits=budget, snr_db=snr_db,
-                              dcr=dcr, k=k, matrix_kind=kind, mse_s=[],
-                              mse_a=[], hits=[], saturation=[], iterations=[],
-                              objective=[], rho=[],
-                              eps_lmmse=ctx.design.lmmse,
-                              eps_emse=ctx.design.emse if m == "bilimo" else None,
-                              n_failed=0, wall_ms=0.0)
-               for m in methods}
+    for p_idx, axes in spec.points():
+        ctx = _PointContext(dictionary, spec.config, spec, p_idx, *axes)
+        kept = {m: [] for m in methods}
+        failed = dict.fromkeys(methods, 0)
+        wall_ms = dict.fromkeys(methods, 0.0)
         for t in range(spec.trials):
             rng_scene = np.random.default_rng(
                 np.random.SeedSequence([spec.master_seed, p_idx, t, 0]))
-            draw = draw_trial(ctx, rng_scene, k, spec.coeff_model)
+            draw = draw_trial(ctx, rng_scene, axes[3],  # the point's k
+                              spec.coeff_model)
             for method in methods:
                 tag = METHODS.index(method) + 1
                 rng_m = np.random.default_rng(
@@ -369,72 +334,50 @@ def run_sweep(spec: ExperimentSpec, out_csv=None, dictionary=None) -> Experiment
                 t0 = time.perf_counter()
                 try:
                     # looked up at call time, so a replaced trial function is seen
-                    m = globals()[f"run_{method}_trial"](ctx, draw, rng_m)
+                    kept[method].append(
+                        globals()[f"run_{method}_trial"](ctx, draw, rng_m))
                 except (ValueError, ArithmeticError) as exc:
                     logger.exception("trial %d of %s at point %d failed; excluded",
                                      t, method, p_idx)
-                    acc[method].n_failed += 1
-                    if acc[method].n_failed == spec.trials:
+                    failed[method] += 1
+                    if failed[method] == spec.trials:
                         raise RuntimeError(f"every trial of {method} at point "
                                            f"{p_idx} failed") from exc
                     continue
-                acc[method].wall_ms += (time.perf_counter() - t0) * 1e3
-                acc[method].mse_s.append(m.mse_s)
-                acc[method].mse_a.append(m.mse_a)
-                acc[method].hits.append(m.hit)
-                acc[method].iterations.append(m.iterations)
-                acc[method].objective.append(m.objective)
-                acc[method].rho.append(m.rho)
-                if m.saturation is not None:
-                    acc[method].saturation.append(m.saturation)
-        for m in methods:
-            p = acc[m]
-            points.append(p)
-            point_info[f"point{p_idx}/{m}"] = {
-                "wall_ms": p.wall_ms, "trials": p.trials, "failed": p.n_failed,
-                "iters_mean": float(np.mean(p.iterations)),
-                "capped_frac": float(np.mean(np.asarray(p.iterations)
-                                             >= spec.recovery.max_iter)),
-                "objective_mean": float(np.mean(p.objective)),
-                "rho_mean": float(np.mean(p.rho))}
+                wall_ms[method] += (time.perf_counter() - t0) * 1e3
+        points += [PointResult(m, p_idx, axes, kept[m], failed[m], wall_ms[m],
+                               ctx.design.lmmse,
+                               ctx.design.emse if m == "bilimo" else None,
+                               spec.recovery.max_iter)
+                   for m in methods]
     result = ExperimentResult(points=points, spec=spec)
     if out_csv is not None:
         write_csv(result, out_csv)
-        _write_sidecar(spec, point_info, f"{out_csv}.meta.json")
+        _write_sidecar(spec, points, f"{out_csv}.meta.json")
     return result
 
 
 def _fmt(x):
     if x is None:
         return ""
+    if isinstance(x, str):
+        return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.10g}"
 
 
-def point_row(p: PointResult) -> dict:
-    return {
-        "method": p.method, "budget_bits": p.budget_bits, "snr_db": p.snr_db,
-        "dcr": p.dcr, "k": p.k, "matrix_kind": p.matrix_kind,
-        "mse_s_mean": p.mse_s_mean, "mse_s_se": p.mse_s_se,
-        "mse_a_mean": p.mse_a_mean, "mse_a_se": p.mse_a_se,
-        "hit_rate_mean": p.hit_rate_mean, "hit_rate_se": p.hit_rate_se,
-        "eps_lmmse": p.eps_lmmse, "eps_emse": p.eps_emse,
-        "saturation_rate": p.saturation_rate, "trials": p.trials,
-        "wall_ms": None,  # timings live in the sidecar to keep the CSV reproducible
-    }
-
-
 def write_csv(result: ExperimentResult, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in result.rows():
-            fh.write(",".join(
-                str(row[c]) if c in ("method", "matrix_kind") else _fmt(row[c])
-                for c in CSV_COLUMNS) + "\n")
+        for p in result.points:
+            # wall_ms stays empty: timings live in the sidecar to keep the CSV
+            # reproducible
+            fh.write(",".join(_fmt(None if c == "wall_ms" else getattr(p, c))
+                              for c in CSV_COLUMNS) + "\n")
 
 
-def _write_sidecar(spec: ExperimentSpec, point_info, path) -> None:
+def _write_sidecar(spec: ExperimentSpec, points, path) -> None:
     rspec = spec.recovery
     meta = {
         "version": __version__,
@@ -448,7 +391,11 @@ def _write_sidecar(spec: ExperimentSpec, point_info, path) -> None:
         "methods": list(spec.methods),
         "coeff_model": spec.coeff_model,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "timing": point_info,
+        "timing": {f"point{p.index}/{p.method}": {
+            "wall_ms": p.wall_ms, "trials": p.trials, "failed": p.n_failed,
+            "iters_mean": p.iters_mean, "capped_frac": p.capped_frac,
+            "objective_mean": p.objective_mean, "rho_mean": p.rho_mean}
+            for p in points},
     }
     with open(path, "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)

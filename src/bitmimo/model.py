@@ -255,7 +255,7 @@ def scene_from_sparse_vector(a: np.ndarray, config: RadarConfig) -> TargetScene:
                        alpha=a[cells])
 
 
-def snr_to_noise_variance(snr_linear, config: RadarConfig, K=None) -> float:
+def snr_to_noise_variance(snr_linear, config: RadarConfig) -> float:
     """Noise variance realizing SNR = E||Phi a||^2 / (MNL * K * sigma_n_sq).
 
     With unit-modulus dictionary entries and uniformly drawn supports,

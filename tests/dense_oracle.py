@@ -309,7 +309,8 @@ def reference_design_multitone(stats, compression, channels, levels, eta):
         singvals=np.stack(singvals), right_vectors=np.stack(right_vectors),
         mixers=mixers, block_emse=np.array(block_emse),
         support=float(gamma), levels=int(levels), eta=float(eta),
-        channels=int(channels), emse=float(sum(block_emse)), lmmse=float(lmmse))
+        channels=int(channels), emse=float(np.cumsum(block_emse)[-1]),
+        lmmse=float(lmmse))
 
 
 def reference_lmmse_transform(compression, stats):

@@ -664,5 +664,12 @@ def test_stacked_design_matches_per_tone_loop_over_many_draws():
         cov_signal, cov_noise = _random_covariances(rng, cfg)
         stats = build_covariances(cfg, K=4, cov_signal=cov_signal, cov_noise=cov_noise)
         comp = build_compression_matrix(rng, cfg, 2, "gaussian")
-        _assert_design_matches_reference(stats, comp, comp.block_rows, 8, cfg.eta)
+        design = _assert_design_matches_reference(stats, comp, comp.block_rows, 8,
+                                                  cfg.eta)
         assert lmmse_error(comp, stats) == reference_lmmse_error(comp, stats)
+        # emse is the plain left-to-right float sum, on any Python version (the
+        # builtin sum compensates its rounding from Python 3.12 on)
+        total = 0.0
+        for eps in design.block_emse.tolist():
+            total += eps
+        assert design.emse == total

@@ -216,17 +216,26 @@ def test_method_whose_every_trial_fails_raises(small_cfg, monkeypatch):
         run_sweep(_spec(small_cfg, methods=("bilimo", "noquan_dr")))
 
 
-def test_numerical_failure_excludes_one_trial(small_cfg, monkeypatch):
+def test_numerical_failure_excludes_one_trial(tmp_path, small_cfg, monkeypatch):
+    # the CSV and the sidecar agree on the two kept trials of three
     original = harness.run_bilimo_trial
-    calls = []
+    calls, kept = [], []
 
     def fails_once(*args, **kwargs):
         calls.append(None)
         if len(calls) == 2:
             raise ValueError("injected")
-        return original(*args, **kwargs)
+        kept.append(original(*args, **kwargs))
+        return kept[-1]
 
     monkeypatch.setattr(harness, "run_bilimo_trial", fails_once)
-    p = run_sweep(_spec(small_cfg, trials=3)).points[0]
+    out = tmp_path / "f.csv"
+    p = run_sweep(_spec(small_cfg, trials=3), out_csv=out).points[0]
     assert (p.trials, p.n_failed) == (2, 1)
     assert np.isfinite(p.mse_a_mean)
+    header, row = out.read_text().strip().split("\n")
+    assert dict(zip(header.split(","), row.split(",")))["trials"] == "2"
+    entry = json.loads((tmp_path / "f.csv.meta.json").read_text())["timing"]["point0/bilimo"]
+    assert (entry["trials"], entry["failed"]) == (2, 1)
+    assert entry["iters_mean"] == np.mean([m.iterations for m in kept])
+    assert entry["objective_mean"] == np.mean([m.objective for m in kept])

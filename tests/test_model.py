@@ -131,11 +131,11 @@ def test_scene_rejects_duplicate_cells():
 
 def test_snr_to_noise_variance_values():
     cfg = bm.make_ula_config(2, 3, 1e6, 3e-6, sigma_alpha_sq=1.0)
-    assert bm.snr_to_noise_variance(10.0, cfg, 4) == pytest.approx(0.1)
-    assert bm.snr_to_noise_variance(1.0, cfg, 4) == pytest.approx(1.0)
-    assert bm.snr_to_noise_variance(1e12, cfg, 4) == pytest.approx(0.0, abs=1e-11)
+    assert bm.snr_to_noise_variance(10.0, cfg) == pytest.approx(0.1)
+    assert bm.snr_to_noise_variance(1.0, cfg) == pytest.approx(1.0)
+    assert bm.snr_to_noise_variance(1e12, cfg) == pytest.approx(0.0, abs=1e-11)
     with pytest.raises(ValueError):
-        bm.snr_to_noise_variance(0.0, cfg, 4)
+        bm.snr_to_noise_variance(0.0, cfg)
 
 
 def test_snr_closed_form_monte_carlo_oracle():
@@ -152,7 +152,7 @@ def test_snr_closed_form_monte_carlo_oracle():
     mean_energy = acc / n / (K * cfg.mnl)
     assert abs(mean_energy - cfg.sigma_alpha_sq) < 0.01 * cfg.sigma_alpha_sq
     snr = 10.0
-    sigma_n = bm.snr_to_noise_variance(snr, cfg, K)
+    sigma_n = bm.snr_to_noise_variance(snr, cfg)
     empirical_snr = mean_energy * K * cfg.mnl / (cfg.mnl * K * sigma_n)
     assert abs(empirical_snr - snr) < 0.02 * snr
 
