@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,12 +72,19 @@ class SteeringDictionary:
         VA = self.V.reshape(cfg.M * cfg.L, cfg.ml) @ a.reshape(cfg.ml, cfg.mn)
         return (VA.reshape(cfg.M, cfg.L, cfg.mn) @ self.U.transpose(0, 2, 1)).reshape(-1)
 
+    @cached_property
+    def _adjoint_factors(self):
+        """conj(U) and conj(V) stacked by band, transposed: the factors of
+        apply_adjoint, conjugated once per dictionary."""
+        cfg = self.config
+        return self.U.conj(), self.V.reshape(cfg.M * cfg.L, cfg.ml).conj().T
+
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         """Phi^H @ y = vec(sum_m U_m^H Y_m conj(V_m)) for the per-band (N, L) Y_m."""
         cfg = self.config
-        YU = y.reshape(cfg.M, cfg.L, cfg.N) @ self.U.conj()           # (M, L, MN)
-        return (self.V.reshape(cfg.M * cfg.L, cfg.ml).conj().T
-                @ YU.reshape(cfg.M * cfg.L, cfg.mn)).reshape(-1)
+        u_conj, v_adj = self._adjoint_factors
+        YU = y.reshape(cfg.M, cfg.L, cfg.N) @ u_conj                  # (M, L, MN)
+        return (v_adj @ YU.reshape(cfg.M * cfg.L, cfg.mn)).reshape(-1)
 
     def apply_cells(self, cells: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         """Phi restricted to the given grid cells times alpha (fast K-sparse apply)."""

@@ -1,8 +1,9 @@
 """Monte Carlo experiment engine: trials, sweeps, CSV output.
 
 A sweep point is one combination of (budget_bits, snr_db, dcr, k, matrix_kind).
-Per point the compression matrix, acquisition design and solver operators are
-built once and shared read-only by all trials. Every trial runs in three steps:
+Phi's solver operator is built once per sweep; per point the compression
+matrix, acquisition design and task operator M*Phi are built once. All are
+shared read-only by the trials. Every trial runs in three steps:
 
     draw       scene and noise, with the grid, channel and task vectors they
                give; once per trial, shared by every method
@@ -103,6 +104,8 @@ class ExperimentSpec:
         for axis in ("budget_bits", "snr_db", "dcr", "k", "matrix_kinds"):
             if not getattr(self, axis):
                 raise ValueError(f"sweep axis {axis} must be nonempty")
+        if not self.methods:
+            raise ValueError("need at least one method")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; pick from {METHODS}")
@@ -161,11 +164,19 @@ def _operator_pair(mat):
 
 
 def _solver_operator(apply, adjoint, rows, cols):
-    """The (apply, adjoint) pair FISTA runs on: the structured pair, or, up to
+    """(apply, adjoint, lipschitz) FISTA runs on: the structured pair, or, up to
     DENSE_OPERATOR_MAX_ENTRIES, its matrix formed row by row from the adjoint."""
-    if rows * cols > DENSE_OPERATOR_MAX_ENTRIES:
-        return apply, adjoint
-    return _operator_pair(np.array([adjoint(e) for e in np.eye(rows)]).conj())
+    if rows * cols <= DENSE_OPERATOR_MAX_ENTRIES:
+        apply, adjoint = _operator_pair(
+            np.array([adjoint(e) for e in np.eye(rows)]).conj())
+    return apply, adjoint, power_iteration_lipschitz(apply, adjoint, cols)
+
+
+def _phi_operator(dictionary):
+    """Phi's solver operator; it depends only on the dictionary, so a sweep
+    builds it once."""
+    return _solver_operator(dictionary.apply, dictionary.apply_adjoint,
+                            dictionary.n_rows, dictionary.n_atoms)
 
 
 def _score(ctx, operator_id, draw, y, s_hat, saturation) -> TrialMetrics:
@@ -268,10 +279,11 @@ class ExperimentResult:
 class _PointContext:
     """Design, task-ignorant quantizer and solver operators shared by every
     trial of one sweep point. operators maps each operator id the spec's
-    methods need to (apply, adjoint, lipschitz)."""
+    methods need to (apply, adjoint, lipschitz); phi is the sweep's Phi
+    operator, None when no method recovers on Phi."""
 
-    def __init__(self, dictionary, config, spec, point_index, budget, snr_db,
-                 dcr, k, kind):
+    def __init__(self, dictionary, config, spec, point_index, phi, budget,
+                 snr_db, dcr, k, kind):
         self.config = config.with_noise_variance(
             snr_to_noise_variance(snr_db_to_linear(snr_db), config))
         self.recovery = spec.recovery
@@ -293,19 +305,14 @@ class _PointContext:
             self.gamma_blocks = lmmse_transform(self.compression, stats)
         self.dictionary = dictionary
 
-        # Phi and the task operator M*Phi = apply_to_c . perm . Phi
-        comp, perm, iperm = self.compression, dictionary.perm, dictionary.iperm
-        structured = {
-            "task": (lambda x: comp.apply_to_c(dictionary.apply(x)[perm]),
-                     lambda y: dictionary.apply_adjoint(comp.apply_adjoint_to_c(y)[iperm]),
-                     comp.rows),
-            "phi": (dictionary.apply, dictionary.apply_adjoint, dictionary.n_rows),
-        }
-        self.operators = {}
-        for op_id in sorted({OPERATOR_OF[m] for m in spec.methods}):
-            pair = _solver_operator(*structured[op_id], dictionary.n_atoms)
-            self.operators[op_id] = (*pair, power_iteration_lipschitz(
-                *pair, dictionary.n_atoms))
+        self.operators = {} if phi is None else {"phi": phi}
+        if any(OPERATOR_OF[m] == "task" for m in spec.methods):
+            # the task operator M*Phi = apply_to_c . perm . Phi
+            comp, perm, iperm = self.compression, dictionary.perm, dictionary.iperm
+            self.operators["task"] = _solver_operator(
+                lambda x: comp.apply_to_c(dictionary.apply(x)[perm]),
+                lambda y: dictionary.apply_adjoint(comp.apply_adjoint_to_c(y)[iperm]),
+                comp.rows, dictionary.n_atoms)
 
 
 def run_sweep(spec: ExperimentSpec, out_csv=None, dictionary=None) -> ExperimentResult:
@@ -316,9 +323,11 @@ def run_sweep(spec: ExperimentSpec, out_csv=None, dictionary=None) -> Experiment
     if dictionary is None:
         dictionary = build_dictionary(spec.config)
     methods = [m for m in METHODS if m in spec.methods]
+    phi = (_phi_operator(dictionary)
+           if any(OPERATOR_OF[m] == "phi" for m in methods) else None)
     points = []
     for p_idx, axes in spec.points():
-        ctx = _PointContext(dictionary, spec.config, spec, p_idx, *axes)
+        ctx = _PointContext(dictionary, spec.config, spec, p_idx, phi, *axes)
         kept = {m: [] for m in methods}
         failed = dict.fromkeys(methods, 0)
         wall_ms = dict.fromkeys(methods, 0.0)

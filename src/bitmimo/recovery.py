@@ -5,16 +5,22 @@ Solves the complex LASSO
     min_a  0.5*||s_hat - A a||^2 + rho*||a||_1
 
 with a monotone accelerated proximal-gradient iteration (objective-guarded
-FISTA, Beck & Teboulle 2009): step 1/L_f with L_f from power iteration on
-A^H A, complex soft-thresholding shrink(v, t) = v * max(1 - t/|v|, 0), a
-gradient-based adaptive restart of the momentum (O'Donoghue & Candes 2015)
-and a relative iterate-change stopping rule. The operator is taken matrix-free
-(apply / adjoint pair) so the full-scale product never needs an explicit
-matrix; each iteration applies A once and A^H once, after one A^H s_hat.
+FISTA, Beck & Teboulle 2009), L_f from power iteration on A^H A. The step is
+1/(0.65*L_f), longer than 1/L_f, under the safeguard of Liang, Luo &
+Schoenlieb (SIAM J. Sci. Comput. 2022): it falls back for good to the safe
+1/(1.02*L_f) once the monotone guard rejects a candidate or a step
+||x_{k+1} - x_k|| grows past the first one. Complex soft-thresholding is
+shrink(v, t) = v * max(1 - t/|v|, 0); the momentum restarts by the gradient
+test of O'Donoghue & Candes (2015); the solve stops on a relative
+iterate-change rule. The operator is taken matrix-free (apply / adjoint pair)
+so the full-scale product never needs an explicit matrix; each iteration
+applies A once and A^H once, after one A^H s_hat, and does its vector work
+in buffers the solver owns.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +38,15 @@ __all__ = [
     "RecoveryBound",
     "recovery_error_bound",
 ]
+
+logger = logging.getLogger(__name__)
+
+# fista's step rule: 1/(LONG_STEP*L_f) until the safeguard trips, then the
+# safe 1/(SAFE_STEP*L_f), whose small margin over 1/L_f keeps descent when
+# power iteration underestimates L_f
+LONG_STEP = 0.65
+SAFE_STEP = 1.02
+SAFEGUARD_GROWTH = 1.0
 
 
 @dataclass(frozen=True)
@@ -58,15 +73,17 @@ class RecoverySpec:
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     """Complex soft-thresholding; preserves phase, shrinks magnitude by t."""
-    return _shrink(v, t)[0]
-
-
-def _shrink(v, t):
-    """soft_threshold(v, t) and its magnitude max(|v| - t, 0)."""
     mag = np.abs(v)
-    kept = np.maximum(mag - t, 0.0)
-    scale = np.divide(kept, mag, out=np.zeros_like(mag), where=kept > 0)
-    return v * scale, kept
+    return v * _shrink_scale(mag, t, mag)
+
+
+def _shrink_scale(mag, t, out):
+    """max(1 - t/mag, 0) into out: the factor that soft-thresholds the vector
+    of magnitudes mag (0 where mag is 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(t, mag, out=out)
+    np.subtract(1.0, out, out=out)
+    return np.fmax(out, 0.0, out=out)  # fmax: 1 - 0/0 is nan, and it maps to 0
 
 
 def power_iteration_lipschitz(apply_a, apply_at, n, iters=30, tol=1e-6, seed=0x5EED):
@@ -99,6 +116,11 @@ def fista(apply_a, apply_at, s_hat, spec: RecoverySpec, lipschitz=None,
     (t = 1, y = the accepted iterate) whenever Re<y - z, z - x> > 0 for the
     previous iterate x, i.e. when the step z - x points uphill along the
     generalized gradient y - z.
+
+    The step starts at 1/(LONG_STEP*L_f) and falls back for good to the safe
+    1/(SAFE_STEP*L_f) at the first iteration where the monotone guard rejects
+    a candidate or the step ||z - x|| exceeds SAFEGUARD_GROWTH times the first
+    one (the safeguard of Liang, Luo & Schoenlieb 2022).
     """
     s_hat = np.asarray(s_hat, dtype=complex)
     if not np.all(np.isfinite(s_hat)):
@@ -109,32 +131,51 @@ def fista(apply_a, apply_at, s_hat, spec: RecoverySpec, lipschitz=None,
         lipschitz = power_iteration_lipschitz(apply_a, apply_at, n)
     if lipschitz <= 0:
         raise ValueError("zero operator")
-    # small safety factor: an underestimated step constant breaks descent
-    step_l = 1.02 * lipschitz
+    step_l, long_step = LONG_STEP * lipschitz, True
 
     rho = spec.rho
     if rho is None:
         rho = spec.rho_scale * float(np.max(np.abs(corr)))
-    thr = rho / step_l
 
     x = np.zeros(n, dtype=complex)
     ax = np.zeros_like(s_hat)
     fx = 0.5 * float(np.vdot(s_hat, s_hat).real)
     y, ay = x, ax
     t = 1.0
-    z_prev, z_prev_norm = x, 0.0
+    z_prev, z_prev_sq = x, 0.0
+    # work buffers: v holds the gradient step (then z - z_prev), mag and scale
+    # its magnitude and shrink factor; z - x goes to the buffer of the pair
+    # that y does not hold, and the next momentum point is built in it
+    v, mag, scale = np.empty(n, dtype=complex), np.empty(n), np.empty(n)
+    bufs = (np.empty(n, dtype=complex), np.empty(n, dtype=complex))
     history = [fx]
     n_iter = 0
     for n_iter in range(1, spec.max_iter + 1):
-        v = y - apply_at(ay - s_hat) / step_l
-        z, z_mag = _shrink(v, thr)
+        np.multiply(apply_at(ay - s_hat), -1.0 / step_l, out=v)
+        v += y
+        _shrink_scale(np.abs(v, out=mag), rho / step_l, scale)
+        z = v * scale
         az = apply_a(z)
         r = az - s_hat
-        fz = 0.5 * float(np.vdot(r, r).real) + rho * float(z_mag.sum())
+        fz = 0.5 * float(np.vdot(r, r).real) + rho * float(mag @ scale)
         accepted = fz <= fx
         x_new, ax_new, fx_new = (z, az, fz) if accepted else (x, ax, fx)
-        step = z - x
-        if np.vdot(y - z, step).real > 0:
+        step = np.subtract(z, x, out=bufs[1] if y is bufs[0] else bufs[0])
+        if z_prev is x:  # last candidate accepted: z - z_prev is the step
+            diff_sq = float(np.vdot(step, step).real)
+        else:
+            np.subtract(z, z_prev, out=v)
+            diff_sq = float(np.vdot(v, v).real)
+        if long_step:
+            # no candidate was rejected yet, so diff_sq is ||z - x||^2
+            if n_iter == 1:
+                step_bound = SAFEGUARD_GROWTH ** 2 * diff_sq
+            if not accepted or diff_sq > step_bound:
+                step_l, long_step = SAFE_STEP * lipschitz, False
+                logger.debug("fista: %s at iteration %d; safe step from here",
+                             "step past the safeguard bound" if accepted
+                             else "candidate rejected", n_iter)
+        if np.vdot(y, step).real - np.vdot(z, step).real > 0:
             y, ay, t_new = x_new, ax_new, 1.0
         else:
             # y = x_new + (t/t_new)(z - x_new) + ((t-1)/t_new)(x_new - x), which
@@ -142,13 +183,14 @@ def fista(apply_a, apply_at, s_hat, spec: RecoverySpec, lipschitz=None,
             # t/t_new; A y follows from A x_new, A z and A x the same way
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
             c = ((t - 1.0) if accepted else t) / t_new
-            y = x_new + c * step
-            ay = ax_new + c * (az - ax)
-        delta = np.linalg.norm(z - z_prev) / max(z_prev_norm, 1e-30)
+            step *= c
+            step += x_new
+            y, ay = step, ax_new + c * (az - ax)
+        done = np.sqrt(diff_sq) < spec.tol * max(np.sqrt(z_prev_sq), 1e-30)
         x, ax, fx, t = x_new, ax_new, fx_new, t_new
-        z_prev, z_prev_norm = z, float(np.sqrt(z_mag @ z_mag))
+        z_prev, z_prev_sq = z, float(np.vdot(z, z).real)
         history.append(fx)
-        if delta < spec.tol:
+        if done:
             break
     if return_info:
         return x, {"objective": history, "iterations": n_iter,

@@ -44,6 +44,14 @@ def test_simulate_command(tmp_path, cfg_file):
     assert (tmp_path / "point.csv.meta.json").exists()
 
 
+def test_empty_method_list_rejected(tmp_path, cfg_file):
+    out = tmp_path / "none.csv"
+    with pytest.raises(ValueError, match="at least one method"):
+        main(["simulate", "--config", str(cfg_file), "--trials", "1",
+              "--methods", ",", "--out", str(out)])
+    assert not out.exists()
+
+
 def test_sweep_command_deterministic(tmp_path, cfg_file):
     args = ["sweep", "--config", str(cfg_file), "--seed", "5", "--trials", "2",
             "--budget-bits", "36", "--snr-db", "0,10", "--dcr", "2",

@@ -34,6 +34,40 @@ def test_spec_validation(small_cfg):
         _spec(small_cfg, methods=("bogus",))
 
 
+def test_empty_method_list_rejected(small_cfg):
+    with pytest.raises(ValueError, match="at least one method"):
+        _spec(small_cfg, methods=())
+
+
+def test_phi_operator_built_once_per_sweep(tmp_path, small_cfg, monkeypatch):
+    # Phi's operator and its Lipschitz constant depend only on the dictionary:
+    # a 2-point sweep runs one power iteration, and writes the same CSV bytes
+    # as a sweep that builds them at every point
+    calls = []
+    original = harness.power_iteration_lipschitz
+
+    def counted(apply, adjoint, n):
+        calls.append(n)
+        return original(apply, adjoint, n)
+
+    monkeypatch.setattr(harness, "power_iteration_lipschitz", counted)
+    spec = _spec(small_cfg, methods=("task_ignorant", "noquan_dr"), trials=2,
+                 snr_db=(0.0, 10.0))
+    shared, per_point = tmp_path / "shared.csv", tmp_path / "per_point.csv"
+    run_sweep(spec, out_csv=shared)
+    assert len(calls) == 1
+
+    class PerPointPhi(harness._PointContext):
+        def __init__(self, dictionary, config, spec, point_index, phi, *axes):
+            super().__init__(dictionary, config, spec, point_index,
+                             harness._phi_operator(dictionary), *axes)
+
+    monkeypatch.setattr(harness, "_PointContext", PerPointPhi)
+    run_sweep(spec, out_csv=per_point)
+    assert len(calls) == 1 + 1 + 2  # the sweep's own build, then one per point
+    assert shared.read_bytes() == per_point.read_bytes()
+
+
 def test_single_point_runs_all_methods(small_cfg):
     spec = _spec(small_cfg, methods=bm.METHODS, trials=2)
     result = run_sweep(spec)
@@ -98,7 +132,7 @@ def test_noquan_lmmse_product_matches_einsum(small_cfg, monkeypatch):
     for method in ("bilimo", "noquan_lmmse"):
         spec = _spec(small_cfg, methods=(method,))
         index, axes = next(spec.points())
-        contexts[method] = harness._PointContext(d, small_cfg, spec, index, *axes)
+        contexts[method] = harness._PointContext(d, small_cfg, spec, index, None, *axes)
     assert not hasattr(contexts["bilimo"], "gamma_blocks")
     ctx = contexts["noquan_lmmse"]
     seen = []

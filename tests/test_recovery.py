@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from bitmimo.recovery import (RecoverySpec, estimate_support, fista, hit_rate,
                               power_iteration_lipschitz, recovery_error_bound,
                               relative_mse, soft_threshold)
 from bitmimo.statistics import build_compression_matrix
-from dense_oracle import dense_phi, reference_fista
+from dense_oracle import dense_phi, reference_fista, reference_restarted_fista
 
 
 def _ops(A):
@@ -58,10 +60,25 @@ def test_fista_objective_nonincreasing():
     assert np.all(np.diff(hist) <= 1e-10 * np.abs(hist[:-1]) + 1e-10)
 
 
+def _task_problem(seed, M, N, pri, k):
+    """A noisy k-target task vector s on the structured task operator M*Phi
+    of a random array, composed the way the harness composes it."""
+    rng = np.random.default_rng(seed)
+    cfg = bm.make_random_array_config(rng, M, N, 1e6, pri)
+    d = bm.build_dictionary(cfg)
+    comp = build_compression_matrix(rng, cfg, 2, "gaussian")
+    pair = (lambda x: comp.apply_to_c(d.apply(x)[d.perm]),
+            lambda y: d.apply_adjoint(comp.apply_adjoint_to_c(y)[d.iperm]))
+    a = bm.scene_to_sparse_vector(bm.sample_scene(rng, k, cfg), cfg)
+    s = pair[0](a)
+    s = s + 0.05 * (rng.standard_normal(s.size) + 1j * rng.standard_normal(s.size))
+    return (*pair, s, k, power_iteration_lipschitz(*pair, d.n_atoms))
+
+
 def _lasso_problems():
     """Seeded sparse complex LASSO problems, as (apply, adjoint, s, k,
     lipschitz): three dense ones and the structured task operator M*Phi at
-    M=4, N=6, L=7, composed the way the harness composes it."""
+    M=4, N=6, L=7."""
     out = []
     for seed in range(3):
         rng = np.random.default_rng(seed)
@@ -70,16 +87,7 @@ def _lasso_problems():
         a[rng.choice(120, 3, replace=False)] = 1.0 + rng.random(3)
         s = A @ a + 0.01 * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
         out.append((*_ops(A), s, 3, np.linalg.norm(A, 2) ** 2))
-    rng = np.random.default_rng(8)
-    cfg = bm.make_random_array_config(rng, 4, 6, 1e6, 7e-6)
-    d = bm.build_dictionary(cfg)
-    comp = build_compression_matrix(rng, cfg, 2, "gaussian")
-    pair = (lambda x: comp.apply_to_c(d.apply(x)[d.perm]),
-            lambda y: d.apply_adjoint(comp.apply_adjoint_to_c(y)[d.iperm]))
-    a = bm.scene_to_sparse_vector(bm.sample_scene(rng, 4, cfg), cfg)
-    s = pair[0](a)
-    s = s + 0.05 * (rng.standard_normal(s.size) + 1j * rng.standard_normal(s.size))
-    out.append((*pair, s, 4, power_iteration_lipschitz(*pair, d.n_atoms)))
+    out.append(_task_problem(8, 4, 6, 7e-6, 4))
     return out
 
 
@@ -88,25 +96,82 @@ def _top(x, k):
 
 
 def test_fista_matches_reference_loop():
-    # at the same max_iter the restarted two-apply loop ends no higher than the
-    # three-apply loop without restart, in fewer iterations; both end near the
-    # minimum with the same top-k support; a second call repeats it bitwise
+    # at the same max_iter the long-step loop ends no higher than the
+    # three-apply loop without restart, and in fewer iterations than it and
+    # than the restarted loop at the safe step alone; every solve ends within
+    # 1e-6 of a long solve's objective with the same top-k support, also on
+    # the paper-scale task operator (M=8, N=12, L=9); a second call repeats
+    # it bitwise
     spec = RecoverySpec()
-    for apply, adjoint, s, k, lip in _lasso_problems():
+    for apply, adjoint, s, k, lip in _lasso_problems() + [_task_problem(9, 8, 12, 9e-6, 4)]:
         x, info = fista(apply, adjoint, s, spec, lipschitz=lip, return_info=True)
         x_again, info_again = fista(apply, adjoint, s, spec, lipschitz=lip,
                                     return_info=True)
         assert np.array_equal(x, x_again)
         assert info["objective"] == info_again["objective"]
         x_ref, info_ref = reference_fista(apply, adjoint, s, spec, lipschitz=lip)
-        _, info_long = fista(apply, adjoint, s, RecoverySpec(max_iter=5000, tol=1e-13),
-                             lipschitz=lip, return_info=True)
+        x_safe, info_safe = reference_restarted_fista(apply, adjoint, s, spec,
+                                                      lipschitz=lip)
+        x_long, info_long = fista(apply, adjoint, s, RecoverySpec(max_iter=5000, tol=1e-13),
+                                  lipschitz=lip, return_info=True)
         f, f_ref, f_min = (i["objective"][-1] for i in (info, info_ref, info_long))
         assert f <= f_ref * (1 + 1e-9)
-        assert info["iterations"] < info_ref["iterations"]
-        assert f - f_min <= 1e-4 * f_min
+        assert info["iterations"] < info_safe["iterations"] < info_ref["iterations"]
+        assert f - f_min <= 1e-6 * f_min
         assert f_ref - f_min <= 1e-4 * f_min
-        assert _top(x, k) == _top(x_ref, k)
+        assert _top(x, k) == _top(x_ref, k) == _top(x_safe, k) == _top(x_long, k)
+
+
+def test_fista_writes_into_no_input_or_operator_output():
+    # s_hat and every array the operator returns, held by the operator, are
+    # read-only and keep their values: the solver's vector work goes to
+    # buffers of its own
+    apply, adjoint, s, _, lip = _lasso_problems()[-1]
+    held = []
+
+    def holding(fn):
+        def inner(v):
+            out = fn(v)
+            out.flags.writeable = False
+            held.append((out, out.copy()))
+            return out
+        return inner
+
+    s = s.copy()
+    s.flags.writeable = False
+    s_before = s.copy()
+    x, info = fista(holding(apply), holding(adjoint), s, RecoverySpec(),
+                    lipschitz=lip, return_info=True)
+    assert np.array_equal(s, s_before)
+    assert len(held) == 2 * info["iterations"] + 1
+    assert all(np.array_equal(out, before) for out, before in held)
+    assert not any(np.shares_memory(x, out) for out, _ in held)
+
+
+def test_fista_safeguard_falls_back_to_safe_step(caplog):
+    # the long step is dropped for good at the first rejected candidate (a
+    # flat step of the objective history) or at the first step longer than
+    # the first one; the objective history stays nonincreasing either way
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((20, 50)) + 1j * rng.standard_normal((20, 50))
+    s = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+    rng = np.random.default_rng(1)
+    B = rng.standard_normal((25, 40)) + 1j * rng.standard_normal((25, 40))
+    B[:, 0] *= 10
+    b = rng.standard_normal(25) + 1j * rng.standard_normal(25)
+    cases = ((A, s, 1.0, "candidate rejected"), (B, b, 0.0, "step past the safeguard bound"))
+    for mat, data, rho, reason in cases:
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="bitmimo.recovery"):
+            _, info = fista(*_ops(mat), data, RecoverySpec(rho=rho), return_info=True)
+        (record,) = caplog.records
+        logged_reason, it = record.args
+        assert logged_reason == reason
+        assert 1 < it < info["iterations"]
+        hist = np.asarray(info["objective"])
+        assert np.all(np.diff(hist) <= 0)
+        assert np.all(np.diff(hist[:it]) < 0)  # every long step before was accepted
+        assert (hist[it] == hist[it - 1]) == (reason == "candidate rejected")
 
 
 def test_fista_two_applies_per_iteration():
