@@ -16,11 +16,11 @@ import sys
 
 import numpy as np
 
-from .adc import levels_from_budget
 from .combiner import design_multitone, save_design, write_filter_response_csv
-from .harness import METHODS, ExperimentSpec, run_sweep
-from .model import load_config, snr_db_to_linear, snr_to_noise_variance
+from .harness import METHODS, ExperimentSpec, design_point, run_sweep
+from .model import load_config
 from .recovery import RecoverySpec
+# design_multitone and these two are unused here: perfbench/spans.py traces them on cli
 from .statistics import build_compression_matrix, build_covariances
 
 
@@ -92,47 +92,38 @@ def _load_config(args):
 
 
 def cmd_design(args):
-    config = _load_config(args)
-    sigma_n = snr_to_noise_variance(snr_db_to_linear(args.snr_db), config)
-    config = config.with_noise_variance(sigma_n)
-    stats = build_covariances(config, args.k)
-    rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0, 1 << 20]))
-    compression = build_compression_matrix(rng, config, args.dcr, args.matrix_kind)
-    channels = int(np.ceil(compression.rows / config.L))
-    levels = levels_from_budget(args.budget_bits, channels, config.L)
-    design = design_multitone(stats, compression, channels, levels, config.eta)
+    config, _, _, design = design_point(
+        _load_config(args), args.seed, 0, args.budget_bits, args.snr_db,
+        args.dcr, args.k, args.matrix_kind)
     save_design(design, args.out, config)
     if args.filters_csv:
         write_filter_response_csv(design, config, args.filters_csv)
-    print(f"design: P={channels} b={levels} gamma={design.support:.6g} "
+    print(f"design: P={design.channels} b={design.levels} gamma={design.support:.6g} "
           f"eps_lmmse={design.lmmse:.6g} eps_emse={design.emse:.6g} -> {args.out}.npz")
     return 0
 
 
-def _experiment_spec(args, scalar_axes):
+def main(argv=None):
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "design":
+        return cmd_design(args)
     config = _load_config(args)
     axes = dict(budget_bits=args.budget_bits, snr_db=args.snr_db,
                 dcr=args.dcr, k=args.k, matrix_kinds=args.matrix_kind)
-    if scalar_axes:
+    if args.command == "simulate":  # scalar axis flags; sweep takes comma lists
         axes = {key: (val,) for key, val in axes.items()}
-    return ExperimentSpec(
-        config=config, methods=tuple(args.methods), trials=args.trials,
-        master_seed=args.seed, coeff_model=args.coeff_model,
-        recovery=RecoverySpec(rho_scale=args.rho_scale, max_iter=args.max_iter),
-        **axes)
-
-
-def cmd_sweep(args):
-    """simulate (scalar axis flags) and sweep (comma-list axis flags)."""
-    spec = _experiment_spec(args, scalar_axes=args.command == "simulate")
+    try:
+        spec = ExperimentSpec(
+            config=config, methods=tuple(args.methods), trials=args.trials,
+            master_seed=args.seed, coeff_model=args.coeff_model,
+            recovery=RecoverySpec(rho_scale=args.rho_scale, max_iter=args.max_iter),
+            **axes)
+    except ValueError as exc:  # an invalid flag value: a usage error, exit code 2
+        parser.error(str(exc))
     run_sweep(spec, out_csv=args.out)
     print(f"wrote {args.out}")
     return 0
-
-
-def main(argv=None):
-    args = build_parser().parse_args(argv)
-    return cmd_design(args) if args.command == "design" else cmd_sweep(args)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ shared read-only by the trials. Every trial runs in three steps:
 
 Seeding is fully deterministic:
 
+    compression rng   <- SeedSequence([master_seed, point_index, 1 << 20])
     scene/noise rng   <- SeedSequence([master_seed, point_index, trial, 0])
     method dither rng <- SeedSequence([master_seed, point_index, trial, tag])
 
@@ -58,6 +59,7 @@ __all__ = [
     "run_task_ignorant_trial",
     "run_noquan_dr_trial",
     "run_noquan_lmmse_trial",
+    "design_point",
     "run_sweep",
     "write_csv",
     "CSV_COLUMNS",
@@ -276,31 +278,37 @@ class ExperimentResult:
     spec: ExperimentSpec
 
 
+def design_point(config, seed, point_index, budget, snr_db, dcr, k, kind):
+    """(config at the point's SNR, statistics, compression, design) of one sweep
+    point; `bitmimo design` is point 0 of a sweep with the same seed and axes."""
+    config = config.with_noise_variance(
+        snr_to_noise_variance(snr_db_to_linear(snr_db), config))
+    stats = build_covariances(config, k)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, point_index, 1 << 20]))
+    compression = build_compression_matrix(rng, config, dcr, kind)
+    channels = int(np.ceil(compression.rows / config.L))
+    levels = levels_from_budget(budget, channels, config.L)
+    return config, stats, compression, design_multitone(
+        stats, compression, channels, levels, config.eta)
+
+
 class _PointContext:
-    """Design, task-ignorant quantizer and solver operators shared by every
-    trial of one sweep point. operators maps each operator id the spec's
-    methods need to (apply, adjoint, lipschitz); phi is the sweep's Phi
-    operator, None when no method recovers on Phi."""
+    """design_point's results, the point's k, the task-ignorant quantizer and
+    the solver operators of one sweep point, shared by its trials. operators
+    maps each id the spec's methods need to (apply, adjoint, lipschitz); phi
+    is the sweep's Phi operator, None when no method recovers on Phi."""
 
     def __init__(self, dictionary, config, spec, point_index, phi, budget,
                  snr_db, dcr, k, kind):
-        self.config = config.with_noise_variance(
-            snr_to_noise_variance(snr_db_to_linear(snr_db), config))
-        self.recovery = spec.recovery
-        stats = build_covariances(self.config, k)
-        rng_m = np.random.default_rng(
-            np.random.SeedSequence([spec.master_seed, point_index, 1 << 20]))
-        self.compression = build_compression_matrix(rng_m, self.config, dcr, kind)
-        channels = int(np.ceil(self.compression.rows / config.L))
-        levels = levels_from_budget(budget, channels, config.L)
+        self.config, stats, self.compression, self.design = design_point(
+            config, spec.master_seed, point_index, budget, snr_db, dcr, k, kind)
+        self.k, self.recovery = k, spec.recovery
         if "task_ignorant" in spec.methods:
             base = dictionary.config
             self.ti_levels = levels_from_budget(budget, base.mnl, 1)
             # known defect: sigma_n^2 of the base config, not of this point's SNR
             self.ti_support = base.eta * np.sqrt(
                 (k or 1) * base.sigma_alpha_sq + base.sigma_n_sq)
-        self.design = design_multitone(stats, self.compression, channels,
-                                       levels, config.eta)
         if "noquan_lmmse" in spec.methods:
             self.gamma_blocks = lmmse_transform(self.compression, stats)
         self.dictionary = dictionary
@@ -334,8 +342,7 @@ def run_sweep(spec: ExperimentSpec, out_csv=None, dictionary=None) -> Experiment
         for t in range(spec.trials):
             rng_scene = np.random.default_rng(
                 np.random.SeedSequence([spec.master_seed, p_idx, t, 0]))
-            draw = draw_trial(ctx, rng_scene, axes[3],  # the point's k
-                              spec.coeff_model)
+            draw = draw_trial(ctx, rng_scene, ctx.k, spec.coeff_model)
             for method in methods:
                 tag = METHODS.index(method) + 1
                 rng_m = np.random.default_rng(

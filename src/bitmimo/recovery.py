@@ -47,6 +47,10 @@ logger = logging.getLogger(__name__)
 LONG_STEP = 0.65
 SAFE_STEP = 1.02
 SAFEGUARD_GROWTH = 1.0
+# power_iteration_lipschitz: step cap, relative stopping tolerance, start seed
+POWER_ITERS = 30
+POWER_TOL = 1e-6
+POWER_SEED = 0x5EED
 
 
 @dataclass(frozen=True)
@@ -86,19 +90,19 @@ def _shrink_scale(mag, t, out):
     return np.fmax(out, 0.0, out=out)  # fmax: 1 - 0/0 is nan, and it maps to 0
 
 
-def power_iteration_lipschitz(apply_a, apply_at, n, iters=30, tol=1e-6, seed=0x5EED):
+def power_iteration_lipschitz(apply_a, apply_at, n):
     """Spectral norm of A^H A by power iteration (deterministic start)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(POWER_SEED)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(POWER_ITERS):
         w = apply_at(apply_a(v))
         lam_new = np.linalg.norm(w)
         if lam_new == 0:
             raise ValueError("operator maps the probe vector to zero")
         v = w / lam_new
-        if abs(lam_new - lam) <= tol * lam_new:
+        if abs(lam_new - lam) <= POWER_TOL * lam_new:
             lam = lam_new
             break
         lam = lam_new

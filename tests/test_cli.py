@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from bitmimo import cli, harness
 from bitmimo.cli import main
-from bitmimo.combiner import load_design
+from bitmimo.combiner import BUNDLE_ARRAYS, load_design
+from bitmimo.dictionary import build_dictionary
 
 
 @pytest.fixture()
@@ -44,11 +46,21 @@ def test_simulate_command(tmp_path, cfg_file):
     assert (tmp_path / "point.csv.meta.json").exists()
 
 
-def test_empty_method_list_rejected(tmp_path, cfg_file):
+@pytest.mark.parametrize("flag, value, message", [
+    pytest.param("--methods", ",", "at least one method", id="empty-methods"),
+    pytest.param("--trials", "0", "at least one trial", id="zero-trials"),
+    pytest.param("--methods", "foo", "unknown methods", id="unknown-method"),
+    pytest.param("--max-iter", "0", "max_iter must be >= 1", id="zero-max-iter"),
+])
+def test_empty_method_list_rejected(tmp_path, cfg_file, capsys, flag, value, message):
+    # an invalid flag value is a usage error: exit code 2, the reason on
+    # stderr and no CSV
     out = tmp_path / "none.csv"
-    with pytest.raises(ValueError, match="at least one method"):
+    with pytest.raises(SystemExit) as exc:
         main(["simulate", "--config", str(cfg_file), "--trials", "1",
-              "--methods", ",", "--out", str(out)])
+              flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -73,3 +85,58 @@ def test_random_array_config_needs_seed_only(tmp_path):
                "--budget-bits", "24", "--snr-db", "10", "--dcr", "1", "--k", "1",
                "--methods", "bilimo", "--max-iter", "20", "--out", str(out)])
     assert rc == 0
+
+
+def _parsed_spec(monkeypatch, argv):
+    """The ExperimentSpec main builds from argv, without running the sweep."""
+    specs = []
+    monkeypatch.setattr(cli, "run_sweep", lambda spec, out_csv: specs.append(spec))
+    assert main(argv) == 0
+    return specs[0]
+
+
+def _assert_same_design(got, want):
+    for name in BUNDLE_ARRAYS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("emse", "lmmse", "support", "levels", "channels"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+@pytest.fixture()
+def random_cfg_file(tmp_path):
+    path = tmp_path / "rnd.json"
+    path.write_text(json.dumps({
+        "M": 2, "N": 4, "bandwidth": 1e6, "pri": 3e-6, "array": "random",
+    }))
+    return path
+
+
+@pytest.mark.parametrize("dcr", [2, 4])
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli", "dft"])
+def test_design_bundle_is_sweep_point_zero(tmp_path, random_cfg_file, monkeypatch,
+                                          kind, dcr):
+    # `bitmimo design` writes the design of point 0 of `simulate` run with the
+    # same seed and axis flags
+    flags = ["--config", str(random_cfg_file), "--seed", "6", "--budget-bits", "48",
+             "--snr-db", "-5", "--dcr", str(dcr), "--k", "2", "--matrix-kind", kind]
+    prefix = tmp_path / "bundle"
+    assert main(["design", *flags, "--out", str(prefix)]) == 0
+    spec = _parsed_spec(monkeypatch, ["simulate", *flags, "--trials", "1",
+                                      "--out", str(tmp_path / "p.csv")])
+    (index, axes), = spec.points()
+    ctx = harness._PointContext(build_dictionary(spec.config), spec.config, spec,
+                                index, None, *axes)
+    _assert_same_design(load_design(prefix), ctx.design)
+
+
+def test_sweep_point_design_is_design_point(tmp_path, random_cfg_file, monkeypatch):
+    # every sweep point, not only point 0, holds design_point's design
+    spec = _parsed_spec(monkeypatch, [
+        "sweep", "--config", str(random_cfg_file), "--seed", "6",
+        "--budget-bits", "48", "--snr-db=-5,10", "--dcr", "2,4", "--k", "2",
+        "--matrix-kind", "gaussian,dft", "--out", str(tmp_path / "s.csv")])
+    index, axes = list(spec.points())[5]
+    ctx = harness._PointContext(build_dictionary(spec.config), spec.config, spec,
+                                index, None, *axes)
+    _assert_same_design(ctx.design, harness.design_point(
+        spec.config, spec.master_seed, index, *axes)[3])
