@@ -4,7 +4,7 @@
     bitmimo simulate --config cfg.json --snr-db -10 --trials 50 --out point.csv
     bitmimo sweep    --config cfg.json --snr-db -30,-20,-10,0,10 --out sweep.csv
 
-Axis flags of `sweep` take comma-separated lists; `simulate` takes scalars.
+Axis flags of `sweep` take comma-separated lists; `design` and `simulate` take scalars.
 Results go to the CSV named by --out, with provenance (seed, eta, rho rule,
 version, numpy version, config hash, wall times) in <out>.meta.json.
 """
@@ -91,10 +91,10 @@ def _load_config(args):
     return config
 
 
-def cmd_design(args):
-    config, _, _, design = design_point(
-        _load_config(args), args.seed, 0, args.budget_bits, args.snr_db,
-        args.dcr, args.k, args.matrix_kind)
+def cmd_design(args, spec):
+    """Write the design bundle (and filter CSV) of the spec's one point."""
+    (index, axes), = spec.points()
+    config, _, _, design = design_point(spec.config, spec.master_seed, index, *axes)
     save_design(design, args.out, config)
     if args.filters_csv:
         write_filter_response_csv(design, config, args.filters_csv)
@@ -106,21 +106,21 @@ def cmd_design(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "design":
-        return cmd_design(args)
     config = _load_config(args)
     axes = dict(budget_bits=args.budget_bits, snr_db=args.snr_db,
                 dcr=args.dcr, k=args.k, matrix_kinds=args.matrix_kind)
-    if args.command == "simulate":  # scalar axis flags; sweep takes comma lists
+    if args.command != "sweep":  # scalar axis flags; sweep takes comma lists
         axes = {key: (val,) for key, val in axes.items()}
     try:
-        spec = ExperimentSpec(
-            config=config, methods=tuple(args.methods), trials=args.trials,
-            master_seed=args.seed, coeff_model=args.coeff_model,
-            recovery=RecoverySpec(rho_scale=args.rho_scale, max_iter=args.max_iter),
-            **axes)
+        # `design` builds point 0 of a one-point spec, so its flags get the same checks
+        run = {} if args.command == "design" else dict(
+            methods=tuple(args.methods), trials=args.trials, coeff_model=args.coeff_model,
+            recovery=RecoverySpec(rho_scale=args.rho_scale, max_iter=args.max_iter))
+        spec = ExperimentSpec(config=config, master_seed=args.seed, **axes, **run)
     except ValueError as exc:  # an invalid flag value: a usage error, exit code 2
         parser.error(str(exc))
+    if args.command == "design":
+        return cmd_design(args, spec)
     run_sweep(spec, out_csv=args.out)
     print(f"wrote {args.out}")
     return 0

@@ -316,15 +316,21 @@ def analog_filter_response(design: AcquisitionDesign, config: RadarConfig,
 
 
 def write_filter_response_csv(design, config, path, pulse_spectrum=None):
-    """Rows (p, n, frequency_hz, re, im) over all channels and receive elements."""
+    """Rows (p, n, frequency_hz, re, im) over all channels and receive elements,
+    one channel p per format call."""
     freqs, gains = _filter_table(design, config, pulse_spectrum)
-    fcols = [f"{f:.10g}" for f in freqs.tolist()]
+    _, N, ML = gains.shape
+    args = [None] * (4 * N * ML)
+    # the "n,frequency_hz," of every row of a channel, the same for every p
+    args[1::4] = [f"{n},{f:.10g}," for n in range(N) for f in freqs.tolist()]
+    template = "%s%s%.10g,%.10g\n" * (N * ML)
     with open(path, "w") as fh:
         fh.write("p,n,frequency_hz,re,im\n")
         for p, per_p in enumerate(gains):
-            for n, row in enumerate(per_p.tolist()):
-                fh.write("".join([f"{p},{n},{f},{g.real:.10g},{g.imag:.10g}\n"
-                                  for f, g in zip(fcols, row)]))
+            args[0::4] = [f"{p},"] * (N * ML)
+            args[2::4] = per_p.real.reshape(-1).tolist()
+            args[3::4] = per_p.imag.reshape(-1).tolist()
+            fh.write(template % tuple(args))
 
 
 # -- design bundle I/O ------------------------------------------------------

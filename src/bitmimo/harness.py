@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -44,8 +45,8 @@ from .model import (RadarConfig, TargetScene, sample_scene,
                     snr_to_noise_variance)
 from .recovery import (RecoverySpec, estimate_support, fista, hit_rate,
                        power_iteration_lipschitz, relative_mse)
-from .statistics import (build_compression_matrix, build_covariances,
-                         lmmse_transform)
+from .statistics import (COMPRESSION_KINDS, build_compression_matrix, build_covariances,
+                         compression_block_rows, lmmse_transform)
 
 __all__ = [
     "METHODS",
@@ -111,6 +112,21 @@ class ExperimentSpec:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; pick from {METHODS}")
+        # each axis value's own check, so that no point fails in its setup
+        unknown = set(self.matrix_kinds) - set(COMPRESSION_KINDS)
+        if unknown:
+            raise ValueError(f"unknown matrix kinds {sorted(unknown)}; "
+                             f"pick from {COMPRESSION_KINDS}")
+        if not np.all(np.isfinite(self.snr_db)):
+            raise ValueError(f"SNR must be finite, got {self.snr_db}")
+        grid = self.config.grid_size
+        for k in self.k:
+            if not 1 <= k <= grid:
+                raise ValueError(f"k={k} must be between 1 and the grid size {grid}")
+        for dcr in self.dcr:
+            channels = compression_block_rows(self.config, dcr)
+            for budget in self.budget_bits:
+                levels_from_budget(budget, channels, self.config.L)
 
     def points(self):
         axes = itertools.product(self.budget_bits, self.snr_db, self.dcr,
@@ -286,7 +302,7 @@ def design_point(config, seed, point_index, budget, snr_db, dcr, k, kind):
     stats = build_covariances(config, k)
     rng = np.random.default_rng(np.random.SeedSequence([seed, point_index, 1 << 20]))
     compression = build_compression_matrix(rng, config, dcr, kind)
-    channels = int(np.ceil(compression.rows / config.L))
+    channels = compression.block_rows
     levels = levels_from_budget(budget, channels, config.L)
     return config, stats, compression, design_multitone(
         stats, compression, channels, levels, config.eta)
@@ -393,11 +409,23 @@ def write_csv(result: ExperimentResult, path) -> None:
                               for c in CSV_COLUMNS) + "\n")
 
 
+def _blas_name():
+    """Name and version of the BLAS numpy was built with, or "unknown"."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas.get('name', '?')} {blas.get('version', '?')}"
+    except (TypeError, KeyError):  # numpy < 1.25 has no dict mode
+        return "unknown"
+
+
 def _write_sidecar(spec: ExperimentSpec, points, path) -> None:
     rspec = spec.recovery
     meta = {
         "version": __version__,
         "numpy": np.__version__,
+        "blas": _blas_name(),
+        "blas_threads": {var: os.environ.get(var) for var in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "config_hash": config_hash(spec.config),
         "master_seed": spec.master_seed,
         "eta": spec.config.eta,

@@ -24,6 +24,8 @@ __all__ = [
     "SignalStatistics",
     "CompressionMatrix",
     "build_covariances",
+    "COMPRESSION_KINDS",
+    "compression_block_rows",
     "build_compression_matrix",
     "lmmse_transform",
     "lmmse_error",
@@ -34,6 +36,9 @@ logger = logging.getLogger(__name__)
 
 RIDGE_COND_LIMIT = 1e12
 RIDGE_SCALE = 1e-12
+# LAPACK's ?heevd rescales a matrix whose largest entry lies outside
+# [EIGH_RMIN, 1/EIGH_RMIN], which can move the last bit of its eigenvalues
+EIGH_RMIN = np.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
 
 
 def _hermitian(stack):
@@ -80,8 +85,13 @@ class SignalStatistics:
 
 def build_covariances(config: RadarConfig, K: int, cov_signal=None,
                       cov_noise=None) -> SignalStatistics:
-    """Defaults: cov(c) = K*sigma_alpha_sq*I, cov(w) = sigma_n_sq*I per tone."""
+    """Defaults: cov(c) = K*sigma_alpha_sq*I, cov(w) = sigma_n_sq*I per tone.
+
+    With both defaults Sigma is singular exactly when K*sigma_alpha_sq +
+    sigma_n_sq <= 0, so only user-given blocks are eigendecomposed.
+    """
     L, mn = config.L, config.mn
+    white = cov_signal is None and cov_noise is None
     eye = np.broadcast_to(np.eye(mn, dtype=complex), (L, mn, mn))
     if cov_signal is None:
         cov_signal = K * config.sigma_alpha_sq * eye
@@ -93,8 +103,11 @@ def build_covariances(config: RadarConfig, K: int, cov_signal=None,
     else:
         cov_noise = _as_blocks(cov_noise, L, mn, "cov_noise")
         _check_hermitian_psd(cov_noise, "cov_noise")
-    sigma = cov_signal + cov_noise
-    singular = np.linalg.eigvalsh((sigma + _hermitian(sigma)) / 2.0).min(axis=1) <= 0
+    if white:  # every block of Sigma is (K*sigma_alpha_sq + sigma_n_sq) * I
+        singular = np.array([K * config.sigma_alpha_sq + config.sigma_n_sq <= 0])
+    else:
+        sigma = cov_signal + cov_noise
+        singular = np.linalg.eigvalsh((sigma + _hermitian(sigma)) / 2.0).min(axis=1) <= 0
     if singular.any():
         raise ValueError(f"Sigma block {np.argmax(singular)} is singular; "
                          "need cov(c)+cov(w) > 0")
@@ -107,10 +120,20 @@ def hermitian_inv_sqrt(H: np.ndarray) -> np.ndarray:
 
     A block whose eigenvalue spread exceeds 1e12 gets a ridge of
     1e-12 * trace/n, and the event is logged once per such block.
+    A stack of blocks d_i * I with d_i in [EIGH_RMIN, 1/EIGH_RMIN] skips
+    eigh: there eigh returns w = d_i and Q = I exactly, so d_i ** -0.5 * I is
+    bitwise its result.
     """
     sym = _hermitian(H)  # conj() copies, so the symmetrization runs in place
     sym += H
     sym /= 2.0
+    n = sym.shape[1]
+    d = np.diagonal(sym, axis1=1, axis2=2).real
+    if (np.all((d >= EIGH_RMIN) & (d <= 1.0 / EIGH_RMIN) & (d == d[:, :1]))
+            and np.count_nonzero(sym) == d.size):  # nonzero on the diagonal only
+        out = np.zeros_like(sym)
+        out[:, range(n), range(n)] = d ** -0.5
+        return out
     w, Q = np.linalg.eigh(sym)
     cond = w.max(axis=1) / np.maximum(w.min(axis=1), np.finfo(float).tiny)
     for i in np.flatnonzero((w.min(axis=1) <= 0) | (cond > RIDGE_COND_LIMIT)):
@@ -155,22 +178,31 @@ class CompressionMatrix:
         return (s.reshape(L, 1, ji).conj() @ self.blocks).conj().reshape(-1)
 
 
-def build_compression_matrix(rng, config: RadarConfig, dcr: int,
-                             kind="gaussian") -> CompressionMatrix:
-    """Random block compression with J = floor(MNL/dcr) rounded down to a
-    multiple of L (uniform block heights J_i = J/L).
+COMPRESSION_KINDS = ("gaussian", "bernoulli", "dft")
 
-    kinds: 'gaussian' (i.i.d. circularly-symmetric, unit variance),
-    'bernoulli' ((+/-1 +/- j)/sqrt(2)), 'dft' (J_i distinct rows of the
-    unit-modulus MN-point DFT per block).
-    """
+
+def compression_block_rows(config: RadarConfig, dcr: int) -> int:
+    """Block height J_i = J/L of a compression with ratio dcr, where
+    J = floor(MNL/dcr) rounded down to a multiple of L."""
     if dcr < 1:
         raise ValueError("compression ratio must be >= 1")
-    L, mn, mnl = config.L, config.mn, config.mnl
-    J = ((mnl // dcr) // L) * L
-    ji = J // L
+    ji = (config.mnl // dcr) // config.L
     if ji < 1:
         raise ValueError(f"compression ratio {dcr} leaves no rows per tone block")
+    return ji
+
+
+def build_compression_matrix(rng, config: RadarConfig, dcr: int,
+                             kind="gaussian") -> CompressionMatrix:
+    """Random block compression with compression_block_rows(config, dcr) rows
+    per tone block.
+
+    kinds (COMPRESSION_KINDS): 'gaussian' (i.i.d. circularly-symmetric, unit
+    variance), 'bernoulli' ((+/-1 +/- j)/sqrt(2)), 'dft' (J_i distinct rows of
+    the unit-modulus MN-point DFT per block).
+    """
+    L, mn = config.L, config.mn
+    ji = compression_block_rows(config, dcr)
     if kind == "gaussian":
         blocks = (rng.standard_normal((L, ji, mn))
                   + 1j * rng.standard_normal((L, ji, mn))) / np.sqrt(2.0)

@@ -64,6 +64,28 @@ def test_empty_method_list_rejected(tmp_path, cfg_file, capsys, flag, value, mes
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    pytest.param("--budget-bits", "1", "below one bit", id="budget-1"),
+    pytest.param("--dcr", "0", "compression ratio", id="dcr-0"),
+    pytest.param("--matrix-kind", "foo", "unknown matrix kinds", id="kind-foo"),
+    pytest.param("--k", "0", "grid size", id="k-0"),
+    pytest.param("--k", "100", "grid size", id="k-100"),
+    pytest.param("--snr-db", "nan", "SNR must be finite", id="snr-nan"),
+])
+@pytest.mark.parametrize("command", ["design", "simulate"])
+def test_invalid_axis_value_is_usage_error(tmp_path, cfg_file, capsys, command,
+                                           flag, value, message):
+    # checked once by ExperimentSpec, which `design` builds for its one point:
+    # exit code 2, the reason on stderr and nothing written
+    out = tmp_path / "out"
+    extra = ["--trials", "1"] if command == "simulate" else ["--filters-csv", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg_file), *extra, flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg_file]
+
+
 def test_sweep_command_deterministic(tmp_path, cfg_file):
     args = ["sweep", "--config", str(cfg_file), "--seed", "5", "--trials", "2",
             "--budget-bits", "36", "--snr-db", "0,10", "--dcr", "2",

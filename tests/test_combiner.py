@@ -505,10 +505,25 @@ def _pn_config_design():
     return cfg, design_multitone(stats, comp, 4, 4, cfg.eta)
 
 
+def _paper_scale_design(dcr):
+    # M=8, N=12, L=9: P = 48 at dcr 2, 24 at dcr 4
+    cfg = bm.make_ula_config(8, 12, 1e6, 9e-6, sigma_n_sq=0.1)
+    stats = build_covariances(cfg, K=4)
+    comp = build_compression_matrix(np.random.default_rng(20 + dcr), cfg, dcr, "dft")
+    return cfg, design_multitone(stats, comp, comp.block_rows, 16, cfg.eta)
+
+
 def test_filter_response_csv_matches_row_writer(tmp_path, small_design):
     cfg, _, _, _, design = small_design
-    cases = [(cfg, design), _pn_config_design()]
+    # gains near 1e-9 * T0 print in exponent notation; a zeroed combiner row
+    # prints 0, or -0 where the tilted pulse has a negative real part
+    tiny = dataclasses.replace(design, combiner_blocks=design.combiner_blocks * 1e-9)
+    tiny.combiner_blocks[:, 1] = 0.0  # channel 1 at every tone
+    cases = [(cfg, design), _pn_config_design(), _paper_scale_design(2),
+             _paper_scale_design(4), (cfg, tiny)]
     assert cases[1][1].channels != cases[1][0].N
+    assert [d.channels for _, d in cases[2:4]] == [48, 24]
+    tiny_values = set()
     rng = np.random.default_rng(19)
     for k, (c, d) in enumerate(cases):
         tilted = np.exp(1j * rng.uniform(-np.pi, np.pi, size=c.L)) \
@@ -518,12 +533,17 @@ def test_filter_response_csv_matches_row_writer(tmp_path, small_design):
             write_filter_response_csv(d, c, got, pulse_spectrum=h0)
             reference_write_filter_response_csv(d, c, want, pulse_spectrum=h0)
             assert got.read_bytes() == want.read_bytes()
+            if d is tiny:
+                tiny_values |= {v for row in got.read_text().split()[1:]
+                                for v in row.split(",")[3:]}
             for p in range(d.channels):
                 for n in range(c.N):
                     freqs, gains = analog_filter_response(d, c, p, n, h0)
                     ref_freqs, ref_gains = reference_filter_response(d, c, p, n, h0)
                     assert np.array_equal(freqs, ref_freqs)
                     assert np.array_equal(gains, ref_gains)
+    assert {"0", "-0"} <= tiny_values
+    assert any("e-" in v for v in tiny_values)
 
 
 def test_filter_response_csv_rejects_bad_pulse_before_writing(tmp_path, small_design):

@@ -192,11 +192,15 @@ def test_sidecar_reports_capped_solves(tmp_path, small_cfg):
             assert np.isfinite(entry[key]) and entry[key] > 0
 
 
-def test_csv_bytes_deterministic(tmp_path, small_cfg):
+def test_csv_bytes_deterministic(tmp_path, small_cfg, monkeypatch):
     spec = _spec(small_cfg, methods=("bilimo", "noquan_dr"), trials=2,
                  snr_db=(0.0, 10.0))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     run_sweep(spec, out_csv=p1)
+    # the BLAS thread variables in force go to the sidecar, not the CSV
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     run_sweep(spec, out_csv=p2)
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().split("\n")[0]
@@ -206,6 +210,14 @@ def test_csv_bytes_deterministic(tmp_path, small_cfg):
     assert "timing" in meta and "timestamp" in meta
     assert meta["config_hash"] == bm.combiner.config_hash(small_cfg)
     assert meta["numpy"] == np.__version__
+    meta = json.loads((tmp_path / "b.csv.meta.json").read_text())
+    assert meta["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
+                                    "MKL_NUM_THREADS": None}
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert meta["blas"] == f"{blas['name']} {blas['version']}"
+    except TypeError:  # numpy < 1.25 has no dict mode
+        assert meta["blas"] == "unknown"
 
 
 def test_sweep_axes_cartesian_product(small_cfg):
@@ -227,9 +239,9 @@ def test_aggregate_consistency(small_cfg):
 
 
 def test_budget_below_one_bit_rejected(small_cfg):
-    spec = _spec(small_cfg, budget_bits=(4,))
-    with pytest.raises(ValueError):
-        run_sweep(spec)
+    # rejected by the spec, before any point is set up
+    with pytest.raises(ValueError, match="below one bit"):
+        _spec(small_cfg, budget_bits=(4,))
 
 
 def test_programming_error_in_a_trial_propagates(small_cfg, monkeypatch):

@@ -46,6 +46,14 @@ def test_user_covariance_validation(setup):
                            (cfg.L, cfg.mn, cfg.mn)).copy()
     with pytest.raises(ValueError, match="block 0 is not positive semidefinite"):
         build_covariances(cfg, 2, cov_noise=neg)
+    # user-given blocks still get the eigenvalue check: a PSD block with a
+    # zero eigenvalue and nothing added leaves Sigma singular
+    short = np.broadcast_to(np.eye(cfg.mn, dtype=complex), (cfg.L, cfg.mn, cfg.mn)).copy()
+    short[1, 0, 0] = 0.0
+    with pytest.raises(ValueError, match="Sigma block 1 is singular"):
+        build_covariances(cfg.with_noise_variance(0.0), 2, cov_signal=short)
+    with pytest.raises(ValueError, match="Sigma block 1 is singular"):
+        build_covariances(cfg, 0, cov_noise=short)
     # a dense block-diagonal matrix gives the blocks it holds
     blocks = np.arange(1, cfg.L + 1)[:, None, None] * np.eye(cfg.mn, dtype=complex)
     assert np.array_equal(build_covariances(cfg, 2, cov_signal=blkdiag(blocks)).cov_signal,
@@ -249,6 +257,28 @@ def test_inverse_sqrt_ridges_only_the_ill_conditioned_block(caplog):
     ridge = RIDGE_SCALE * spectra[2].sum() / n
     assert np.linalg.norm(out[2], 2) == pytest.approx((spectra[2, -1] + ridge) ** -0.5, rel=0.05)
     assert np.allclose(out[0] @ H[0] @ out[0], np.eye(n), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 96])
+def test_inverse_sqrt_of_scaled_identities_skips_eigh(monkeypatch, n):
+    # a stack of blocks d_i * I gives bitwise what eigh gives, without eigh;
+    # a block one entry away from d * I, or a diagonal block with unequal
+    # entries, takes the eigh path
+    scaled = np.logspace(-6, 6, 13)[:, None, None] * np.eye(n, dtype=complex)
+    one_off = scaled[4:7].copy()
+    one_off[1, 0, n - 1] = 1e-3
+    unequal = np.array([np.diag(np.linspace(1.0, 2.0, n)),
+                        np.diag(np.linspace(3.0, 0.5, n))], dtype=complex)
+    stacks = (scaled, one_off, unequal)
+    want = [[reference_hermitian_inv_sqrt(h)[0] for h in H] for H in stacks]
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    for H, want_blocks, eigh_calls in zip(stacks, want, (0, 1, 1)):
+        calls.clear()
+        out = hermitian_inv_sqrt(H)
+        assert len(calls) == eigh_calls
+        for got, ref in zip(out, want_blocks):
+            assert np.array_equal(got, ref)
 
 
 # -- compression matrices ---------------------------------------------------
