@@ -10,11 +10,10 @@ __version__ = "0.1.0"
 
 from .adc import QuantizerSpec, bits_per_pri, levels_from_budget, quantize_complex_vector, quantize_real
 from .combiner import (AcquisitionDesign, analog_filter_response,
-                       design_multitone, emse_of_combiner, equalizing_unitary,
-                       load_design, save_design, support_gamma, waterfill)
+                       design_multitone, equalizing_unitary, load_design,
+                       save_design, waterfill)
 from .dictionary import (SteeringDictionary, apply_fbar, apply_fbar_adjoint,
-                         build_dictionary, coherence, load_dictionary,
-                         save_dictionary)
+                         build_dictionary, coherence)
 from .harness import (METHODS, ExperimentResult, ExperimentSpec, PointResult,
                       TrialMetrics, run_bilimo_trial, run_noquan_dr_trial,
                       run_noquan_lmmse_trial, run_sweep,
@@ -27,4 +26,4 @@ from .recovery import (RecoveryBound, RecoverySpec, estimate_support, fista,
                        soft_threshold)
 from .statistics import (CompressionMatrix, SignalStatistics,
                          build_compression_matrix, build_covariances,
-                         lmmse_error, lmmse_transform)
+                         lmmse_transform)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -85,10 +86,7 @@ def build_parser():
 def _load_config(args):
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0xC0F1]))
     config = load_config(args.config, rng=rng)
-    if args.eta is not None:
-        from dataclasses import replace
-        config = replace(config, eta=args.eta)
-    return config
+    return config if args.eta is None else replace(config, eta=args.eta)
 
 
 def cmd_design(args, spec):
@@ -106,12 +104,12 @@ def cmd_design(args, spec):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _load_config(args)
     axes = dict(budget_bits=args.budget_bits, snr_db=args.snr_db,
                 dcr=args.dcr, k=args.k, matrix_kinds=args.matrix_kind)
     if args.command != "sweep":  # scalar axis flags; sweep takes comma lists
         axes = {key: (val,) for key, val in axes.items()}
     try:
+        config = _load_config(args)
         # `design` builds point 0 of a one-point spec, so its flags get the same checks
         run = {} if args.command == "design" else dict(
             methods=tuple(args.methods), trials=args.trials, coeff_model=args.coeff_model,

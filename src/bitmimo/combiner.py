@@ -1,8 +1,10 @@
 """Task-based acquisition design: analog combiner, digital filter, quantizer support.
 
-Per tone block i the design works on the whitened task matrix
+Under the white statistics of bitmimo.statistics, cov(c)_i = c * I and
+Sigma_i = cov(c)_i + cov(w)_i = (c + w) * I, so per tone block i the design
+works on the whitened task matrix
 
-    Gt_i = M_i cov(c)_i Sigma_i^{-1/2}
+    Gt_i = M_i cov(c)_i Sigma_i^{-1/2} = (c / sqrt(c + w)) M_i
 
 whose singular values lam_1 >= lam_2 >= ... receive a waterfilling gain
 allocation
@@ -24,7 +26,9 @@ benchmark is
     eps_i = sum_{l<=min(J_i,P)} lam_l^2 / ((zeta*lam_l - 1)^+ + 1)
             + sum_{l>P} lam_l^2                      (only when P < J_i).
 
-Every step but the waterfill runs on the (L, ...) tone stacks at once.
+Every step but the waterfill runs on the (L, ...) tone stacks at once, and
+the products with the scaled identities cov(c)_i and Sigma_i^{+-1/2} are
+products with scalars, which give bitwise what the matrix products give.
 numpy's stacked linalg and matmul calls run the same LAPACK/BLAS call per
 tone, so each tone gets bitwise the result it would get alone.
 """
@@ -39,7 +43,7 @@ import numpy as np
 
 from .dictionary import apply_fbar_adjoint
 from .model import RadarConfig, config_to_dict
-from .statistics import CompressionMatrix, SignalStatistics, _hermitian, hermitian_inv_sqrt
+from .statistics import CompressionMatrix, SignalStatistics
 
 __all__ = [
     "AcquisitionDesign",
@@ -47,13 +51,16 @@ __all__ = [
     "waterfill",
     "equalizing_unitary",
     "design_multitone",
-    "emse_of_combiner",
-    "support_gamma",
     "analog_filter_response",
     "write_filter_response_csv",
     "save_design",
     "load_design",
 ]
+
+
+def _hermitian(stack):
+    """Conjugate transpose of every matrix in an (L, r, c) stack."""
+    return stack.conj().swapaxes(1, 2)
 
 
 def waterfill(singvals, channels, levels, eta, block_rows):
@@ -197,22 +204,25 @@ BUNDLE_ARRAYS = ("combiner_blocks", "digital_blocks", "gains_sq", "water_levels"
 
 def design_multitone(stats: SignalStatistics, compression: CompressionMatrix,
                      channels, levels, eta) -> AcquisitionDesign:
-    """Blockwise optimal design for L >= 1 tones under block-diagonal statistics.
+    """Blockwise optimal design for L >= 1 tones under white statistics.
 
-    One pass over the (L, ...) tone stacks: the whitening, the SVDs, a waterfill
-    per tone, one equalizer call on the stack of diag(Lam_i^2), the combiners
-    B_i = U_i Lam_i V_i^H Sigma_i^{-1/2} and one solve for their MMSE filters
-    D_i. The LMMSE comes from the same SVDs: Tr(T_i Sigma_i^{-1} T_i^H) is the
-    squared norm of the singular values.
+    One pass over the (L, ...) tone stacks: the SVDs of the whitened task
+    matrices, a waterfill per tone, one equalizer call on the stack of
+    diag(Lam_i^2), the combiners B_i = U_i Lam_i V_i^H Sigma_i^{-1/2} and one
+    solve for their MMSE filters D_i. The LMMSE comes from the same SVDs:
+    Tr(T_i Sigma_i^{-1} T_i^H) is the squared norm of the singular values.
     """
     if compression.L != stats.L:
         raise ValueError("compression and statistics disagree on the tone count")
     L, rows, mn = compression.blocks.shape
     gamma = eta / np.sqrt(channels)
     noise_load = 4.0 * gamma * gamma / (3.0 * levels * levels)
-    sigma_inv_sqrt = hermitian_inv_sqrt(stats.sigma)
-    T = compression.blocks @ stats.cov_signal
-    singvals, vh = np.linalg.svd(T @ sigma_inv_sqrt, full_matrices=True)[1:]
+    # Sigma_i^{-1/2} = inv_sqrt * I by numpy's power, as the eigh-based general
+    # reference computes it; Python's float ** differs in the last bit for
+    # about 1 in 20 values
+    inv_sqrt = np.power(stats.sigma, -0.5)
+    T = compression.blocks * stats.signal_var
+    singvals, vh = np.linalg.svd(T * inv_sqrt, full_matrices=True)[1:]
     gains_sq, water_levels = map(np.array, zip(*[
         waterfill(lam, channels, levels, eta, block_rows=rows) for lam in singvals]))
     # called through the module global so that a wrapper installed on it sees the call
@@ -221,12 +231,11 @@ def design_multitone(stats: SignalStatistics, compression: CompressionMatrix,
     k = min(channels, mn)
     gains = np.zeros((L, channels, mn))
     gains[:, range(k), range(k)] = np.sqrt(gains_sq[:, :k])
-    B = mixers @ gains @ vh @ sigma_inv_sqrt
-    # each (L, MN, MN) stack is let go once used: they set the design's peak RSS
-    del sigma_inv_sqrt, gains
+    B = mixers @ gains @ vh
+    B *= inv_sqrt
     right_vectors = np.conjugate(vh.swapaxes(1, 2), order="C")
-    del vh
-    inner = B @ stats.sigma @ _hermitian(B)
+    del gains, vh  # let go once used: the (L, MN, MN) stacks set the design's peak RSS
+    inner = (B * stats.sigma) @ _hermitian(B)
     inner += noise_load * np.eye(channels)
     digital_h = np.linalg.solve(_hermitian(inner), _hermitian(T @ _hermitian(B)))
 
@@ -244,39 +253,6 @@ def design_multitone(stats: SignalStatistics, compression: CompressionMatrix,
         support=float(gamma), levels=int(levels), eta=float(eta),
         channels=int(channels), emse=float(np.cumsum(block_emse)[-1]),
         lmmse=float(np.cumsum(lmmse)[-1]))  # running totals in tone order
-
-
-def emse_of_combiner(combiner_blocks, stats: SignalStatistics,
-                     compression: CompressionMatrix, gamma, levels) -> float:
-    """Excess MSE of an arbitrary block combiner under the dithered ADC model.
-
-    Evaluates, per tone block,
-    Tr[T_i Sigma_i^{-1} T_i^H] - Tr[T_i B_i^H (B_i Sigma_i B_i^H + q I)^{-1} B_i T_i^H]
-    with T_i = M_i cov(c)_i and q = 4*gamma^2/(3*b^2); used by baselines and
-    optimality searches. An all-zero B_i contributes only its first term.
-    """
-    B = np.asarray(combiner_blocks)
-    q = 4.0 * gamma * gamma / (3.0 * levels * levels)
-    sigma = stats.sigma
-    T = compression.blocks @ stats.cov_signal
-    terms = np.zeros((stats.L, 2))
-    terms[:, 0] = np.trace(T @ np.linalg.solve(sigma, _hermitian(T)), axis1=1, axis2=2).real
-    live = np.flatnonzero(B.any(axis=(1, 2)))
-    B, sigma, T = B[live], sigma[live], T[live]
-    inner = B @ sigma @ _hermitian(B) + q * np.eye(B.shape[1])
-    TB = T @ _hermitian(B)
-    terms[live, 1] = -np.trace(TB @ np.linalg.solve(inner, _hermitian(TB)),
-                               axis1=1, axis2=2).real
-    return float(np.cumsum(terms)[-1])  # a running total in tone order
-
-
-def support_gamma(combiner_blocks, stats: SignalStatistics, eta) -> float:
-    """Quantizer support for an arbitrary combiner: eta times the largest
-    per-channel standard deviation of the sample-domain ADC input."""
-    B = np.asarray(combiner_blocks)
-    diags = np.einsum("lij,ljk,lik->li", B, stats.sigma, B.conj()).real
-    # the DFT's flat modulus averages the per-tone diagonals onto every sample
-    return float(eta * np.sqrt(diags.mean(axis=0).max()))
 
 
 # -- analog filter synthesis ----------------------------------------------

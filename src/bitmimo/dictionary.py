@@ -25,13 +25,12 @@ throughout; apply_fbar / apply_fbar_adjoint implement it matrix-free.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .model import RadarConfig, config_from_dict, config_to_dict
+from .model import RadarConfig
 
 __all__ = [
     "SteeringDictionary",
@@ -39,11 +38,7 @@ __all__ = [
     "coherence",
     "apply_fbar",
     "apply_fbar_adjoint",
-    "save_dictionary",
-    "load_dictionary",
 ]
-
-CONVENTION_TAG = "unitary-dft/0-based-vec"
 
 
 @dataclass(frozen=True)
@@ -158,29 +153,3 @@ def apply_fbar_adjoint(y: np.ndarray, L: int, P: int) -> np.ndarray:
     Y = y.reshape(y.shape[:-1] + (L, P))
     return (np.fft.fft(Y, axis=-2) / np.sqrt(L)).reshape(y.shape)
 
-
-# -- export / import -------------------------------------------------------
-
-def save_dictionary(d: SteeringDictionary, path) -> None:
-    """Binary array bundle (U, V, perm) with a JSON header (dims, convention
-    tag, config). Bundles written with a dense Phi array still load; the
-    array is ignored."""
-    header = {
-        "convention": CONVENTION_TAG,
-        "dims": {"M": d.config.M, "N": d.config.N, "L": d.config.L,
-                 "rows": d.n_rows, "atoms": d.n_atoms},
-        "config": config_to_dict(d.config),
-    }
-    np.savez(path, U=d.U, V=d.V, perm=d.perm,
-             header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8))
-
-
-def load_dictionary(path) -> SteeringDictionary:
-    with np.load(path) as data:
-        header = json.loads(bytes(data["header"]).decode())
-        if header["convention"] != CONVENTION_TAG:
-            raise ValueError(f"unsupported dictionary convention {header['convention']!r}")
-        config = config_from_dict(header["config"])
-        U, V, perm = data["U"], data["V"], data["perm"]
-    return SteeringDictionary(config=config, U=U, V=V, perm=perm,
-                              iperm=np.argsort(perm))

@@ -88,7 +88,8 @@ class RadarConfig:
         object.__setattr__(self, "tone_offsets", _readonly(self.tone_offsets, float))
         if self.M < 1 or self.N < 1:
             raise ValueError("M and N must be >= 1")
-        if self.bandwidth <= 0 or self.pri <= 0:
+        # written as `not x > 0` so that NaN is rejected too
+        if not (self.bandwidth > 0 and self.pri > 0):
             raise ValueError("bandwidth and pri must be positive")
         if self.L < 1 or self.L % 2 == 0:
             raise ValueError(f"L must be an odd positive integer, got {self.L}")
@@ -105,11 +106,11 @@ class RadarConfig:
         centers = np.sort(self.tone_offsets)
         if self.M > 1 and np.min(np.diff(centers)) < self.bandwidth * (1 - 1e-12):
             raise ValueError("tone bands overlap; offsets must be >= bandwidth apart")
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise ValueError("eta must be positive")
-        if self.sigma_alpha_sq <= 0:
+        if not self.sigma_alpha_sq > 0:
             raise ValueError("sigma_alpha_sq must be positive")
-        if self.sigma_n_sq < 0:
+        if not self.sigma_n_sq >= 0:
             raise ValueError("sigma_n_sq must be nonnegative")
 
     # -- derived sizes ---------------------------------------------------

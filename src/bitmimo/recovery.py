@@ -67,8 +67,10 @@ class RecoverySpec:
     tol: float = 1e-5
 
     def __post_init__(self):
-        if self.rho is not None and self.rho < 0:
-            raise ValueError("rho must be nonnegative")
+        for name in ("rho", "rho_scale"):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.tol <= 0:

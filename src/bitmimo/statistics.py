@@ -1,10 +1,10 @@
-"""Second-order models, the linear MMSE transform/error, and compression matrices.
+"""Second-order model, the linear MMSE transform, and compression matrices.
 
-The tone-major coefficient vector c and the noise w are modeled with
-block-diagonal covariances, one MN x MN block per tone. The defaults follow
-the uncorrelated-scatterer model: cov(c) = K*sigma_alpha_sq * I and
-cov(w) = sigma_n_sq * I. Arbitrary Hermitian PSD per-tone blocks are accepted
-and validated.
+The tone-major coefficient vector c and the noise w follow the
+uncorrelated-scatterer model of the paper's simulations: per tone block,
+cov(c) = K*sigma_alpha_sq * I and cov(w) = sigma_n_sq * I, so both are held
+as two scalars. The design of task-based quantization for general per-tone
+covariances lives in tests/dense_oracle.py as the reference.
 
 The compression matrix is stored blockwise: block M_i (J_i x MN) acts on the
 tone-i block of c, so the dense matrix acting on the band-major ctilde is
@@ -13,7 +13,6 @@ blkdiag(M_1..M_L) composed with the tone-major permutation.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,122 +27,34 @@ __all__ = [
     "compression_block_rows",
     "build_compression_matrix",
     "lmmse_transform",
-    "lmmse_error",
-    "hermitian_inv_sqrt",
 ]
-
-logger = logging.getLogger(__name__)
-
-RIDGE_COND_LIMIT = 1e12
-RIDGE_SCALE = 1e-12
-# LAPACK's ?heevd rescales a matrix whose largest entry lies outside
-# [EIGH_RMIN, 1/EIGH_RMIN], which can move the last bit of its eigenvalues
-EIGH_RMIN = np.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
-
-
-def _hermitian(stack):
-    """Conjugate transpose of every matrix in an (L, r, c) stack."""
-    return stack.conj().swapaxes(1, 2)
-
-
-def _as_blocks(mat, L, mn, name):
-    mat = np.asarray(mat, dtype=complex)
-    if mat.shape == (L, mn, mn):
-        return mat.copy()
-    if mat.shape == (L * mn, L * mn):
-        if np.any(mat[~np.kron(np.eye(L, dtype=bool), np.ones((mn, mn), dtype=bool))]):
-            raise ValueError(f"{name} must be exactly block diagonal per tone")
-        tone = np.arange(L)
-        return mat.reshape(L, mn, L, mn)[tone, :, tone]
-    raise ValueError(f"{name} must be (L, MN, MN) blocks or a (MNL, MNL) matrix")
-
-
-def _check_hermitian_psd(blocks, name):
-    scale = np.maximum(1.0, np.abs(blocks).max(axis=(1, 2), initial=0.0))
-    skew = np.abs(blocks - _hermitian(blocks)).max(axis=(1, 2), initial=0.0)
-    low = np.linalg.eigvalsh((blocks + _hermitian(blocks)) / 2.0).min(axis=1, initial=0.0)
-    for bad, what in ((skew > 1e-10 * scale, "Hermitian"),
-                      (low < -1e-10 * scale, "positive semidefinite")):
-        if bad.any():
-            raise ValueError(f"{name} block {np.argmax(bad)} is not {what}")
 
 
 @dataclass(frozen=True)
 class SignalStatistics:
-    """Per-tone covariance blocks of the coefficient vector c and noise w."""
+    """White statistics of every tone block: cov(c)_i = signal_var * I and
+    cov(w)_i = noise_var * I, each MN x MN."""
 
     L: int
     mn: int
-    cov_signal: np.ndarray  # (L, MN, MN)
-    cov_noise: np.ndarray   # (L, MN, MN)
+    signal_var: float  # K * sigma_alpha_sq
+    noise_var: float   # sigma_n_sq
 
     @property
-    def sigma(self) -> np.ndarray:
-        """Per-tone blocks of Sigma = cov(c) + cov(w)."""
-        return self.cov_signal + self.cov_noise
+    def sigma(self) -> float:
+        """Sigma_i = cov(c)_i + cov(w)_i = sigma * I."""
+        return self.signal_var + self.noise_var
 
 
-def build_covariances(config: RadarConfig, K: int, cov_signal=None,
-                      cov_noise=None) -> SignalStatistics:
-    """Defaults: cov(c) = K*sigma_alpha_sq*I, cov(w) = sigma_n_sq*I per tone.
-
-    With both defaults Sigma is singular exactly when K*sigma_alpha_sq +
-    sigma_n_sq <= 0, so only user-given blocks are eigendecomposed.
-    """
-    L, mn = config.L, config.mn
-    white = cov_signal is None and cov_noise is None
-    eye = np.broadcast_to(np.eye(mn, dtype=complex), (L, mn, mn))
-    if cov_signal is None:
-        cov_signal = K * config.sigma_alpha_sq * eye
-    else:
-        cov_signal = _as_blocks(cov_signal, L, mn, "cov_signal")
-        _check_hermitian_psd(cov_signal, "cov_signal")
-    if cov_noise is None:
-        cov_noise = config.sigma_n_sq * eye
-    else:
-        cov_noise = _as_blocks(cov_noise, L, mn, "cov_noise")
-        _check_hermitian_psd(cov_noise, "cov_noise")
-    if white:  # every block of Sigma is (K*sigma_alpha_sq + sigma_n_sq) * I
-        singular = np.array([K * config.sigma_alpha_sq + config.sigma_n_sq <= 0])
-    else:
-        sigma = cov_signal + cov_noise
-        singular = np.linalg.eigvalsh((sigma + _hermitian(sigma)) / 2.0).min(axis=1) <= 0
-    if singular.any():
-        raise ValueError(f"Sigma block {np.argmax(singular)} is singular; "
-                         "need cov(c)+cov(w) > 0")
-    return SignalStatistics(L=L, mn=mn, cov_signal=np.array(cov_signal, dtype=complex),
-                            cov_noise=np.array(cov_noise, dtype=complex))
-
-
-def hermitian_inv_sqrt(H: np.ndarray) -> np.ndarray:
-    """H_i^{-1/2} for an (L, n, n) stack of Hermitian positive definite H_i.
-
-    A block whose eigenvalue spread exceeds 1e12 gets a ridge of
-    1e-12 * trace/n, and the event is logged once per such block.
-    A stack of blocks d_i * I with d_i in [EIGH_RMIN, 1/EIGH_RMIN] skips
-    eigh: there eigh returns w = d_i and Q = I exactly, so d_i ** -0.5 * I is
-    bitwise its result.
-    """
-    sym = _hermitian(H)  # conj() copies, so the symmetrization runs in place
-    sym += H
-    sym /= 2.0
-    n = sym.shape[1]
-    d = np.diagonal(sym, axis1=1, axis2=2).real
-    if (np.all((d >= EIGH_RMIN) & (d <= 1.0 / EIGH_RMIN) & (d == d[:, :1]))
-            and np.count_nonzero(sym) == d.size):  # nonzero on the diagonal only
-        out = np.zeros_like(sym)
-        out[:, range(n), range(n)] = d ** -0.5
-        return out
-    w, Q = np.linalg.eigh(sym)
-    cond = w.max(axis=1) / np.maximum(w.min(axis=1), np.finfo(float).tiny)
-    for i in np.flatnonzero((w.min(axis=1) <= 0) | (cond > RIDGE_COND_LIMIT)):
-        ridge = RIDGE_SCALE * np.trace(sym[i]).real / sym.shape[1]
-        logger.warning("ill-conditioned covariance block %d (cond=%.3e); adding ridge %.3e",
-                       i, cond[i], ridge)
-        w[i] += ridge
-    del sym  # with Q conjugated in place below: the design's memory peak is here
-    scaled = Q * w[:, None, :] ** -0.5
-    return scaled @ np.conjugate(Q, out=Q).swapaxes(1, 2)
+def build_covariances(config: RadarConfig, K: int) -> SignalStatistics:
+    """cov(c) = K*sigma_alpha_sq*I and cov(w) = sigma_n_sq*I per tone; Sigma
+    must be nonsingular."""
+    stats = SignalStatistics(L=config.L, mn=config.mn,
+                             signal_var=K * config.sigma_alpha_sq,
+                             noise_var=config.sigma_n_sq)
+    if not stats.sigma > 0:
+        raise ValueError("Sigma is singular; need cov(c)+cov(w) > 0")
+    return stats
 
 
 @dataclass(frozen=True)
@@ -221,20 +132,10 @@ def build_compression_matrix(rng, config: RadarConfig, dcr: int,
 
 def lmmse_transform(compression: CompressionMatrix,
                     stats: SignalStatistics) -> np.ndarray:
-    """Per-tone blocks Gamma_i = M_i cov(c)_i Sigma_i^{-1} of the LMMSE map.
+    """Per-tone blocks Gamma_i = M_i cov(c)_i Sigma_i^{-1} = (c * M_i) / (c + w)
+    of the LMMSE map.
 
     Stacked block-diagonally (tone-major), Gamma estimates s = M Phi a from the
     noisy tone-major observation c + w.
     """
-    gamma_h = np.linalg.solve(_hermitian(stats.sigma),
-                              _hermitian(compression.blocks @ stats.cov_signal))
-    return np.conjugate(gamma_h.swapaxes(1, 2), order="C")
-
-
-def lmmse_error(compression: CompressionMatrix, stats: SignalStatistics) -> float:
-    """Minimum MSE of any linear estimate of s from c + w."""
-    T = compression.blocks @ stats.cov_signal
-    per_tone = np.trace(T @ _hermitian(compression.blocks)
-                        - lmmse_transform(compression, stats) @ _hermitian(T),
-                        axis1=1, axis2=2).real
-    return float(np.cumsum(per_tone)[-1])  # a running total in tone order
+    return compression.blocks * stats.signal_var / stats.sigma

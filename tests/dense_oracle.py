@@ -13,21 +13,24 @@ two-apply loop with gradient restart at the safe step 1/(1.02*L_f) alone,
 kept as the differential references for the solver. reference_equalizing_unitary is the one-matrix rotation loop and
 reference_write_filter_response_csv the row-by-row filter export, kept as the
 differential references for the stacked equalizer and the table export.
-sigma_dense and cov_signal_dense expand the per-tone covariance blocks into
-block-diagonal matrices. digital_filter_mse evaluates a digital filter's
-modeled error with dense matrices, and block_from_responses inverts the
-analog filter export.
+StackedStatistics holds general per-tone covariance blocks of c and w, and
+stacked_statistics gives the c*I and w*I stacks of the library's white
+SignalStatistics. digital_filter_mse evaluates a digital filter's modeled
+error with dense matrices, and block_from_responses inverts the analog
+filter export.
 The reference_* functions from reference_waterfill on are the design and the
-LMMSE helpers as one Python loop over the tones (and the waterfill as an
-active-set scan), kept as the differential references for the stacked code,
-which must match them bitwise.
+LMMSE helpers for general per-tone covariances, as one Python loop over the
+tones (and the waterfill as an active-set scan). They take StackedStatistics
+and are the differential references for the library's stacked code on white
+statistics, which must match them bitwise.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from bitmimo.combiner import AcquisitionDesign, equalizing_unitary
 from bitmimo.recovery import power_iteration_lipschitz, soft_threshold
-from bitmimo.statistics import RIDGE_COND_LIMIT, RIDGE_SCALE, lmmse_transform
 
 
 def blkdiag(blocks):
@@ -90,18 +93,33 @@ def dense_task(d, compression):
     return compression_dense(compression, d.iperm) @ dense_phi(d)
 
 
-def sigma_dense(stats):
-    """Dense block-diagonal Sigma = cov(c) + cov(w)."""
-    return blkdiag(stats.sigma)
+@dataclass(frozen=True)
+class StackedStatistics:
+    """Per-tone (L, MN, MN) Hermitian covariance blocks of c and w."""
+
+    cov_signal: np.ndarray
+    cov_noise: np.ndarray
+
+    @property
+    def L(self) -> int:
+        return self.cov_signal.shape[0]
+
+    @property
+    def sigma(self) -> np.ndarray:
+        """Per-tone blocks of Sigma = cov(c) + cov(w)."""
+        return self.cov_signal + self.cov_noise
 
 
-def cov_signal_dense(stats):
-    """Dense block-diagonal cov(c)."""
-    return blkdiag(stats.cov_signal)
+def stacked_statistics(stats):
+    """The cov(c) = c*I and cov(w) = w*I stacks of white SignalStatistics."""
+    eye = np.broadcast_to(np.eye(stats.mn, dtype=complex), (stats.L, stats.mn, stats.mn))
+    return StackedStatistics(cov_signal=stats.signal_var * eye,
+                             cov_noise=stats.noise_var * eye)
 
 
 def digital_filter_mse(digital, combiner_blocks, stats, compression, gamma, levels):
-    """Modeled E||s_tilde - D z||^2 for any digital filter D (dense evaluation).
+    """Modeled E||s_tilde - D z||^2 for any digital filter D (dense evaluation,
+    StackedStatistics).
 
     Under the dithered ADC model z = Fbar Bbar v + e with white e of per-sample
     variance 4*gamma^2/(3*b^2), so the MSE relative to the LMMSE estimate is
@@ -111,8 +129,8 @@ def digital_filter_mse(digital, combiner_blocks, stats, compression, gamma, leve
     L, P, _ = B.shape
     q = 4.0 * gamma * gamma / (3.0 * levels * levels)
     G = fbar_matrix(L, P) @ blkdiag(B)
-    gap = blkdiag(lmmse_transform(compression, stats)) - digital @ G
-    sig = sigma_dense(stats)
+    gap = blkdiag(reference_lmmse_transform(compression, stats)) - digital @ G
+    sig = blkdiag(stats.sigma)
     return float(np.trace(gap @ sig @ gap.conj().T).real
                  + q * np.trace(digital @ digital.conj().T).real)
 
@@ -304,20 +322,15 @@ def reference_waterfill(singvals, channels, levels, eta, block_rows):
     return alloc, float(zeta)
 
 
-def reference_hermitian_inv_sqrt(H):
-    """(H^{-1/2}, H^{1/2}) of one Hermitian positive definite matrix, with the
-    ridge of hermitian_inv_sqrt."""
-    H = (H + H.conj().T) / 2.0
-    w, Q = np.linalg.eigh(H)
-    dim = H.shape[0]
-    if w.min() <= 0 or w.max() / max(w.min(), np.finfo(float).tiny) > RIDGE_COND_LIMIT:
-        w = w + RIDGE_SCALE * np.trace(H).real / dim
-    return (Q * (w ** -0.5)) @ Q.conj().T, (Q * (w ** 0.5)) @ Q.conj().T
+def hermitian_inv_sqrt(H):
+    """H^{-1/2} of one Hermitian positive definite matrix, by eigh."""
+    w, Q = np.linalg.eigh((H + H.conj().T) / 2.0)
+    return (Q * (w ** -0.5)) @ Q.conj().T
 
 
 def reference_design_multitone(stats, compression, channels, levels, eta):
-    """design_multitone with a loop over the tones before and after the one
-    equalizer call."""
+    """design_multitone for general per-tone covariances (StackedStatistics),
+    with a loop over the tones before and after the one equalizer call."""
     gamma = eta / np.sqrt(channels)
     noise_load = 4.0 * gamma * gamma / (3.0 * levels * levels)
     factors, singvals, gains_sq, water_levels = [], [], [], []
@@ -325,7 +338,7 @@ def reference_design_multitone(stats, compression, channels, levels, eta):
     lmmse = 0.0
     for m_block, cov_sig, cov_noise in zip(compression.blocks, stats.cov_signal,
                                            stats.cov_noise):
-        sigma_inv_sqrt, _ = reference_hermitian_inv_sqrt(cov_sig + cov_noise)
+        sigma_inv_sqrt = hermitian_inv_sqrt(cov_sig + cov_noise)
         T = m_block @ cov_sig
         _, lam, vh = np.linalg.svd(T @ sigma_inv_sqrt, full_matrices=True)
         alloc, zeta = reference_waterfill(lam, channels, levels, eta,
@@ -366,7 +379,7 @@ def reference_design_multitone(stats, compression, channels, levels, eta):
 
 
 def reference_lmmse_transform(compression, stats):
-    """lmmse_transform, one solve per tone."""
+    """lmmse_transform for general per-tone covariances, one solve per tone."""
     sigma = stats.sigma
     out = np.empty_like(compression.blocks)
     for i in range(stats.L):
@@ -377,7 +390,8 @@ def reference_lmmse_transform(compression, stats):
 
 
 def reference_lmmse_error(compression, stats):
-    """lmmse_error, one trace per tone summed in tone order."""
+    """Minimum MSE of any linear estimate of s from c + w, one trace per tone
+    summed in tone order."""
     total = 0.0
     gamma = reference_lmmse_transform(compression, stats)
     for i in range(stats.L):
@@ -388,7 +402,14 @@ def reference_lmmse_error(compression, stats):
 
 
 def reference_emse_of_combiner(combiner_blocks, stats, compression, gamma, levels):
-    """emse_of_combiner, two solves per tone summed in tone order."""
+    """Excess MSE of an arbitrary block combiner under the dithered ADC model,
+    two solves per tone summed in tone order.
+
+    Evaluates, per tone block,
+    Tr[T_i Sigma_i^{-1} T_i^H] - Tr[T_i B_i^H (B_i Sigma_i B_i^H + q I)^{-1} B_i T_i^H]
+    with T_i = M_i cov(c)_i and q = 4*gamma^2/(3*b^2); used by baselines and
+    optimality searches. An all-zero B_i contributes only its first term.
+    """
     B = np.asarray(combiner_blocks)
     q = 4.0 * gamma * gamma / (3.0 * levels * levels)
     sigma = stats.sigma
@@ -404,7 +425,9 @@ def reference_emse_of_combiner(combiner_blocks, stats, compression, gamma, level
 
 
 def reference_support_gamma(combiner_blocks, stats, eta):
-    """support_gamma, one einsum per tone."""
+    """Quantizer support for an arbitrary combiner: eta times the largest
+    per-channel standard deviation of the sample-domain ADC input (the DFT's
+    flat modulus averages the per-tone diagonals onto every sample)."""
     B = np.asarray(combiner_blocks)
     sigma = stats.sigma
     diags = np.stack([

@@ -16,14 +16,14 @@ import pytest
 
 import bitmimo as bm
 from bitmimo.adc import QuantizerSpec, quantize_complex_vector, quantize_real
-from bitmimo.combiner import (design_multitone, emse_of_combiner,
-                              support_gamma)
+from bitmimo.combiner import design_multitone
 from bitmimo.dictionary import apply_fbar, build_dictionary, coherence
 from bitmimo.harness import (ExperimentSpec, draw_trial, quantize_with,
                              run_bilimo_trial, run_sweep)
 from bitmimo.recovery import (RecoverySpec, fista, power_iteration_lipschitz,
                               recovery_error_bound)
-from dense_oracle import dense_task, eval_c_direct
+from dense_oracle import (dense_task, eval_c_direct, reference_emse_of_combiner,
+                          reference_support_gamma, stacked_statistics)
 
 FULL_ARRAY_SEED = 2026   # array/tone draw for the production-scale experiments
 MASTER_SEED = 17
@@ -91,11 +91,12 @@ def test_acceptance_3_design_invariants():
     comp = bm.build_compression_matrix(np.random.default_rng(3), cfg, 2, "gaussian")
     channels = comp.block_rows
     design = design_multitone(stats, comp, channels, 4, cfg.eta)
+    dense = stacked_statistics(stats)
 
     assert design.support == cfg.eta / np.sqrt(channels)  # exact
     for i, B in enumerate(design.combiner_blocks):
         assert abs(design.gains_sq[i].sum() - 1.0) <= 1e-10
-        bsb = B @ stats.sigma[i] @ B.conj().T
+        bsb = B @ dense.sigma[i] @ B.conj().T
         dg = np.diag(bsb).real
         assert dg.max() - dg.min() <= 1e-8 * np.trace(bsb).real / channels
 
@@ -107,11 +108,11 @@ def test_acceptance_3_design_invariants():
         for i in range(cfg.L):
             B = rng.standard_normal((channels, cfg.mn)) \
                 + 1j * rng.standard_normal((channels, cfg.mn))
-            B /= np.sqrt(np.trace(B @ stats.sigma[i] @ B.conj().T).real)
+            B /= np.sqrt(np.trace(B @ dense.sigma[i] @ B.conj().T).real)
             blocks.append(B)
         blocks = np.stack(blocks)
-        gamma_rand = support_gamma(blocks, stats, cfg.eta)
-        val = emse_of_combiner(blocks, stats, comp, gamma_rand, 4)
+        gamma_rand = reference_support_gamma(blocks, dense, cfg.eta)
+        val = reference_emse_of_combiner(blocks, dense, comp, gamma_rand, 4)
         best_random = min(best_random, val)
         assert designed <= val * (1 + 1e-9)
     _passed(3, f"normalization/equal-diagonal/support invariants hold; designed "

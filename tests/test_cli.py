@@ -51,6 +51,8 @@ def test_simulate_command(tmp_path, cfg_file):
     pytest.param("--trials", "0", "at least one trial", id="zero-trials"),
     pytest.param("--methods", "foo", "unknown methods", id="unknown-method"),
     pytest.param("--max-iter", "0", "max_iter must be >= 1", id="zero-max-iter"),
+    pytest.param("--rho-scale", "-0.5", "rho_scale must be finite", id="rho-scale-negative"),
+    pytest.param("--rho-scale", "nan", "rho_scale must be finite", id="rho-scale-nan"),
 ])
 def test_empty_method_list_rejected(tmp_path, cfg_file, capsys, flag, value, message):
     # an invalid flag value is a usage error: exit code 2, the reason on
@@ -71,12 +73,15 @@ def test_empty_method_list_rejected(tmp_path, cfg_file, capsys, flag, value, mes
     pytest.param("--k", "0", "grid size", id="k-0"),
     pytest.param("--k", "100", "grid size", id="k-100"),
     pytest.param("--snr-db", "nan", "SNR must be finite", id="snr-nan"),
+    pytest.param("--eta", "0", "eta must be positive", id="eta-0"),
+    pytest.param("--eta", "nan", "eta must be positive", id="eta-nan"),
 ])
 @pytest.mark.parametrize("command", ["design", "simulate"])
 def test_invalid_axis_value_is_usage_error(tmp_path, cfg_file, capsys, command,
                                            flag, value, message):
-    # checked once by ExperimentSpec, which `design` builds for its one point:
-    # exit code 2, the reason on stderr and nothing written
+    # checked once by ExperimentSpec, which `design` builds for its one point
+    # (and --eta by the config it overrides): exit code 2, the reason on
+    # stderr and nothing written
     out = tmp_path / "out"
     extra = ["--trials", "1"] if command == "simulate" else ["--filters-csv", str(out)]
     with pytest.raises(SystemExit) as exc:

@@ -1,14 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 import bitmimo as bm
 from bitmimo import harness
-from bitmimo.dictionary import (CONVENTION_TAG, apply_fbar, apply_fbar_adjoint,
-                                build_dictionary, coherence, load_dictionary,
-                                save_dictionary)
-from bitmimo.model import config_to_dict
+from bitmimo.dictionary import apply_fbar, apply_fbar_adjoint, build_dictionary, coherence
 from dense_oracle import dense_phi, dense_task, eval_c_direct, fbar_matrix
 
 
@@ -242,29 +237,3 @@ def test_fbar_dft_column():
 def test_fbar_length_mismatch():
     with pytest.raises(ValueError):
         apply_fbar(np.zeros(5), 2, 2)
-
-
-def test_save_load_roundtrip(tmp_path, small):
-    cfg, d = small
-    path = tmp_path / "dict.npz"
-    save_dictionary(d, path)
-    back = load_dictionary(path)
-    assert np.array_equal(back.perm, d.perm)
-    assert np.array_equal(back.U, d.U) and np.array_equal(back.V, d.V)
-    assert back.config.M == cfg.M and back.config.L == cfg.L
-    with np.load(path) as data:
-        assert "Phi" not in data.files
-
-
-def test_load_bundle_with_dense_phi(tmp_path, small):
-    # bundles written when the dictionary held a dense Phi still load
-    cfg, d = small
-    header = {"convention": CONVENTION_TAG, "config": config_to_dict(cfg),
-              "dims": {"M": cfg.M, "N": cfg.N, "L": cfg.L,
-                       "rows": d.n_rows, "atoms": d.n_atoms}, "dense": True}
-    path = tmp_path / "old.npz"
-    np.savez(path, U=d.U, V=d.V, perm=d.perm, Phi=dense_phi(d),
-             header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8))
-    back = load_dictionary(path)
-    a = np.arange(d.n_atoms) * (1 - 0.5j)
-    assert np.array_equal(back.apply(a), d.apply(a))

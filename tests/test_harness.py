@@ -8,7 +8,7 @@ import bitmimo as bm
 from bitmimo import harness
 from bitmimo.harness import CSV_COLUMNS, ExperimentSpec, run_sweep
 from bitmimo.recovery import RecoverySpec
-from dense_oracle import dense_task
+from dense_oracle import dense_task, reference_lmmse_error, stacked_statistics
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +121,8 @@ def test_lmmse_path_matches_theory(small_cfg):
     for _ in range(n):
         draw = draw_trial(ctx, rng, K, "gaussian")
         acc += run_noquan_lmmse_trial(ctx, draw, rng).err_s_abs
-    assert acc / n == pytest.approx(bm.lmmse_error(comp, stats), rel=0.03)
+    assert acc / n == pytest.approx(
+        reference_lmmse_error(comp, stacked_statistics(stats)), rel=0.03)
 
 
 def test_noquan_lmmse_product_matches_einsum(small_cfg, monkeypatch):

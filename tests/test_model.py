@@ -42,6 +42,10 @@ def test_reject_nonpositive():
         bm.make_ula_config(2, 2, -1e6, 3e-6)
     with pytest.raises(ValueError):
         bm.make_ula_config(2, 2, 1e6, 3e-6, eta=0.0)
+    # NaN fails every comparison, so it must not slip past a `x <= 0` check
+    for field in ("eta", "sigma_alpha_sq", "sigma_n_sq"):
+        with pytest.raises(ValueError, match=field):
+            bm.make_ula_config(2, 2, 1e6, 3e-6, **{field: float("nan")})
 
 
 def test_random_array_deterministic_and_distinct():

@@ -195,6 +195,11 @@ def test_fista_rejects_bad_inputs():
         fista(*_ops(A), np.array([np.inf, 0.0]), RecoverySpec())
     with pytest.raises(ValueError):
         fista(*_ops(np.zeros((2, 2))), np.ones(2, dtype=complex), RecoverySpec())
+    for bad in (-0.5, np.inf, np.nan):
+        with pytest.raises(ValueError, match="rho_scale must be finite"):
+            RecoverySpec(rho_scale=bad)
+        with pytest.raises(ValueError, match="rho must be finite"):
+            RecoverySpec(rho=bad)
 
 
 def test_power_iteration_matches_spectral_norm():

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 import bitmimo as bm
-from bitmimo.statistics import (RIDGE_SCALE, build_compression_matrix, build_covariances,
-                                hermitian_inv_sqrt, lmmse_error, lmmse_transform)
-from dense_oracle import (blkdiag, compression_dense, cov_signal_dense, dense_phi,
-                          reference_hermitian_inv_sqrt, sigma_dense)
+from bitmimo.statistics import build_compression_matrix, build_covariances, lmmse_transform
+from dense_oracle import (blkdiag, compression_dense, dense_phi, reference_lmmse_error,
+                          stacked_statistics)
+
+
+def lmmse_error(comp, stats):
+    """The per-tone loop's LMMSE on the c*I and w*I stacks of stats."""
+    return reference_lmmse_error(comp, stacked_statistics(stats))
 
 
 @pytest.fixture(scope="module")
@@ -17,47 +21,18 @@ def setup():
 def test_default_covariances(setup):
     cfg, _ = setup
     stats = build_covariances(cfg, K=4)
-    assert np.allclose(stats.cov_signal, 4.0 * np.eye(cfg.mn))
-    assert np.allclose(stats.cov_noise, 0.5 * np.eye(cfg.mn))
-    assert np.allclose(stats.sigma, 4.5 * np.eye(cfg.mn))
+    assert (stats.L, stats.mn) == (cfg.L, cfg.mn)
+    assert (stats.signal_var, stats.noise_var, stats.sigma) == (4.0, 0.5, 4.5)
 
 
 def test_zero_k_and_zero_noise(setup):
     cfg, _ = setup
     noiseless = build_covariances(cfg.with_noise_variance(0.0), K=4)
-    assert np.allclose(noiseless.sigma, noiseless.cov_signal)
-    with pytest.raises(ValueError):
+    assert noiseless.sigma == noiseless.signal_var == 4.0
+    with pytest.raises(ValueError, match="singular"):
         build_covariances(cfg.with_noise_variance(0.0), K=0)  # singular Sigma
     empty = build_covariances(cfg, K=0)
-    assert np.count_nonzero(empty.cov_signal) == 0
-
-
-def test_user_covariance_validation(setup):
-    cfg, _ = setup
-    bad = np.eye(cfg.mn, dtype=complex)
-    bad = np.broadcast_to(bad, (cfg.L, cfg.mn, cfg.mn)).copy()
-    bad[1, 0, 1] = 5.0  # not Hermitian
-    with pytest.raises(ValueError, match="block 1 is not Hermitian"):
-        build_covariances(cfg, 2, cov_signal=bad)
-    full = np.ones((cfg.mnl, cfg.mnl), dtype=complex)  # not block diagonal
-    with pytest.raises(ValueError):
-        build_covariances(cfg, 2, cov_signal=full)
-    neg = -np.broadcast_to(np.eye(cfg.mn, dtype=complex),
-                           (cfg.L, cfg.mn, cfg.mn)).copy()
-    with pytest.raises(ValueError, match="block 0 is not positive semidefinite"):
-        build_covariances(cfg, 2, cov_noise=neg)
-    # user-given blocks still get the eigenvalue check: a PSD block with a
-    # zero eigenvalue and nothing added leaves Sigma singular
-    short = np.broadcast_to(np.eye(cfg.mn, dtype=complex), (cfg.L, cfg.mn, cfg.mn)).copy()
-    short[1, 0, 0] = 0.0
-    with pytest.raises(ValueError, match="Sigma block 1 is singular"):
-        build_covariances(cfg.with_noise_variance(0.0), 2, cov_signal=short)
-    with pytest.raises(ValueError, match="Sigma block 1 is singular"):
-        build_covariances(cfg, 0, cov_noise=short)
-    # a dense block-diagonal matrix gives the blocks it holds
-    blocks = np.arange(1, cfg.L + 1)[:, None, None] * np.eye(cfg.mn, dtype=complex)
-    assert np.array_equal(build_covariances(cfg, 2, cov_signal=blkdiag(blocks)).cov_signal,
-                          blocks)
+    assert empty.signal_var == 0.0
 
 
 def test_covariance_monte_carlo_oracle(setup):
@@ -183,8 +158,8 @@ def test_blockwise_equals_full_matrices(setup):
     comp = build_compression_matrix(rng, cfg, 2, "bernoulli")
     m_full = compression_dense(comp, d.iperm)  # acts on ctilde
     perm_mat = np.eye(cfg.mnl)[d.perm]        # c = P ctilde
-    rc = cov_signal_dense(stats)
-    sig = sigma_dense(stats)
+    dense = stacked_statistics(stats)
+    rc, sig = blkdiag(dense.cov_signal), blkdiag(dense.sigma)
     mp = m_full @ perm_mat.T                  # M P^T
     full = np.trace(mp @ rc @ mp.conj().T
                     - mp @ rc @ np.linalg.solve(sig, rc) @ mp.conj().T).real
@@ -234,51 +209,6 @@ def test_invariance_under_row_permutation(setup):
         shuffled_blocks[i] = shuffled_blocks[i][rng.permutation(comp.block_rows)]
     comp2 = bm.CompressionMatrix(blocks=shuffled_blocks, kind="gaussian", dcr=2)
     assert lmmse_error(comp2, stats) == pytest.approx(base, rel=1e-12)
-
-
-def test_inverse_sqrt_ridges_only_the_ill_conditioned_block(caplog):
-    # block 2 has an eigenvalue spread of 1e14: it alone gets the ridge and
-    # one warning naming it; every block equals its result computed alone
-    rng = np.random.default_rng(40)
-    n = 6
-    q, _ = np.linalg.qr(rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n)))
-    spectra = rng.uniform(0.5, 2.0, (4, n))
-    spectra[2] = np.logspace(0, -14, n)
-    H = (q * spectra[:, None, :]) @ q.conj().transpose(0, 2, 1)
-    with caplog.at_level("WARNING", logger="bitmimo.statistics"):
-        out = hermitian_inv_sqrt(H)
-    warnings = [r.getMessage() for r in caplog.records if r.name == "bitmimo.statistics"]
-    assert len(warnings) == 1 and "block 2 " in warnings[0]
-    for i in range(4):
-        assert np.array_equal(out[i], reference_hermitian_inv_sqrt(H[i])[0])
-        caplog.clear()
-        assert np.array_equal(out[i], hermitian_inv_sqrt(H[i:i + 1])[0])
-        assert len(caplog.records) == (i == 2)
-    ridge = RIDGE_SCALE * spectra[2].sum() / n
-    assert np.linalg.norm(out[2], 2) == pytest.approx((spectra[2, -1] + ridge) ** -0.5, rel=0.05)
-    assert np.allclose(out[0] @ H[0] @ out[0], np.eye(n), atol=1e-12)
-
-
-@pytest.mark.parametrize("n", [4, 96])
-def test_inverse_sqrt_of_scaled_identities_skips_eigh(monkeypatch, n):
-    # a stack of blocks d_i * I gives bitwise what eigh gives, without eigh;
-    # a block one entry away from d * I, or a diagonal block with unequal
-    # entries, takes the eigh path
-    scaled = np.logspace(-6, 6, 13)[:, None, None] * np.eye(n, dtype=complex)
-    one_off = scaled[4:7].copy()
-    one_off[1, 0, n - 1] = 1e-3
-    unequal = np.array([np.diag(np.linspace(1.0, 2.0, n)),
-                        np.diag(np.linspace(3.0, 0.5, n))], dtype=complex)
-    stacks = (scaled, one_off, unequal)
-    want = [[reference_hermitian_inv_sqrt(h)[0] for h in H] for H in stacks]
-    eigh, calls = np.linalg.eigh, []
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-    for H, want_blocks, eigh_calls in zip(stacks, want, (0, 1, 1)):
-        calls.clear()
-        out = hermitian_inv_sqrt(H)
-        assert len(calls) == eigh_calls
-        for got, ref in zip(out, want_blocks):
-            assert np.array_equal(got, ref)
 
 
 # -- compression matrices ---------------------------------------------------
