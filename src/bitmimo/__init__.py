@@ -9,11 +9,10 @@ deterministic Monte Carlo benchmarking harness with a CLI.
 __version__ = "0.1.0"
 
 from .adc import QuantizerSpec, bits_per_pri, levels_from_budget, quantize_complex_vector, quantize_real
-from .combiner import (AcquisitionDesign, analog_filter_response,
-                       design_multitone, equalizing_unitary, load_design,
-                       save_design, waterfill)
+from .combiner import (AcquisitionDesign, design_multitone, equalizing_unitary,
+                       load_design, save_design, waterfill)
 from .dictionary import (SteeringDictionary, apply_fbar, apply_fbar_adjoint,
-                         build_dictionary, coherence)
+                         build_dictionary)
 from .harness import (METHODS, ExperimentResult, ExperimentSpec, PointResult,
                       TrialMetrics, run_bilimo_trial, run_noquan_dr_trial,
                       run_noquan_lmmse_trial, run_sweep,
@@ -21,9 +20,7 @@ from .harness import (METHODS, ExperimentResult, ExperimentSpec, PointResult,
 from .model import (RadarConfig, TargetScene, load_config, make_random_array_config,
                     make_ula_config, sample_scene, scene_from_sparse_vector,
                     scene_to_sparse_vector, snr_db_to_linear, snr_to_noise_variance)
-from .recovery import (RecoveryBound, RecoverySpec, estimate_support, fista,
-                       hit_rate, recovery_error_bound, relative_mse,
-                       soft_threshold)
+from .recovery import RecoverySpec, estimate_support, fista, hit_rate, relative_mse
 from .statistics import (CompressionMatrix, SignalStatistics,
                          build_compression_matrix, build_covariances,
                          lmmse_transform)

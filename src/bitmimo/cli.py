@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -89,6 +90,13 @@ def _load_config(args):
     return config if args.eta is None else replace(config, eta=args.eta)
 
 
+def _check_output_dirs(args):
+    """Refuse outputs whose directory is missing before any work is done."""
+    for path in (args.out, getattr(args, "filters_csv", None)):
+        if path and not Path(path).parent.is_dir():
+            raise ValueError(f"output directory {Path(path).parent} does not exist")
+
+
 def cmd_design(args, spec):
     """Write the design bundle (and filter CSV) of the spec's one point."""
     (index, axes), = spec.points()
@@ -109,6 +117,7 @@ def main(argv=None):
     if args.command != "sweep":  # scalar axis flags; sweep takes comma lists
         axes = {key: (val,) for key, val in axes.items()}
     try:
+        _check_output_dirs(args)
         config = _load_config(args)
         # `design` builds point 0 of a one-point spec, so its flags get the same checks
         run = {} if args.command == "design" else dict(

@@ -51,7 +51,6 @@ __all__ = [
     "waterfill",
     "equalizing_unitary",
     "design_multitone",
-    "analog_filter_response",
     "write_filter_response_csv",
     "save_design",
     "load_design",
@@ -61,6 +60,23 @@ __all__ = [
 def _hermitian(stack):
     """Conjugate transpose of every matrix in an (L, r, c) stack."""
     return stack.conj().swapaxes(1, 2)
+
+
+def waterfill_gain(channels, levels, eta):
+    """coef = 4*eta^2 / (3*b^2*P), the gain per unit of (zeta*lam - 1).
+
+    Raises ValueError unless 1/coef + 1 is finite and rounds to at least two
+    ulps above 1, the condition under which the first mode's level
+    zeta_1 * lam_1 = ((1/coef + 1) / lam_1) * lam_1 exceeds 1 for every lam_1.
+    Past it no mode is sure to clear the water level; with 1/coef infinite
+    the water level is infinite.
+    """
+    eta = float(eta)  # a float past 1e154 squares to inf without a warning
+    coef = 4.0 * eta * eta / (3.0 * levels * levels * channels)
+    if not (coef > 0.0 and 1.0 + 2.0 * np.finfo(float).eps <= 1.0 / coef + 1.0 < np.inf):
+        raise ValueError(f"eta={eta} with b={levels} levels on P={channels} channels "
+                         f"leaves no mode above the water level")
+    return coef
 
 
 def waterfill(singvals, channels, levels, eta, block_rows):
@@ -80,6 +96,8 @@ def waterfill(singvals, channels, levels, eta, block_rows):
     -------
     (alloc, zeta) : allocation Lam^2 as a length-`channels` array, and the
         water level solving (4*eta^2/(3*b^2*P)) * sum (zeta*lam - 1)^+ = 1.
+    ValueError when eta is such that no mode clears the water level
+    (waterfill_gain).
 
     The active set is closed form: (1/coef + r) * lam_r - sum_{l<=r} lam_l is
     nonincreasing in r, so it is the largest r whose candidate level
@@ -90,7 +108,7 @@ def waterfill(singvals, channels, levels, eta, block_rows):
         raise ValueError("waterfilling needs at least one positive singular value")
     if np.any(np.diff(lam) > 1e-12 * max(1.0, lam[0])):
         raise ValueError("singular values must be sorted in descending order")
-    coef = 4.0 * eta * eta / (3.0 * levels * levels * channels)
+    coef = waterfill_gain(channels, levels, eta)
     r_max = int(min(channels, block_rows, np.count_nonzero(lam > 0)))
     cand = (1.0 / coef + np.arange(1, r_max + 1)) / np.cumsum(lam[:r_max])
     active = np.flatnonzero(cand * lam[:r_max] > 1.0)[-1] + 1
@@ -278,35 +296,128 @@ def _filter_table(design: AcquisitionDesign, config: RadarConfig, pulse_spectrum
     return freqs, gains.reshape(design.channels, N, M * L)
 
 
-def analog_filter_response(design: AcquisitionDesign, config: RadarConfig,
-                           p, n, pulse_spectrum=None):
-    """Discrete frequency-response samples of the (p, n)th analog filter.
+# '%.10g' text in scientific notation from numpy: a value's digits and
+# exponent go into a 24-byte row from tables of byte strings viewed as
+# integers. Row bytes: 0-3 sign, d0, '.', d1 (NUL for a dropped character);
+# 4-7 unused; 8-15 d2..d9; 16-23 'e', the exponent's sign and its two or three
+# digits. _G10_COLS picks the 17 bytes that can spell a value.
+_G10_WIDTH, _G10_ROW = 17, 24
+_G10_COLS = np.r_[0:4, 8:21]
+_POW10 = np.array([float(f"1e{k}") for k in range(-300, 301)])
 
-    Returns (frequencies_hz, gains): for every band m and tone i the filter
-    needs gain T0 * B_i[p, m*N + n] * conj(h0_i) / |h0_i|^2 at frequency
-    i/T0 + f_m, where h0_i are samples of the baseband pulse spectrum at the
-    tone frequencies (default: flat h0 = 1).
-    """
-    freqs, gains = _filter_table(design, config, pulse_spectrum)
-    return freqs, gains[p, n]
+
+def _byte_table(texts, dtype):
+    return np.frombuffer("".join(texts).encode("latin-1"), dtype)
+
+
+# sign, d0, '.', d1 for every lead pair d0d1; from 100 on, d1 and the point
+# dropped; from 200 on, the sign '-'
+_LEAD = _byte_table((f"{sign}{k // 10}.{k % 10}" if keep else f"{sign}{k // 10}\0\0"
+                     for sign in ("\0", "-") for keep in (True, False) for k in range(100)),
+                    np.uint32)
+_QUAD = _byte_table((f"{k:04d}" for k in range(10000)), np.uint32)
+_QUAD_ZEROS = np.array([4 - len(f"{k:04d}".rstrip("0")) for k in range(10000)])
+_KEEP = _byte_table(("\xff" * (8 - k) + "\0" * k for k in range(9)), np.uint64)
+_EXPONENT = _byte_table((f"e{k:+03d}".ljust(8, "\0") for k in range(-300, 301)), np.uint64)
+
+
+def _format_g10(x, out):
+    """Write '%.10g' % v of every float v of x into the uint8 rows of out,
+    shape (x.size, 17), as ASCII padded with NUL bytes.
+
+    A value that '%.10g' writes in scientific notation (decimal exponent e
+    below -4 or above 9) gets the digits floor(|v| * 10^(9-e) + 1/2) with
+    e = floor(log10 |v|) and 10^k parsed from "1ek", so the scaled value is off
+    by at most 2.3e-6. Python formats every other value, in one call: those
+    of fixed notation, those whose digits that bound leaves open (a fraction
+    within 1e-5 of a tie, an exponent off by one, a carry to 10^(e+1)) and
+    every 0, inf, nan or |v| outside (1e-290, 1e290)."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    a = np.abs(x)
+    ok = (a > 1e-290) & (a < 1e290)
+    a[~ok] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    scaled = a * _POW10.take(309 - e)
+    m = np.floor(scaled)
+    frac = scaled - m
+    m += frac > 0.5
+    slow = ~ok | ((e >= -4) & (e <= 9)) | (np.abs(frac - 0.5) < 1e-5) \
+        | (scaled < 1e9) | (m >= 1e10)
+    m = m.astype(np.intp)
+    m[slow] = 1000000000  # in-range digits for the rows Python rewrites
+
+    lead = m // 100000000
+    m -= lead * 100000000
+    hi = m // 10000
+    lo = m - hi * 10000
+    zeros = np.where(lo != 0, _QUAD_ZEROS.take(lo), np.where(
+        hi != 0, 4 + _QUAD_ZEROS.take(hi), 8 + (lead % 10 == 0)))  # trailing, of d1..d9
+
+    row = np.empty((x.size, _G10_ROW), dtype=np.uint8)
+    words = row.view(np.uint32)
+    words[:, 0] = _LEAD.take(lead + 100 * (zeros == 9) + 200 * (x < 0))
+    words[:, 2] = _QUAD.take(hi)
+    words[:, 3] = _QUAD.take(lo)
+    quads = row.view(np.uint64)
+    quads[:, 1] &= _KEEP.take(np.minimum(zeros, 8))
+    quads[:, 2] = _EXPONENT.take(e + 300)
+    out[...] = row[:, _G10_COLS]
+    rest = np.flatnonzero(slow)
+    if rest.size:
+        texts = ("%.10g," * rest.size % tuple(x[rest].tolist())).split(",")[:-1]
+        out[rest] = np.array(texts, dtype=f"S{_G10_WIDTH}").view(np.uint8).reshape(-1, _G10_WIDTH)
+
+
+# channels per formatted block: few enough numpy calls per file, and a block
+# buffer far smaller than the whole file
+CSV_BLOCK_CHANNELS = 8
 
 
 def write_filter_response_csv(design, config, path, pulse_spectrum=None):
     """Rows (p, n, frequency_hz, re, im) over all channels and receive elements,
-    one channel p per format call."""
+    numbers as '%.10g', written a block of channels at a time. _format_g10
+    formats the gains of a block when all of them print in scientific notation,
+    as the flat pulse's gains T0 * B do; a block that holds a gain of fixed
+    notation, which _format_g10 would leave to Python value by value, is
+    formatted by one Python % call."""
     freqs, gains = _filter_table(design, config, pulse_spectrum)
-    _, N, ML = gains.shape
-    args = [None] * (4 * N * ML)
-    # the "n,frequency_hz," of every row of a channel, the same for every p
-    args[1::4] = [f"{n},{f:.10g}," for n in range(N) for f in freqs.tolist()]
-    template = "%s%s%.10g,%.10g\n" * (N * ML)
-    with open(path, "w") as fh:
-        fh.write("p,n,frequency_hz,re,im\n")
-        for p, per_p in enumerate(gains):
-            args[0::4] = [f"{p},"] * (N * ML)
-            args[2::4] = per_p.real.reshape(-1).tolist()
-            args[3::4] = per_p.imag.reshape(-1).tolist()
-            fh.write(template % tuple(args))
+    P, N, ML = gains.shape
+    # "p," of every channel and "n,frequency_hz," of every row of a channel,
+    # as NUL-padded byte rows
+    channel = np.array([b"%d," % p for p in range(P)])
+    head = np.array([b"%d,%.10g," % (n, f) for n in range(N) for f in freqs.tolist()])
+    wp, wh = channel.itemsize, head.itemsize
+    re_at = wp + wh
+    im_at = re_at + _G10_WIDTH + 1
+    width = im_at + _G10_WIDTH + 1
+    buf = np.empty((min(P, CSV_BLOCK_CHANNELS), N * ML, width), dtype=np.uint8)
+    buf[:, :, wp:re_at] = head.view(np.uint8).reshape(N * ML, wh)
+    buf[:, :, im_at - 1] = ord(",")
+    buf[:, :, -1] = ord("\n")
+    heads = head.tolist()
+    with open(path, "wb") as fh:
+        fh.write(b"p,n,frequency_hz,re,im\n")
+        for p0 in range(0, P, CSV_BLOCK_CHANNELS):
+            block = gains[p0:p0 + CSV_BLOCK_CHANNELS]
+            parts = np.abs(block.view(float))
+            # fixed notation starts at 1e-4 or just below it (rounded up); 1e-5
+            # leaves a margin, since either path writes the same bytes
+            if np.any((parts >= 1e-5) & (parts < 1e10)):
+                lines = block.real.size
+                args = [None] * (4 * lines)
+                args[0::4] = [c for c in channel[p0:p0 + len(block)].tolist()
+                              for _ in range(N * ML)]
+                args[1::4] = heads * len(block)
+                args[2::4] = block.real.reshape(-1).tolist()
+                args[3::4] = block.imag.reshape(-1).tolist()
+                fh.write(b"%s%s%.10g,%.10g\n" * lines % tuple(args))
+                continue
+            rows = buf[:len(block)]
+            rows[:, :, :wp] = channel[p0:p0 + len(block)].view(np.uint8).reshape(-1, 1, wp)
+            flat = rows.reshape(-1, width)
+            _format_g10(block.real, flat[:, re_at:im_at - 1])
+            _format_g10(block.imag, flat[:, im_at:im_at + _G10_WIDTH])
+            fh.write(flat.tobytes().translate(None, b"\0"))
 
 
 # -- design bundle I/O ------------------------------------------------------

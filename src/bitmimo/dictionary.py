@@ -35,7 +35,6 @@ from .model import RadarConfig
 __all__ = [
     "SteeringDictionary",
     "build_dictionary",
-    "coherence",
     "apply_fbar",
     "apply_fbar_adjoint",
 ]
@@ -114,24 +113,6 @@ def build_dictionary(config: RadarConfig) -> SteeringDictionary:
 
     perm, iperm = _permutation_maps(config.M, config.N, config.L)
     return SteeringDictionary(config=config, U=U, V=V, perm=perm, iperm=iperm)
-
-
-def coherence(A: np.ndarray, chunk=256) -> float:
-    """Largest absolute normalized inner product between distinct columns."""
-    A = np.asarray(A)
-    norms = np.linalg.norm(A, axis=0)
-    if np.any(norms == 0):
-        raise ValueError("coherence is undefined for matrices with zero columns")
-    An = A / norms
-    n = A.shape[1]
-    mu = 0.0
-    for start in range(0, n, chunk):
-        block = An[:, start:start + chunk]
-        g = np.abs(block.conj().T @ An)
-        for r in range(g.shape[0]):
-            g[r, start + r] = 0.0
-        mu = max(mu, float(g.max()))
-    return min(mu, 1.0)
 
 
 # -- sample-domain DFT operator Fbar = F_L^H (x) I_P ----------------------

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .adc import QuantizerSpec, levels_from_budget, quantize_complex_vector
-from .combiner import config_hash, design_multitone
+from .combiner import config_hash, design_multitone, waterfill_gain
 from .dictionary import apply_fbar, build_dictionary
 from .model import (RadarConfig, TargetScene, sample_scene,
                     scene_to_sparse_vector, snr_db_to_linear,
@@ -126,7 +126,8 @@ class ExperimentSpec:
         for dcr in self.dcr:
             channels = compression_block_rows(self.config, dcr)
             for budget in self.budget_bits:
-                levels_from_budget(budget, channels, self.config.L)
+                levels = levels_from_budget(budget, channels, self.config.L)
+                waterfill_gain(channels, levels, self.config.eta)
 
     def points(self):
         axes = itertools.product(self.budget_bits, self.snr_db, self.dcr,

@@ -106,8 +106,8 @@ class RadarConfig:
         centers = np.sort(self.tone_offsets)
         if self.M > 1 and np.min(np.diff(centers)) < self.bandwidth * (1 - 1e-12):
             raise ValueError("tone bands overlap; offsets must be >= bandwidth apart")
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
+        if not 0 < self.eta < np.inf:
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if not self.sigma_alpha_sq > 0:
             raise ValueError("sigma_alpha_sq must be positive")
         if not self.sigma_n_sq >= 0:

@@ -30,13 +30,10 @@ from .model import TargetScene
 __all__ = [
     "RecoverySpec",
     "fista",
-    "soft_threshold",
     "power_iteration_lipschitz",
     "estimate_support",
     "hit_rate",
     "relative_mse",
-    "RecoveryBound",
-    "recovery_error_bound",
 ]
 
 logger = logging.getLogger(__name__)
@@ -75,12 +72,6 @@ class RecoverySpec:
             raise ValueError("max_iter must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-
-
-def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
-    """Complex soft-thresholding; preserves phase, shrinks magnitude by t."""
-    mag = np.abs(v)
-    return v * _shrink_scale(mag, t, mag)
 
 
 def _shrink_scale(mag, t, out):
@@ -237,30 +228,3 @@ def relative_mse(x_true, x_est) -> float:
         raise ValueError("relative MSE undefined for a zero reference")
     diff = np.asarray(x_est) - x_true
     return float(np.vdot(diff, diff).real) / ref
-
-
-@dataclass(frozen=True)
-class RecoveryBound:
-    """Stability bound for l1 recovery, or a condition failure."""
-
-    condition_ok: bool
-    value: float | None
-    k_limit: float  # recovery is guaranteed for K strictly below this
-
-    def __bool__(self):
-        return self.condition_ok
-
-
-def recovery_error_bound(k, mu, eps_lmmse, eps_excess, eps_feasibility) -> RecoveryBound:
-    """Bound (eps_lmmse + eps_excess + eps_feasibility) / (1 - (4K-1)*mu),
-    valid when K < (1/mu + 1)/4; returns a typed condition failure otherwise."""
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError("coherence must lie in [0, 1]")
-    k_limit = np.inf if mu == 0 else (1.0 / mu + 1.0) / 4.0
-    if k >= k_limit:
-        return RecoveryBound(condition_ok=False, value=None, k_limit=float(k_limit))
-    total = eps_lmmse + eps_excess + eps_feasibility
-    return RecoveryBound(condition_ok=True,
-                         value=float(total / (1.0 - (4.0 * k - 1.0) * mu)),
-                         k_limit=float(k_limit))
-

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from bitmimo.combiner import AcquisitionDesign, equalizing_unitary
-from bitmimo.recovery import power_iteration_lipschitz, soft_threshold
+from bitmimo.recovery import power_iteration_lipschitz
+from theory import soft_threshold
 
 
 def blkdiag(blocks):
@@ -136,7 +137,7 @@ def digital_filter_mse(digital, combiner_blocks, stats, compression, gamma, leve
 
 
 def block_from_responses(gains, config, pulse_spectrum=None):
-    """Invert analog_filter_response for one (p, n): recover B_i[p, m*N+n]."""
+    """Invert reference_filter_response for one (p, n): recover B_i[p, m*N+n]."""
     L, M = config.L, config.M
     h0 = np.ones(L, dtype=complex) if pulse_spectrum is None else \
         np.asarray(pulse_spectrum, dtype=complex)

@@ -17,13 +17,13 @@ import pytest
 import bitmimo as bm
 from bitmimo.adc import QuantizerSpec, quantize_complex_vector, quantize_real
 from bitmimo.combiner import design_multitone
-from bitmimo.dictionary import apply_fbar, build_dictionary, coherence
+from bitmimo.dictionary import apply_fbar, build_dictionary
 from bitmimo.harness import (ExperimentSpec, draw_trial, quantize_with,
                              run_bilimo_trial, run_sweep)
-from bitmimo.recovery import (RecoverySpec, fista, power_iteration_lipschitz,
-                              recovery_error_bound)
+from bitmimo.recovery import RecoverySpec, fista, power_iteration_lipschitz
 from dense_oracle import (dense_task, eval_c_direct, reference_emse_of_combiner,
                           reference_support_gamma, stacked_statistics)
+from theory import coherence, recovery_error_bound
 
 FULL_ARRAY_SEED = 2026   # array/tone draw for the production-scale experiments
 MASTER_SEED = 17

@@ -75,6 +75,8 @@ def test_empty_method_list_rejected(tmp_path, cfg_file, capsys, flag, value, mes
     pytest.param("--snr-db", "nan", "SNR must be finite", id="snr-nan"),
     pytest.param("--eta", "0", "eta must be positive", id="eta-0"),
     pytest.param("--eta", "nan", "eta must be positive", id="eta-nan"),
+    pytest.param("--eta", "inf", "eta must be positive and finite", id="eta-inf"),
+    pytest.param("--eta", "1e300", "no mode above the water level", id="eta-1e300"),
 ])
 @pytest.mark.parametrize("command", ["design", "simulate"])
 def test_invalid_axis_value_is_usage_error(tmp_path, cfg_file, capsys, command,
@@ -88,6 +90,45 @@ def test_invalid_axis_value_is_usage_error(tmp_path, cfg_file, capsys, command,
         main([command, "--config", str(cfg_file), *extra, flag, value, "--out", str(out)])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg_file]
+
+
+@pytest.mark.parametrize("command, eta", [("design", "1e9"), ("simulate", "1e9"),
+                                          ("design", "1e-200"), ("sweep", "1e9")])
+def test_eta_without_water_level_is_usage_error(tmp_path, cfg_file, capsys, command, eta):
+    # at 36 bits, b = 4 levels on P = 3 channels: from eta near 3.5e8 up
+    # 1/coef + 1 rounds to within an ulp of 1, and at 1e-200 coef is 0; the
+    # sweep fails for its 36-bit budget beside a 1728-bit one
+    out = tmp_path / "out"
+    budget = "36,1728" if command == "sweep" else "36"
+    extra = ["--filters-csv", str(out)] if command == "design" else ["--trials", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg_file), *extra, "--budget-bits", budget,
+              "--eta", eta, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "no mode above the water level" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg_file]
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["simulate", "--trials", "1", "--out", "{missing}/s.csv"], id="simulate-out"),
+    pytest.param(["sweep", "--trials", "1", "--out", "{missing}/s.csv"], id="sweep-out"),
+    pytest.param(["design", "--out", "{missing}/bundle"], id="design-out"),
+    pytest.param(["design", "--out", "{tmp}/bundle", "--filters-csv", "{missing}/f.csv"],
+                 id="design-filters-csv"),
+])
+def test_missing_output_directory_is_usage_error(tmp_path, cfg_file, capsys, monkeypatch,
+                                                 args):
+    # refused before any design or trial runs: exit code 2 and nothing written
+    def no_design(*a, **k):
+        raise AssertionError("a design ran")
+
+    monkeypatch.setattr(harness, "design_multitone", no_design)
+    argv = [a.format(missing=tmp_path / "nodir", tmp=tmp_path) for a in args]
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", str(cfg_file), "--budget-bits", "36", *argv[1:]])
+    assert exc.value.code == 2
+    assert "does not exist" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfg_file]
 
 

@@ -5,9 +5,9 @@ import pytest
 
 import bitmimo as bm
 from bitmimo.adc import QuantizerSpec, quantize_complex_vector
-from bitmimo.combiner import (BUNDLE_ARRAYS, design_multitone, equalizing_unitary,
-                              load_design, save_design, waterfill,
-                              analog_filter_response, write_filter_response_csv)
+from bitmimo.combiner import (BUNDLE_ARRAYS, _filter_table, _format_g10, design_multitone,
+                              equalizing_unitary, load_design, save_design, waterfill,
+                              waterfill_gain, write_filter_response_csv)
 from bitmimo.dictionary import apply_fbar
 from bitmimo.statistics import (CompressionMatrix, build_compression_matrix,
                                 build_covariances, lmmse_transform)
@@ -116,6 +116,24 @@ def test_waterfill_closed_form_matches_active_set_scan():
         alloc, zeta = waterfill(lam, channels, levels, eta, block_rows)
         ref_alloc, ref_zeta = reference_waterfill(lam, channels, levels, eta, block_rows)
         assert np.array_equal(alloc, ref_alloc) and zeta == ref_zeta
+
+
+def test_waterfill_gain_bounds_the_first_water_level():
+    # at the largest coef the check passes, 1/coef + 1 = 1 + 2 ulp, and the
+    # first mode clears the water level for any lam_1; one ulp lower the check
+    # refuses, and so does a coef whose reciprocal is infinite
+    eps = np.finfo(float).eps
+    channels, levels = 3, 4
+    eta_of = lambda coef: np.sqrt(coef * 3.0 * levels * levels * channels / 4.0)
+    eta = eta_of(0.5 / eps)
+    assert 1.0 / waterfill_gain(channels, levels, eta) + 1.0 == 1.0 + 2.0 * eps
+    lams = np.random.default_rng(24).uniform(0.1, 10.0, 2000)
+    for lam in np.concatenate([lams, np.nextafter(1.0, [0.0, 2.0]), [1.0]]):
+        alloc, zeta = waterfill([lam], channels, levels, eta, block_rows=1)
+        assert zeta * lam > 1.0 and alloc[0] > 0
+    for bad in (eta_of(1.0 / eps), 1e300, 1e-200):
+        with pytest.raises(ValueError, match="no mode above the water level"):
+            waterfill([1.0, 0.5], channels, levels, bad, block_rows=2)
 
 
 def test_waterfill_rejects_bad_input():
@@ -450,7 +468,7 @@ def test_digital_filter_is_stationary_point(small_design):
 
 def test_filter_response_flat_pulse(small_design):
     cfg, _, _, _, design = small_design
-    freqs, gains = analog_filter_response(design, cfg, p=0, n=1)
+    freqs, gains = reference_filter_response(design, cfg, p=0, n=1)
     B = design.combiner_blocks
     assert len(freqs) == cfg.ml
     for m in range(cfg.M):
@@ -467,7 +485,7 @@ def test_filter_response_roundtrip(small_design):
     B = design.combiner_blocks
     for p in range(design.channels):
         for n in range(cfg.N):
-            _, gains = analog_filter_response(design, cfg, p, n, pulse_spectrum=h0)
+            _, gains = reference_filter_response(design, cfg, p, n, pulse_spectrum=h0)
             back = block_from_responses(gains, cfg, pulse_spectrum=h0)  # (M, L)
             for m in range(cfg.M):
                 assert np.allclose(back[m], B[:, p, m * cfg.N + n], atol=1e-12)
@@ -477,7 +495,7 @@ def test_filter_response_zero_row(small_design):
     cfg, _, _, _, design = small_design
     zeroed = dataclasses.replace(design,
                                  combiner_blocks=np.zeros_like(design.combiner_blocks))
-    _, gains = analog_filter_response(zeroed, cfg, 0, 0)
+    _, gains = reference_filter_response(zeroed, cfg, 0, 0)
     assert np.count_nonzero(gains) == 0
 
 
@@ -486,7 +504,7 @@ def test_filter_response_rejects_vanishing_pulse(small_design):
     h0 = np.ones(cfg.L, dtype=complex)
     h0[1] = 0.0
     with pytest.raises(ValueError):
-        analog_filter_response(design, cfg, 0, 0, pulse_spectrum=h0)
+        _filter_table(design, cfg, pulse_spectrum=h0)
 
 
 def test_filter_response_csv(tmp_path, small_design):
@@ -517,34 +535,103 @@ def _paper_scale_design(dcr):
 def test_filter_response_csv_matches_row_writer(tmp_path, small_design):
     cfg, _, _, _, design = small_design
     # gains near 1e-9 * T0 print in exponent notation; a zeroed combiner row
-    # prints 0, or -0 where the tilted pulse has a negative real part
+    # prints 0, or -0 where the tilted pulse has a negative real part; the
+    # tilted pulse scaled by T0, as the spectrum of a pulse of length T0 is,
+    # gives O(1) gains that print in fixed notation
     tiny = dataclasses.replace(design, combiner_blocks=design.combiner_blocks * 1e-9)
     tiny.combiner_blocks[:, 1] = 0.0  # channel 1 at every tone
     cases = [(cfg, design), _pn_config_design(), _paper_scale_design(2),
              _paper_scale_design(4), (cfg, tiny)]
     assert cases[1][1].channels != cases[1][0].N
     assert [d.channels for _, d in cases[2:4]] == [48, 24]
-    tiny_values = set()
+    tiny_values, fixed_values = set(), set()
     rng = np.random.default_rng(19)
     for k, (c, d) in enumerate(cases):
         tilted = np.exp(1j * rng.uniform(-np.pi, np.pi, size=c.L)) \
             * rng.uniform(0.5, 2.0, size=c.L)
-        for h0 in (None, tilted):
+        for pulse, h0 in (("flat", None), ("tilted", tilted), ("physical", tilted * c.pri)):
             got, want = tmp_path / f"got{k}.csv", tmp_path / f"want{k}.csv"
             write_filter_response_csv(d, c, got, pulse_spectrum=h0)
             reference_write_filter_response_csv(d, c, want, pulse_spectrum=h0)
             assert got.read_bytes() == want.read_bytes()
+            values = {v for row in got.read_text().split()[1:] for v in row.split(",")[3:]}
             if d is tiny:
-                tiny_values |= {v for row in got.read_text().split()[1:]
-                                for v in row.split(",")[3:]}
+                tiny_values |= values
+            if pulse == "physical":
+                fixed_values |= {v for v in values if "e" not in v}
+            freqs, table = _filter_table(d, c, h0)
             for p in range(d.channels):
                 for n in range(c.N):
-                    freqs, gains = analog_filter_response(d, c, p, n, h0)
                     ref_freqs, ref_gains = reference_filter_response(d, c, p, n, h0)
                     assert np.array_equal(freqs, ref_freqs)
-                    assert np.array_equal(gains, ref_gains)
+                    assert np.array_equal(table[p, n], ref_gains)
     assert {"0", "-0"} <= tiny_values
     assert any("e-" in v for v in tiny_values)
+    # fixed notation at several decimal exponents, not only the zeros
+    assert len({int(np.floor(np.log10(abs(float(v)))))
+                for v in fixed_values - {"0", "-0"}}) >= 3
+
+
+def _g10_cases(rng):
+    """About 1.2e6 floats that stress a '%.10g' formatter."""
+    def signed(v):
+        return v * rng.choice([-1.0, 1.0], size=v.size)
+
+    wide = signed(rng.uniform(1.0, 10.0, 300_000)
+                  * np.power(10.0, rng.integers(-330, 309, 300_000)))
+    # decimal values of 10 and 11 significant digits, and exact decimal ties
+    # of the tenth digit, which are binary values just off the tie
+    finite = wide[np.isfinite(wide)]
+    texts = ["%.9e" % v for v in finite[:100_000].tolist()]
+    near_ties = [float(t) for t in texts] \
+        + [float(t.replace("e", "5e")) for t in texts] \
+        + [float("%.10e" % v) for v in finite[100_000:200_000].tolist()]
+    powers = np.power(10.0, np.arange(-323, 309))
+    edges = [9.9999999995 * powers, powers, np.nextafter(powers, 0.0),
+             np.nextafter(powers, np.inf), 9.9999999994999 * powers,
+             np.array([0.0, np.inf, np.nan, 2.5e250, 1e100, 1e-100, 1.5e-5, 1e10,
+                       9999999999.5, 99999.999995, 1e-290, 1e290, 5e-324])]
+    subnormal = rng.uniform(0.0, 2.2250738585072014e-308, 10_000)
+    fixed = rng.uniform(1.0, 10.0, (14, 20_000)) * np.power(10.0, np.arange(-4, 10))[:, None]
+    integers = rng.integers(1, 10**10, 20_000).astype(float)
+    bits = rng.integers(0, 2**64, 300_000, dtype=np.uint64).view(float)
+    return np.concatenate([bits, wide, np.array(near_ties), *edges, subnormal,
+                           fixed.ravel(), integers / 1000.0, integers]
+                          ).astype(float)
+
+
+def test_format_g10_matches_python():
+    with np.errstate(over="ignore"):  # 10^k * mantissa past the float range is inf
+        values = _g10_cases(np.random.default_rng(23))
+    values = np.concatenate([values, -values])
+    assert values.size >= 10**6
+    want = ("%.10g\n" * values.size % tuple(values.tolist())).encode()
+    rows = np.empty((values.size, 18), dtype=np.uint8)
+    rows[:, 17] = ord("\n")
+    for start in range(0, values.size, 1 << 16):
+        _format_g10(values[start:start + (1 << 16)], rows[start:start + (1 << 16), :17])
+    got = rows.tobytes().translate(None, b"\0")
+    if got != want:
+        pairs = zip(values.tolist(), want.split(), got.split())
+        pytest.fail(f"{[p for p in pairs if p[1] != p[2]][:10]}")
+    shown = set(want.split())
+    assert {b"2.5e+250", b"-0", b"inf", b"nan", b"1e+10", b"0.0001"} <= shown
+    assert any(w.startswith(b"4.94") and w.endswith(b"e-324") for w in shown)
+
+
+def test_format_g10_survives_an_exponent_off_by_one(monkeypatch):
+    # a log10 that errs by a whole unit must send the value to Python's
+    # formatting, not shift its digits
+    rng = np.random.default_rng(25)
+    values = rng.uniform(-10.0, 10.0, 30_000) * np.power(10.0, rng.integers(-20, 20, 30_000))
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + np.resize([1.0, -1.0, 0.0], a.size))
+    rows = np.empty((values.size, 18), dtype=np.uint8)
+    rows[:, 17] = ord("\n")
+    _format_g10(values, rows[:, :17])
+    monkeypatch.undo()
+    assert rows.tobytes().translate(None, b"\0") \
+        == ("%.10g\n" * values.size % tuple(values.tolist())).encode()
 
 
 def test_filter_response_csv_rejects_bad_pulse_before_writing(tmp_path, small_design):

@@ -3,8 +3,9 @@ import pytest
 
 import bitmimo as bm
 from bitmimo import harness
-from bitmimo.dictionary import apply_fbar, apply_fbar_adjoint, build_dictionary, coherence
+from bitmimo.dictionary import apply_fbar, apply_fbar_adjoint, build_dictionary
 from dense_oracle import dense_phi, dense_task, eval_c_direct, fbar_matrix
+from theory import coherence
 
 
 @pytest.fixture(scope="module")

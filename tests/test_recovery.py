@@ -5,10 +5,10 @@ import pytest
 
 import bitmimo as bm
 from bitmimo.recovery import (RecoverySpec, estimate_support, fista, hit_rate,
-                              power_iteration_lipschitz, recovery_error_bound,
-                              relative_mse, soft_threshold)
+                              power_iteration_lipschitz, relative_mse)
 from bitmimo.statistics import build_compression_matrix
 from dense_oracle import dense_phi, reference_fista, reference_restarted_fista
+from theory import recovery_error_bound, soft_threshold
 
 
 def _ops(A):
