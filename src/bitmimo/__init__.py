@@ -8,7 +8,7 @@ deterministic Monte Carlo benchmarking harness with a CLI.
 
 __version__ = "0.1.0"
 
-from .adc import QuantizerSpec, bits_per_pri, levels_from_budget, quantize_complex_vector, quantize_real
+from .adc import levels_from_budget, quantize_complex_vector, quantize_real
 from .combiner import (AcquisitionDesign, design_multitone, equalizing_unitary,
                        load_design, save_design, waterfill)
 from .dictionary import (SteeringDictionary, apply_fbar, apply_fbar_adjoint,
@@ -18,8 +18,8 @@ from .harness import (METHODS, ExperimentResult, ExperimentSpec, PointResult,
                       run_noquan_lmmse_trial, run_sweep,
                       run_task_ignorant_trial, write_csv)
 from .model import (RadarConfig, TargetScene, load_config, make_random_array_config,
-                    make_ula_config, sample_scene, scene_from_sparse_vector,
-                    scene_to_sparse_vector, snr_db_to_linear, snr_to_noise_variance)
+                    make_ula_config, sample_scene, scene_to_sparse_vector,
+                    snr_db_to_linear, snr_to_noise_variance)
 from .recovery import RecoverySpec, estimate_support, fista, hit_rate, relative_mse
 from .statistics import (CompressionMatrix, SignalStatistics,
                          build_compression_matrix, build_covariances,

@@ -11,79 +11,44 @@ with the input, i.e. 4*gamma^2/(3*b^2) per complex sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "QuantizerSpec",
     "quantize_real",
     "quantize_complex_vector",
-    "bits_per_pri",
     "levels_from_budget",
 ]
 
 
-@dataclass(frozen=True)
-class QuantizerSpec:
-    """levels (b) per real dimension, support (gamma), dither on/off."""
-
-    levels: int
-    support: float
-    dither: bool = True
-
-    def __post_init__(self):
-        b = self.levels
-        if b < 2 or (b & (b - 1)) != 0:
-            raise ValueError(f"levels must be a power of two >= 2, got {b}")
-        if self.support <= 0:
-            raise ValueError("support must be positive")
-
-    @property
-    def step(self) -> float:
-        return 2.0 * self.support / self.levels
-
-
-def quantize_real(x, spec: QuantizerSpec):
-    """Mid-rise quantization of real input(s); saturates outside the support."""
+def quantize_real(x, levels, support):
+    """Mid-rise quantization of a real array with `levels` (b) levels on
+    [-support, support]; saturates outside the support. Undithered."""
+    if levels < 2 or (levels & (levels - 1)) != 0:
+        raise ValueError(f"levels must be a power of two >= 2, got {levels}")
+    if support <= 0:
+        raise ValueError("support must be positive")
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("quantizer input must be finite")
-    gamma, step = spec.support, spec.step
-    cell = np.clip(np.floor((x + gamma) / step), 0, spec.levels - 1)
-    out = -gamma + step * (cell + 0.5)
-    return float(out) if np.isscalar(out) or out.ndim == 0 else out
+    step = 2.0 * support / levels
+    cell = np.clip(np.floor((x + support) / step), 0, levels - 1)
+    return -support + step * (cell + 0.5)
 
 
-def quantize_complex_vector(v, spec: QuantizerSpec, rng=None, return_saturation=False):
-    """Quantize real and imaginary parts elementwise.
-
-    With spec.dither enabled an independent uniform draw on [-step/2, step/2]
-    is added to every real dimension before quantizing (non-subtractive).
-    When return_saturation is set, also returns the fraction of real dimensions
-    whose (dithered) value fell outside [-gamma, gamma].
-    """
+def quantize_complex_vector(v, levels, support, rng):
+    """Dithered quantization of real and imaginary parts: an independent
+    uniform draw on [-step/2, step/2] from rng is added to every real dimension
+    before quantizing (non-subtractive). Returns the quantized vector and the
+    fraction of real dimensions whose dithered value fell outside
+    [-support, support]. quantize_real checks levels, support and that v is
+    finite."""
     v = np.asarray(v, dtype=complex)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("quantizer input must be finite")
+    step = 2.0 * support / levels
     parts = np.stack([v.real, v.imag])
-    if spec.dither:
-        if rng is None:
-            raise ValueError("dithered quantization needs an rng")
-        parts = parts + rng.uniform(-spec.step / 2.0, spec.step / 2.0, size=parts.shape)
-    z = quantize_real(parts, spec)
-    out = z[0] + 1j * z[1]
-    if not return_saturation:
-        return out
-    sat = float(np.mean(np.abs(parts) > spec.support)) if parts.size else 0.0
-    return out, sat
-
-
-def bits_per_pri(channels: int, tones: int, levels: int) -> int:
-    """Total bit spend for one sample-vector: 2 * P * L * ceil(log2 b)."""
-    if levels < 2:
-        raise ValueError("levels must be >= 2")
-    return 2 * channels * tones * int(np.ceil(np.log2(levels)))
+    parts = parts + rng.uniform(-step / 2.0, step / 2.0, size=parts.shape)
+    z = quantize_real(parts, levels, support)
+    sat = float(np.mean(np.abs(parts) > support)) if parts.size else 0.0
+    return z[0] + 1j * z[1], sat
 
 
 def levels_from_budget(budget_bits: int, channels: int, tones: int) -> int:

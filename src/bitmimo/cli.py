@@ -20,7 +20,7 @@ import numpy as np
 
 from .combiner import design_multitone, save_design, write_filter_response_csv
 from .harness import METHODS, ExperimentSpec, design_point, run_sweep
-from .model import load_config
+from .model import COEFF_MODELS, load_config
 from .recovery import RecoverySpec
 # design_multitone and these two are unused here: perfbench/spans.py traces them on cli
 from .statistics import build_compression_matrix, build_covariances
@@ -58,8 +58,7 @@ def _sim_flags(p):
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--methods", type=_names, default=("bilimo",),
                    help=f"comma-separated subset of {','.join(METHODS)}")
-    p.add_argument("--coeff-model", choices=("gaussian", "unit_modulus"),
-                   default="gaussian")
+    p.add_argument("--coeff-model", choices=COEFF_MODELS, default=COEFF_MODELS[0])
     p.add_argument("--rho-scale", type=float, default=0.05)
     p.add_argument("--max-iter", type=int, default=300)
     p.add_argument("--out", required=True, help="output CSV path")

@@ -37,10 +37,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .adc import QuantizerSpec, levels_from_budget, quantize_complex_vector
+from .adc import levels_from_budget, quantize_complex_vector
 from .combiner import config_hash, design_multitone, waterfill_gain
 from .dictionary import apply_fbar, build_dictionary
-from .model import (RadarConfig, TargetScene, sample_scene,
+from .model import (COEFF_MODELS, RadarConfig, TargetScene, sample_scene,
                     scene_to_sparse_vector, snr_db_to_linear,
                     snr_to_noise_variance)
 from .recovery import (RecoverySpec, estimate_support, fista, hit_rate,
@@ -117,6 +117,9 @@ class ExperimentSpec:
         if unknown:
             raise ValueError(f"unknown matrix kinds {sorted(unknown)}; "
                              f"pick from {COMPRESSION_KINDS}")
+        if self.coeff_model not in COEFF_MODELS:
+            raise ValueError(f"unknown coeff_model {self.coeff_model!r}; "
+                             f"pick from {COEFF_MODELS}")
         if not np.all(np.isfinite(self.snr_db)):
             raise ValueError(f"SNR must be finite, got {self.snr_db}")
         grid = self.config.grid_size
@@ -168,7 +171,7 @@ def draw_trial(ctx, rng, k, coeff_model) -> Draw:
     scene = sample_scene(rng, k, cfg, coeff_model)
     sig = np.sqrt(cfg.sigma_n_sq / 2.0)
     noise = sig * (rng.standard_normal(cfg.mnl) + 1j * rng.standard_normal(cfg.mnl))
-    ctilde = dictionary.apply_cells(scene.cells(cfg), scene.alpha)
+    ctilde = dictionary.apply_cells(scene.cells, scene.alpha)
     return Draw(scene=scene, a=scene_to_sparse_vector(scene, cfg),
                 v=ctilde + noise,
                 s_true=ctx.compression.apply_to_c(ctilde[dictionary.perm]))
@@ -204,10 +207,10 @@ def _score(ctx, operator_id, draw, y, s_hat, saturation) -> TrialMetrics:
     apply, adjoint, lipschitz = ctx.operators[operator_id]
     a_hat, info = fista(apply, adjoint, y, ctx.recovery, lipschitz=lipschitz,
                         return_info=True)
-    support = estimate_support(a_hat, draw.scene.k, ctx.config.mn)
+    support = estimate_support(a_hat, draw.scene.k)
     return TrialMetrics(mse_s=relative_mse(draw.s_true, s_hat),
                         mse_a=relative_mse(draw.a, a_hat),
-                        hit=hit_rate(draw.scene, support), saturation=saturation,
+                        hit=hit_rate(draw.scene.cells, support), saturation=saturation,
                         err_s_abs=_sq(draw.s_true - s_hat),
                         iterations=int(info["iterations"]),
                         objective=float(info["objective"][-1]),
@@ -220,7 +223,7 @@ def run_bilimo_trial(ctx, draw, rng) -> TrialMetrics:
     design = ctx.design
     u = apply_fbar(design.apply_combiner(draw.v[ctx.dictionary.perm]),
                    design.L, design.channels)
-    z, sat = quantize_with(u, design.levels, design.support, rng)
+    z, sat = quantize_complex_vector(u, design.levels, design.support, rng)
     s_hat = design.apply_digital(z)
     return _score(ctx, OPERATOR_OF["bilimo"], draw, s_hat, s_hat, sat)
 
@@ -228,7 +231,7 @@ def run_bilimo_trial(ctx, draw, rng) -> TrialMetrics:
 def run_task_ignorant_trial(ctx, draw, rng) -> TrialMetrics:
     """Baseline that quantizes the separated channels directly with the same
     overall bit budget (support from the same eta rule on the input std)."""
-    z, sat = quantize_with(draw.v, ctx.ti_levels, ctx.ti_support, rng)
+    z, sat = quantize_complex_vector(draw.v, ctx.ti_levels, ctx.ti_support, rng)
     s_hat = ctx.compression.apply_to_c(z[ctx.dictionary.perm])
     return _score(ctx, OPERATOR_OF["task_ignorant"], draw, z, s_hat, sat)
 
@@ -245,11 +248,6 @@ def run_noquan_lmmse_trial(ctx, draw, rng) -> TrialMetrics:
     v_c = draw.v[ctx.dictionary.perm].reshape(gamma.shape[0], -1, 1)
     s_tilde = (gamma @ v_c).reshape(-1)
     return _score(ctx, OPERATOR_OF["noquan_lmmse"], draw, s_tilde, s_tilde, None)
-
-
-def quantize_with(v, levels, support, rng):
-    spec = QuantizerSpec(levels=levels, support=float(support), dither=True)
-    return quantize_complex_vector(v, spec, rng, return_saturation=True)
 
 
 # -- sweep machinery ---------------------------------------------------------
@@ -325,7 +323,7 @@ class _PointContext:
             self.ti_levels = levels_from_budget(budget, base.mnl, 1)
             # known defect: sigma_n^2 of the base config, not of this point's SNR
             self.ti_support = base.eta * np.sqrt(
-                (k or 1) * base.sigma_alpha_sq + base.sigma_n_sq)
+                k * base.sigma_alpha_sq + base.sigma_n_sq)
         if "noquan_lmmse" in spec.methods:
             self.gamma_blocks = lmmse_transform(self.compression, stats)
         self.dictionary = dictionary

@@ -20,19 +20,23 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 __all__ = [
+    "COEFF_MODELS",
     "RadarConfig",
     "TargetScene",
     "make_ula_config",
     "make_random_array_config",
     "sample_scene",
     "scene_to_sparse_vector",
-    "scene_from_sparse_vector",
     "snr_to_noise_variance",
     "snr_db_to_linear",
     "config_to_dict",
     "config_from_dict",
     "load_config",
 ]
+
+
+# amplitude laws sample_scene draws from
+COEFF_MODELS = ("gaussian", "unit_modulus")
 
 
 def _readonly(a, dtype):
@@ -142,37 +146,25 @@ class RadarConfig:
 
 @dataclass(frozen=True)
 class TargetScene:
-    """K on-grid targets: delay indices l1, angle indices l2, complex amplitudes."""
+    """K on-grid targets: sorted, distinct flat grid cells l1*MN + l2 and
+    their complex amplitudes."""
 
-    delay_idx: np.ndarray
-    angle_idx: np.ndarray
+    cells: np.ndarray
     alpha: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "delay_idx", _readonly(self.delay_idx, np.int64))
-        object.__setattr__(self, "angle_idx", _readonly(self.angle_idx, np.int64))
+        object.__setattr__(self, "cells", _readonly(self.cells, np.int64))
         object.__setattr__(self, "alpha", _readonly(self.alpha, complex))
-        if not (len(self.delay_idx) == len(self.angle_idx) == len(self.alpha)):
-            raise ValueError("delay_idx, angle_idx, alpha must have equal lengths")
-        if np.any(self.delay_idx < 0) or np.any(self.angle_idx < 0):
-            raise ValueError("grid indices must be nonnegative")
-        pairs = set(zip(self.delay_idx.tolist(), self.angle_idx.tolist()))
-        if len(pairs) != len(self.alpha):
-            raise ValueError("target grid cells must be distinct")
+        if len(self.cells) != len(self.alpha):
+            raise ValueError("cells and alpha must have equal lengths")
+        if np.any(self.cells < 0):
+            raise ValueError("grid cells must be nonnegative")
+        if np.any(np.diff(self.cells) <= 0):
+            raise ValueError("target grid cells must be sorted and distinct")
 
     @property
     def k(self) -> int:
         return len(self.alpha)
-
-    def delays(self, config: RadarConfig) -> np.ndarray:
-        return config.pri * self.delay_idx / config.ml
-
-    def angle_sines(self, config: RadarConfig) -> np.ndarray:
-        return -1.0 + 2.0 * self.angle_idx / config.mn
-
-    def cells(self, config: RadarConfig) -> np.ndarray:
-        """Flat grid indices l1*MN + l2."""
-        return self.delay_idx * config.mn + self.angle_idx
 
 
 def make_ula_config(M, N, bandwidth, pri, carrier=10e9, eta=2.0,
@@ -219,41 +211,29 @@ def sample_scene(rng, K, config: RadarConfig, coeff_model="gaussian") -> TargetS
     variance sigma_alpha_sq; 'unit_modulus' fixes |alpha| = sqrt(sigma_alpha_sq)
     with uniform phase.
     """
+    if coeff_model not in COEFF_MODELS:
+        raise ValueError(f"unknown coeff_model {coeff_model!r}; pick from {COEFF_MODELS}")
     if K < 0:
         raise ValueError("K must be nonnegative")
     if K > config.grid_size:
         raise ValueError(f"K={K} exceeds grid size {config.grid_size}")
     cells = rng.choice(config.grid_size, size=K, replace=False) if K else np.array([], dtype=np.int64)
     cells = np.sort(cells)
-    l1 = cells // config.mn
-    l2 = cells % config.mn
     amp = np.sqrt(config.sigma_alpha_sq)
     if coeff_model == "gaussian":
         alpha = (rng.standard_normal(K) + 1j * rng.standard_normal(K)) * amp / np.sqrt(2.0)
-    elif coeff_model == "unit_modulus":
+    else:  # unit_modulus
         alpha = amp * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=K))
-    else:
-        raise ValueError(f"unknown coeff_model {coeff_model!r}")
-    return TargetScene(delay_idx=l1, angle_idx=l2, alpha=alpha)
+    return TargetScene(cells=cells, alpha=alpha)
 
 
 def scene_to_sparse_vector(scene: TargetScene, config: RadarConfig) -> np.ndarray:
     """K-sparse complex vector a of length M^2*N*L with a[l1*MN + l2] = alpha."""
-    if scene.k and (np.max(scene.delay_idx) >= config.ml or np.max(scene.angle_idx) >= config.mn):
-        raise ValueError("scene indices exceed the configured grid")
+    if scene.k and scene.cells.max() >= config.grid_size:
+        raise ValueError("scene cells exceed the configured grid")
     a = np.zeros(config.grid_size, dtype=complex)
-    a[scene.cells(config)] = scene.alpha
+    a[scene.cells] = scene.alpha
     return a
-
-
-def scene_from_sparse_vector(a: np.ndarray, config: RadarConfig) -> TargetScene:
-    """Inverse of scene_to_sparse_vector for vectors with distinct support."""
-    a = np.asarray(a)
-    if a.shape != (config.grid_size,):
-        raise ValueError("vector length does not match the configured grid")
-    cells = np.flatnonzero(a)
-    return TargetScene(delay_idx=cells // config.mn, angle_idx=cells % config.mn,
-                       alpha=a[cells])
 
 
 def snr_to_noise_variance(snr_linear, config: RadarConfig) -> float:

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TargetScene
-
 __all__ = [
     "RecoverySpec",
     "fista",
@@ -195,30 +193,25 @@ def fista(apply_a, apply_at, s_hat, spec: RecoverySpec, lipschitz=None,
     return x
 
 
-def estimate_support(a_hat, k, mn):
-    """Grid cells of the k largest-magnitude entries, as (delay, angle) pairs.
+def estimate_support(a_hat, k):
+    """Flat grid cells of the k largest-magnitude entries, largest first.
 
     Exact ties break toward the lower flat index; magnitudes that differ only
     by rounding follow that rounding, so a last-bit change upstream can swap
-    such near-tied cells. The flat layout is l1*mn + l2.
+    such near-tied cells.
     """
     a_hat = np.asarray(a_hat)
     if k < 0 or k > a_hat.size:
         raise ValueError(f"k={k} out of range for a vector of {a_hat.size}")
+    return np.argsort(-np.abs(a_hat), kind="stable")[:k]
+
+
+def hit_rate(true_cells, estimated_cells) -> float:
+    """Fraction of the true (distinct) grid cells that appear in the estimate."""
+    k = len(true_cells)
     if k == 0:
-        return []
-    order = np.argsort(-np.abs(a_hat), kind="stable")[:k]
-    return [(int(idx) // mn, int(idx) % mn) for idx in order]
-
-
-def hit_rate(scene: TargetScene, estimated_pairs) -> float:
-    """Fraction of true targets whose exact grid cell appears in the estimate."""
-    if scene.k == 0:
         return 1.0
-    est = set((int(l1), int(l2)) for l1, l2 in estimated_pairs)
-    hits = sum((int(l1), int(l2)) in est
-               for l1, l2 in zip(scene.delay_idx, scene.angle_idx))
-    return hits / scene.k
+    return len(set(true_cells) & set(estimated_cells)) / k
 
 
 def relative_mse(x_true, x_est) -> float:

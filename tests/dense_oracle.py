@@ -71,8 +71,9 @@ def eval_c_direct(scene, config):
     out = np.zeros(config.mnl, dtype=complex)
     if scene.k == 0:
         return out
-    tau = scene.delays(config)
-    theta = scene.angle_sines(config)
+    l1, l2 = np.divmod(scene.cells, config.mn)
+    tau = config.pri * l1 / config.ml
+    theta = -1.0 + 2.0 * l2 / config.mn
     tones = config.tone_indices
     for m in range(M):
         virt = config.tx_pos[m] + config.rx_pos                      # (N,)

@@ -15,11 +15,10 @@ import numpy as np
 import pytest
 
 import bitmimo as bm
-from bitmimo.adc import QuantizerSpec, quantize_complex_vector, quantize_real
+from bitmimo.adc import quantize_complex_vector, quantize_real
 from bitmimo.combiner import design_multitone
 from bitmimo.dictionary import apply_fbar, build_dictionary
-from bitmimo.harness import (ExperimentSpec, draw_trial, quantize_with,
-                             run_bilimo_trial, run_sweep)
+from bitmimo.harness import ExperimentSpec, draw_trial, run_bilimo_trial, run_sweep
 from bitmimo.recovery import RecoverySpec, fista, power_iteration_lipschitz
 from dense_oracle import (dense_task, eval_c_direct, reference_emse_of_combiner,
                           reference_support_gamma, stacked_statistics)
@@ -61,22 +60,20 @@ def test_acceptance_1_dictionary_oracle(full_scale):
 
 
 def test_acceptance_2_quantizer_contract():
-    spec2 = QuantizerSpec(levels=2, support=1.0, dither=False)
-    assert quantize_real(0.3, spec2) == 0.5
-    assert quantize_real(-0.7, spec2) == -0.5
-    assert quantize_real(1.5, spec2) == 0.5
+    assert quantize_real(0.3, 2, 1.0) == 0.5
+    assert quantize_real(-0.7, 2, 1.0) == -0.5
+    assert quantize_real(1.5, 2, 1.0) == 0.5
 
     rng = np.random.default_rng(2)
-    spec = QuantizerSpec(levels=16, support=4.0, dither=True)
+    support, step = 4.0, 2.0 * 4.0 / 16
     n = 1_000_000
     v = rng.standard_normal(n // 2) + 1j * rng.standard_normal(n // 2)
-    keep = (np.abs(v.real) < spec.support - spec.step) & \
-           (np.abs(v.imag) < spec.support - spec.step)
+    keep = (np.abs(v.real) < support - step) & (np.abs(v.imag) < support - step)
     v = v[keep]
-    z = quantize_complex_vector(v, spec, rng)
+    z, _ = quantize_complex_vector(v, 16, support, rng)
     err = np.concatenate([(z - v).real, (z - v).imag])
     var = float(np.var(err))
-    target = spec.step ** 2 / 6.0
+    target = step ** 2 / 6.0
     assert abs(var - target) <= 0.03 * target
     _passed(2, f"level triples exact; dithered error variance {var:.5f} vs "
                f"step^2/6 = {target:.5f}")
@@ -223,12 +220,12 @@ def test_acceptance_7_recovery_error_bound():
         design = design_multitone(stats, comp, comp.block_rows, 16, cfg.eta)
         scene = bm.sample_scene(rng, K, cfg, "unit_modulus")
         a = bm.scene_to_sparse_vector(scene, cfg)
-        ct = d.apply_cells(scene.cells(cfg), scene.alpha)
+        ct = d.apply_cells(scene.cells, scene.alpha)
         w = np.sqrt(cfg.sigma_n_sq / 2) * (rng.standard_normal(cfg.mnl)
                                            + 1j * rng.standard_normal(cfg.mnl))
         u = apply_fbar(design.apply_combiner((ct + w)[d.perm]),
                        design.L, design.channels)
-        z, sat = quantize_with(u, design.levels, design.support, rng)
+        z, sat = quantize_complex_vector(u, design.levels, design.support, rng)
         if sat > 0:
             continue  # the bound presumes non-overloaded quantizers
         s_hat = design.apply_digital(z)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bitmimo as bm
-from bitmimo.adc import QuantizerSpec, quantize_complex_vector
+from bitmimo.adc import quantize_complex_vector
 from bitmimo.combiner import (BUNDLE_ARRAYS, _filter_table, _format_g10, design_multitone,
                               equalizing_unitary, load_design, save_design, waterfill,
                               waterfill_gain, write_filter_response_csv)
@@ -422,8 +422,7 @@ def test_design_monotone_matches_dithered_simulation():
     gamma_t = blkdiag(lmmse_transform(comp, stats))
     s_tilde = v @ gamma_t.T
     u = v @ design.combiner_blocks[0].T
-    spec = QuantizerSpec(levels=4, support=design.support, dither=True)
-    z = quantize_complex_vector(u, spec, rng)
+    z, _ = quantize_complex_vector(u, 4, design.support, rng)
     s_hat = z @ dense_digital(design).T
     emp = np.mean(np.sum(np.abs(s_tilde - s_hat) ** 2, axis=1))
     assert emp == pytest.approx(design.emse, rel=0.10)

@@ -82,7 +82,7 @@ def test_oracle_empty_scene(small):
 
 def test_oracle_delay_free_target_is_tone_flat(small):
     cfg, _ = small
-    scene = bm.TargetScene(delay_idx=[0], angle_idx=[3], alpha=[1.0])
+    scene = bm.TargetScene(cells=[3], alpha=[1.0])  # (l1, l2) = (0, 3)
     c = eval_c_direct(scene, cfg)
     theta = -1.0 + 2.0 * 3 / cfg.mn
     for m in range(cfg.M):
@@ -162,7 +162,7 @@ def test_apply_cells_matches_apply(points):
         for k in (1, 4):
             scene = bm.sample_scene(rng, k, cfg)
             a = bm.scene_to_sparse_vector(scene, cfg)
-            assert _rel(d.apply_cells(scene.cells(cfg), scene.alpha), d.apply(a)) <= 1e-12
+            assert _rel(d.apply_cells(scene.cells, scene.alpha), d.apply(a)) <= 1e-12
 
 
 def test_sweep_point_beyond_old_dense_cap():

@@ -32,6 +32,8 @@ def test_spec_validation(small_cfg):
         _spec(small_cfg, snr_db=())
     with pytest.raises(ValueError):
         _spec(small_cfg, methods=("bogus",))
+    with pytest.raises(ValueError, match="unknown coeff_model"):
+        _spec(small_cfg, coeff_model="bogus")
 
 
 def test_empty_method_list_rejected(small_cfg):

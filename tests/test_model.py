@@ -5,6 +5,15 @@ import bitmimo as bm
 from bitmimo.dictionary import build_dictionary
 
 
+def scene_from_sparse_vector(a, config):
+    """Inverse of scene_to_sparse_vector for vectors with distinct support."""
+    a = np.asarray(a)
+    if a.shape != (config.grid_size,):
+        raise ValueError("vector length does not match the configured grid")
+    cells = np.flatnonzero(a)
+    return bm.TargetScene(cells=cells, alpha=a[cells])
+
+
 def test_ula_config_paper_scale():
     cfg = bm.make_ula_config(8, 12, 1e6, 9e-6)
     assert cfg.L == 9
@@ -78,7 +87,7 @@ def test_sample_scene_gaussian_counts_and_power():
     draws = [bm.sample_scene(rng, 4, cfg) for _ in range(4000)]
     for sc in draws[:50]:
         assert sc.k == 4
-        assert len(set(sc.cells(cfg).tolist())) == 4
+        assert len(set(sc.cells.tolist())) == 4
     power = np.mean([np.abs(sc.alpha) ** 2 for sc in draws])
     assert abs(power - cfg.sigma_alpha_sq) < 0.05
 
@@ -95,14 +104,16 @@ def test_sample_scene_edge_cases():
     assert empty.k == 0
     assert np.count_nonzero(bm.scene_to_sparse_vector(empty, cfg)) == 0
     full = bm.sample_scene(np.random.default_rng(0), cfg.grid_size, cfg)
-    assert sorted(full.cells(cfg).tolist()) == list(range(cfg.grid_size))
+    assert sorted(full.cells.tolist()) == list(range(cfg.grid_size))
     with pytest.raises(ValueError):
         bm.sample_scene(np.random.default_rng(0), cfg.grid_size + 1, cfg)
+    with pytest.raises(ValueError, match="unknown coeff_model"):
+        bm.sample_scene(np.random.default_rng(0), 1, cfg, "bogus")
 
 
 def test_sparse_vector_origin_cell():
     cfg = bm.make_ula_config(2, 3, 1e6, 3e-6)
-    scene = bm.TargetScene(delay_idx=[0], angle_idx=[0], alpha=[1.0])
+    scene = bm.TargetScene(cells=[0], alpha=[1.0])
     a = bm.scene_to_sparse_vector(scene, cfg)
     assert a[0] == 1.0 and np.count_nonzero(a) == 1
 
@@ -110,9 +121,15 @@ def test_sparse_vector_origin_cell():
 def test_sparse_vector_index_arithmetic():
     # M=2, N=3, L=3 -> MN=6, ML=6; (l1=2, l2=5) lands at 2*6+5 = 17
     cfg = bm.make_ula_config(2, 3, 1e6, 3e-6)
-    scene = bm.TargetScene(delay_idx=[2], angle_idx=[5], alpha=[1 + 2j])
+    assert cfg.mn == 6 and cfg.ml == 6
+    scene = bm.TargetScene(cells=[2 * cfg.mn + 5], alpha=[1 + 2j])
     a = bm.scene_to_sparse_vector(scene, cfg)
     assert a[17] == 1 + 2j and np.count_nonzero(a) == 1
+    last = bm.TargetScene(cells=[cfg.grid_size - 1], alpha=[1.0])
+    assert bm.scene_to_sparse_vector(last, cfg)[-1] == 1.0
+    beyond = bm.TargetScene(cells=[3, cfg.grid_size], alpha=[1.0, 1.0])
+    with pytest.raises(ValueError, match="exceed the configured grid"):
+        bm.scene_to_sparse_vector(beyond, cfg)
 
 
 def test_scene_roundtrip_property():
@@ -120,17 +137,24 @@ def test_scene_roundtrip_property():
     rng = np.random.default_rng(3)
     for _ in range(100):
         scene = bm.sample_scene(rng, int(rng.integers(1, 8)), cfg)
-        back = bm.scene_from_sparse_vector(bm.scene_to_sparse_vector(scene, cfg), cfg)
-        assert sorted(zip(scene.delay_idx, scene.angle_idx)) == \
-            sorted(zip(back.delay_idx, back.angle_idx))
-        order_a = np.argsort(scene.cells(cfg))
-        order_b = np.argsort(back.cells(cfg))
-        assert np.allclose(scene.alpha[order_a], back.alpha[order_b])
+        back = scene_from_sparse_vector(bm.scene_to_sparse_vector(scene, cfg), cfg)
+        assert np.array_equal(scene.cells, back.cells)
+        assert np.array_equal(scene.alpha, back.alpha)
 
 
 def test_scene_rejects_duplicate_cells():
+    with pytest.raises(ValueError, match="distinct"):
+        bm.TargetScene(cells=[8, 8], alpha=[1.0, 2.0])
+    # and cells out of order, negative, or not one per amplitude
+    with pytest.raises(ValueError, match="sorted"):
+        bm.TargetScene(cells=[9, 8], alpha=[1.0, 2.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        bm.TargetScene(cells=[-1, 8], alpha=[1.0, 2.0])
+    with pytest.raises(ValueError, match="equal lengths"):
+        bm.TargetScene(cells=[1, 8], alpha=[1.0])
+    scene = bm.TargetScene(cells=[1, 8], alpha=[1.0, 2.0])
     with pytest.raises(ValueError):
-        bm.TargetScene(delay_idx=[1, 1], angle_idx=[2, 2], alpha=[1.0, 2.0])
+        scene.cells[0] = 0  # read-only
 
 
 def test_snr_to_noise_variance_values():
@@ -152,7 +176,7 @@ def test_snr_closed_form_monte_carlo_oracle():
     acc = 0.0
     for _ in range(n):
         sc = bm.sample_scene(rng, K, cfg)
-        acc += np.linalg.norm(d.apply_cells(sc.cells(cfg), sc.alpha)) ** 2
+        acc += np.linalg.norm(d.apply_cells(sc.cells, sc.alpha)) ** 2
     mean_energy = acc / n / (K * cfg.mnl)
     assert abs(mean_energy - cfg.sigma_alpha_sq) < 0.01 * cfg.sigma_alpha_sq
     snr = 10.0

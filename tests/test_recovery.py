@@ -224,35 +224,68 @@ def test_soft_threshold_properties():
 def test_estimate_support_index_arithmetic():
     a = np.zeros(36, dtype=complex)
     a[17] = 3.0
-    assert estimate_support(a, 1, mn=6) == [(2, 5)]
-    assert estimate_support(a, 0, mn=6) == []
+    assert estimate_support(a, 1).tolist() == [17]
+    assert estimate_support(a, 0).tolist() == []
     with pytest.raises(ValueError):
-        estimate_support(a, 37, mn=6)
+        estimate_support(a, 37)
+    with pytest.raises(ValueError):
+        estimate_support(a, -1)
 
 
 def test_estimate_support_tie_break_lower_index():
     a = np.zeros(12, dtype=complex)
     a[5] = 1.0
     a[9] = 1.0
-    assert estimate_support(a, 1, mn=4) == [(1, 1)]  # index 5 wins the tie
+    assert estimate_support(a, 1).tolist() == [5]  # index 5 wins the tie
 
 
 def test_estimate_support_scale_invariance():
     rng = np.random.default_rng(5)
     a = rng.standard_normal(24) + 1j * rng.standard_normal(24)
-    base = estimate_support(a, 4, mn=6)
-    assert estimate_support(a * (2.5 - 1.3j), 4, mn=6) == base
+    base = estimate_support(a, 4)
+    assert np.array_equal(estimate_support(a * (2.5 - 1.3j), 4), base)
 
 
 def test_hit_rate_cases():
-    scene = bm.TargetScene(delay_idx=[0, 1, 2, 3], angle_idx=[0, 1, 2, 3],
-                           alpha=[1, 1, 1, 1])
-    truth = list(zip(scene.delay_idx, scene.angle_idx))
-    assert hit_rate(scene, truth) == 1.0
-    assert hit_rate(scene, [(9, 9), (8, 8), (7, 7), (6, 6)]) == 0.0
-    assert hit_rate(scene, truth[:2] + [(9, 9), (8, 8)]) == 0.5
-    empty = bm.TargetScene(delay_idx=[], angle_idx=[], alpha=[])
-    assert hit_rate(empty, []) == 1.0
+    # cells l1*6 + l2 of the (l1, l2) pairs (0, 0), (1, 1), (2, 2), (3, 3)
+    truth = bm.TargetScene(cells=[0, 7, 14, 21], alpha=[1, 1, 1, 1]).cells
+    assert hit_rate(truth, truth) == 1.0
+    assert hit_rate(truth, truth[::-1]) == 1.0
+    assert hit_rate(truth, [63, 56, 49, 42]) == 0.0
+    assert hit_rate(truth, [truth[0], truth[1], 56, 49]) == 0.5
+    empty = bm.TargetScene(cells=[], alpha=[])
+    assert hit_rate(empty.cells, np.array([], dtype=np.int64)) == 1.0
+
+
+def test_support_and_hit_rate_match_the_pair_computation():
+    # flat-cell support and hit rate agree with the (l1, l2)-pair computation
+    # on random estimates with planted exact magnitude ties, for k from 1 to
+    # the grid size
+    cfg = bm.make_ula_config(2, 3, 1e6, 3e-6)
+    grid, mn = cfg.grid_size, cfg.mn
+    rng = np.random.default_rng(29)
+    ties = 0
+    for trial in range(300):
+        k = int(rng.integers(1, grid + 1)) if trial % 3 else int(rng.integers(1, 6))
+        scene = bm.sample_scene(rng, k, cfg)
+        a_hat = rng.standard_normal(grid) + 1j * rng.standard_normal(grid)
+        # plant exact ties: copy entries onto other cells turned by a multiple
+        # of 90 degrees or conjugated (|.| is unchanged bit for bit), and zero
+        # random cells so that many entries tie at 0
+        src, dst = rng.integers(0, grid, size=(2, 16))
+        turned = a_hat[src] * rng.choice([1, -1, 1j, -1j], size=16)
+        a_hat[dst] = np.where(rng.uniform(size=16) < 0.5, turned, turned.conj())
+        a_hat[rng.integers(0, grid, size=int(rng.integers(0, grid)))] = 0.0
+        mags = np.abs(a_hat)
+        ties += mags.size - np.unique(mags).size
+        support = estimate_support(a_hat, k)
+        order = sorted(range(grid), key=lambda i: (-mags[i], i))[:k]
+        assert support.tolist() == order
+        # the (delay, angle)-pair computation: top-k cells as (l1, l2) tuples
+        est = {(i // mn, i % mn) for i in order}
+        hits = sum((int(c) // mn, int(c) % mn) in est for c in scene.cells)
+        assert hit_rate(scene.cells, support) == hits / k
+    assert ties > 1000
 
 
 def test_relative_mse_cases():
