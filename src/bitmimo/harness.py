@@ -11,6 +11,12 @@ shared read-only by the trials. Every trial runs in three steps:
                estimate the method makes from the draw
     score      one complex LASSO on Phi or M*Phi, support extraction, metrics
 
+The LASSO runs in single precision: the solver operators are built on complex64
+copies of the dictionary's U and V and of the compression blocks, and the
+observation goes to the solver as complex64. Everything before it (draw, front
+ends, design) and every metric stays in complex128, so mse_s, the design errors
+and the saturation rate do not depend on the solver's precision.
+
 Seeding is fully deterministic:
 
     compression rng   <- SeedSequence([master_seed, point_index, 1 << 20])
@@ -32,7 +38,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -102,11 +108,17 @@ class ExperimentSpec:
     recovery: RecoverySpec = field(default_factory=RecoverySpec)
 
     def __post_init__(self):
+        if not isinstance(self.trials, (int, np.integer)):
+            raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise ValueError("need at least one trial per sweep point")
         for axis in ("budget_bits", "snr_db", "dcr", "k", "matrix_kinds"):
             if not getattr(self, axis):
                 raise ValueError(f"sweep axis {axis} must be nonempty")
+        for axis in ("budget_bits", "dcr", "k"):
+            bad = [v for v in getattr(self, axis) if not isinstance(v, (int, np.integer))]
+            if bad:
+                raise ValueError(f"sweep axis {axis} takes integers, got {bad}")
         if not self.methods:
             raise ValueError("need at least one method")
         unknown = set(self.methods) - set(METHODS)
@@ -149,6 +161,7 @@ class TrialMetrics:
     iterations: int   # FISTA iterations of the recovery
     objective: float  # final LASSO objective of the recovery
     rho: float        # l1 weight the recovery used
+    gap: float        # relative duality gap of the recovery
 
 
 # -- one trial: draw, front end, score ----------------------------------------
@@ -185,28 +198,41 @@ def _operator_pair(mat):
     return (lambda x: mat @ x), (lambda y: (y.conj() @ mat).conj())
 
 
+def _single(array):
+    return array.astype(np.complex64)
+
+
 def _solver_operator(apply, adjoint, rows, cols):
-    """(apply, adjoint, lipschitz) FISTA runs on: the structured pair, or, up to
-    DENSE_OPERATOR_MAX_ENTRIES, its matrix formed row by row from the adjoint."""
+    """(apply, adjoint, lipschitz) FISTA runs on, from a pair built on complex64
+    factors: the structured pair, or, up to DENSE_OPERATOR_MAX_ENTRIES, its
+    complex64 matrix formed row by row from the adjoint. The power iteration
+    starts from a complex64 probe, so it runs in single precision too."""
     if rows * cols <= DENSE_OPERATOR_MAX_ENTRIES:
         apply, adjoint = _operator_pair(
-            np.array([adjoint(e) for e in np.eye(rows)]).conj())
-    return apply, adjoint, power_iteration_lipschitz(apply, adjoint, cols)
+            np.array([adjoint(e) for e in np.eye(rows, dtype=np.complex64)]).conj())
+    return apply, adjoint, power_iteration_lipschitz(
+        lambda x: apply(_single(x)), adjoint, cols)
+
+
+def _single_dictionary(dictionary):
+    """The dictionary on complex64 copies of U and V: its apply and adjoint
+    keep complex64 inputs in single precision."""
+    return replace(dictionary, U=_single(dictionary.U), V=_single(dictionary.V))
 
 
 def _phi_operator(dictionary):
     """Phi's solver operator; it depends only on the dictionary, so a sweep
     builds it once."""
-    return _solver_operator(dictionary.apply, dictionary.apply_adjoint,
-                            dictionary.n_rows, dictionary.n_atoms)
+    d = _single_dictionary(dictionary)
+    return _solver_operator(d.apply, d.apply_adjoint, d.n_rows, d.n_atoms)
 
 
 def _score(ctx, operator_id, draw, y, s_hat, saturation) -> TrialMetrics:
     """Recover the grid vector from the observation y on the named operator,
     and score it and the task-vector estimate s_hat against the draw."""
     apply, adjoint, lipschitz = ctx.operators[operator_id]
-    a_hat, info = fista(apply, adjoint, y, ctx.recovery, lipschitz=lipschitz,
-                        return_info=True)
+    a_hat, info = fista(apply, adjoint, _single(y), ctx.recovery,
+                        lipschitz=lipschitz, return_info=True)
     support = estimate_support(a_hat, draw.scene.k)
     return TrialMetrics(mse_s=relative_mse(draw.s_true, s_hat),
                         mse_a=relative_mse(draw.a, a_hat),
@@ -214,7 +240,7 @@ def _score(ctx, operator_id, draw, y, s_hat, saturation) -> TrialMetrics:
                         err_s_abs=_sq(draw.s_true - s_hat),
                         iterations=int(info["iterations"]),
                         objective=float(info["objective"][-1]),
-                        rho=float(info["rho"]))
+                        rho=float(info["rho"]), gap=float(info["gap"]))
 
 
 def run_bilimo_trial(ctx, draw, rng) -> TrialMetrics:
@@ -285,6 +311,8 @@ class PointResult:
         self.capped_frac = float(np.mean(iterations >= max_iter))
         self.objective_mean = float(np.mean([m.objective for m in kept]))
         self.rho_mean = float(np.mean([m.rho for m in kept]))
+        gaps = [m.gap for m in kept]
+        self.gap_mean, self.gap_max = float(np.mean(gaps)), float(np.max(gaps))
 
 
 @dataclass
@@ -330,12 +358,15 @@ class _PointContext:
 
         self.operators = {} if phi is None else {"phi": phi}
         if any(OPERATOR_OF[m] == "task" for m in spec.methods):
-            # the task operator M*Phi = apply_to_c . perm . Phi
-            comp, perm, iperm = self.compression, dictionary.perm, dictionary.iperm
+            # the task operator M*Phi = apply_to_c . perm . Phi, on complex64
+            # copies of the factors
+            d = _single_dictionary(dictionary)
+            comp = replace(self.compression, blocks=_single(self.compression.blocks))
+            perm, iperm = d.perm, d.iperm
             self.operators["task"] = _solver_operator(
-                lambda x: comp.apply_to_c(dictionary.apply(x)[perm]),
-                lambda y: dictionary.apply_adjoint(comp.apply_adjoint_to_c(y)[iperm]),
-                comp.rows, dictionary.n_atoms)
+                lambda x: comp.apply_to_c(d.apply(x)[perm]),
+                lambda y: d.apply_adjoint(comp.apply_adjoint_to_c(y)[iperm]),
+                comp.rows, d.n_atoms)
 
 
 def run_sweep(spec: ExperimentSpec, out_csv=None, dictionary=None) -> ExperimentResult:
@@ -437,7 +468,8 @@ def _write_sidecar(spec: ExperimentSpec, points, path) -> None:
         "timing": {f"point{p.index}/{p.method}": {
             "wall_ms": p.wall_ms, "trials": p.trials, "failed": p.n_failed,
             "iters_mean": p.iters_mean, "capped_frac": p.capped_frac,
-            "objective_mean": p.objective_mean, "rho_mean": p.rho_mean}
+            "objective_mean": p.objective_mean, "rho_mean": p.rho_mean,
+            "gap_mean": p.gap_mean, "gap_max": p.gap_max}
             for p in points},
     }
     with open(path, "w") as fh:

@@ -16,11 +16,18 @@ iterate-change rule. The operator is taken matrix-free (apply / adjoint pair)
 so the full-scale product never needs an explicit matrix; each iteration
 applies A once and A^H once, after one A^H s_hat, and does its vector work
 in buffers the solver owns.
+
+The solve runs in the precision of its data: a complex64 s_hat on an operator
+that keeps complex64 gives complex64 iterates, and complex128 data the
+double-precision path. Either way the objective values the monotone guard
+compares, and the duality gap reported after the loop, are accumulated in
+float64.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,10 +73,23 @@ class RecoverySpec:
             value = getattr(self, name)
             if value is not None and not 0 <= value < np.inf:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        if not isinstance(self.max_iter, (int, np.integer)):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+
+
+def _wide(v):
+    """v in double precision; v itself when it already is."""
+    return v.astype(np.promote_types(v.dtype, np.float64), copy=False)
+
+
+def _sq(v):
+    """||v||^2 accumulated in float64."""
+    v = _wide(v)
+    return float(np.vdot(v, v).real)
 
 
 def _shrink_scale(mag, t, out):
@@ -82,14 +102,16 @@ def _shrink_scale(mag, t, out):
 
 
 def power_iteration_lipschitz(apply_a, apply_at, n):
-    """Spectral norm of A^H A by power iteration (deterministic start)."""
+    """Spectral norm of A^H A by power iteration (deterministic start). The
+    iterates keep the precision the operator returns; the norms are taken in
+    float64."""
     rng = np.random.default_rng(POWER_SEED)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(POWER_ITERS):
         w = apply_at(apply_a(v))
-        lam_new = np.linalg.norm(w)
+        lam_new = float(np.linalg.norm(_wide(w)))
         if lam_new == 0:
             raise ValueError("operator maps the probe vector to zero")
         v = w / lam_new
@@ -97,7 +119,7 @@ def power_iteration_lipschitz(apply_a, apply_at, n):
             lam = lam_new
             break
         lam = lam_new
-    return float(lam)
+    return lam
 
 
 def fista(apply_a, apply_at, s_hat, spec: RecoverySpec, lipschitz=None,
@@ -116,8 +138,15 @@ def fista(apply_a, apply_at, s_hat, spec: RecoverySpec, lipschitz=None,
     1/(SAFE_STEP*L_f) at the first iteration where the monotone guard rejects
     a candidate or the step ||z - x|| exceeds SAFEGUARD_GROWTH times the first
     one (the safeguard of Liang, Luo & Schoenlieb 2022).
+
+    The iterates take s_hat's precision (complex64 or complex128). info's
+    "gap" is the relative duality gap (P(x) - D(theta)) / P(x) of the final
+    iterate x at the rescaled-residual dual point theta = r * min(1,
+    rho / ||A^H r||_inf), r = s_hat - A x, with D(theta) = 0.5||s_hat||^2 -
+    0.5||s_hat - theta||^2; it costs one adjoint after the loop.
     """
-    s_hat = np.asarray(s_hat, dtype=complex)
+    s_hat = np.asarray(s_hat)
+    s_hat = s_hat.astype(np.result_type(s_hat, np.complex64), copy=False)
     if not np.all(np.isfinite(s_hat)):
         raise ValueError("data vector must be finite")
     corr = apply_at(s_hat)
@@ -132,17 +161,18 @@ def fista(apply_a, apply_at, s_hat, spec: RecoverySpec, lipschitz=None,
     if rho is None:
         rho = spec.rho_scale * float(np.max(np.abs(corr)))
 
-    x = np.zeros(n, dtype=complex)
+    x = np.zeros(n, dtype=s_hat.dtype)
     ax = np.zeros_like(s_hat)
-    fx = 0.5 * float(np.vdot(s_hat, s_hat).real)
+    fx = 0.5 * _sq(s_hat)
     y, ay = x, ax
     t = 1.0
     z_prev, z_prev_sq = x, 0.0
     # work buffers: v holds the gradient step (then z - z_prev), mag and scale
     # its magnitude and shrink factor; z - x goes to the buffer of the pair
     # that y does not hold, and the next momentum point is built in it
-    v, mag, scale = np.empty(n, dtype=complex), np.empty(n), np.empty(n)
-    bufs = (np.empty(n, dtype=complex), np.empty(n, dtype=complex))
+    real = s_hat.real.dtype
+    v, mag, scale = np.empty_like(x), np.empty(n, dtype=real), np.empty(n, dtype=real)
+    bufs = (np.empty_like(x), np.empty_like(x))
     history = [fx]
     n_iter = 0
     for n_iter in range(1, spec.max_iter + 1):
@@ -152,7 +182,7 @@ def fista(apply_a, apply_at, s_hat, spec: RecoverySpec, lipschitz=None,
         z = v * scale
         az = apply_a(z)
         r = az - s_hat
-        fz = 0.5 * float(np.vdot(r, r).real) + rho * float(mag @ scale)
+        fz = 0.5 * _sq(r) + rho * float(_wide(mag) @ _wide(scale))
         accepted = fz <= fx
         x_new, ax_new, fx_new = (z, az, fz) if accepted else (x, ax, fx)
         step = np.subtract(z, x, out=bufs[1] if y is bufs[0] else bufs[0])
@@ -176,7 +206,7 @@ def fista(apply_a, apply_at, s_hat, spec: RecoverySpec, lipschitz=None,
             # y = x_new + (t/t_new)(z - x_new) + ((t-1)/t_new)(x_new - x), which
             # is x_new + c (z - x) with c = (t-1)/t_new if z was accepted, else
             # t/t_new; A y follows from A x_new, A z and A x the same way
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             c = ((t - 1.0) if accepted else t) / t_new
             step *= c
             step += x_new
@@ -189,8 +219,19 @@ def fista(apply_a, apply_at, s_hat, spec: RecoverySpec, lipschitz=None,
             break
     if return_info:
         return x, {"objective": history, "iterations": n_iter,
-                   "lipschitz": lipschitz, "rho": rho}
+                   "lipschitz": lipschitz, "rho": rho,
+                   "gap": _relative_gap(apply_at, s_hat, ax, fx, rho)}
     return x
+
+
+def _relative_gap(apply_at, s_hat, ax, fx, rho):
+    """(P(x) - D(theta)) / P(x) for the primal objective fx = P(x), A x = ax,
+    at the rescaled-residual dual point theta (see fista); 0 when P(x) is 0."""
+    r = s_hat - ax
+    bound = float(np.max(np.abs(apply_at(r)), initial=0.0))
+    theta = _wide(r) * (min(1.0, rho / bound) if bound > 0 else 1.0)
+    dual = 0.5 * (_sq(s_hat) - _sq(_wide(s_hat) - theta))
+    return (fx - dual) / fx if fx > 0 else 0.0
 
 
 def estimate_support(a_hat, k):

@@ -119,23 +119,26 @@ def points():
 
 
 def test_matrix_free_matches_dense(points):
-    # structured Phi, Phi^H, M*Phi and (M*Phi)^H, as the solver receives them,
-    # against the dense Kronecker oracle
+    # structured Phi and Phi^H against the dense Kronecker oracle; M*Phi and
+    # (M*Phi)^H as the solver receives them, in single precision: complex64 in,
+    # complex64 out, within single-precision rounding of the oracle
     rng = np.random.default_rng(1)
     for d, ctx in points:
         phi, task = dense_phi(d), dense_task(d, ctx.compression)
+        phi_apply, phi_adjoint, _ = ctx.operators["phi"]
+        task_apply, task_adjoint, _ = ctx.operators["task"]
         for _ in range(5):
             a = rng.standard_normal(d.n_atoms) + 1j * rng.standard_normal(d.n_atoms)
             y = rng.standard_normal(d.n_rows) + 1j * rng.standard_normal(d.n_rows)
             s = rng.standard_normal(task.shape[0]) + 1j * rng.standard_normal(task.shape[0])
             assert _rel(d.apply(a), phi @ a) <= 1e-10
             assert _rel(d.apply_adjoint(y), phi.conj().T @ y) <= 1e-10
-            phi_apply, phi_adjoint, _ = ctx.operators["phi"]
-            task_apply, task_adjoint, _ = ctx.operators["task"]
-            assert _rel(phi_apply(a), phi @ a) <= 1e-10
-            assert _rel(phi_adjoint(y), phi.conj().T @ y) <= 1e-10
-            assert _rel(task_apply(a), task @ a) <= 1e-10
-            assert _rel(task_adjoint(s), task.conj().T @ s) <= 1e-10
+            a, y, s = (v.astype(np.complex64) for v in (a, y, s))
+            for fn, mat, v in ((phi_apply, phi, a), (phi_adjoint, phi.conj().T, y),
+                               (task_apply, task, a), (task_adjoint, task.conj().T, s)):
+                got = fn(v)
+                assert got.dtype == np.complex64
+                assert _rel(got, mat @ v) <= 1e-6
 
 
 def test_adjoint_identity(points):

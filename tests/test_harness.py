@@ -36,6 +36,20 @@ def test_spec_validation(small_cfg):
         _spec(small_cfg, coeff_model="bogus")
 
 
+def test_spec_rejects_non_integer_counts(small_cfg):
+    # k=1.5 would pass the range check and run as k=1; each field is named
+    for field, bad in (("k", (1.5,)), ("k", (2, 2.0)), ("dcr", (2.5,)),
+                       ("budget_bits", (1728.0,)), ("budget_bits", ("1728",))):
+        with pytest.raises(ValueError, match=f"sweep axis {field} takes integers"):
+            _spec(small_cfg, **{field: bad})
+    for bad in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            _spec(small_cfg, trials=bad)
+    spec = _spec(small_cfg, k=(np.int64(2),), dcr=(np.int32(2),), trials=np.int64(1))
+    (_, axes), = spec.points()
+    assert axes[2:4] == (2, 2)
+
+
 def test_empty_method_list_rejected(small_cfg):
     with pytest.raises(ValueError, match="at least one method"):
         _spec(small_cfg, methods=())
@@ -191,8 +205,9 @@ def test_sidecar_reports_capped_solves(tmp_path, small_cfg):
     assert sorted(timing) == [f"point0/{m}" for m in sorted(bm.METHODS)]
     for entry in timing.values():
         assert (entry["iters_mean"], entry["capped_frac"]) == (1.0, 1.0)
-        for key in ("objective_mean", "rho_mean"):
+        for key in ("objective_mean", "rho_mean", "gap_mean"):
             assert np.isfinite(entry[key]) and entry[key] > 0
+        assert entry["gap_mean"] <= entry["gap_max"]
 
 
 def test_csv_bytes_deterministic(tmp_path, small_cfg, monkeypatch):
@@ -288,3 +303,5 @@ def test_numerical_failure_excludes_one_trial(tmp_path, small_cfg, monkeypatch):
     assert (entry["trials"], entry["failed"]) == (2, 1)
     assert entry["iters_mean"] == np.mean([m.iterations for m in kept])
     assert entry["objective_mean"] == np.mean([m.objective for m in kept])
+    assert entry["gap_mean"] == np.mean([m.gap for m in kept])
+    assert entry["gap_max"] == max(m.gap for m in kept)

@@ -1,9 +1,11 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import bitmimo as bm
+from bitmimo import harness
 from bitmimo.recovery import (RecoverySpec, estimate_support, fista, hit_rate,
                               power_iteration_lipschitz, relative_mse)
 from bitmimo.statistics import build_compression_matrix
@@ -60,18 +62,36 @@ def test_fista_objective_nonincreasing():
     assert np.all(np.diff(hist) <= 1e-10 * np.abs(hist[:-1]) + 1e-10)
 
 
-def _task_problem(seed, M, N, pri, k):
-    """A noisy k-target task vector s on the structured task operator M*Phi
-    of a random array, composed the way the harness composes it."""
+def _structured_pair(d, comp, single=False):
+    """Phi's apply/adjoint pair (comp None) or M*Phi's, composed the way the
+    harness composes it; with single, on the complex64 factors it solves on."""
+    if single:
+        d = harness._single_dictionary(d)
+        comp = comp and replace(comp, blocks=comp.blocks.astype(np.complex64))
+    if comp is None:
+        return d.apply, d.apply_adjoint
+    return (lambda x: comp.apply_to_c(d.apply(x)[d.perm]),
+            lambda y: d.apply_adjoint(comp.apply_adjoint_to_c(y)[d.iperm]))
+
+
+def _structured_problem(seed, M, N, pri, k, task=True):
+    """(dictionary, compression or None, s): a noisy k-target observation s on
+    M*Phi (task) or Phi of a random array."""
     rng = np.random.default_rng(seed)
     cfg = bm.make_random_array_config(rng, M, N, 1e6, pri)
     d = bm.build_dictionary(cfg)
-    comp = build_compression_matrix(rng, cfg, 2, "gaussian")
-    pair = (lambda x: comp.apply_to_c(d.apply(x)[d.perm]),
-            lambda y: d.apply_adjoint(comp.apply_adjoint_to_c(y)[d.iperm]))
+    comp = build_compression_matrix(rng, cfg, 2, "gaussian") if task else None
     a = bm.scene_to_sparse_vector(bm.sample_scene(rng, k, cfg), cfg)
-    s = pair[0](a)
+    s = _structured_pair(d, comp)[0](a)
     s = s + 0.05 * (rng.standard_normal(s.size) + 1j * rng.standard_normal(s.size))
+    return d, comp, s
+
+
+def _task_problem(seed, M, N, pri, k):
+    """A noisy k-target task vector s on the structured task operator M*Phi
+    of a random array, composed the way the harness composes it."""
+    d, comp, s = _structured_problem(seed, M, N, pri, k)
+    pair = _structured_pair(d, comp)
     return (*pair, s, k, power_iteration_lipschitz(*pair, d.n_atoms))
 
 
@@ -122,6 +142,77 @@ def test_fista_matches_reference_loop():
         assert _top(x, k) == _top(x_ref, k) == _top(x_safe, k) == _top(x_long, k)
 
 
+def test_single_precision_solve_matches_double():
+    # the harness's complex64 solve against the complex128 one, on the task
+    # operator and on Phi at paper scale (M=8, N=12, L=9) for six arrays: every
+    # operator call stays in complex64 and the top-k support is that of the
+    # complex128 solve; on the first array (the paper-scale problem of
+    # test_fista_matches_reference_loop) also that of a long solve, with the
+    # objective (complex128 operator and rho) within 2e-6 of the long solve's.
+    # The iteration counts differ by rounding either way: in all no more than
+    # the complex128 solves, on any one problem at most 5% more
+    spec = RecoverySpec()
+    iterations = {np.complex128: 0, np.complex64: 0}
+    for seed in (9, 1, 2, 3, 4, 5):
+        for task in (True, False):
+            d, comp, s = _structured_problem(seed, 8, 12, 9e-6, 4, task=task)
+            pair = _structured_pair(d, comp)
+            apply32, adjoint32, lip32 = harness._solver_operator(
+                *_structured_pair(d, comp, single=True), s.size, d.n_atoms)
+            dtypes = set()
+
+            def recorded(fn):
+                def inner(v):
+                    dtypes.add(v.dtype)
+                    return fn(v)
+                return inner
+
+            lip = power_iteration_lipschitz(*pair, d.n_atoms)
+            assert abs(lip32 - lip) <= 1e-5 * lip
+            x, info = fista(*pair, s, spec, lipschitz=lip, return_info=True)
+            x32, info32 = fista(recorded(apply32), recorded(adjoint32),
+                                s.astype(np.complex64), spec, lipschitz=lip32,
+                                return_info=True)
+            assert x32.dtype == np.complex64 and dtypes == {np.dtype(np.complex64)}
+            assert _top(x32, 4) == _top(x, 4)
+            assert info32["iterations"] <= 1.05 * info["iterations"]
+            iterations[np.complex128] += info["iterations"]
+            iterations[np.complex64] += info32["iterations"]
+            if seed != 9:
+                continue
+            x_long, info_long = fista(*pair, s, RecoverySpec(max_iter=5000, tol=1e-13),
+                                      lipschitz=lip, return_info=True)
+            r = s - pair[0](x32.astype(complex))
+            f32 = 0.5 * float(np.vdot(r, r).real) + info["rho"] * float(np.abs(x32).sum())
+            f_min = info_long["objective"][-1]
+            assert abs(f32 - f_min) <= 2e-6 * f_min
+            assert _top(x_long, 4) == _top(x, 4)
+    assert iterations[np.complex64] <= iterations[np.complex128]
+
+
+def test_fista_duality_gap_certifies_the_solve():
+    # info["gap"] is the relative gap at the rescaled-residual dual point,
+    # computed here in full from the dense matrix; it bounds the solve's
+    # relative distance to the optimum, and a long solve drives it to ~0
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        A = (rng.standard_normal((40, 120)) + 1j * rng.standard_normal((40, 120))) / np.sqrt(80)
+        s = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        lip = np.linalg.norm(A, 2) ** 2
+        x, info = fista(*_ops(A), s, RecoverySpec(max_iter=40), lipschitz=lip,
+                        return_info=True)
+        _, info_long = fista(*_ops(A), s, RecoverySpec(max_iter=20000, tol=1e-14),
+                             lipschitz=lip, return_info=True)
+        rho, r = info["rho"], s - A @ x
+        primal = 0.5 * np.vdot(r, r).real + rho * np.abs(x).sum()
+        theta = r * min(1.0, rho / np.abs(A.conj().T @ r).max())
+        dual = 0.5 * np.vdot(s, s).real - 0.5 * np.vdot(s - theta, s - theta).real
+        assert info["gap"] == pytest.approx((primal - dual) / primal, rel=1e-9)
+        f, f_min = info["objective"][-1], info_long["objective"][-1]
+        assert 0 < (f - f_min) / f <= info["gap"]
+        assert 0 <= info_long["gap"] <= 1e-9
+
+
 def test_fista_writes_into_no_input_or_operator_output():
     # s_hat and every array the operator returns, held by the operator, are
     # read-only and keep their values: the solver's vector work goes to
@@ -143,7 +234,8 @@ def test_fista_writes_into_no_input_or_operator_output():
     x, info = fista(holding(apply), holding(adjoint), s, RecoverySpec(),
                     lipschitz=lip, return_info=True)
     assert np.array_equal(s, s_before)
-    assert len(held) == 2 * info["iterations"] + 1
+    # A^H s_hat, an apply and an adjoint per iteration, the gap's adjoint
+    assert len(held) == 2 * info["iterations"] + 2
     assert all(np.array_equal(out, before) for out, before in held)
     assert not any(np.shares_memory(x, out) for out, _ in held)
 
@@ -200,6 +292,21 @@ def test_fista_rejects_bad_inputs():
             RecoverySpec(rho_scale=bad)
         with pytest.raises(ValueError, match="rho must be finite"):
             RecoverySpec(rho=bad)
+
+
+def test_recovery_spec_rejects_bad_stop_controls():
+    # a nan tol never fires and an infinite one stops after one iteration; a
+    # non-integer max_iter would fail only at the first solve
+    for bad in (np.nan, np.inf, 0.0, -1e-5):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            RecoverySpec(tol=bad)
+    for bad in (2.5, 300.0, "300", None):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            RecoverySpec(max_iter=bad)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            RecoverySpec(max_iter=bad)
+    assert RecoverySpec(max_iter=np.int64(5), tol=1e-3).max_iter == 5
 
 
 def test_power_iteration_matches_spectral_norm():
