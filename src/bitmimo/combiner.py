@@ -189,7 +189,6 @@ class AcquisitionDesign:
     gains_sq: np.ndarray         # Lam_i^2 diagonals, (L, P)
     water_levels: np.ndarray     # zeta_i, (L,)
     singvals: np.ndarray         # whitened task matrices' singular values, (L, min(J_i, MN))
-    right_vectors: np.ndarray    # V_i, (L, MN, MN)
     mixers: np.ndarray           # U_i, (L, P, P)
     block_emse: np.ndarray       # eps_i, (L,)
     support: float               # gamma
@@ -217,7 +216,7 @@ class AcquisitionDesign:
 
 # the arrays of a design bundle, in <prefix>.npz under these names
 BUNDLE_ARRAYS = ("combiner_blocks", "digital_blocks", "gains_sq", "water_levels",
-                 "singvals", "right_vectors", "mixers", "block_emse")
+                 "singvals", "mixers", "block_emse")
 
 
 def design_multitone(stats: SignalStatistics, compression: CompressionMatrix,
@@ -251,7 +250,6 @@ def design_multitone(stats: SignalStatistics, compression: CompressionMatrix,
     gains[:, range(k), range(k)] = np.sqrt(gains_sq[:, :k])
     B = mixers @ gains @ vh
     B *= inv_sqrt
-    right_vectors = np.conjugate(vh.swapaxes(1, 2), order="C")
     del gains, vh  # let go once used: the (L, MN, MN) stacks set the design's peak RSS
     inner = (B * stats.sigma) @ _hermitian(B)
     inner += noise_load * np.eye(channels)
@@ -267,7 +265,7 @@ def design_multitone(stats: SignalStatistics, compression: CompressionMatrix,
     return AcquisitionDesign(
         combiner_blocks=B, digital_blocks=np.conjugate(digital_h.swapaxes(1, 2), order="C"),
         gains_sq=gains_sq, water_levels=water_levels, singvals=singvals,
-        right_vectors=right_vectors, mixers=mixers, block_emse=block_emse,
+        mixers=mixers, block_emse=block_emse,
         support=float(gamma), levels=int(levels), eta=float(eta),
         channels=int(channels), emse=float(np.cumsum(block_emse)[-1]),
         lmmse=float(np.cumsum(lmmse)[-1]))  # running totals in tone order
@@ -275,24 +273,16 @@ def design_multitone(stats: SignalStatistics, compression: CompressionMatrix,
 
 # -- analog filter synthesis ----------------------------------------------
 
-def _filter_table(design: AcquisitionDesign, config: RadarConfig, pulse_spectrum):
+def _filter_table(design: AcquisitionDesign, config: RadarConfig):
     """(frequencies_hz, gains) of every analog filter: the M*L frequencies
     i/T0 + f_m in band-major order m*L + i, and the (P, N, M*L) table of gains
-    T0 * B_i[p, m*N + n] * conj(h0_i) / |h0_i|^2."""
+    T0 * B_i[p, m*N + n] for a flat pulse spectrum."""
     L, M, N = config.L, config.M, config.N
-    h0 = np.ones(L, dtype=complex) if pulse_spectrum is None else \
-        np.asarray(pulse_spectrum, dtype=complex)
-    if h0.shape != (L,):
-        raise ValueError("pulse spectrum must provide one sample per tone")
-    if np.any(h0 == 0):
-        raise ValueError("pulse spectrum vanishes at a required tone frequency")
     freqs = (config.tone_indices / config.pri
              + config.tone_offsets[:, None]).reshape(-1)
     # (L, P, M*N) -> (P, N, M, L); the only whole-table temporary is this copy
     B = design.combiner_blocks.reshape(L, design.channels, M, N).transpose(1, 3, 2, 0)
     gains = np.multiply(config.pri, B, order="C")
-    gains *= h0.conj()
-    gains /= np.abs(h0) ** 2
     return freqs, gains.reshape(design.channels, N, M * L)
 
 
@@ -364,8 +354,11 @@ def _format_g10(x, out):
     out[...] = row[:, _G10_COLS]
     rest = np.flatnonzero(slow)
     if rest.size:
-        texts = ("%.10g," * rest.size % tuple(x[rest].tolist())).split(",")[:-1]
-        out[rest] = np.array(texts, dtype=f"S{_G10_WIDTH}").view(np.uint8).reshape(-1, _G10_WIDTH)
+        # '%.10g' text is at most 17 bytes wide, so left-justified fields line
+        # up as rows; their space padding becomes NUL
+        texts = b"%-17.10g" * rest.size % tuple(x[rest].tolist())
+        rows = np.frombuffer(texts, dtype=np.uint8).reshape(-1, _G10_WIDTH)
+        out[rest] = np.where(rows == ord(" "), 0, rows)
 
 
 # channels per formatted block: few enough numpy calls per file, and a block
@@ -373,14 +366,11 @@ def _format_g10(x, out):
 CSV_BLOCK_CHANNELS = 8
 
 
-def write_filter_response_csv(design, config, path, pulse_spectrum=None):
+def write_filter_response_csv(design, config, path):
     """Rows (p, n, frequency_hz, re, im) over all channels and receive elements,
-    numbers as '%.10g', written a block of channels at a time. _format_g10
-    formats the gains of a block when all of them print in scientific notation,
-    as the flat pulse's gains T0 * B do; a block that holds a gain of fixed
-    notation, which _format_g10 would leave to Python value by value, is
-    formatted by one Python % call."""
-    freqs, gains = _filter_table(design, config, pulse_spectrum)
+    numbers as '%.10g', written a block of channels at a time, the gains of
+    each block formatted by _format_g10."""
+    freqs, gains = _filter_table(design, config)
     P, N, ML = gains.shape
     # "p," of every channel and "n,frequency_hz," of every row of a channel,
     # as NUL-padded byte rows
@@ -394,24 +384,10 @@ def write_filter_response_csv(design, config, path, pulse_spectrum=None):
     buf[:, :, wp:re_at] = head.view(np.uint8).reshape(N * ML, wh)
     buf[:, :, im_at - 1] = ord(",")
     buf[:, :, -1] = ord("\n")
-    heads = head.tolist()
     with open(path, "wb") as fh:
         fh.write(b"p,n,frequency_hz,re,im\n")
         for p0 in range(0, P, CSV_BLOCK_CHANNELS):
             block = gains[p0:p0 + CSV_BLOCK_CHANNELS]
-            parts = np.abs(block.view(float))
-            # fixed notation starts at 1e-4 or just below it (rounded up); 1e-5
-            # leaves a margin, since either path writes the same bytes
-            if np.any((parts >= 1e-5) & (parts < 1e10)):
-                lines = block.real.size
-                args = [None] * (4 * lines)
-                args[0::4] = [c for c in channel[p0:p0 + len(block)].tolist()
-                              for _ in range(N * ML)]
-                args[1::4] = heads * len(block)
-                args[2::4] = block.real.reshape(-1).tolist()
-                args[3::4] = block.imag.reshape(-1).tolist()
-                fh.write(b"%s%s%.10g,%.10g\n" * lines % tuple(args))
-                continue
             rows = buf[:len(block)]
             rows[:, :, :wp] = channel[p0:p0 + len(block)].view(np.uint8).reshape(-1, 1, wp)
             flat = rows.reshape(-1, width)
@@ -443,7 +419,8 @@ def save_design(design: AcquisitionDesign, path_prefix, config: RadarConfig) -> 
 def load_design(path_prefix) -> AcquisitionDesign:
     """The design of a bundle written by save_design. A bundle that lacks one
     of BUNDLE_ARRAYS (such as one holding a dense `digital` filter in place of
-    `digital_blocks`) raises ValueError naming the first missing array."""
+    `digital_blocks`) raises ValueError naming the first missing array; other
+    arrays (such as the `right_vectors` of older bundles) are ignored."""
     with open(f"{path_prefix}.json") as fh:
         meta = json.load(fh)
     with np.load(f"{path_prefix}.npz") as data:

@@ -15,7 +15,7 @@ scene matrix).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -265,12 +265,31 @@ def config_to_dict(config: RadarConfig) -> dict:
     }
 
 
+# the keys of config_to_dict, plus the layout generator's "array"
+_CONFIG_KEYS = frozenset(f.name for f in fields(RadarConfig)) | {"array"}
+_POSITION_KEYS = ("rx_pos", "tx_pos", "tone_offsets")
+
+
 def config_from_dict(d: dict, rng=None) -> RadarConfig:
     """Build a config from JSON-style keys.
 
-    Either explicit 'rx_pos'/'tx_pos'/'tone_offsets' are given, or
+    Either explicit 'rx_pos'/'tx_pos'/'tone_offsets' are given, all three, or
     'array' selects a generator: "ula" (default) or "random" (requires rng).
+    'M', 'N', 'bandwidth' and 'pri' are required. A key that is neither
+    'array' nor one config_to_dict writes, or a missing required key, raises
+    ValueError naming it.
     """
+    if not isinstance(d, dict):
+        raise ValueError("a config must be a JSON object")
+    unknown = sorted(set(d) - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    required = ("M", "N", "bandwidth", "pri")
+    if any(key in d for key in _POSITION_KEYS):
+        required += _POSITION_KEYS
+    missing = [key for key in required if key not in d]
+    if missing:
+        raise ValueError(f"missing config key(s): {', '.join(missing)}")
     common = dict(
         bandwidth=d["bandwidth"], pri=d["pri"], carrier=d.get("carrier", 10e9),
         eta=d.get("eta", 2.0), sigma_alpha_sq=d.get("sigma_alpha_sq", 1.0),

@@ -62,8 +62,6 @@ class CompressionMatrix:
     """Blockwise compressive measurement matrix; block i acts on tone i of c."""
 
     blocks: np.ndarray  # (L, J_i, MN)
-    kind: str
-    dcr: int
 
     @property
     def L(self) -> int:
@@ -127,7 +125,7 @@ def build_compression_matrix(rng, config: RadarConfig, dcr: int,
             blocks[i] = F[rng.choice(mn, size=ji, replace=False)]
     else:
         raise ValueError(f"unknown compression kind {kind!r}")
-    return CompressionMatrix(blocks=blocks, kind=kind, dcr=int(dcr))
+    return CompressionMatrix(blocks=blocks)
 
 
 def lmmse_transform(compression: CompressionMatrix,

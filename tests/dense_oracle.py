@@ -137,13 +137,10 @@ def digital_filter_mse(digital, combiner_blocks, stats, compression, gamma, leve
                  + q * np.trace(digital @ digital.conj().T).real)
 
 
-def block_from_responses(gains, config, pulse_spectrum=None):
+def block_from_responses(gains, config):
     """Invert reference_filter_response for one (p, n): recover B_i[p, m*N+n]."""
-    L, M = config.L, config.M
-    h0 = np.ones(L, dtype=complex) if pulse_spectrum is None else \
-        np.asarray(pulse_spectrum, dtype=complex)
-    gains = np.asarray(gains, dtype=complex).reshape(M, L)
-    return gains * h0[None, :] / config.pri
+    gains = np.asarray(gains, dtype=complex).reshape(config.M, config.L)
+    return gains / config.pri
 
 
 def reference_fista(apply_a, apply_at, s_hat, spec, lipschitz=None):
@@ -269,11 +266,10 @@ def reference_equalizing_unitary(H):
         f"diagonal equalization did not converge within {max_rotations} rotations")
 
 
-def reference_filter_response(design, config, p, n, pulse_spectrum=None):
-    """Gains of the (p, n)th analog filter, one (p, n) at a time."""
+def reference_filter_response(design, config, p, n):
+    """Gains of the (p, n)th analog filter for a flat pulse spectrum, one
+    (p, n) at a time."""
     L, M, N = config.L, config.M, config.N
-    h0 = np.ones(L, dtype=complex) if pulse_spectrum is None else \
-        np.asarray(pulse_spectrum, dtype=complex)
     B = design.combiner_blocks  # (L, P, MN)
     tones = config.tone_indices
     freqs = np.empty(M * L)
@@ -281,18 +277,17 @@ def reference_filter_response(design, config, p, n, pulse_spectrum=None):
     for m in range(M):
         sl = slice(m * L, (m + 1) * L)
         freqs[sl] = tones / config.pri + config.tone_offsets[m]
-        gains[sl] = config.pri * B[:, p, m * N + n] * h0.conj() / np.abs(h0) ** 2
+        gains[sl] = config.pri * B[:, p, m * N + n]
     return freqs, gains
 
 
-def reference_write_filter_response_csv(design, config, path, pulse_spectrum=None):
+def reference_write_filter_response_csv(design, config, path):
     """The filter CSV written one row at a time."""
     with open(path, "w") as fh:
         fh.write("p,n,frequency_hz,re,im\n")
         for p in range(design.channels):
             for n in range(config.N):
-                freqs, gains = reference_filter_response(design, config, p, n,
-                                                         pulse_spectrum)
+                freqs, gains = reference_filter_response(design, config, p, n)
                 for f, g in zip(freqs, gains):
                     fh.write(f"{p},{n},{f:.10g},{g.real:.10g},{g.imag:.10g}\n")
 
@@ -336,7 +331,7 @@ def reference_design_multitone(stats, compression, channels, levels, eta):
     gamma = eta / np.sqrt(channels)
     noise_load = 4.0 * gamma * gamma / (3.0 * levels * levels)
     factors, singvals, gains_sq, water_levels = [], [], [], []
-    right_vectors, block_emse = [], []
+    block_emse = []
     lmmse = 0.0
     for m_block, cov_sig, cov_noise in zip(compression.blocks, stats.cov_signal,
                                            stats.cov_noise):
@@ -354,7 +349,6 @@ def reference_design_multitone(stats, compression, channels, levels, eta):
         singvals.append(lam)
         gains_sq.append(alloc)
         water_levels.append(zeta)
-        right_vectors.append(vh.conj().T)
     mixers = equalizing_unitary(np.stack([np.diag(a) for a in gains_sq]).astype(complex))
 
     combiners, digitals = [], []
@@ -373,8 +367,7 @@ def reference_design_multitone(stats, compression, channels, levels, eta):
     return AcquisitionDesign(
         combiner_blocks=np.stack(combiners), digital_blocks=np.stack(digitals),
         gains_sq=np.stack(gains_sq), water_levels=np.array(water_levels),
-        singvals=np.stack(singvals), right_vectors=np.stack(right_vectors),
-        mixers=mixers, block_emse=np.array(block_emse),
+        singvals=np.stack(singvals), mixers=mixers, block_emse=np.array(block_emse),
         support=float(gamma), levels=int(levels), eta=float(eta),
         channels=int(channels), emse=float(np.cumsum(block_emse)[-1]),
         lmmse=float(lmmse))

@@ -132,6 +132,33 @@ def test_missing_output_directory_is_usage_error(tmp_path, cfg_file, capsys, mon
     assert list(tmp_path.iterdir()) == [cfg_file]
 
 
+ULA_CONFIG = {"M": 2, "N": 3, "bandwidth": 1e6, "pri": 3e-6, "array": "ula"}
+
+
+@pytest.mark.parametrize("config, message", [
+    pytest.param(dict(ULA_CONFIG, sigma_alpha_sqq=1e-4),
+                 "unknown config key(s): sigma_alpha_sqq", id="misspelled"),
+    pytest.param({k: v for k, v in ULA_CONFIG.items() if k != "bandwidth"},
+                 "missing config key(s): bandwidth", id="no-bandwidth"),
+    pytest.param({"M": 1, "N": 2, "bandwidth": 1e6, "pri": 3e-6, "rx_pos": [0.0, 0.5],
+                  "tone_offsets": [0.0]}, "missing config key(s): tx_pos", id="no-tx-pos"),
+])
+@pytest.mark.parametrize("command", ["design", "simulate"])
+def test_bad_config_key_is_usage_error(tmp_path, capsys, command, config, message):
+    # a config file is checked like the flags: exit code 2, the key named on
+    # stderr and nothing written
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    extra = ["--trials", "1"] if command == "simulate" else ["--filters-csv", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path), *extra, "--budget-bits", "36",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_sweep_command_deterministic(tmp_path, cfg_file):
     args = ["sweep", "--config", str(cfg_file), "--seed", "5", "--trials", "2",
             "--budget-bits", "36", "--snr-db", "0,10", "--dcr", "2",

@@ -5,9 +5,9 @@ import pytest
 
 import bitmimo as bm
 from bitmimo.adc import quantize_complex_vector
-from bitmimo.combiner import (BUNDLE_ARRAYS, _filter_table, _format_g10, design_multitone,
-                              equalizing_unitary, load_design, save_design, waterfill,
-                              waterfill_gain, write_filter_response_csv)
+from bitmimo.combiner import (BUNDLE_ARRAYS, CSV_BLOCK_CHANNELS, _filter_table, _format_g10,
+                              design_multitone, equalizing_unitary, load_design, save_design,
+                              waterfill, waterfill_gain, write_filter_response_csv)
 from bitmimo.dictionary import apply_fbar
 from bitmimo.statistics import (CompressionMatrix, build_compression_matrix,
                                 build_covariances, lmmse_transform)
@@ -232,7 +232,7 @@ def _one_tone_design(m_block, signal_var, noise_var, channels, levels, eta):
     one tone's task matrix with cov(c) = signal_var*I, cov(w) = noise_var*I."""
     stats = bm.SignalStatistics(L=1, mn=m_block.shape[1], signal_var=signal_var,
                                 noise_var=noise_var)
-    comp = CompressionMatrix(blocks=m_block[None], kind="gaussian", dcr=1)
+    comp = CompressionMatrix(blocks=m_block[None])
     return (stacked_statistics(stats), comp,
             design_multitone(stats, comp, channels, levels, eta))
 
@@ -365,7 +365,7 @@ def test_identical_blocks_share_water_level():
     cfg = bm.make_ula_config(2, 2, 1e6, 3e-6, sigma_n_sq=0.3)
     stats = build_covariances(cfg, K=2)
     one = build_compression_matrix(np.random.default_rng(7), cfg, 2, "gaussian").blocks[0]
-    comp = CompressionMatrix(blocks=np.tile(one, (cfg.L, 1, 1)), kind="gaussian", dcr=2)
+    comp = CompressionMatrix(blocks=np.tile(one, (cfg.L, 1, 1)))
     design = design_multitone(stats, comp, comp.block_rows, 4, cfg.eta)
     zs, es = design.water_levels, design.block_emse
     assert np.allclose(zs, zs[0])
@@ -479,13 +479,11 @@ def test_filter_response_flat_pulse(small_design):
 
 def test_filter_response_roundtrip(small_design):
     cfg, _, _, _, design = small_design
-    rng = np.random.default_rng(15)
-    h0 = np.exp(1j * rng.uniform(size=cfg.L)) * rng.uniform(0.5, 2.0, size=cfg.L)
     B = design.combiner_blocks
     for p in range(design.channels):
         for n in range(cfg.N):
-            _, gains = reference_filter_response(design, cfg, p, n, pulse_spectrum=h0)
-            back = block_from_responses(gains, cfg, pulse_spectrum=h0)  # (M, L)
+            _, gains = reference_filter_response(design, cfg, p, n)
+            back = block_from_responses(gains, cfg)  # (M, L)
             for m in range(cfg.M):
                 assert np.allclose(back[m], B[:, p, m * cfg.N + n], atol=1e-12)
 
@@ -496,14 +494,6 @@ def test_filter_response_zero_row(small_design):
                                  combiner_blocks=np.zeros_like(design.combiner_blocks))
     _, gains = reference_filter_response(zeroed, cfg, 0, 0)
     assert np.count_nonzero(gains) == 0
-
-
-def test_filter_response_rejects_vanishing_pulse(small_design):
-    cfg, _, _, _, design = small_design
-    h0 = np.ones(cfg.L, dtype=complex)
-    h0[1] = 0.0
-    with pytest.raises(ValueError):
-        _filter_table(design, cfg, pulse_spectrum=h0)
 
 
 def test_filter_response_csv(tmp_path, small_design):
@@ -523,9 +513,11 @@ def _pn_config_design():
     return cfg, design_multitone(stats, comp, 4, 4, cfg.eta)
 
 
-def _paper_scale_design(dcr):
-    # M=8, N=12, L=9: P = 48 at dcr 2, 24 at dcr 4
-    cfg = bm.make_ula_config(8, 12, 1e6, 9e-6, sigma_n_sq=0.1)
+def _paper_scale_design(dcr, sigma_alpha_sq=1.0):
+    # M=8, N=12, L=9: P = 48 at dcr 2, 24 at dcr 4; the gains T0 * B scale
+    # as 1/sqrt(sigma_alpha_sq) at a fixed SNR
+    cfg = bm.make_ula_config(8, 12, 1e6, 9e-6, sigma_alpha_sq=sigma_alpha_sq,
+                             sigma_n_sq=0.1 * sigma_alpha_sq)
     stats = build_covariances(cfg, K=4)
     comp = build_compression_matrix(np.random.default_rng(20 + dcr), cfg, dcr, "dft")
     return cfg, design_multitone(stats, comp, comp.block_rows, 16, cfg.eta)
@@ -533,42 +525,44 @@ def _paper_scale_design(dcr):
 
 def test_filter_response_csv_matches_row_writer(tmp_path, small_design):
     cfg, _, _, _, design = small_design
-    # gains near 1e-9 * T0 print in exponent notation; a zeroed combiner row
-    # prints 0, or -0 where the tilted pulse has a negative real part; the
-    # tilted pulse scaled by T0, as the spectrum of a pulse of length T0 is,
-    # gives O(1) gains that print in fixed notation
+    # gains near 1e-9 * T0 print in exponent notation, and a zeroed combiner
+    # row prints 0 or -0; at sigma_alpha^2 = 1e-6 the paper-scale gains print
+    # in both notations within one block of channels, and at 1e-10 nearly all
+    # of them print in fixed notation
     tiny = dataclasses.replace(design, combiner_blocks=design.combiner_blocks * 1e-9)
     tiny.combiner_blocks[:, 1] = 0.0  # channel 1 at every tone
+    tiny.combiner_blocks[:, 2] = complex(-0.0, -0.0)
     cases = [(cfg, design), _pn_config_design(), _paper_scale_design(2),
-             _paper_scale_design(4), (cfg, tiny)]
+             _paper_scale_design(4), (cfg, tiny), _paper_scale_design(2, 1e-6),
+             _paper_scale_design(2, 1e-10)]
     assert cases[1][1].channels != cases[1][0].N
     assert [d.channels for _, d in cases[2:4]] == [48, 24]
-    tiny_values, fixed_values = set(), set()
-    rng = np.random.default_rng(19)
+    texts = []
     for k, (c, d) in enumerate(cases):
-        tilted = np.exp(1j * rng.uniform(-np.pi, np.pi, size=c.L)) \
-            * rng.uniform(0.5, 2.0, size=c.L)
-        for pulse, h0 in (("flat", None), ("tilted", tilted), ("physical", tilted * c.pri)):
-            got, want = tmp_path / f"got{k}.csv", tmp_path / f"want{k}.csv"
-            write_filter_response_csv(d, c, got, pulse_spectrum=h0)
-            reference_write_filter_response_csv(d, c, want, pulse_spectrum=h0)
-            assert got.read_bytes() == want.read_bytes()
-            values = {v for row in got.read_text().split()[1:] for v in row.split(",")[3:]}
-            if d is tiny:
-                tiny_values |= values
-            if pulse == "physical":
-                fixed_values |= {v for v in values if "e" not in v}
-            freqs, table = _filter_table(d, c, h0)
-            for p in range(d.channels):
-                for n in range(c.N):
-                    ref_freqs, ref_gains = reference_filter_response(d, c, p, n, h0)
-                    assert np.array_equal(freqs, ref_freqs)
-                    assert np.array_equal(table[p, n], ref_gains)
+        got, want = tmp_path / f"got{k}.csv", tmp_path / f"want{k}.csv"
+        write_filter_response_csv(d, c, got)
+        reference_write_filter_response_csv(d, c, want)
+        assert got.read_bytes() == want.read_bytes()
+        texts.append(got.read_text())
+        freqs, table = _filter_table(d, c)
+        for p in range(d.channels):
+            for n in range(c.N):
+                ref_freqs, ref_gains = reference_filter_response(d, c, p, n)
+                assert np.array_equal(freqs, ref_freqs)
+                assert np.array_equal(table[p, n], ref_gains)
+    tiny_values = {v for row in texts[4].split()[1:] for v in row.split(",")[3:]}
     assert {"0", "-0"} <= tiny_values
     assert any("e-" in v for v in tiny_values)
-    # fixed notation at several decimal exponents, not only the zeros
-    assert len({int(np.floor(np.log10(abs(float(v)))))
-                for v in fixed_values - {"0", "-0"}}) >= 3
+    scientific = {}  # block of channels -> notations of its gains
+    for row in texts[5].split()[1:]:
+        p, _, _, re, im = row.split(",")
+        scientific.setdefault(int(p) // CSV_BLOCK_CHANNELS, set()).update(("e" in re, "e" in im))
+    assert {False, True} in scientific.values()
+    values = [v for row in texts[6].split()[1:] for v in row.split(",")[3:]]
+    fixed_values = {v for v in values if "e" not in v}
+    assert sum("e" not in v for v in values) > 0.9 * len(values)
+    # fixed notation at several decimal exponents
+    assert len({int(np.floor(np.log10(abs(float(v))))) for v in fixed_values}) >= 3
 
 
 def _g10_cases(rng):
@@ -633,21 +627,12 @@ def test_format_g10_survives_an_exponent_off_by_one(monkeypatch):
         == ("%.10g\n" * values.size % tuple(values.tolist())).encode()
 
 
-def test_filter_response_csv_rejects_bad_pulse_before_writing(tmp_path, small_design):
-    cfg, _, _, _, design = small_design
-    vanishing = np.ones(cfg.L, dtype=complex)
-    vanishing[0] = 0.0
-    for k, h0 in enumerate((vanishing, np.ones(cfg.L + 1))):
-        path = tmp_path / f"bad{k}.csv"
-        with pytest.raises(ValueError):
-            write_filter_response_csv(design, cfg, path, pulse_spectrum=h0)
-        assert not path.exists()
-
-
 def test_design_bundle_roundtrip(tmp_path, small_design):
     cfg, _, _, _, design = small_design
     prefix = tmp_path / "bundle"
     save_design(design, prefix, cfg)
+    with np.load(f"{prefix}.npz") as data:
+        assert sorted(data.files) == sorted(BUNDLE_ARRAYS)
     back = load_design(prefix)
     for field in dataclasses.fields(design):
         want, got = getattr(design, field.name), getattr(back, field.name)
@@ -668,6 +653,21 @@ def test_load_design_rejects_dense_digital_bundle(tmp_path, small_design):
     np.savez(f"{prefix}.npz", digital=dense_digital(design), **arrays)
     with pytest.raises(ValueError, match="'digital_blocks'"):
         load_design(prefix)
+
+
+def test_load_design_reads_bundle_with_right_vectors(tmp_path, small_design):
+    # bundles written before the (L, MN, MN) right singular vectors were
+    # dropped still load, to the same design
+    cfg, _, _, _, design = small_design
+    prefix = tmp_path / "old"
+    save_design(design, prefix, cfg)
+    with np.load(f"{prefix}.npz") as data:
+        arrays = {name: data[name] for name in data.files}
+    np.savez(f"{prefix}.npz",
+             right_vectors=np.tile(np.eye(cfg.mn, dtype=complex), (cfg.L, 1, 1)), **arrays)
+    back = load_design(prefix)
+    for name in BUNDLE_ARRAYS:
+        assert np.array_equal(getattr(back, name), getattr(design, name)), name
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "bernoulli", "dft"])

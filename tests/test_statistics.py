@@ -62,7 +62,7 @@ def test_lmmse_identity_when_noiseless(setup):
     stats = build_covariances(cfg.with_noise_variance(0.0), K=2)
     eye_blocks = np.broadcast_to(np.eye(cfg.mn, dtype=complex),
                                  (cfg.L, cfg.mn, cfg.mn))
-    comp = bm.CompressionMatrix(blocks=np.array(eye_blocks), kind="gaussian", dcr=1)
+    comp = bm.CompressionMatrix(blocks=np.array(eye_blocks))
     gamma = lmmse_transform(comp, stats)
     for i in range(cfg.L):
         assert np.allclose(gamma[i], np.eye(cfg.mn), atol=1e-10)
@@ -89,7 +89,7 @@ def test_lmmse_error_orthonormal_rows_closed_form(setup):
     for i in range(cfg.L):
         q, _ = np.linalg.qr(np.random.default_rng(i).standard_normal((cfg.mn, 2)))
         blocks[i] = q.T
-    comp = bm.CompressionMatrix(blocks=blocks, kind="gaussian", dcr=cfg.mn // 2)
+    comp = bm.CompressionMatrix(blocks=blocks)
     expected = comp.rows * c * w / (c + w)
     assert lmmse_error(comp, stats) == pytest.approx(expected, rel=1e-10)
 
@@ -207,7 +207,7 @@ def test_invariance_under_row_permutation(setup):
     shuffled_blocks = comp.blocks.copy()
     for i in range(cfg.L):  # permuting rows of each block permutes rows of M and s together
         shuffled_blocks[i] = shuffled_blocks[i][rng.permutation(comp.block_rows)]
-    comp2 = bm.CompressionMatrix(blocks=shuffled_blocks, kind="gaussian", dcr=2)
+    comp2 = bm.CompressionMatrix(blocks=shuffled_blocks)
     assert lmmse_error(comp2, stats) == pytest.approx(base, rel=1e-12)
 
 
