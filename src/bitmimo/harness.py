@@ -159,6 +159,7 @@ class TrialMetrics:
     saturation: float | None
     err_s_abs: float  # ||s - s_hat||^2, for theory-vs-simulation checks
     iterations: int   # FISTA iterations of the recovery
+    backtracks: int   # FISTA's failed sufficient-decrease tests
     objective: float  # final LASSO objective of the recovery
     rho: float        # l1 weight the recovery used
     gap: float        # relative duality gap of the recovery
@@ -239,6 +240,7 @@ def _score(ctx, operator_id, draw, y, s_hat, saturation) -> TrialMetrics:
                         hit=hit_rate(draw.scene.cells, support), saturation=saturation,
                         err_s_abs=_sq(draw.s_true - s_hat),
                         iterations=int(info["iterations"]),
+                        backtracks=int(info["backtracks"]),
                         objective=float(info["objective"][-1]),
                         rho=float(info["rho"]), gap=float(info["gap"]))
 
@@ -309,6 +311,7 @@ class PointResult:
         iterations = np.array([m.iterations for m in kept])
         self.iters_mean = float(np.mean(iterations))
         self.capped_frac = float(np.mean(iterations >= max_iter))
+        self.backtracks_mean = float(np.mean([m.backtracks for m in kept]))
         self.objective_mean = float(np.mean([m.objective for m in kept]))
         self.rho_mean = float(np.mean([m.rho for m in kept]))
         gaps = [m.gap for m in kept]
@@ -467,7 +470,8 @@ def _write_sidecar(spec: ExperimentSpec, points, path) -> None:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "timing": {f"point{p.index}/{p.method}": {
             "wall_ms": p.wall_ms, "trials": p.trials, "failed": p.n_failed,
-            "iters_mean": p.iters_mean, "capped_frac": p.capped_frac,
+            "iters_mean": p.iters_mean, "backtracks_mean": p.backtracks_mean,
+            "capped_frac": p.capped_frac,
             "objective_mean": p.objective_mean, "rho_mean": p.rho_mean,
             "gap_mean": p.gap_mean, "gap_max": p.gap_max}
             for p in points},

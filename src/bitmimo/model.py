@@ -15,6 +15,7 @@ scene matrix).
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -268,6 +269,10 @@ def config_to_dict(config: RadarConfig) -> dict:
 # the keys of config_to_dict, plus the layout generator's "array"
 _CONFIG_KEYS = frozenset(f.name for f in fields(RadarConfig)) | {"array"}
 _POSITION_KEYS = ("rx_pos", "tx_pos", "tone_offsets")
+# the scalar keys config_from_dict checks, with the type each must have
+_SCALAR_KEYS = {**dict.fromkeys(("M", "N", "L"), numbers.Integral),
+                **dict.fromkeys(("bandwidth", "pri", "carrier", "eta", "sigma_alpha_sq",
+                                 "sigma_n_sq"), numbers.Real)}
 
 
 def config_from_dict(d: dict, rng=None) -> RadarConfig:
@@ -276,8 +281,9 @@ def config_from_dict(d: dict, rng=None) -> RadarConfig:
     Either explicit 'rx_pos'/'tx_pos'/'tone_offsets' are given, all three, or
     'array' selects a generator: "ula" (default) or "random" (requires rng).
     'M', 'N', 'bandwidth' and 'pri' are required. A key that is neither
-    'array' nor one config_to_dict writes, or a missing required key, raises
-    ValueError naming it.
+    'array' nor one config_to_dict writes, a missing required key, a
+    non-integer 'M', 'N' or 'L' (bool included), a non-numeric scalar, or
+    'array' beside explicit positions raises ValueError naming the key.
     """
     if not isinstance(d, dict):
         raise ValueError("a config must be a JSON object")
@@ -290,6 +296,13 @@ def config_from_dict(d: dict, rng=None) -> RadarConfig:
     missing = [key for key in required if key not in d]
     if missing:
         raise ValueError(f"missing config key(s): {', '.join(missing)}")
+    for key, kind in _SCALAR_KEYS.items():
+        if key in d and (isinstance(d[key], bool) or not isinstance(d[key], kind)):
+            what = "an integer" if kind is numbers.Integral else "a number"
+            raise ValueError(f"config key {key!r} must be {what}, got {d[key]!r}")
+    if "array" in d and "rx_pos" in d:
+        raise ValueError("config key 'array' cannot be given beside explicit "
+                         "rx_pos/tx_pos/tone_offsets")
     common = dict(
         bandwidth=d["bandwidth"], pri=d["pri"], carrier=d.get("carrier", 10e9),
         eta=d.get("eta", 2.0), sigma_alpha_sq=d.get("sigma_alpha_sq", 1.0),

@@ -5,17 +5,17 @@ Solves the complex LASSO
     min_a  0.5*||s_hat - A a||^2 + rho*||a||_1
 
 with a monotone accelerated proximal-gradient iteration (objective-guarded
-FISTA, Beck & Teboulle 2009), L_f from power iteration on A^H A. The step is
-1/(0.65*L_f), longer than 1/L_f, under the safeguard of Liang, Luo &
-Schoenlieb (SIAM J. Sci. Comput. 2022): it falls back for good to the safe
-1/(1.02*L_f) once the monotone guard rejects a candidate or a step
-||x_{k+1} - x_k|| grows past the first one. Complex soft-thresholding is
+FISTA, Beck & Teboulle 2009) whose step comes from backtracking on the local
+curvature (Scheinberg, Goldfarb & Bai, Found. Comput. Math. 2014; Calatroni &
+Chambolle, SIAM J. Optim. 2019): the trial constant falls between iterations
+and doubles, up to the safe 1.02*L_f from power iteration on A^H A, whenever
+the sufficient-decrease test fails. Complex soft-thresholding is
 shrink(v, t) = v * max(1 - t/|v|, 0); the momentum restarts by the gradient
 test of O'Donoghue & Candes (2015); the solve stops on a relative
 iterate-change rule. The operator is taken matrix-free (apply / adjoint pair)
 so the full-scale product never needs an explicit matrix; each iteration
-applies A once and A^H once, after one A^H s_hat, and does its vector work
-in buffers the solver owns.
+applies A^H once and A once, plus once more per backtrack, after one
+A^H s_hat, and does its vector work in buffers the solver owns.
 
 The solve runs in the precision of its data: a complex64 s_hat on an operator
 that keeps complex64 gives complex64 iterates, and complex128 data the
@@ -26,7 +26,6 @@ float64.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -41,14 +40,16 @@ __all__ = [
     "relative_mse",
 ]
 
-logger = logging.getLogger(__name__)
-
-# fista's step rule: 1/(LONG_STEP*L_f) until the safeguard trips, then the
-# safe 1/(SAFE_STEP*L_f), whose small margin over 1/L_f keeps descent when
+# fista's step rule, as multiples of L_f: the first trial constant is
+# LONG_STEP; each later iteration starts from STEP_SHRINK times the last one,
+# not below STEP_FLOOR; a failed sufficient-decrease test multiplies it by
+# STEP_GROWTH, up to SAFE_STEP, whose small margin over 1 keeps descent when
 # power iteration underestimates L_f
 LONG_STEP = 0.65
 SAFE_STEP = 1.02
-SAFEGUARD_GROWTH = 1.0
+STEP_SHRINK = 0.9
+STEP_GROWTH = 2.0
+STEP_FLOOR = 0.05
 # power_iteration_lipschitz: step cap, relative stopping tolerance, start seed
 POWER_ITERS = 30
 POWER_TOL = 1e-6
@@ -124,26 +125,32 @@ def power_iteration_lipschitz(apply_a, apply_at, n):
 
 def fista(apply_a, apply_at, s_hat, spec: RecoverySpec, lipschitz=None,
           return_info=False):
-    """Monotone FISTA for the complex LASSO; returns the final iterate.
+    """Monotone FISTA with a backtracking step for the complex LASSO; returns
+    the final iterate.
 
-    The proximal candidate z from the extrapolated point y is accepted only if
-    it does not increase the objective, which keeps the objective sequence
-    nonincreasing. A x and A z are carried beside x and z, so A y follows by
-    linearity and each iteration applies A and A^H once. The momentum restarts
-    (t = 1, y = the accepted iterate) whenever Re<y - z, z - x> > 0 for the
-    previous iterate x, i.e. when the step z - x points uphill along the
-    generalized gradient y - z.
+    Each iteration takes the gradient at the extrapolated point y with one
+    adjoint, then tries the prox candidate z at the step 1/L for the trial
+    constant L = max(STEP_SHRINK * L_prev, STEP_FLOOR * L_f), where the first
+    iteration tries LONG_STEP * L_f. The trial is kept if
+    ||A z - A y||^2 <= L ||z - y||^2, which for the quadratic data term is
+    exactly the sufficient-decrease condition; otherwise L grows by
+    STEP_GROWTH, up to SAFE_STEP * L_f, where the trial is kept untested, and
+    the prox and the apply are redone with the same gradient (one apply per
+    backtrack).
 
-    The step starts at 1/(LONG_STEP*L_f) and falls back for good to the safe
-    1/(SAFE_STEP*L_f) at the first iteration where the monotone guard rejects
-    a candidate or the step ||z - x|| exceeds SAFEGUARD_GROWTH times the first
-    one (the safeguard of Liang, Luo & Schoenlieb 2022).
+    The candidate z is accepted only if it does not increase the objective,
+    which keeps the objective sequence nonincreasing. A x and A z are carried
+    beside x and z, so A y follows by linearity. The momentum restarts (t = 1,
+    y = the accepted iterate) whenever Re<y - z, z - x> > 0 for the previous
+    iterate x, i.e. when the step z - x points uphill along the generalized
+    gradient y - z.
 
     The iterates take s_hat's precision (complex64 or complex128). info's
-    "gap" is the relative duality gap (P(x) - D(theta)) / P(x) of the final
-    iterate x at the rescaled-residual dual point theta = r * min(1,
-    rho / ||A^H r||_inf), r = s_hat - A x, with D(theta) = 0.5||s_hat||^2 -
-    0.5||s_hat - theta||^2; it costs one adjoint after the loop.
+    "backtracks" counts the failed sufficient-decrease tests, and "gap" is the
+    relative duality gap (P(x) - D(theta)) / P(x) of the final iterate x at
+    the rescaled-residual dual point theta = r * min(1, rho / ||A^H r||_inf),
+    r = s_hat - A x, with D(theta) = 0.5||s_hat||^2 - 0.5||s_hat - theta||^2;
+    it costs one adjoint after the loop.
     """
     s_hat = np.asarray(s_hat)
     s_hat = s_hat.astype(np.result_type(s_hat, np.complex64), copy=False)
@@ -155,7 +162,8 @@ def fista(apply_a, apply_at, s_hat, spec: RecoverySpec, lipschitz=None,
         lipschitz = power_iteration_lipschitz(apply_a, apply_at, n)
     if lipschitz <= 0:
         raise ValueError("zero operator")
-    step_l, long_step = LONG_STEP * lipschitz, True
+    step_cap, step_floor = SAFE_STEP * lipschitz, STEP_FLOOR * lipschitz
+    step_l = LONG_STEP * lipschitz
 
     rho = spec.rho
     if rho is None:
@@ -167,40 +175,43 @@ def fista(apply_a, apply_at, s_hat, spec: RecoverySpec, lipschitz=None,
     y, ay = x, ax
     t = 1.0
     z_prev, z_prev_sq = x, 0.0
-    # work buffers: v holds the gradient step (then z - z_prev), mag and scale
-    # its magnitude and shrink factor; z - x goes to the buffer of the pair
-    # that y does not hold, and the next momentum point is built in it
+    # work buffers: v holds the gradient step (then z - y, then z - z_prev),
+    # mag and scale its magnitude and shrink factor; z - x goes to the buffer
+    # of the pair that y does not hold, and the next momentum point is built
+    # in it
     real = s_hat.real.dtype
     v, mag, scale = np.empty_like(x), np.empty(n, dtype=real), np.empty(n, dtype=real)
     bufs = (np.empty_like(x), np.empty_like(x))
     history = [fx]
-    n_iter = 0
+    n_iter = backtracks = 0
     for n_iter in range(1, spec.max_iter + 1):
-        np.multiply(apply_at(ay - s_hat), -1.0 / step_l, out=v)
-        v += y
-        _shrink_scale(np.abs(v, out=mag), rho / step_l, scale)
-        z = v * scale
-        az = apply_a(z)
+        grad = apply_at(ay - s_hat)
+        while True:
+            np.multiply(grad, -1.0 / step_l, out=v)
+            v += y
+            _shrink_scale(np.abs(v, out=mag), rho / step_l, scale)
+            z = v * scale
+            az = apply_a(z)
+            dz = np.subtract(z, y, out=v)
+            if step_l >= step_cap:
+                break
+            daz = az - ay
+            if np.vdot(daz, daz).real <= step_l * np.vdot(dz, dz).real:
+                break
+            step_l = min(STEP_GROWTH * step_l, step_cap)
+            backtracks += 1
         r = az - s_hat
         fz = 0.5 * _sq(r) + rho * float(_wide(mag) @ _wide(scale))
         accepted = fz <= fx
         x_new, ax_new, fx_new = (z, az, fz) if accepted else (x, ax, fx)
         step = np.subtract(z, x, out=bufs[1] if y is bufs[0] else bufs[0])
+        restart = np.vdot(dz, step).real < 0  # Re<y - z, z - x> > 0
         if z_prev is x:  # last candidate accepted: z - z_prev is the step
             diff_sq = float(np.vdot(step, step).real)
         else:
             np.subtract(z, z_prev, out=v)
             diff_sq = float(np.vdot(v, v).real)
-        if long_step:
-            # no candidate was rejected yet, so diff_sq is ||z - x||^2
-            if n_iter == 1:
-                step_bound = SAFEGUARD_GROWTH ** 2 * diff_sq
-            if not accepted or diff_sq > step_bound:
-                step_l, long_step = SAFE_STEP * lipschitz, False
-                logger.debug("fista: %s at iteration %d; safe step from here",
-                             "step past the safeguard bound" if accepted
-                             else "candidate rejected", n_iter)
-        if np.vdot(y, step).real - np.vdot(z, step).real > 0:
+        if restart:
             y, ay, t_new = x_new, ax_new, 1.0
         else:
             # y = x_new + (t/t_new)(z - x_new) + ((t-1)/t_new)(x_new - x), which
@@ -217,9 +228,10 @@ def fista(apply_a, apply_at, s_hat, spec: RecoverySpec, lipschitz=None,
         history.append(fx)
         if done:
             break
+        step_l = max(STEP_SHRINK * step_l, step_floor)
     if return_info:
         return x, {"objective": history, "iterations": n_iter,
-                   "lipschitz": lipschitz, "rho": rho,
+                   "backtracks": backtracks, "lipschitz": lipschitz, "rho": rho,
                    "gap": _relative_gap(apply_at, s_hat, ax, fx, rho)}
     return x
 

@@ -181,20 +181,22 @@ def reference_fista(apply_a, apply_at, s_hat, spec, lipschitz=None):
 
 
 
-def reference_restarted_fista(apply_a, apply_at, s_hat, spec, lipschitz=None):
+def reference_restarted_fista(apply_a, apply_at, s_hat, spec, lipschitz=None,
+                              backtrack=False):
     """Monotone FISTA with gradient restart and two applies per iteration at
-    the step 1/(1.02*L_f) throughout; returns (x, info) like
-    fista(..., return_info=True)."""
+    the step 1/(1.02*L_f) throughout, or with backtrack at fista's
+    backtracking step, tested on A y applied afresh; returns (x, info) like
+    fista(..., return_info=True), with the kept trial constant of every
+    iteration under "steps"."""
     s_hat = np.asarray(s_hat, dtype=complex)
     corr = apply_at(s_hat)
     n = corr.shape[0]
     if lipschitz is None:
         lipschitz = power_iteration_lipschitz(apply_a, apply_at, n)
-    step_l = 1.02 * lipschitz
+    step_l = (0.65 if backtrack else 1.02) * lipschitz
     rho = spec.rho
     if rho is None:
         rho = spec.rho_scale * float(np.max(np.abs(corr)))
-    thr = rho / step_l
 
     x = np.zeros(n, dtype=complex)
     ax = np.zeros_like(s_hat)
@@ -202,14 +204,23 @@ def reference_restarted_fista(apply_a, apply_at, s_hat, spec, lipschitz=None):
     y, ay = x, ax
     t = 1.0
     z_prev, z_prev_norm = x, 0.0
-    history = [fx]
+    history, steps, backtracks = [fx], [], 0
     n_iter = 0
     for n_iter in range(1, spec.max_iter + 1):
-        v = y - apply_at(ay - s_hat) / step_l
-        mag = np.abs(v)
-        z_mag = np.maximum(mag - thr, 0.0)
-        z = v * np.divide(z_mag, mag, out=np.zeros_like(mag), where=z_mag > 0)
-        az = apply_a(z)
+        grad = apply_at(ay - s_hat)
+        while True:
+            v = y - grad / step_l
+            mag = np.abs(v)
+            z_mag = np.maximum(mag - rho / step_l, 0.0)
+            z = v * np.divide(z_mag, mag, out=np.zeros_like(mag), where=z_mag > 0)
+            az = apply_a(z)
+            # the data term's sufficient decrease at the step 1/step_l
+            if (step_l >= 1.02 * lipschitz or np.linalg.norm(az - apply_a(y)) ** 2
+                    <= step_l * np.linalg.norm(z - y) ** 2):
+                break
+            step_l = min(2.0 * step_l, 1.02 * lipschitz)
+            backtracks += 1
+        steps.append(step_l)
         r = az - s_hat
         fz = 0.5 * float(np.vdot(r, r).real) + rho * float(z_mag.sum())
         accepted = fz <= fx
@@ -228,8 +239,10 @@ def reference_restarted_fista(apply_a, apply_at, s_hat, spec, lipschitz=None):
         history.append(fx)
         if delta < spec.tol:
             break
-    return x, {"objective": history, "iterations": n_iter,
-               "lipschitz": lipschitz, "rho": rho}
+        if backtrack:
+            step_l = max(0.9 * step_l, 0.05 * lipschitz)
+    return x, {"objective": history, "iterations": n_iter, "backtracks": backtracks,
+               "steps": steps, "lipschitz": lipschitz, "rho": rho}
 
 def reference_equalizing_unitary(H):
     """One matrix, one 2x2 rotation per loop pass on the current

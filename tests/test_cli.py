@@ -133,6 +133,8 @@ def test_missing_output_directory_is_usage_error(tmp_path, cfg_file, capsys, mon
 
 
 ULA_CONFIG = {"M": 2, "N": 3, "bandwidth": 1e6, "pri": 3e-6, "array": "ula"}
+EXPLICIT_CONFIG = {"M": 1, "N": 2, "bandwidth": 1e6, "pri": 3e-6, "rx_pos": [0.0, 0.5],
+                   "tx_pos": [0.0], "tone_offsets": [0.0]}
 
 
 @pytest.mark.parametrize("config, message", [
@@ -142,6 +144,20 @@ ULA_CONFIG = {"M": 2, "N": 3, "bandwidth": 1e6, "pri": 3e-6, "array": "ula"}
                  "missing config key(s): bandwidth", id="no-bandwidth"),
     pytest.param({"M": 1, "N": 2, "bandwidth": 1e6, "pri": 3e-6, "rx_pos": [0.0, 0.5],
                   "tone_offsets": [0.0]}, "missing config key(s): tx_pos", id="no-tx-pos"),
+    pytest.param(dict(ULA_CONFIG, M="2"), "config key 'M' must be an integer, got '2'",
+                 id="string-M"),
+    pytest.param(dict(ULA_CONFIG, M=2.5), "config key 'M' must be an integer, got 2.5",
+                 id="float-M"),
+    pytest.param(dict(ULA_CONFIG, N=True), "config key 'N' must be an integer, got True",
+                 id="bool-N"),
+    pytest.param(dict(EXPLICIT_CONFIG, L=3.0), "config key 'L' must be an integer, got 3.0",
+                 id="float-L"),
+    pytest.param(dict(ULA_CONFIG, pri="3e-6"), "config key 'pri' must be a number",
+                 id="string-pri"),
+    pytest.param(dict(ULA_CONFIG, eta=None), "config key 'eta' must be a number",
+                 id="null-eta"),
+    pytest.param(dict(EXPLICIT_CONFIG, array="random"),
+                 "config key 'array' cannot be given beside explicit", id="array-and-positions"),
 ])
 @pytest.mark.parametrize("command", ["design", "simulate"])
 def test_bad_config_key_is_usage_error(tmp_path, capsys, command, config, message):

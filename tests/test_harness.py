@@ -205,6 +205,8 @@ def test_sidecar_reports_capped_solves(tmp_path, small_cfg):
     assert sorted(timing) == [f"point0/{m}" for m in sorted(bm.METHODS)]
     for entry in timing.values():
         assert (entry["iters_mean"], entry["capped_frac"]) == (1.0, 1.0)
+        # one iteration tries 0.65*L_f, then at most the safe cap 1.02*L_f
+        assert 0 <= entry["backtracks_mean"] <= 1
         for key in ("objective_mean", "rho_mean", "gap_mean"):
             assert np.isfinite(entry[key]) and entry[key] > 0
         assert entry["gap_mean"] <= entry["gap_max"]
@@ -302,6 +304,7 @@ def test_numerical_failure_excludes_one_trial(tmp_path, small_cfg, monkeypatch):
     entry = json.loads((tmp_path / "f.csv.meta.json").read_text())["timing"]["point0/bilimo"]
     assert (entry["trials"], entry["failed"]) == (2, 1)
     assert entry["iters_mean"] == np.mean([m.iterations for m in kept])
+    assert entry["backtracks_mean"] == np.mean([m.backtracks for m in kept])
     assert entry["objective_mean"] == np.mean([m.objective for m in kept])
     assert entry["gap_mean"] == np.mean([m.gap for m in kept])
     assert entry["gap_max"] == max(m.gap for m in kept)

@@ -1,5 +1,6 @@
-import logging
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,36 +235,82 @@ def test_fista_writes_into_no_input_or_operator_output():
     x, info = fista(holding(apply), holding(adjoint), s, RecoverySpec(),
                     lipschitz=lip, return_info=True)
     assert np.array_equal(s, s_before)
-    # A^H s_hat, an apply and an adjoint per iteration, the gap's adjoint
-    assert len(held) == 2 * info["iterations"] + 2
+    # A^H s_hat, an apply and an adjoint per iteration, an apply per
+    # backtrack, the gap's adjoint
+    assert len(held) == 2 * info["iterations"] + 2 + info["backtracks"]
     assert all(np.array_equal(out, before) for out, before in held)
     assert not any(np.shares_memory(x, out) for out, _ in held)
 
 
-def test_fista_safeguard_falls_back_to_safe_step(caplog):
-    # the long step is dropped for good at the first rejected candidate (a
-    # flat step of the objective history) or at the first step longer than
-    # the first one; the objective history stays nonincreasing either way
-    rng = np.random.default_rng(0)
-    A = rng.standard_normal((20, 50)) + 1j * rng.standard_normal((20, 50))
-    s = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-    rng = np.random.default_rng(1)
-    B = rng.standard_normal((25, 40)) + 1j * rng.standard_normal((25, 40))
-    B[:, 0] *= 10
-    b = rng.standard_normal(25) + 1j * rng.standard_normal(25)
-    cases = ((A, s, 1.0, "candidate rejected"), (B, b, 0.0, "step past the safeguard bound"))
-    for mat, data, rho, reason in cases:
-        caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="bitmimo.recovery"):
-            _, info = fista(*_ops(mat), data, RecoverySpec(rho=rho), return_info=True)
-        (record,) = caplog.records
-        logged_reason, it = record.args
-        assert logged_reason == reason
-        assert 1 < it < info["iterations"]
-        hist = np.asarray(info["objective"])
-        assert np.all(np.diff(hist) <= 0)
-        assert np.all(np.diff(hist[:it]) < 0)  # every long step before was accepted
-        assert (hist[it] == hist[it - 1]) == (reason == "candidate rejected")
+def test_fista_backtracking_matches_reference_loop():
+    # the backtracking step against a plain loop that tests sufficient
+    # decrease on A y applied afresh: the same iterations, backtracks and
+    # iterate with L_f exact, overestimated 10x (the trial constant falls to
+    # its floor 0.05*L_f) and underestimated 2x (it grows to the safe cap
+    # 1.02*L_f, where the trial is kept untested); the objective history
+    # stays nonincreasing
+    floors = caps = 0
+    for apply, adjoint, s, _, lip in _lasso_problems():
+        for lipschitz in (lip, 10 * lip, 0.5 * lip):
+            x, info = fista(apply, adjoint, s, RecoverySpec(), lipschitz=lipschitz,
+                            return_info=True)
+            x_ref, info_ref = reference_restarted_fista(
+                apply, adjoint, s, RecoverySpec(), lipschitz=lipschitz, backtrack=True)
+            assert info["iterations"] == info_ref["iterations"]
+            assert info["backtracks"] == info_ref["backtracks"]
+            assert np.allclose(x, x_ref, rtol=0, atol=1e-9 * np.abs(x_ref).max())
+            assert np.all(np.diff(info["objective"]) <= 0)
+            floors += info_ref["steps"].count(0.05 * lipschitz)
+            caps += info_ref["steps"].count(1.02 * lipschitz)
+    assert floors > 0 and caps > 0
+
+
+def test_fista_recovers_from_an_overestimated_lipschitz():
+    # with L_f overestimated 10x the trial constant falls to the curvature the
+    # iterates see: each solve reaches the objective of its solve at the exact
+    # L_f within 1e-6, in under half the iterations the fixed long step of
+    # 1/(0.65*L_f) (dropped for good to 1/(1.02*L_f) at the first rejected
+    # candidate) took on these problems
+    fixed_step_iterations = (153, 134, 121, 251)
+    for (apply, adjoint, s, _, lip), fixed in zip(_lasso_problems(),
+                                                  fixed_step_iterations):
+        _, info = fista(apply, adjoint, s, RecoverySpec(), lipschitz=lip,
+                        return_info=True)
+        _, info_over = fista(apply, adjoint, s, RecoverySpec(), lipschitz=10 * lip,
+                             return_info=True)
+        f, f_over = info["objective"][-1], info_over["objective"][-1]
+        assert f_over - f <= 1e-6 * f
+        assert info_over["iterations"] < 0.5 * fixed
+
+
+def test_fista_single_precision_stop_is_not_early(tmp_path, monkeypatch):
+    # the benchmark's paper-point solve (seed 0, array 1, bilimo) that the
+    # fixed-step rule stopped 3.4e-6 above the optimum: its monotone guard
+    # rejected a candidate on float32 objective noise and the iterate-change
+    # stop fired two iterations later (at one BLAS thread, as CI and the
+    # benchmark run). It now ends within 2e-6 of a long double-precision
+    # solve on the same operator and rho
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workload
+    spec = replace(workload.PaperPoint(0, tmp_path).specs[1], methods=("bilimo",))
+    solves = []
+
+    def recording(apply, adjoint, s_hat, rspec, **kwargs):
+        x, info = fista(apply, adjoint, s_hat, rspec, **kwargs)
+        solves.append((apply, adjoint, s_hat, kwargs["lipschitz"], x, info))
+        return x, info
+
+    monkeypatch.setattr(harness, "fista", recording)
+    harness.run_sweep(spec)
+    ((apply, adjoint, s_hat, lip, x, info),) = solves
+    assert x.dtype == np.complex64
+    s, rho = s_hat.astype(complex), info["rho"]
+    _, info_long = fista(apply, adjoint, s, RecoverySpec(rho=rho, max_iter=4000, tol=1e-13),
+                         lipschitz=lip, return_info=True)
+    r = s - apply(x.astype(complex))
+    f = 0.5 * float(np.vdot(r, r).real) + rho * float(np.abs(x).sum())
+    f_min = info_long["objective"][-1]
+    assert f - f_min <= 2e-6 * f_min
 
 
 def test_fista_two_applies_per_iteration():
@@ -278,7 +325,9 @@ def test_fista_two_applies_per_iteration():
 
         _, info = fista(counted(apply), counted(adjoint), s, RecoverySpec(),
                         lipschitz=lip, return_info=True)
-        assert calls[0] <= 2 * info["iterations"] + 2
+        # A^H s_hat, an adjoint and an apply per iteration, an apply per
+        # backtrack, the gap's adjoint
+        assert calls[0] == 2 * info["iterations"] + 2 + info["backtracks"]
 
 
 def test_fista_rejects_bad_inputs():
