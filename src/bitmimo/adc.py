@@ -51,11 +51,21 @@ def quantize_complex_vector(v, levels, support, rng):
     return z[0] + 1j * z[1], sat
 
 
+# Past 2**53 levels the float64 cell index of quantize_real is no longer exact.
+MAX_BITS_PER_REAL = 53
+
+
 def levels_from_budget(budget_bits: int, channels: int, tones: int) -> int:
-    """Largest power-of-two level count whose spend fits the budget."""
+    """Largest power-of-two level count whose spend fits the budget, from one
+    to MAX_BITS_PER_REAL bits per real sample."""
     per_real = budget_bits // (2 * channels * tones)
     if per_real < 1:
         raise ValueError(
             f"budget {budget_bits} is below one bit per real sample "
             f"(2*{channels}*{tones} = {2 * channels * tones})")
+    if per_real > MAX_BITS_PER_REAL:
+        raise ValueError(
+            f"budget {budget_bits} gives {per_real} bits per real sample "
+            f"(2*{channels}*{tones} = {2 * channels * tones}), more than the "
+            f"{MAX_BITS_PER_REAL} a float64 quantizer resolves")
     return 2 ** int(per_real)

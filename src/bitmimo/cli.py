@@ -2,9 +2,11 @@
 
     bitmimo design   --config cfg.json --dcr 2 --budget-bits 1728 --k 4 --out prefix
     bitmimo simulate --config cfg.json --snr-db -10 --trials 50 --out point.csv
-    bitmimo sweep    --config cfg.json --snr-db -30,-20,-10,0,10 --out sweep.csv
+    bitmimo sweep    --config cfg.json --snr-db=-30,-20,-10,0,10 --out sweep.csv
 
-Axis flags of `sweep` take comma-separated lists; `design` and `simulate` take scalars.
+Every command reads the axis flags as comma-separated lists; `design` and
+`simulate` run one sweep point, so they take one value per axis flag. A run
+flag left out takes its default from ExperimentSpec or RecoverySpec.
 Results go to the CSV named by --out, with provenance (seed, eta, rho rule,
 version, numpy version, config hash, wall times) in <out>.meta.json.
 """
@@ -38,29 +40,34 @@ def _names(text):
     return tuple(x.strip() for x in text.split(",") if x.strip())
 
 
-# the sweep axes: flag, scalar type (simulate), comma-list type (sweep), default
-AXIS_FLAGS = (("--budget-bits", int, _ints, 1728), ("--snr-db", float, _floats, 10.0),
-              ("--dcr", int, _ints, 2), ("--k", int, _ints, 4),
-              ("--matrix-kind", str, _names, "gaussian"))
+# the sweep axes: flag, comma-list type, ExperimentSpec field
+AXIS_FLAGS = (("--budget-bits", _ints, "budget_bits"), ("--snr-db", _floats, "snr_db"),
+              ("--dcr", _ints, "dcr"), ("--k", _ints, "k"),
+              ("--matrix-kind", _names, "matrix_kinds"))
+# the fields of the run flags a user gave, passed on by name; a flag left out
+# is None here, so the spec's own default holds
+SPEC_FLAGS = tuple(field for _, _, field in AXIS_FLAGS) + ("methods", "trials",
+                                                           "coeff_model")
+RECOVERY_FLAGS = ("rho_scale", "max_iter")
 
 
-def _common_flags(p, lists):
+def _common_flags(p):
     p.add_argument("--config", required=True, help="JSON radar config file")
+    # the seed draws a random layout before any spec exists, so it keeps a default
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--eta", type=float, default=None,
+    p.add_argument("--eta", type=float,
                    help="override the config's quantizer support multiplier")
-    for flag, scalar, listed, default in AXIS_FLAGS:
-        p.add_argument(flag, type=listed if lists else scalar,
-                       default=(default,) if lists else default)
+    for flag, listed, field in AXIS_FLAGS:
+        p.add_argument(flag, type=listed, dest=field)
 
 
 def _sim_flags(p):
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--methods", type=_names, default=("bilimo",),
+    p.add_argument("--trials", type=int)
+    p.add_argument("--methods", type=_names,
                    help=f"comma-separated subset of {','.join(METHODS)}")
-    p.add_argument("--coeff-model", choices=COEFF_MODELS, default=COEFF_MODELS[0])
-    p.add_argument("--rho-scale", type=float, default=0.05)
-    p.add_argument("--max-iter", type=int, default=300)
+    p.add_argument("--coeff-model", choices=COEFF_MODELS)
+    p.add_argument("--rho-scale", type=float)
+    p.add_argument("--max-iter", type=int)
     p.add_argument("--out", required=True, help="output CSV path")
 
 
@@ -70,15 +77,14 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("design", help="emit an acquisition-design bundle")
-    _common_flags(p, lists=False)
+    _common_flags(p)
     p.add_argument("--out", required=True, help="bundle path prefix (.npz/.json)")
-    p.add_argument("--filters-csv", default=None,
-                   help="also export analog filter responses to this CSV")
+    p.add_argument("--filters-csv", help="also export analog filter responses to this CSV")
 
     for command, help_text in (("simulate", "run one sweep point"),
                                ("sweep", "run a full experiment sweep")):
         p = sub.add_parser(command, help=help_text)
-        _common_flags(p, lists=command == "sweep")
+        _common_flags(p)
         _sim_flags(p)
     return parser
 
@@ -96,6 +102,21 @@ def _check_output_dirs(args):
             raise ValueError(f"output directory {Path(path).parent} does not exist")
 
 
+def _check_one_point(args):
+    """design and simulate run one sweep point: one value per axis flag."""
+    for flag, _, field in AXIS_FLAGS:
+        values = getattr(args, field) or ()
+        if len(values) > 1:
+            raise ValueError(f"{args.command} runs one sweep point; {flag} takes one "
+                             f"value, got {len(values)} (use sweep for several)")
+
+
+def _given(args, names):
+    """The named flags the user gave, by field name."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name, None) is not None}
+
+
 def cmd_design(args, spec):
     """Write the design bundle (and filter CSV) of the spec's one point."""
     (index, axes), = spec.points()
@@ -111,18 +132,15 @@ def cmd_design(args, spec):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    axes = dict(budget_bits=args.budget_bits, snr_db=args.snr_db,
-                dcr=args.dcr, k=args.k, matrix_kinds=args.matrix_kind)
-    if args.command != "sweep":  # scalar axis flags; sweep takes comma lists
-        axes = {key: (val,) for key, val in axes.items()}
     try:
         _check_output_dirs(args)
+        if args.command != "sweep":
+            _check_one_point(args)
         config = _load_config(args)
         # `design` builds point 0 of a one-point spec, so its flags get the same checks
-        run = {} if args.command == "design" else dict(
-            methods=tuple(args.methods), trials=args.trials, coeff_model=args.coeff_model,
-            recovery=RecoverySpec(rho_scale=args.rho_scale, max_iter=args.max_iter))
-        spec = ExperimentSpec(config=config, master_seed=args.seed, **axes, **run)
+        spec = ExperimentSpec(config=config, master_seed=args.seed,
+                              recovery=RecoverySpec(**_given(args, RECOVERY_FLAGS)),
+                              **_given(args, SPEC_FLAGS))
     except ValueError as exc:  # an invalid flag value: a usage error, exit code 2
         parser.error(str(exc))
     if args.command == "design":

@@ -26,9 +26,8 @@ Seeding is fully deterministic:
 with tag the method's position (1-based) in the canonical method order, so a
 method's results do not depend on which other methods are enabled.
 
-The CSV is byte-reproducible for a fixed spec and seed; wall-clock timings,
-timestamps and solver diagnostics live only in the JSON sidecar (the wall_ms
-column is left empty).
+The CSV, the solver diagnostics included, is byte-reproducible for a fixed
+spec and seed; wall-clock timings and timestamps live only in the JSON sidecar.
 """
 
 from __future__ import annotations
@@ -88,7 +87,9 @@ OPERATOR_OF = {"bilimo": "task", "task_ignorant": "phi", "noquan_dr": "phi",
 CSV_COLUMNS = ("method", "budget_bits", "snr_db", "dcr", "k", "matrix_kind",
                "mse_s_mean", "mse_s_se", "mse_a_mean", "mse_a_se",
                "hit_rate_mean", "hit_rate_se", "eps_lmmse", "eps_emse",
-               "saturation_rate", "trials", "wall_ms")
+               "saturation_rate", "trials", "n_failed", "iters_mean",
+               "backtracks_mean", "capped_frac", "objective_mean", "rho_mean",
+               "gap_mean", "gap_max")
 
 
 @dataclass(frozen=True)
@@ -288,9 +289,9 @@ def _mean_se(values):
 
 class PointResult:
     """One (sweep point, method), built once when the point closes from the
-    trials it kept (at least one): the per-trial metrics, the CSV aggregates
-    and the sidecar's solver diagnostics. index is the point's position in
-    spec.points(); wall_ms sums the kept trials' wall time."""
+    trials it kept (at least one): the per-trial metrics and the CSV
+    aggregates, solver diagnostics included. index is the point's position in
+    spec.points(); wall_ms, the sidecar's, sums the kept trials' wall time."""
 
     def __init__(self, method, index, axes, kept, n_failed, wall_ms,
                  eps_lmmse, eps_emse, max_iter):
@@ -436,10 +437,7 @@ def write_csv(result: ExperimentResult, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for p in result.points:
-            # wall_ms stays empty: timings live in the sidecar to keep the CSV
-            # reproducible
-            fh.write(",".join(_fmt(None if c == "wall_ms" else getattr(p, c))
-                              for c in CSV_COLUMNS) + "\n")
+            fh.write(",".join(_fmt(getattr(p, c)) for c in CSV_COLUMNS) + "\n")
 
 
 def _blas_name():
@@ -468,13 +466,8 @@ def _write_sidecar(spec: ExperimentSpec, points, path) -> None:
         "methods": list(spec.methods),
         "coeff_model": spec.coeff_model,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "timing": {f"point{p.index}/{p.method}": {
-            "wall_ms": p.wall_ms, "trials": p.trials, "failed": p.n_failed,
-            "iters_mean": p.iters_mean, "backtracks_mean": p.backtracks_mean,
-            "capped_frac": p.capped_frac,
-            "objective_mean": p.objective_mean, "rho_mean": p.rho_mean,
-            "gap_mean": p.gap_mean, "gap_max": p.gap_max}
-            for p in points},
+        "timing": {f"point{p.index}/{p.method}": {"wall_ms": p.wall_ms}
+                   for p in points},
     }
     with open(path, "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)

@@ -1,8 +1,9 @@
 """Radar configuration, on-grid target scenes, and the grid <-> sparse-vector map.
 
 Positions are stored in wavelength units, so all phase terms are computed as
-exp(j*2*pi*(xi_m + zeta_n)*theta) without ever touching the carrier frequency
-(kept as metadata only). Delay/angle grids:
+exp(j*2*pi*(xi_m + zeta_n)*theta) and the carrier frequency never enters.
+The tone count per band is fixed by the waveform, L = bandwidth * pri.
+Delay/angle grids:
 
     tau_l1   = pri * l1 / (M*L),   l1 in 0..ML-1
     theta_l2 = -1 + 2*l2 / (M*N),  l2 in 0..MN-1
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -55,13 +56,11 @@ class RadarConfig:
     M, N : int
         Transmit / receive element counts.
     L : int
-        Tones per band (odd, equals round(bandwidth * pri)).
+        Tones per band, derived: round(bandwidth * pri), which must be odd.
     bandwidth : float
         Per-waveform bandwidth B_h in Hz.
     pri : float
         Pulse repetition interval T_0 in seconds.
-    carrier : float
-        Carrier frequency in Hz (informational only).
     rx_pos, tx_pos : ndarray
         Element positions zeta_n, xi_m in wavelengths; first entry of each is 0.
     tone_offsets : ndarray
@@ -76,10 +75,9 @@ class RadarConfig:
 
     M: int
     N: int
-    L: int
+    L: int = field(init=False)
     bandwidth: float
     pri: float
-    carrier: float
     rx_pos: np.ndarray
     tx_pos: np.ndarray
     tone_offsets: np.ndarray
@@ -96,12 +94,12 @@ class RadarConfig:
         # written as `not x > 0` so that NaN is rejected too
         if not (self.bandwidth > 0 and self.pri > 0):
             raise ValueError("bandwidth and pri must be positive")
-        if self.L < 1 or self.L % 2 == 0:
-            raise ValueError(f"L must be an odd positive integer, got {self.L}")
-        if abs(self.bandwidth * self.pri - self.L) > 1e-6 * max(1.0, self.L):
-            raise ValueError(
-                f"L={self.L} inconsistent with bandwidth*pri={self.bandwidth * self.pri}"
-            )
+        product = self.bandwidth * self.pri
+        L = int(round(product)) if product < np.inf else 0
+        if L % 2 == 0 or abs(product - L) > 1e-6 * max(1.0, L):
+            raise ValueError(f"bandwidth*pri={product} must be finite and within 1e-6 "
+                             "(relative) of an odd integer, the tone count L")
+        object.__setattr__(self, "L", L)
         if len(self.rx_pos) != self.N or len(self.tx_pos) != self.M:
             raise ValueError("position arrays must have lengths N and M")
         if self.rx_pos[0] != 0.0 or self.tx_pos[0] != 0.0:
@@ -168,15 +166,13 @@ class TargetScene:
         return len(self.alpha)
 
 
-def make_ula_config(M, N, bandwidth, pri, carrier=10e9, eta=2.0,
-                    sigma_alpha_sq=1.0, sigma_n_sq=1.0) -> RadarConfig:
+def make_ula_config(M, N, bandwidth, pri, eta=2.0, sigma_alpha_sq=1.0,
+                    sigma_n_sq=1.0) -> RadarConfig:
     """Uniform linear arrays: zeta_n = n/2, xi_m = N*m/2 (virtual ULA of MN
     elements), with tone offsets f_m = (m - (M+1)/2) * bandwidth."""
-    L = int(round(bandwidth * pri))
     m = np.arange(M)
     return RadarConfig(
-        M=int(M), N=int(N), L=L, bandwidth=float(bandwidth), pri=float(pri),
-        carrier=float(carrier),
+        M=int(M), N=int(N), bandwidth=float(bandwidth), pri=float(pri),
         rx_pos=np.arange(N) / 2.0,
         tx_pos=N * m / 2.0,
         tone_offsets=(m - (M + 1) / 2.0) * bandwidth,
@@ -185,20 +181,19 @@ def make_ula_config(M, N, bandwidth, pri, carrier=10e9, eta=2.0,
     )
 
 
-def make_random_array_config(rng, M, N, bandwidth, pri, carrier=10e9, eta=2.0,
-                             sigma_alpha_sq=1.0, sigma_n_sq=1.0) -> RadarConfig:
+def make_random_array_config(rng, M, N, bandwidth, pri, eta=2.0, sigma_alpha_sq=1.0,
+                             sigma_n_sq=1.0) -> RadarConfig:
     """Element positions uniform over the virtual aperture [0, MN/2] wavelengths
     (first element of each array pinned at 0); tone offsets are
     f_m = (i_m - (M+1)/2) * bandwidth with (i_m) a random permutation of 0..M-1,
     which keeps the bands disjoint."""
-    L = int(round(bandwidth * pri))
     aperture = M * N / 2.0
     rx = np.concatenate(([0.0], rng.uniform(0.0, aperture, size=N - 1)))
     tx = np.concatenate(([0.0], rng.uniform(0.0, aperture, size=M - 1)))
     i_m = rng.permutation(M)
     return RadarConfig(
-        M=int(M), N=int(N), L=L, bandwidth=float(bandwidth), pri=float(pri),
-        carrier=float(carrier), rx_pos=rx, tx_pos=tx,
+        M=int(M), N=int(N), bandwidth=float(bandwidth), pri=float(pri),
+        rx_pos=rx, tx_pos=tx,
         tone_offsets=(i_m - (M + 1) / 2.0) * bandwidth,
         eta=float(eta), sigma_alpha_sq=float(sigma_alpha_sq),
         sigma_n_sq=float(sigma_n_sq),
@@ -257,8 +252,7 @@ def snr_db_to_linear(snr_db) -> float:
 
 def config_to_dict(config: RadarConfig) -> dict:
     return {
-        "M": config.M, "N": config.N, "L": config.L,
-        "bandwidth": config.bandwidth, "pri": config.pri, "carrier": config.carrier,
+        "M": config.M, "N": config.N, "bandwidth": config.bandwidth, "pri": config.pri,
         "rx_pos": config.rx_pos.tolist(), "tx_pos": config.tx_pos.tolist(),
         "tone_offsets": config.tone_offsets.tolist(),
         "eta": config.eta, "sigma_alpha_sq": config.sigma_alpha_sq,
@@ -266,12 +260,13 @@ def config_to_dict(config: RadarConfig) -> dict:
     }
 
 
-# the keys of config_to_dict, plus the layout generator's "array"
-_CONFIG_KEYS = frozenset(f.name for f in fields(RadarConfig)) | {"array"}
+# the keys of config_to_dict (RadarConfig's init fields), plus the layout
+# generator's "array"
+_CONFIG_KEYS = frozenset(f.name for f in fields(RadarConfig) if f.init) | {"array"}
 _POSITION_KEYS = ("rx_pos", "tx_pos", "tone_offsets")
 # the scalar keys config_from_dict checks, with the type each must have
-_SCALAR_KEYS = {**dict.fromkeys(("M", "N", "L"), numbers.Integral),
-                **dict.fromkeys(("bandwidth", "pri", "carrier", "eta", "sigma_alpha_sq",
+_SCALAR_KEYS = {**dict.fromkeys(("M", "N"), numbers.Integral),
+                **dict.fromkeys(("bandwidth", "pri", "eta", "sigma_alpha_sq",
                                  "sigma_n_sq"), numbers.Real)}
 
 
@@ -282,7 +277,7 @@ def config_from_dict(d: dict, rng=None) -> RadarConfig:
     'array' selects a generator: "ula" (default) or "random" (requires rng).
     'M', 'N', 'bandwidth' and 'pri' are required. A key that is neither
     'array' nor one config_to_dict writes, a missing required key, a
-    non-integer 'M', 'N' or 'L' (bool included), a non-numeric scalar, or
+    non-integer 'M' or 'N' (bool included), a non-numeric scalar, or
     'array' beside explicit positions raises ValueError naming the key.
     """
     if not isinstance(d, dict):
@@ -303,15 +298,12 @@ def config_from_dict(d: dict, rng=None) -> RadarConfig:
     if "array" in d and "rx_pos" in d:
         raise ValueError("config key 'array' cannot be given beside explicit "
                          "rx_pos/tx_pos/tone_offsets")
-    common = dict(
-        bandwidth=d["bandwidth"], pri=d["pri"], carrier=d.get("carrier", 10e9),
-        eta=d.get("eta", 2.0), sigma_alpha_sq=d.get("sigma_alpha_sq", 1.0),
-        sigma_n_sq=d.get("sigma_n_sq", 1.0),
-    )
+    # the scalars given; RadarConfig and the generators hold the defaults
+    common = {key: d[key] for key, kind in _SCALAR_KEYS.items()
+              if kind is numbers.Real and key in d}
     if "rx_pos" in d:
         return RadarConfig(
-            M=d["M"], N=d["N"], L=d.get("L", int(round(d["bandwidth"] * d["pri"]))),
-            rx_pos=np.asarray(d["rx_pos"], dtype=float),
+            M=d["M"], N=d["N"], rx_pos=np.asarray(d["rx_pos"], dtype=float),
             tx_pos=np.asarray(d["tx_pos"], dtype=float),
             tone_offsets=np.asarray(d["tone_offsets"], dtype=float),
             **common,

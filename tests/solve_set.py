@@ -15,6 +15,9 @@ solve's. It prints, over all seeds: total iterations, backtracks, capped
 solves, the largest relative excess (f - f_long) / f_long, and the mean hit
 rate and mse_a of the sweeps. BLAS runs on one thread, as in the benchmark,
 unless the environment sets OPENBLAS_NUM_THREADS (or its OMP/MKL peers).
+
+It exits with code 1 when any solve ran all max_iter iterations or ended more
+than MAX_EXCESS above its long solve, so CI can gate on it.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workload  # noqa: E402  (puts ./src first on the path)
 from bitmimo import harness  # noqa: E402
 from bitmimo.recovery import RecoverySpec  # noqa: E402
+
+# the largest relative excess of a solve's objective over its long solve's
+MAX_EXCESS = 2e-6
 
 
 def _objective(apply, s, x, rho):
@@ -105,7 +111,12 @@ def main(argv=None):
           f"{iterations} iterations, {backtracks} backtracks, {capped} capped, "
           f"largest excess {excess_max:.2e} ({worst}), "
           f"hit rate {np.mean(hits):.4f}, mse_a {np.mean(mse_a):.4f}")
+    if capped or excess_max > MAX_EXCESS:
+        print(f"FAIL: {capped} capped solves, largest excess {excess_max:.2e} "
+              f"(at most {MAX_EXCESS:g} allowed)")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

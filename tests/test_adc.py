@@ -133,3 +133,12 @@ def test_budget_roundtrip():
     for p, tones, b in ((4, 3, 2), (48, 9, 4), (24, 9, 16)):
         budget = bits_per_pri(p, tones, b)
         assert levels_from_budget(budget, p, tones) == b
+
+
+def test_budget_past_float64_rejected():
+    # 53 bits per real sample is the most whose cell index float64 holds exactly;
+    # 54 and a budget whose level count overflows a float are refused by count
+    assert levels_from_budget(2 * 53, 1, 1) == 2 ** 53
+    for budget, bits in ((2 * 54, 54), (2 * 18000, 18000), (10 ** 6, 500000)):
+        with pytest.raises(ValueError, match=f"gives {bits} bits per real sample"):
+            levels_from_budget(budget, 1, 1)

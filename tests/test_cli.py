@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -77,20 +78,58 @@ def test_empty_method_list_rejected(tmp_path, cfg_file, capsys, flag, value, mes
     pytest.param("--eta", "nan", "eta must be positive", id="eta-nan"),
     pytest.param("--eta", "inf", "eta must be positive and finite", id="eta-inf"),
     pytest.param("--eta", "1e300", "no mode above the water level", id="eta-1e300"),
+    # 1000 and 5555 bits per real sample: past 2**53 levels the quantizer's
+    # float64 cell index is not exact
+    pytest.param("--budget-bits", "18000", "gives 1000 bits per real sample",
+                 id="budget-18000"),
+    pytest.param("--budget-bits", "100000", "gives 5555 bits per real sample",
+                 id="budget-100000"),
 ])
 @pytest.mark.parametrize("command", ["design", "simulate"])
 def test_invalid_axis_value_is_usage_error(tmp_path, cfg_file, capsys, command,
                                            flag, value, message):
     # checked once by ExperimentSpec, which `design` builds for its one point
     # (and --eta by the config it overrides): exit code 2, the reason on
-    # stderr and nothing written
+    # stderr and nothing written. The 36-bit budget (2 bits per real sample on
+    # P = 3 channels and L = 3 tones) is the base the flag under test overrides.
     out = tmp_path / "out"
     extra = ["--trials", "1"] if command == "simulate" else ["--filters-csv", str(out)]
     with pytest.raises(SystemExit) as exc:
-        main([command, "--config", str(cfg_file), *extra, flag, value, "--out", str(out)])
+        main([command, "--config", str(cfg_file), *extra, "--budget-bits", "36",
+              flag, value, "--out", str(out)])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfg_file]
+
+
+@pytest.mark.parametrize("flag, values", [("--budget-bits", "36,72"), ("--snr-db", "0,10"),
+                                          ("--dcr", "1,2"), ("--k", "1,2"),
+                                          ("--matrix-kind", "gaussian,dft")])
+@pytest.mark.parametrize("command", ["design", "simulate"])
+def test_second_sweep_point_is_usage_error(tmp_path, cfg_file, capsys, command, flag,
+                                           values):
+    # every command reads the axis flags as comma lists, and the one-point
+    # commands refuse a second value: exit code 2, the flag named, nothing written
+    out = tmp_path / "out"
+    extra = ["--trials", "1"] if command == "simulate" else ["--filters-csv", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg_file), *extra, "--budget-bits", "36",
+              flag, values, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"{flag} takes one value, got 2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg_file]
+
+
+def test_flags_left_out_take_the_spec_defaults(tmp_path, cfg_file, monkeypatch):
+    # the CLI restates no default: a run with only the required flags (and a
+    # budget the small config can spend) builds the specs' own defaults
+    spec = _parsed_spec(monkeypatch, ["simulate", "--config", str(cfg_file),
+                                      "--budget-bits", "36", "--out",
+                                      str(tmp_path / "p.csv")])
+    want = harness.ExperimentSpec(config=spec.config, budget_bits=(36,))
+    for field in dataclasses.fields(harness.ExperimentSpec):
+        if field.name != "config":
+            assert getattr(spec, field.name) == getattr(want, field.name), field.name
 
 
 @pytest.mark.parametrize("command, eta", [("design", "1e9"), ("simulate", "1e9"),
@@ -150,8 +189,14 @@ EXPLICIT_CONFIG = {"M": 1, "N": 2, "bandwidth": 1e6, "pri": 3e-6, "rx_pos": [0.0
                  id="float-M"),
     pytest.param(dict(ULA_CONFIG, N=True), "config key 'N' must be an integer, got True",
                  id="bool-N"),
-    pytest.param(dict(EXPLICIT_CONFIG, L=3.0), "config key 'L' must be an integer, got 3.0",
-                 id="float-L"),
+    # L = bandwidth*pri and the carrier never enters: neither is a key
+    pytest.param(dict(ULA_CONFIG, L=5), "unknown config key(s): L", id="L-key"),
+    pytest.param(dict(EXPLICIT_CONFIG, carrier=10e9), "unknown config key(s): carrier",
+                 id="carrier-key"),
+    pytest.param(dict(ULA_CONFIG, bandwidth=1e308, pri=10),
+                 "bandwidth*pri=inf must be finite", id="infinite-tone-count"),
+    pytest.param(dict(ULA_CONFIG, pri=4e-6), "must be finite and within 1e-6 (relative) "
+                 "of an odd integer", id="even-tone-count"),
     pytest.param(dict(ULA_CONFIG, pri="3e-6"), "config key 'pri' must be a number",
                  id="string-pri"),
     pytest.param(dict(ULA_CONFIG, eta=None), "config key 'eta' must be a number",

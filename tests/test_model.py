@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import bitmimo as bm
 from bitmimo.dictionary import build_dictionary
+from bitmimo.model import config_to_dict
 
 
 def scene_from_sparse_vector(a, config):
@@ -42,6 +45,20 @@ def test_ula_virtual_positions_distinct():
 def test_reject_even_L():
     with pytest.raises(ValueError):
         bm.make_ula_config(2, 2, 1e6, 4e-6)  # B_h*T_0 = 4, even
+
+
+def test_tone_count_is_derived():
+    # L is no init field: bandwidth*pri sets it, and neither it nor a carrier
+    # is a config key
+    cfg = bm.make_ula_config(2, 3, 1e6, 3e-6)
+    assert cfg.L == 3
+    assert dataclasses.replace(cfg, pri=5e-6).L == 5
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(cfg, L=5)
+    assert not {"L", "carrier"} & set(config_to_dict(cfg))
+    for bandwidth, pri in ((1e308, 10.0), (1e6, 4e-6), (1e6, 3.1e-6)):
+        with pytest.raises(ValueError, match="bandwidth\\*pri"):
+            bm.make_ula_config(2, 2, bandwidth, pri)
 
 
 def test_reject_nonpositive():
