@@ -144,6 +144,11 @@ class ExperimentSpec:
             for budget in self.budget_bits:
                 levels = levels_from_budget(budget, channels, self.config.L)
                 waterfill_gain(channels, levels, self.config.eta)
+        for budget in self.budget_bits if "task_ignorant" in self.methods else ():
+            try:  # the baseline spends each budget on all MNL channels, one tone each
+                levels_from_budget(budget, self.config.mnl, 1)
+            except ValueError as exc:
+                raise ValueError(f"task_ignorant: {exc}") from None
 
     def points(self):
         axes = itertools.product(self.budget_bits, self.snr_db, self.dcr,
@@ -158,7 +163,6 @@ class TrialMetrics:
     mse_a: float
     hit: float
     saturation: float | None
-    err_s_abs: float  # ||s - s_hat||^2, for theory-vs-simulation checks
     iterations: int   # FISTA iterations of the recovery
     backtracks: int   # FISTA's failed sufficient-decrease tests
     objective: float  # final LASSO objective of the recovery
@@ -190,10 +194,6 @@ def draw_trial(ctx, rng, k, coeff_model) -> Draw:
     return Draw(scene=scene, a=scene_to_sparse_vector(scene, cfg),
                 v=ctilde + noise,
                 s_true=ctx.compression.apply_to_c(ctilde[dictionary.perm]))
-
-
-def _sq(x):
-    return float(np.vdot(x, x).real)
 
 
 def _operator_pair(mat):
@@ -239,7 +239,6 @@ def _score(ctx, operator_id, draw, y, s_hat, saturation) -> TrialMetrics:
     return TrialMetrics(mse_s=relative_mse(draw.s_true, s_hat),
                         mse_a=relative_mse(draw.a, a_hat),
                         hit=hit_rate(draw.scene.cells, support), saturation=saturation,
-                        err_s_abs=_sq(draw.s_true - s_hat),
                         iterations=int(info["iterations"]),
                         backtracks=int(info["backtracks"]),
                         objective=float(info["objective"][-1]),

@@ -47,6 +47,28 @@ def _readonly(a, dtype):
     return out
 
 
+def _checked(name, kind, value):
+    """A RadarConfig field's value as its annotated kind, or ValueError naming
+    the field: "int" an integer >= 1 (bool refused), "float" finite and > 0
+    (sigma_n_sq also 0), "np.ndarray" a read-only 1-D array of finite floats."""
+    if kind == "int":
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        return int(value)
+    try:
+        out = float(value) if kind == "float" else _readonly(value, float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be a number a float can hold") from None
+    if kind == "np.ndarray":
+        if out.ndim != 1 or not np.all(np.isfinite(out)):
+            raise ValueError(f"{name} must be a list of finite numbers")
+    # written as `not x > 0` so that NaN is refused too
+    elif not (0 <= out if name == "sigma_n_sq" else 0 < out) or out == np.inf:
+        rule = "nonnegative" if name == "sigma_n_sq" else "positive"
+        raise ValueError(f"{name} must be {rule} and finite, got {out}")
+    return out
+
+
 @dataclass(frozen=True)
 class RadarConfig:
     """Array geometry, waveform/tone parameters and noise/quantizer scales.
@@ -86,14 +108,8 @@ class RadarConfig:
     sigma_n_sq: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "rx_pos", _readonly(self.rx_pos, float))
-        object.__setattr__(self, "tx_pos", _readonly(self.tx_pos, float))
-        object.__setattr__(self, "tone_offsets", _readonly(self.tone_offsets, float))
-        if self.M < 1 or self.N < 1:
-            raise ValueError("M and N must be >= 1")
-        # written as `not x > 0` so that NaN is rejected too
-        if not (self.bandwidth > 0 and self.pri > 0):
-            raise ValueError("bandwidth and pri must be positive")
+        for name, kind in _KIND_OF.items():
+            object.__setattr__(self, name, _checked(name, kind, getattr(self, name)))
         product = self.bandwidth * self.pri
         L = int(round(product)) if product < np.inf else 0
         if L % 2 == 0 or abs(product - L) > 1e-6 * max(1.0, L):
@@ -109,12 +125,6 @@ class RadarConfig:
         centers = np.sort(self.tone_offsets)
         if self.M > 1 and np.min(np.diff(centers)) < self.bandwidth * (1 - 1e-12):
             raise ValueError("tone bands overlap; offsets must be >= bandwidth apart")
-        if not 0 < self.eta < np.inf:
-            raise ValueError(f"eta must be positive and finite, got {self.eta}")
-        if not self.sigma_alpha_sq > 0:
-            raise ValueError("sigma_alpha_sq must be positive")
-        if not self.sigma_n_sq >= 0:
-            raise ValueError("sigma_n_sq must be nonnegative")
 
     # -- derived sizes ---------------------------------------------------
     @property
@@ -140,7 +150,11 @@ class RadarConfig:
         return np.arange(self.L) - (self.L - 1) // 2
 
     def with_noise_variance(self, sigma_n_sq: float) -> "RadarConfig":
-        return replace(self, sigma_n_sq=float(sigma_n_sq))
+        return replace(self, sigma_n_sq=sigma_n_sq)
+
+
+# RadarConfig's init fields and kinds: annotations, strings under the __future__ import
+_KIND_OF = {f.name: f.type for f in fields(RadarConfig) if f.init}
 
 
 @dataclass(frozen=True)
@@ -166,38 +180,27 @@ class TargetScene:
         return len(self.alpha)
 
 
-def make_ula_config(M, N, bandwidth, pri, eta=2.0, sigma_alpha_sq=1.0,
-                    sigma_n_sq=1.0) -> RadarConfig:
+def make_ula_config(M, N, bandwidth, pri, **scalars) -> RadarConfig:
     """Uniform linear arrays: zeta_n = n/2, xi_m = N*m/2 (virtual ULA of MN
-    elements), with tone offsets f_m = (m - (M+1)/2) * bandwidth."""
+    elements), with tone offsets f_m = (m - (M+1)/2) * bandwidth. scalars are
+    RadarConfig's eta, sigma_alpha_sq and sigma_n_sq."""
     m = np.arange(M)
-    return RadarConfig(
-        M=int(M), N=int(N), bandwidth=float(bandwidth), pri=float(pri),
-        rx_pos=np.arange(N) / 2.0,
-        tx_pos=N * m / 2.0,
-        tone_offsets=(m - (M + 1) / 2.0) * bandwidth,
-        eta=float(eta), sigma_alpha_sq=float(sigma_alpha_sq),
-        sigma_n_sq=float(sigma_n_sq),
-    )
+    return RadarConfig(M=M, N=N, bandwidth=bandwidth, pri=pri,
+                       rx_pos=np.arange(N) / 2.0, tx_pos=N * m / 2.0,
+                       tone_offsets=(m - (M + 1) / 2.0) * bandwidth, **scalars)
 
 
-def make_random_array_config(rng, M, N, bandwidth, pri, eta=2.0, sigma_alpha_sq=1.0,
-                             sigma_n_sq=1.0) -> RadarConfig:
+def make_random_array_config(rng, M, N, bandwidth, pri, **scalars) -> RadarConfig:
     """Element positions uniform over the virtual aperture [0, MN/2] wavelengths
     (first element of each array pinned at 0); tone offsets are
     f_m = (i_m - (M+1)/2) * bandwidth with (i_m) a random permutation of 0..M-1,
-    which keeps the bands disjoint."""
+    which keeps the bands disjoint. scalars are as for make_ula_config."""
     aperture = M * N / 2.0
     rx = np.concatenate(([0.0], rng.uniform(0.0, aperture, size=N - 1)))
     tx = np.concatenate(([0.0], rng.uniform(0.0, aperture, size=M - 1)))
     i_m = rng.permutation(M)
-    return RadarConfig(
-        M=int(M), N=int(N), bandwidth=float(bandwidth), pri=float(pri),
-        rx_pos=rx, tx_pos=tx,
-        tone_offsets=(i_m - (M + 1) / 2.0) * bandwidth,
-        eta=float(eta), sigma_alpha_sq=float(sigma_alpha_sq),
-        sigma_n_sq=float(sigma_n_sq),
-    )
+    return RadarConfig(M=M, N=N, bandwidth=bandwidth, pri=pri, rx_pos=rx, tx_pos=tx,
+                       tone_offsets=(i_m - (M + 1) / 2.0) * bandwidth, **scalars)
 
 
 def sample_scene(rng, K, config: RadarConfig, coeff_model="gaussian") -> TargetScene:
@@ -251,23 +254,16 @@ def snr_db_to_linear(snr_db) -> float:
 # -- config file I/O -----------------------------------------------------
 
 def config_to_dict(config: RadarConfig) -> dict:
-    return {
-        "M": config.M, "N": config.N, "bandwidth": config.bandwidth, "pri": config.pri,
-        "rx_pos": config.rx_pos.tolist(), "tx_pos": config.tx_pos.tolist(),
-        "tone_offsets": config.tone_offsets.tolist(),
-        "eta": config.eta, "sigma_alpha_sq": config.sigma_alpha_sq,
-        "sigma_n_sq": config.sigma_n_sq,
-    }
+    """RadarConfig's init fields by name: arrays as lists, scalars as Python numbers."""
+    return {key: np.asarray(getattr(config, key)).tolist() for key in _KIND_OF}
 
 
-# the keys of config_to_dict (RadarConfig's init fields), plus the layout
-# generator's "array"
-_CONFIG_KEYS = frozenset(f.name for f in fields(RadarConfig) if f.init) | {"array"}
-_POSITION_KEYS = ("rx_pos", "tx_pos", "tone_offsets")
+_POSITION_KEYS = tuple(key for key, kind in _KIND_OF.items() if kind == "np.ndarray")
 # the scalar keys config_from_dict checks, with the type each must have
-_SCALAR_KEYS = {**dict.fromkeys(("M", "N"), numbers.Integral),
-                **dict.fromkeys(("bandwidth", "pri", "eta", "sigma_alpha_sq",
-                                 "sigma_n_sq"), numbers.Real)}
+_SCALAR_KEYS = {key: numbers.Integral if kind == "int" else numbers.Real
+                for key, kind in _KIND_OF.items() if key not in _POSITION_KEYS}
+# the keys of config_to_dict, plus the layout generator's "array"
+_CONFIG_KEYS = frozenset(_KIND_OF) | {"array"}
 
 
 def config_from_dict(d: dict, rng=None) -> RadarConfig:
@@ -277,8 +273,9 @@ def config_from_dict(d: dict, rng=None) -> RadarConfig:
     'array' selects a generator: "ula" (default) or "random" (requires rng).
     'M', 'N', 'bandwidth' and 'pri' are required. A key that is neither
     'array' nor one config_to_dict writes, a missing required key, a
-    non-integer 'M' or 'N' (bool included), a non-numeric scalar, or
-    'array' beside explicit positions raises ValueError naming the key.
+    non-integer 'M' or 'N' (bool included), a non-numeric scalar, an integer
+    past float range, or 'array' beside explicit positions raises ValueError
+    naming the key; RadarConfig refuses a value outside its field's rule.
     """
     if not isinstance(d, dict):
         raise ValueError("a config must be a JSON object")
@@ -292,22 +289,24 @@ def config_from_dict(d: dict, rng=None) -> RadarConfig:
     if missing:
         raise ValueError(f"missing config key(s): {', '.join(missing)}")
     for key, kind in _SCALAR_KEYS.items():
-        if key in d and (isinstance(d[key], bool) or not isinstance(d[key], kind)):
+        if key not in d:
+            continue
+        if isinstance(d[key], bool) or not isinstance(d[key], kind):
             what = "an integer" if kind is numbers.Integral else "a number"
             raise ValueError(f"config key {key!r} must be {what}, got {d[key]!r}")
+        try:  # before a generator computes with it; RadarConfig checks the rest
+            float(d[key])
+        except OverflowError:
+            raise ValueError(f"config key {key!r} is an integer past float range") from None
     if "array" in d and "rx_pos" in d:
         raise ValueError("config key 'array' cannot be given beside explicit "
                          "rx_pos/tx_pos/tone_offsets")
-    # the scalars given; RadarConfig and the generators hold the defaults
+    # the scalars given; RadarConfig holds the defaults
     common = {key: d[key] for key, kind in _SCALAR_KEYS.items()
               if kind is numbers.Real and key in d}
     if "rx_pos" in d:
-        return RadarConfig(
-            M=d["M"], N=d["N"], rx_pos=np.asarray(d["rx_pos"], dtype=float),
-            tx_pos=np.asarray(d["tx_pos"], dtype=float),
-            tone_offsets=np.asarray(d["tone_offsets"], dtype=float),
-            **common,
-        )
+        return RadarConfig(M=d["M"], N=d["N"], rx_pos=d["rx_pos"], tx_pos=d["tx_pos"],
+                           tone_offsets=d["tone_offsets"], **common)
     kind = d.get("array", "ula")
     if kind == "ula":
         return make_ula_config(d["M"], d["N"], **common)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -218,6 +219,56 @@ def test_bad_config_key_is_usage_error(tmp_path, capsys, command, config, messag
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [path]
+
+
+LAYOUTS = {"ula": ULA_CONFIG, "random": dict(ULA_CONFIG, array="random"),
+           "explicit": EXPLICIT_CONFIG}
+NOT_FINITE = (float("nan"), float("inf"), -float("inf"))
+
+
+@pytest.mark.parametrize("key, layout", [
+    *((key, layout) for key in ("M", "N", "bandwidth", "pri", "eta", "sigma_alpha_sq",
+                                "sigma_n_sq") for layout in LAYOUTS),
+    *((key, "explicit") for key in ("rx_pos", "tx_pos", "tone_offsets")),
+])
+@pytest.mark.parametrize("command", ["design", "simulate"])
+def test_config_value_without_a_float_is_usage_error(tmp_path, capsys, command, key,
+                                                      layout):
+    # NaN, +-Infinity (both read by Python's json) and, for a scalar, an
+    # integer past float range: exit code 2, the key named, nothing written
+    config = LAYOUTS[layout]
+    if key in config and isinstance(config[key], list):
+        values = [config[key][:-1] + [bad] for bad in NOT_FINITE]
+    else:
+        values = [*NOT_FINITE, 10 ** 400]
+    path = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    extra = ["--trials", "1"] if command == "simulate" else ["--filters-csv", str(out)]
+    for value in values:
+        path.write_text(json.dumps(dict(config, **{key: value})))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path), *extra, "--budget-bits", "36",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"(config key '{key}'|error: {key}) (must be|is an integer)",
+                         err), (value, err)
+        assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("command, budgets", [("simulate", "20"), ("sweep", "36,20")])
+def test_task_ignorant_budget_is_checked_up_front(tmp_path, cfg_file, capsys, command,
+                                                  budgets):
+    # 20 bits give bilimo one bit per real sample on P = 3 channels and L = 3
+    # tones, but task_ignorant none on its MNL = 18 channels: the spec refuses
+    # the budget before the first point runs
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg_file), "--trials", "1", "--budget-bits",
+              budgets, "--methods", "bilimo,task_ignorant", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "task_ignorant: budget 20 is below one bit" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg_file]
 
 
 def test_sweep_command_deterministic(tmp_path, cfg_file):

@@ -137,7 +137,9 @@ def test_lmmse_path_matches_theory(small_cfg):
     n = 4000
     for _ in range(n):
         draw = draw_trial(ctx, rng, K, "gaussian")
-        acc += run_noquan_lmmse_trial(ctx, draw, rng).err_s_abs
+        # ||s - s_hat||^2, from the relative error the trial reports
+        acc += (run_noquan_lmmse_trial(ctx, draw, rng).mse_s
+                * np.vdot(draw.s_true, draw.s_true).real)
     assert acc / n == pytest.approx(
         reference_lmmse_error(comp, stacked_statistics(stats)), rel=0.03)
 

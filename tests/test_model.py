@@ -1,11 +1,13 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 import bitmimo as bm
+from bitmimo.combiner import config_hash
 from bitmimo.dictionary import build_dictionary
-from bitmimo.model import config_to_dict
+from bitmimo.model import config_from_dict, config_to_dict
 
 
 def scene_from_sparse_vector(a, config):
@@ -72,6 +74,49 @@ def test_reject_nonpositive():
     for field in ("eta", "sigma_alpha_sq", "sigma_n_sq"):
         with pytest.raises(ValueError, match=field):
             bm.make_ula_config(2, 2, 1e6, 3e-6, **{field: float("nan")})
+
+
+def test_config_fields_convert_and_check_once():
+    # RadarConfig converts and checks each init field by its annotated kind;
+    # the generators pass their scalars on, so its defaults are theirs
+    cfg = bm.RadarConfig(M=np.int64(1), N=2, bandwidth=1000000, pri=3e-6,
+                         rx_pos=[0, 1], tx_pos=[0], tone_offsets=[0])
+    assert type(cfg.M) is int and type(cfg.bandwidth) is float
+    assert cfg.rx_pos.dtype == float and not cfg.rx_pos.flags.writeable
+    assert type(cfg.with_noise_variance(np.float32(0.5)).sigma_n_sq) is float
+    assert cfg.with_noise_variance(0).sigma_n_sq == 0.0
+    defaults = {f.name: f.default for f in dataclasses.fields(bm.RadarConfig)
+                if f.default is not dataclasses.MISSING}
+    assert set(defaults) == {"eta", "sigma_alpha_sq", "sigma_n_sq"}
+    for made in (bm.make_ula_config(2, 3, 1e6, 3e-6),
+                 bm.make_random_array_config(np.random.default_rng(0), 2, 3, 1e6, 3e-6)):
+        assert {key: getattr(made, key) for key in defaults} == defaults
+    for change, message in (
+            ({"M": True}, "M must be an integer >= 1, got True"),
+            ({"N": 2.0}, "N must be an integer >= 1, got 2.0"),
+            ({"rx_pos": [[0.0, 1.0]]}, "rx_pos must be a list of finite numbers"),
+            ({"tone_offsets": [np.nan]}, "tone_offsets must be a list of finite numbers"),
+            ({"tx_pos": [10 ** 400]}, "tx_pos must be a number a float can hold"),
+            ({"bandwidth": 10 ** 400}, "bandwidth must be a number a float can hold"),
+            ({"eta": None}, "eta must be a number a float can hold"),
+            ({"pri": -np.inf}, "pri must be positive and finite"),
+            ({"sigma_alpha_sq": 0.0}, "sigma_alpha_sq must be positive and finite"),
+            ({"sigma_n_sq": -1.0}, "sigma_n_sq must be nonnegative and finite")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(cfg, **change)
+
+
+def test_integer_literal_hashes_like_its_float():
+    # "eta": 2 and "eta": 2.0 are one config, on a generated and an explicit
+    # layout alike, so they share a config_hash
+    for base in ({"M": 2, "N": 3, "array": "ula"},
+                 {"M": 1, "N": 2, "rx_pos": [0.0, 0.5], "tx_pos": [0.0],
+                  "tone_offsets": [0.0]}):
+        ints = config_from_dict(dict(base, bandwidth=1000000, pri=3e-6, eta=2))
+        floats = config_from_dict(dict(base, bandwidth=1e6, pri=3e-6, eta=2.0))
+        assert config_hash(ints) == config_hash(floats)
+    assert list(config_to_dict(floats)) == [
+        f.name for f in dataclasses.fields(bm.RadarConfig) if f.init]
 
 
 def test_random_array_deterministic_and_distinct():
