@@ -5,19 +5,14 @@ Builds, per transmit band m:
     U_m (N x MN):   (U_m)[n, l] = exp( j*2*pi*(xi_m + zeta_n)*(-1 + 2l/MN) )
     V_m (L x ML):   (V_m)[i, l] = exp(-j*2*pi*(i/T0 + f_m) * T0*l/(ML) )
 
-with tone index i running over -(L-1)/2 .. (L-1)/2. The dictionary is
-Phi = [V_0 (x) U_0; ...; V_{M-1} (x) U_{M-1}] of shape MNL x M^2NL, so that
-ctilde = Phi a for the sparse scene vector a. Phi is never formed: with
-a = vec(A) for the MN x ML matrix A, band m of Phi a is vec(U_m A V_m^T), so
-SteeringDictionary applies Phi, Phi^H and K-column restrictions of Phi as a
-few batched matrix products on U and V.
-
-Two orderings of the coefficient vector coexist:
-
-    ctilde (band-major):  position(m, i, n) = m*N*L + i_idx*N + n
-    c      (tone-major):  position(i, m, n) = i_idx*M*N + m*N + n
-
-with i_idx = i + (L-1)/2. `perm` maps between them: c = ctilde[perm].
+with tone index i running over -(L-1)/2 .. (L-1)/2. The dictionary Phi
+(MNL x M^2NL) maps the sparse scene vector a to the tone-major coefficient
+vector c = Phi a, which holds c_{m,n}[i] at i_idx*M*N + m*N + n with
+i_idx = i + (L-1)/2: row (i, m, n) of Phi is kron(V_m[i], U_m[n]). Phi is
+never formed: with a = vec(A) for the MN x ML matrix A, band m of Phi a is
+vec(U_m A V_m^T), so SteeringDictionary applies Phi, Phi^H and K-column
+restrictions of Phi as a few batched matrix products on U and V, each
+per-band (M, L, N) product laid out tone-major by a swap of its first two axes.
 
 The sample-domain operator Fbar = F_L^H (x) I_P uses the unitary L-point DFT
 throughout; apply_fbar / apply_fbar_adjoint implement it matrix-free.
@@ -42,13 +37,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SteeringDictionary:
-    """Steering matrices and the ctilde->c permutation; Phi as an operator."""
+    """Steering matrices U and V; Phi as an operator on tone-major c."""
 
     config: RadarConfig
     U: np.ndarray          # (M, N, MN)
     V: np.ndarray          # (M, L, ML)
-    perm: np.ndarray       # c = ctilde[perm]
-    iperm: np.ndarray      # ctilde = c[iperm]
 
     Phi = None  # no dense matrix is held; kept for code that reads the old field
 
@@ -61,10 +54,11 @@ class SteeringDictionary:
         return self.config.grid_size
 
     def apply(self, a: np.ndarray) -> np.ndarray:
-        """ctilde = Phi @ a: band m is vec(U_m A V_m^T) with A[l2, l1] = a[l1*MN + l2]."""
+        """c = Phi @ a: band m is vec(U_m A V_m^T) with A[l2, l1] = a[l1*MN + l2]."""
         cfg = self.config
         VA = self.V.reshape(cfg.M * cfg.L, cfg.ml) @ a.reshape(cfg.ml, cfg.mn)
-        return (VA.reshape(cfg.M, cfg.L, cfg.mn) @ self.U.transpose(0, 2, 1)).reshape(-1)
+        C = VA.reshape(cfg.M, cfg.L, cfg.mn) @ self.U.transpose(0, 2, 1)  # (M, L, N)
+        return C.swapaxes(0, 1).reshape(-1)
 
     @cached_property
     def _adjoint_factors(self):
@@ -74,10 +68,11 @@ class SteeringDictionary:
         return self.U.conj(), self.V.reshape(cfg.M * cfg.L, cfg.ml).conj().T
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """Phi^H @ y = vec(sum_m U_m^H Y_m conj(V_m)) for the per-band (N, L) Y_m."""
+        """Phi^H @ y = vec(sum_m U_m^H Y_m conj(V_m)) for the per-band (N, L) Y_m
+        of the tone-major y."""
         cfg = self.config
         u_conj, v_adj = self._adjoint_factors
-        YU = y.reshape(cfg.M, cfg.L, cfg.N) @ u_conj                  # (M, L, MN)
+        YU = y.reshape(cfg.L, cfg.M, cfg.N).swapaxes(0, 1) @ u_conj   # (M, L, MN)
         return (v_adj @ YU.reshape(cfg.M * cfg.L, cfg.mn)).reshape(-1)
 
     def apply_cells(self, cells: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -85,21 +80,12 @@ class SteeringDictionary:
         cfg = self.config
         l1, l2 = np.divmod(np.asarray(cells), cfg.mn)
         # column for cell (l1, l2) in band m is kron(V_m[:, l1], U_m[:, l2])
-        return ((self.V[:, :, l1] * alpha) @ self.U[:, :, l2].transpose(0, 2, 1)).reshape(-1)
-
-
-def _permutation_maps(M, N, L):
-    i_idx, m, n = np.meshgrid(np.arange(L), np.arange(M), np.arange(N), indexing="ij")
-    pos_c = (i_idx * M + m) * N + n
-    pos_ct = (m * L + i_idx) * N + n
-    perm = np.empty(M * N * L, dtype=np.int64)
-    perm[pos_c.ravel()] = pos_ct.ravel()
-    iperm = np.argsort(perm)
-    return perm, iperm
+        C = (self.V[:, :, l1] * alpha) @ self.U[:, :, l2].transpose(0, 2, 1)  # (M, L, N)
+        return C.swapaxes(0, 1).reshape(-1)
 
 
 def build_dictionary(config: RadarConfig) -> SteeringDictionary:
-    """Construct the steering matrices and the permutation maps."""
+    """Construct the steering matrices."""
     mn, ml = config.mn, config.ml
     tones = config.tone_indices
 
@@ -110,9 +96,7 @@ def build_dictionary(config: RadarConfig) -> SteeringDictionary:
     delay_frac = np.arange(ml) / ml                            # tau / T0 grid
     freq = tones[None, :, None] + (config.tone_offsets * config.pri)[:, None, None]
     V = np.exp(-2j * np.pi * freq * delay_frac[None, None, :])
-
-    perm, iperm = _permutation_maps(config.M, config.N, config.L)
-    return SteeringDictionary(config=config, U=U, V=V, perm=perm, iperm=iperm)
+    return SteeringDictionary(config=config, U=U, V=V)
 
 
 # -- sample-domain DFT operator Fbar = F_L^H (x) I_P ----------------------

@@ -133,8 +133,8 @@ class ExperimentSpec:
         if self.coeff_model not in COEFF_MODELS:
             raise ValueError(f"unknown coeff_model {self.coeff_model!r}; "
                              f"pick from {COEFF_MODELS}")
-        if not np.all(np.isfinite(self.snr_db)):
-            raise ValueError(f"SNR must be finite, got {self.snr_db}")
+        for snr_db in self.snr_db:
+            _noise_variance(self.config, snr_db)
         grid = self.config.grid_size
         for k in self.k:
             if not 1 <= k <= grid:
@@ -175,7 +175,7 @@ class TrialMetrics:
 @dataclass(frozen=True)
 class Draw:
     """What every method of one trial sees: the scene, its grid vector a, the
-    noisy channels v = ctilde + noise (band-major) and the task vector s."""
+    noisy channels v = c + noise (tone-major) and the task vector s."""
 
     scene: TargetScene
     a: np.ndarray
@@ -186,14 +186,15 @@ class Draw:
 def draw_trial(ctx, rng, k, coeff_model) -> Draw:
     """Sample a k-target scene, then the channel noise, from rng; form the
     grid vector, the noisy channels and the noiseless task vector."""
-    cfg, dictionary = ctx.config, ctx.dictionary
+    cfg = ctx.config
     scene = sample_scene(rng, k, cfg, coeff_model)
     sig = np.sqrt(cfg.sigma_n_sq / 2.0)
-    noise = sig * (rng.standard_normal(cfg.mnl) + 1j * rng.standard_normal(cfg.mnl))
-    ctilde = dictionary.apply_cells(scene.cells, scene.alpha)
+    shape = (cfg.M, cfg.L, cfg.N)  # the noise is drawn band by band, laid out tone-major
+    noise = sig * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    c = ctx.dictionary.apply_cells(scene.cells, scene.alpha)
     return Draw(scene=scene, a=scene_to_sparse_vector(scene, cfg),
-                v=ctilde + noise,
-                s_true=ctx.compression.apply_to_c(ctilde[dictionary.perm]))
+                v=c + noise.swapaxes(0, 1).reshape(-1),
+                s_true=ctx.compression.apply_to_c(c))
 
 
 def _operator_pair(mat):
@@ -249,8 +250,7 @@ def run_bilimo_trial(ctx, draw, rng) -> TrialMetrics:
     """Designed receiver: combine, sample-domain DFT, dithered quantize,
     digital filter; recovery on the task operator M*Phi."""
     design = ctx.design
-    u = apply_fbar(design.apply_combiner(draw.v[ctx.dictionary.perm]),
-                   design.L, design.channels)
+    u = apply_fbar(design.apply_combiner(draw.v), design.L, design.channels)
     z, sat = quantize_complex_vector(u, design.levels, design.support, rng)
     s_hat = design.apply_digital(z)
     return _score(ctx, OPERATOR_OF["bilimo"], draw, s_hat, s_hat, sat)
@@ -258,22 +258,26 @@ def run_bilimo_trial(ctx, draw, rng) -> TrialMetrics:
 
 def run_task_ignorant_trial(ctx, draw, rng) -> TrialMetrics:
     """Baseline that quantizes the separated channels directly with the same
-    overall bit budget (support from the same eta rule on the input std)."""
-    z, sat = quantize_complex_vector(draw.v, ctx.ti_levels, ctx.ti_support, rng)
-    s_hat = ctx.compression.apply_to_c(z[ctx.dictionary.perm])
+    overall bit budget (support from the same eta rule on the input std). The
+    dither is drawn band by band: v is quantized in its (M, L, N) view."""
+    cfg = ctx.config
+    z, sat = quantize_complex_vector(draw.v.reshape(cfg.L, cfg.M, cfg.N).swapaxes(0, 1),
+                                     ctx.ti_levels, ctx.ti_support, rng)
+    z = z.swapaxes(0, 1).reshape(-1)
+    s_hat = ctx.compression.apply_to_c(z)
     return _score(ctx, OPERATOR_OF["task_ignorant"], draw, z, s_hat, sat)
 
 
 def run_noquan_dr_trial(ctx, draw, rng) -> TrialMetrics:
     """Unquantized direct recovery of the grid vector from the noisy channels."""
-    s_hat = ctx.compression.apply_to_c(draw.v[ctx.dictionary.perm])
+    s_hat = ctx.compression.apply_to_c(draw.v)
     return _score(ctx, OPERATOR_OF["noquan_dr"], draw, draw.v, s_hat, None)
 
 
 def run_noquan_lmmse_trial(ctx, draw, rng) -> TrialMetrics:
     """Unquantized linear-MMSE estimate of the task vector, then sparse recovery."""
     gamma = ctx.gamma_blocks
-    v_c = draw.v[ctx.dictionary.perm].reshape(gamma.shape[0], -1, 1)
+    v_c = draw.v.reshape(gamma.shape[0], -1, 1)
     s_tilde = (gamma @ v_c).reshape(-1)
     return _score(ctx, OPERATOR_OF["noquan_lmmse"], draw, s_tilde, s_tilde, None)
 
@@ -324,11 +328,22 @@ class ExperimentResult:
     spec: ExperimentSpec
 
 
+def _noise_variance(config, snr_db):
+    """sigma_n^2 = sigma_alpha^2 / 10^(snr_db/10), or ValueError naming the SNR
+    unless 10^(snr_db/10) is finite and positive and sigma_n^2 finite."""
+    with np.errstate(over="ignore"):
+        snr = snr_db_to_linear(snr_db)
+    sigma_n_sq = snr_to_noise_variance(snr, config) if 0 < snr < np.inf else np.inf
+    if not np.isfinite(sigma_n_sq):
+        raise ValueError("SNR must be finite, with 10^(SNR/10) finite and positive and the "
+                         f"noise variance sigma_alpha_sq/10^(SNR/10) finite, got {snr_db} dB")
+    return sigma_n_sq
+
+
 def design_point(config, seed, point_index, budget, snr_db, dcr, k, kind):
     """(config at the point's SNR, statistics, compression, design) of one sweep
     point; `bitmimo design` is point 0 of a sweep with the same seed and axes."""
-    config = config.with_noise_variance(
-        snr_to_noise_variance(snr_db_to_linear(snr_db), config))
+    config = config.with_noise_variance(_noise_variance(config, snr_db))
     stats = build_covariances(config, k)
     rng = np.random.default_rng(np.random.SeedSequence([seed, point_index, 1 << 20]))
     compression = build_compression_matrix(rng, config, dcr, kind)
@@ -361,14 +376,12 @@ class _PointContext:
 
         self.operators = {} if phi is None else {"phi": phi}
         if any(OPERATOR_OF[m] == "task" for m in spec.methods):
-            # the task operator M*Phi = apply_to_c . perm . Phi, on complex64
-            # copies of the factors
+            # the task operator M*Phi, on complex64 copies of the factors
             d = _single_dictionary(dictionary)
             comp = replace(self.compression, blocks=_single(self.compression.blocks))
-            perm, iperm = d.perm, d.iperm
             self.operators["task"] = _solver_operator(
-                lambda x: comp.apply_to_c(d.apply(x)[perm]),
-                lambda y: d.apply_adjoint(comp.apply_adjoint_to_c(y)[iperm]),
+                lambda x: comp.apply_to_c(d.apply(x)),
+                lambda y: d.apply_adjoint(comp.apply_adjoint_to_c(y)),
                 comp.rows, d.n_atoms)
 
 

@@ -275,7 +275,8 @@ def config_from_dict(d: dict, rng=None) -> RadarConfig:
     'array' nor one config_to_dict writes, a missing required key, a
     non-integer 'M' or 'N' (bool included), a non-numeric scalar, an integer
     past float range, or 'array' beside explicit positions raises ValueError
-    naming the key; RadarConfig refuses a value outside its field's rule.
+    naming the key; so does a scalar outside RadarConfig's rule for its field,
+    checked before a layout generator computes with it.
     """
     if not isinstance(d, dict):
         raise ValueError("a config must be a JSON object")
@@ -294,10 +295,11 @@ def config_from_dict(d: dict, rng=None) -> RadarConfig:
         if isinstance(d[key], bool) or not isinstance(d[key], kind):
             what = "an integer" if kind is numbers.Integral else "a number"
             raise ValueError(f"config key {key!r} must be {what}, got {d[key]!r}")
-        try:  # before a generator computes with it; RadarConfig checks the rest
+        try:  # before a generator computes with it
             float(d[key])
         except OverflowError:
             raise ValueError(f"config key {key!r} is an integer past float range") from None
+        _checked(key, _KIND_OF[key], d[key])
     if "array" in d and "rx_pos" in d:
         raise ValueError("config key 'array' cannot be given beside explicit "
                          "rx_pos/tx_pos/tone_offsets")

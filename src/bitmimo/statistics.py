@@ -7,8 +7,7 @@ as two scalars. The design of task-based quantization for general per-tone
 covariances lives in tests/dense_oracle.py as the reference.
 
 The compression matrix is stored blockwise: block M_i (J_i x MN) acts on the
-tone-i block of c, so the dense matrix acting on the band-major ctilde is
-blkdiag(M_1..M_L) composed with the tone-major permutation.
+tone-i block of c, so as a dense matrix it is blkdiag(M_1..M_L).
 """
 
 from __future__ import annotations

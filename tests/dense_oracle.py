@@ -1,12 +1,12 @@
 """Dense reference computations for the structured code paths, built only in tests.
 
 blkdiag and fbar_matrix form the block-diagonal and sample-domain DFT
-matrices the library only ever applies. dense_phi stacks the Kronecker
-blocks V_m (x) U_m of the dictionary, compression_dense is blkdiag(M_i) on
-band-major ctilde, dense_task composes the two, M*Phi, and eval_c_direct
-evaluates the Fourier coefficients straight from a scene, the brute-force
-oracle for Phi. dense_digital forms the digital filter blkdiag(D_i) Fbar^H
-that a design applies per tone.
+matrices the library only ever applies; blkdiag of a compression's blocks is
+the dense compression. dense_phi forms the dictionary's tone-major rows
+kron(V_m[i], U_m[n]), dense_task composes it with the compression, M*Phi,
+and eval_c_direct evaluates the tone-major Fourier coefficients straight
+from a scene, the brute-force oracle for Phi. dense_digital forms the digital
+filter blkdiag(D_i) Fbar^H that a design applies per tone.
 reference_fista is the monotone FISTA without restart that applies the
 operator three times per iteration, and reference_restarted_fista the
 two-apply loop with gradient restart at the safe step 1/(1.02*L_f) alone,
@@ -54,45 +54,39 @@ def dense_digital(design):
     return blkdiag(design.digital_blocks) @ fbar_matrix(design.L, design.channels).conj().T
 
 
-def compression_dense(compression, iperm):
-    """Dense J x MNL matrix blkdiag(M_i) acting on band-major ctilde vectors."""
-    return blkdiag(compression.blocks)[:, iperm]
-
-
 def eval_c_direct(scene, config):
-    """Closed-form Fourier coefficients, band-major (ctilde) order.
+    """Closed-form Fourier coefficients, tone-major (c) order.
 
     c_{m,n}[i] = sum_k alpha_k exp(j*2*pi*((xi_m+zeta_n)*theta_k
                                            - i*tau_k/T0 - f_m*tau_k))
 
     evaluated directly from the scene, independent of the dictionary machinery.
     """
-    M, N, L = config.M, config.N, config.L
-    out = np.zeros(config.mnl, dtype=complex)
+    out = np.zeros((config.L, config.M, config.N), dtype=complex)
     if scene.k == 0:
-        return out
+        return out.reshape(-1)
     l1, l2 = np.divmod(scene.cells, config.mn)
     tau = config.pri * l1 / config.ml
     theta = -1.0 + 2.0 * l2 / config.mn
     tones = config.tone_indices
-    for m in range(M):
+    for m in range(config.M):
         virt = config.tx_pos[m] + config.rx_pos                      # (N,)
         phase = (virt[None, :, None] * theta[None, None, :]
                  - tones[:, None, None] * (tau / config.pri)[None, None, :]
                  - (config.tone_offsets[m] * tau)[None, None, :])    # (L, N, K)
-        cm = np.exp(2j * np.pi * phase) @ scene.alpha                # (L, N)
-        out[m * N * L:(m + 1) * N * L] = cm.reshape(-1)              # tone-major
-    return out
+        out[:, m, :] = np.exp(2j * np.pi * phase) @ scene.alpha      # (L, N)
+    return out.reshape(-1)
 
 
 def dense_phi(d):
-    """Phi = [V_0 (x) U_0; ...; V_{M-1} (x) U_{M-1}], shape MNL x M^2NL."""
-    return np.vstack([np.kron(d.V[m], d.U[m]) for m in range(d.config.M)])
+    """Phi, shape MNL x M^2NL: row (i, m, n) at i_idx*M*N + m*N + n is
+    kron(V_m[i], U_m[n]), so Phi stacks the rows of V_m (x) U_m tone by tone."""
+    return np.einsum("mia,mnb->imnab", d.V, d.U).reshape(d.config.mnl, -1)
 
 
 def dense_task(d, compression):
     """M*Phi, shape J x M^2NL."""
-    return compression_dense(compression, d.iperm) @ dense_phi(d)
+    return blkdiag(compression.blocks) @ dense_phi(d)
 
 
 @dataclass(frozen=True)

@@ -222,11 +222,10 @@ def test_acceptance_7_recovery_error_bound():
         design = design_multitone(stats, comp, comp.block_rows, 16, cfg.eta)
         scene = bm.sample_scene(rng, K, cfg, "unit_modulus")
         a = bm.scene_to_sparse_vector(scene, cfg)
-        ct = d.apply_cells(scene.cells, scene.alpha)
+        c = d.apply_cells(scene.cells, scene.alpha)
         w = np.sqrt(cfg.sigma_n_sq / 2) * (rng.standard_normal(cfg.mnl)
                                            + 1j * rng.standard_normal(cfg.mnl))
-        u = apply_fbar(design.apply_combiner((ct + w)[d.perm]),
-                       design.L, design.channels)
+        u = apply_fbar(design.apply_combiner(c + w), design.L, design.channels)
         z, sat = quantize_complex_vector(u, design.levels, design.support, rng)
         if sat > 0:
             continue  # the bound presumes non-overloaded quantizers

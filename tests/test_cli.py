@@ -75,6 +75,12 @@ def test_empty_method_list_rejected(tmp_path, cfg_file, capsys, flag, value, mes
     pytest.param("--k", "0", "grid size", id="k-0"),
     pytest.param("--k", "100", "grid size", id="k-100"),
     pytest.param("--snr-db", "nan", "SNR must be finite", id="snr-nan"),
+    # 10^(SNR/10) overflows, underflows to 0, or leaves sigma_alpha_sq/SNR infinite
+    pytest.param("--snr-db", "3100", "SNR must be finite, with 10^(SNR/10) finite and "
+                 "positive", id="snr-3100"),
+    pytest.param("--snr-db", "-3300", "got -3300.0 dB", id="snr-minus-3300"),
+    pytest.param("--snr-db", "-3100", "sigma_alpha_sq/10^(SNR/10) finite, got -3100.0 dB",
+                 id="snr-minus-3100"),
     pytest.param("--eta", "0", "eta must be positive", id="eta-0"),
     pytest.param("--eta", "nan", "eta must be positive", id="eta-nan"),
     pytest.param("--eta", "inf", "eta must be positive and finite", id="eta-inf"),
@@ -86,7 +92,7 @@ def test_empty_method_list_rejected(tmp_path, cfg_file, capsys, flag, value, mes
     pytest.param("--budget-bits", "100000", "gives 5555 bits per real sample",
                  id="budget-100000"),
 ])
-@pytest.mark.parametrize("command", ["design", "simulate"])
+@pytest.mark.parametrize("command", ["design", "simulate", "sweep"])
 def test_invalid_axis_value_is_usage_error(tmp_path, cfg_file, capsys, command,
                                            flag, value, message):
     # checked once by ExperimentSpec, which `design` builds for its one point
@@ -94,7 +100,7 @@ def test_invalid_axis_value_is_usage_error(tmp_path, cfg_file, capsys, command,
     # stderr and nothing written. The 36-bit budget (2 bits per real sample on
     # P = 3 channels and L = 3 tones) is the base the flag under test overrides.
     out = tmp_path / "out"
-    extra = ["--trials", "1"] if command == "simulate" else ["--filters-csv", str(out)]
+    extra = ["--filters-csv", str(out)] if command == "design" else ["--trials", "1"]
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", str(cfg_file), *extra, "--budget-bits", "36",
               flag, value, "--out", str(out)])
@@ -204,6 +210,9 @@ EXPLICIT_CONFIG = {"M": 1, "N": 2, "bandwidth": 1e6, "pri": 3e-6, "rx_pos": [0.0
                  id="null-eta"),
     pytest.param(dict(EXPLICIT_CONFIG, array="random"),
                  "config key 'array' cannot be given beside explicit", id="array-and-positions"),
+    # refused before the ULA generator multiplies the middle band's 0 offset by it
+    pytest.param({"M": 3, "N": 2, "bandwidth": float("inf"), "pri": 3e-6},
+                 "bandwidth must be positive and finite", id="odd-M-infinite-bandwidth"),
 ])
 @pytest.mark.parametrize("command", ["design", "simulate"])
 def test_bad_config_key_is_usage_error(tmp_path, capsys, command, config, message):

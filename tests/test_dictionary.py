@@ -19,7 +19,6 @@ def test_scalar_degenerate_case():
     d = build_dictionary(cfg)
     assert (d.n_rows, d.n_atoms) == (1, 1)
     assert d.apply(np.ones(1))[0] == pytest.approx(1.0)  # xi=zeta=0, l=0 grid point
-    assert np.array_equal(d.perm, [0])
     assert np.allclose(fbar_matrix(1, 1), 1.0)
 
 
@@ -43,24 +42,27 @@ def test_column_norms(small):
     assert np.allclose(norms_sq, cfg.mnl)
 
 
-def test_permutation_is_bijective(small):
-    _, d = small
-    assert np.array_equal(np.sort(d.perm), np.arange(d.perm.size))
-    x = np.arange(d.perm.size)
-    assert np.array_equal(x[d.perm][d.iperm], x)
-
-
-def test_permutation_index_maps(small):
-    # position of c_{m,n}[i] is (i_idx*M + m)*N + n in c and (m*L + i_idx)*N + n
-    # in ctilde; c = ctilde[perm] must connect exactly these.
+def test_coefficient_order_is_tone_major(small):
+    # c_{m,n}[i] of the atom at cell (l1, l2) is V_m[i, l1] * U_m[n, l2], at
+    # position (i_idx*M + m)*N + n of c, from each of apply, apply_cells and
+    # the adjoint of a unit vector
     cfg, d = small
     M, N, L = cfg.M, cfg.N, cfg.L
+    l1, l2 = 3, 5
+    cell = l1 * cfg.mn + l2
+    atom = np.zeros(cfg.grid_size, dtype=complex)
+    atom[cell] = 1.0
+    c, c_cells = d.apply(atom), d.apply_cells(np.array([cell]), np.ones(1))
     for i_idx in range(L):
         for m in range(M):
             for n in range(N):
-                pos_c = (i_idx * M + m) * N + n
-                pos_ct = (m * L + i_idx) * N + n
-                assert d.perm[pos_c] == pos_ct
+                pos = (i_idx * M + m) * N + n
+                want = d.V[m, i_idx, l1] * d.U[m, n, l2]
+                unit = np.zeros(cfg.mnl, dtype=complex)
+                unit[pos] = 1.0
+                assert c[pos] == pytest.approx(want, abs=1e-12)
+                assert c_cells[pos] == pytest.approx(want, abs=1e-12)
+                assert np.conj(d.apply_adjoint(unit)[cell]) == pytest.approx(want, abs=1e-12)
 
 
 def test_oracle_equivalence_small(small):

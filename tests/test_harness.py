@@ -161,9 +161,46 @@ def test_noquan_lmmse_product_matches_einsum(small_cfg, monkeypatch):
     rng = np.random.default_rng(24)
     draw = harness.draw_trial(ctx, rng, 2, "gaussian")
     harness.run_noquan_lmmse_trial(ctx, draw, rng)
-    v_c = draw.v[d.perm].reshape(small_cfg.L, small_cfg.mn)
+    v_c = draw.v.reshape(small_cfg.L, small_cfg.mn)
     want = np.einsum("ijk,ik->ij", ctx.gamma_blocks, v_c).reshape(-1)
     assert np.linalg.norm(seen[0] - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_noise_and_dither_keep_their_band_major_stream_order(small_cfg, monkeypatch):
+    # the determinism contract fixes the stream order of the channel noise and
+    # the task-ignorant dither: each is drawn band by band, in (M, L, N) shape,
+    # and laid out tone-major
+    d = bm.build_dictionary(small_cfg)
+    spec = _spec(small_cfg, methods=("task_ignorant",))
+    index, axes = next(spec.points())
+    ctx = harness._PointContext(d, small_cfg, spec, index, None, *axes)
+    cfg, shape = ctx.config, (small_cfg.M, small_cfg.L, small_cfg.N)
+
+    def tone_major(x):
+        return x.swapaxes(-3, -2).reshape(x.shape[:-3] + (-1,))
+
+    rng, replay = np.random.default_rng(31), np.random.default_rng(31)
+    draw = harness.draw_trial(ctx, rng, 2, "gaussian")
+    scene = bm.sample_scene(replay, 2, cfg, "gaussian")
+    g1, g2 = replay.standard_normal(shape), replay.standard_normal(shape)
+    noise = np.sqrt(cfg.sigma_n_sq / 2.0) * tone_major(g1 + 1j * g2)
+    assert np.array_equal(draw.scene.cells, scene.cells)
+    c = d.apply_cells(draw.scene.cells, draw.scene.alpha)
+    assert np.allclose(draw.v - c, noise, rtol=0, atol=1e-12)
+
+    # with 2**16 levels every dither draw moves the quantized value
+    ctx.ti_levels = 1 << 16
+    seen = []
+    monkeypatch.setattr(harness, "_score",
+                        lambda ctx, op, draw, y, s_hat, sat: seen.append((y, sat)))
+    harness.run_task_ignorant_trial(ctx, draw, rng)
+    step = 2.0 * ctx.ti_support / ctx.ti_levels
+    dither = replay.uniform(-step / 2.0, step / 2.0, size=(2,) + shape)
+    parts = np.stack([draw.v.real, draw.v.imag]) + tone_major(dither)
+    z = bm.quantize_real(parts, ctx.ti_levels, ctx.ti_support)
+    (y, sat), = seen
+    assert np.array_equal(y, z[0] + 1j * z[1])
+    assert sat == np.mean(np.abs(parts) > ctx.ti_support)
 
 
 def test_fixed_seed_reproducible_metrics(small_cfg):

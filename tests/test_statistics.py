@@ -3,8 +3,7 @@ import pytest
 
 import bitmimo as bm
 from bitmimo.statistics import build_compression_matrix, build_covariances, lmmse_transform
-from dense_oracle import (blkdiag, compression_dense, dense_phi, reference_lmmse_error,
-                          stacked_statistics)
+from dense_oracle import blkdiag, dense_phi, reference_lmmse_error, stacked_statistics
 
 
 def lmmse_error(comp, stats):
@@ -36,7 +35,7 @@ def test_zero_k_and_zero_noise(setup):
 
 
 def test_covariance_monte_carlo_oracle(setup):
-    # sample 1e5 scenes; empirical covariance of ctilde must be ~ K*I with
+    # sample 1e5 scenes; empirical covariance of c must be ~ K*I with
     # off-diagonals within 3 standard errors of zero
     cfg, d = setup
     phi = dense_phi(d)
@@ -109,12 +108,12 @@ def test_lmmse_error_monte_carlo_oracle(setup):
     for _ in range(n // chunk):
         cells = np.argpartition(rng.random((chunk, cfg.grid_size)), K, axis=1)[:, :K]
         alpha = (rng.standard_normal((chunk, K)) + 1j * rng.standard_normal((chunk, K))) / np.sqrt(2)
-        ct = np.einsum("rtk,tk->tr", phi[:, cells], alpha)
+        c = np.einsum("rtk,tk->tr", phi[:, cells], alpha)
         wn = np.sqrt(0.8 / 2) * (rng.standard_normal((chunk, cfg.mnl))
                                  + 1j * rng.standard_normal((chunk, cfg.mnl)))
-        v_c = (ct + wn)[:, d.perm]
+        v_c = c + wn
         s = np.einsum("ijk,tik->tij", comp.blocks,
-                      ct[:, d.perm].reshape(chunk, cfg.L, cfg.mn)).reshape(chunk, -1)
+                      c.reshape(chunk, cfg.L, cfg.mn)).reshape(chunk, -1)
         s_t = np.einsum("ijk,tik->tij", gamma,
                         v_c.reshape(chunk, cfg.L, cfg.mn)).reshape(chunk, -1)
         err += np.sum(np.abs(s - s_t) ** 2)
@@ -134,11 +133,11 @@ def test_lmmse_beats_random_linear_maps(setup):
     n = 10_000
     cells = np.argpartition(rng.random((n, cfg.grid_size)), K, axis=1)[:, :K]
     alpha = (rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))) / np.sqrt(2)
-    ct = np.einsum("rtk,tk->tr", phi[:, cells], alpha)
+    c = np.einsum("rtk,tk->tr", phi[:, cells], alpha)
     wn = np.sqrt(0.5) * (rng.standard_normal((n, cfg.mnl))
                          + 1j * rng.standard_normal((n, cfg.mnl)))
-    v = (ct + wn)[:, d.perm]
-    s = ct[:, d.perm] @ m_dense.T
+    v = c + wn
+    s = c @ m_dense.T
 
     def mse(G):
         return np.mean(np.sum(np.abs(s - v @ G.T) ** 2, axis=1))
@@ -152,17 +151,15 @@ def test_lmmse_beats_random_linear_maps(setup):
 
 def test_blockwise_equals_full_matrices(setup):
     # eps_L computed blockwise equals the dense-matrix evaluation to 1e-10
-    cfg, d = setup
+    cfg, _ = setup
     stats = build_covariances(cfg.with_noise_variance(0.7), K=3)
     rng = np.random.default_rng(3)
     comp = build_compression_matrix(rng, cfg, 2, "bernoulli")
-    m_full = compression_dense(comp, d.iperm)  # acts on ctilde
-    perm_mat = np.eye(cfg.mnl)[d.perm]        # c = P ctilde
+    m_full = blkdiag(comp.blocks)
     dense = stacked_statistics(stats)
     rc, sig = blkdiag(dense.cov_signal), blkdiag(dense.sigma)
-    mp = m_full @ perm_mat.T                  # M P^T
-    full = np.trace(mp @ rc @ mp.conj().T
-                    - mp @ rc @ np.linalg.solve(sig, rc) @ mp.conj().T).real
+    full = np.trace(m_full @ rc @ m_full.conj().T
+                    - m_full @ rc @ np.linalg.solve(sig, rc) @ m_full.conj().T).real
     blockwise = lmmse_error(comp, stats)
     assert blockwise == pytest.approx(full, rel=1e-10)
 
@@ -182,12 +179,12 @@ def test_orthogonality_principle(setup):
     for _ in range(n // chunk):
         cells = np.argpartition(rng.random((chunk, cfg.grid_size)), K, axis=1)[:, :K]
         alpha = (rng.standard_normal((chunk, K)) + 1j * rng.standard_normal((chunk, K))) / np.sqrt(2)
-        ct = np.einsum("rtk,tk->tr", phi[:, cells], alpha)
+        c = np.einsum("rtk,tk->tr", phi[:, cells], alpha)
         wn = np.sqrt(0.3) * (rng.standard_normal((chunk, cfg.mnl))
                              + 1j * rng.standard_normal((chunk, cfg.mnl)))
-        v = (ct + wn)[:, d.perm]
+        v = c + wn
         s = np.einsum("ijk,tik->tij", comp.blocks,
-                      ct[:, d.perm].reshape(chunk, cfg.L, cfg.mn)).reshape(chunk, -1)
+                      c.reshape(chunk, cfg.L, cfg.mn)).reshape(chunk, -1)
         s_t = np.einsum("ijk,tik->tij", gamma,
                         v.reshape(chunk, cfg.L, cfg.mn)).reshape(chunk, -1)
         cross += (s - s_t).T @ v.conj()
@@ -222,11 +219,10 @@ def test_compression_paper_scale_dimensions():
 
 
 def test_compression_block_structure_exact(setup):
-    cfg, d = setup
+    cfg, _ = setup
     comp = build_compression_matrix(np.random.default_rng(1), cfg, 2, "gaussian")
-    m_dense = compression_dense(comp, d.iperm)
-    # M P^T must be exactly block diagonal: selecting columns by perm undoes P
-    aligned = m_dense[:, d.perm]
+    # apply_to_c, formed column by column, is exactly blkdiag(M_i) on tone-major c
+    aligned = np.array([comp.apply_to_c(e) for e in np.eye(cfg.mnl, dtype=complex)]).T
     ji = comp.block_rows
     for i in range(cfg.L):
         for j in range(cfg.L):
@@ -238,12 +234,11 @@ def test_compression_block_structure_exact(setup):
 
 
 def test_compression_apply_matches_dense(setup):
-    cfg, d = setup
+    cfg, _ = setup
     comp = build_compression_matrix(np.random.default_rng(2), cfg, 3, "gaussian")
     rng = np.random.default_rng(3)
-    ct = rng.standard_normal(cfg.mnl) + 1j * rng.standard_normal(cfg.mnl)
-    assert np.allclose(comp.apply_to_c(ct[d.perm]),
-                       compression_dense(comp, d.iperm) @ ct)
+    c = rng.standard_normal(cfg.mnl) + 1j * rng.standard_normal(cfg.mnl)
+    assert np.allclose(comp.apply_to_c(c), blkdiag(comp.blocks) @ c)
 
 
 def test_compression_dft_full_rows_unitary(setup):
