@@ -45,9 +45,8 @@ from . import __version__
 from .adc import levels_from_budget, quantize_complex_vector
 from .combiner import config_hash, design_multitone, waterfill_gain
 from .dictionary import apply_fbar, build_dictionary
-from .model import (COEFF_MODELS, RadarConfig, TargetScene, sample_scene,
-                    scene_to_sparse_vector, snr_db_to_linear,
-                    snr_to_noise_variance)
+from .model import (COEFF_MODELS, RadarConfig, TargetScene, config_to_dict,
+                    sample_scene, scene_to_sparse_vector)
 from .recovery import (RecoverySpec, estimate_support, fista, hit_rate,
                        power_iteration_lipschitz, relative_mse)
 from .statistics import (COMPRESSION_KINDS, build_compression_matrix, build_covariances,
@@ -134,7 +133,7 @@ class ExperimentSpec:
             raise ValueError(f"unknown coeff_model {self.coeff_model!r}; "
                              f"pick from {COEFF_MODELS}")
         for snr_db in self.snr_db:
-            _noise_variance(self.config, snr_db)
+            self.config.at_snr(snr_db)
         grid = self.config.grid_size
         for k in self.k:
             if not 1 <= k <= grid:
@@ -328,25 +327,15 @@ class ExperimentResult:
     spec: ExperimentSpec
 
 
-def _noise_variance(config, snr_db):
-    """sigma_n^2 = sigma_alpha^2 / 10^(snr_db/10), or ValueError naming the SNR
-    unless 10^(snr_db/10) is finite and positive and sigma_n^2 finite."""
-    with np.errstate(over="ignore"):
-        snr = snr_db_to_linear(snr_db)
-    sigma_n_sq = snr_to_noise_variance(snr, config) if 0 < snr < np.inf else np.inf
-    if not np.isfinite(sigma_n_sq):
-        raise ValueError("SNR must be finite, with 10^(SNR/10) finite and positive and the "
-                         f"noise variance sigma_alpha_sq/10^(SNR/10) finite, got {snr_db} dB")
-    return sigma_n_sq
-
-
-def design_point(config, seed, point_index, budget, snr_db, dcr, k, kind):
-    """(config at the point's SNR, statistics, compression, design) of one sweep
-    point; `bitmimo design` is point 0 of a sweep with the same seed and axes."""
-    config = config.with_noise_variance(_noise_variance(config, snr_db))
+def design_point(spec, point_index, axes):
+    """(config at the point's SNR, statistics, compression, design) of the
+    spec's point point_index with axes as spec.points() yields them; `bitmimo
+    design` is the one point of its spec."""
+    budget, snr_db, dcr, k, kind = axes
+    config = spec.config.at_snr(snr_db)
     stats = build_covariances(config, k)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, point_index, 1 << 20]))
-    compression = build_compression_matrix(rng, config, dcr, kind)
+    seed = np.random.SeedSequence([spec.master_seed, point_index, 1 << 20])
+    compression = build_compression_matrix(np.random.default_rng(seed), config, dcr, kind)
     channels = compression.block_rows
     levels = levels_from_budget(budget, channels, config.L)
     return config, stats, compression, design_multitone(
@@ -359,13 +348,13 @@ class _PointContext:
     maps each id the spec's methods need to (apply, adjoint, lipschitz); phi
     is the sweep's Phi operator, None when no method recovers on Phi."""
 
-    def __init__(self, dictionary, config, spec, point_index, phi, budget,
-                 snr_db, dcr, k, kind):
+    def __init__(self, spec, dictionary, phi, point_index, axes):
         self.config, stats, self.compression, self.design = design_point(
-            config, spec.master_seed, point_index, budget, snr_db, dcr, k, kind)
+            spec, point_index, axes)
+        budget, _, _, k, _ = axes
         self.k, self.recovery = k, spec.recovery
         if "task_ignorant" in spec.methods:
-            base = dictionary.config
+            base = spec.config
             self.ti_levels = levels_from_budget(budget, base.mnl, 1)
             # known defect: sigma_n^2 of the base config, not of this point's SNR
             self.ti_support = base.eta * np.sqrt(
@@ -389,15 +378,21 @@ def run_sweep(spec: ExperimentSpec, out_csv=None, dictionary=None) -> Experiment
     """Run every sweep point x method; optionally write the CSV and a JSON
     provenance sidecar (<out_csv>.meta.json). A trial that fails numerically
     (ValueError, ArithmeticError) is logged and excluded; other exceptions
-    propagate, and so does a method whose every trial at a point fails."""
+    propagate, and so does a method whose every trial at a point fails. A
+    dictionary given must be built for spec.config."""
     if dictionary is None:
         dictionary = build_dictionary(spec.config)
+    ours, theirs = config_to_dict(spec.config), config_to_dict(dictionary.config)
+    differ = [key for key in ours if ours[key] != theirs[key]]
+    if differ:
+        raise ValueError("the dictionary was built for another config than the spec's: "
+                         f"{', '.join(differ)} differ")
     methods = [m for m in METHODS if m in spec.methods]
     phi = (_phi_operator(dictionary)
            if any(OPERATOR_OF[m] == "phi" for m in methods) else None)
     points = []
     for p_idx, axes in spec.points():
-        ctx = _PointContext(dictionary, spec.config, spec, p_idx, phi, *axes)
+        ctx = _PointContext(spec, dictionary, phi, p_idx, axes)
         kept = {m: [] for m in methods}
         failed = dict.fromkeys(methods, 0)
         wall_ms = dict.fromkeys(methods, 0.0)

@@ -29,8 +29,6 @@ __all__ = [
     "make_random_array_config",
     "sample_scene",
     "scene_to_sparse_vector",
-    "snr_to_noise_variance",
-    "snr_db_to_linear",
     "config_to_dict",
     "config_from_dict",
     "load_config",
@@ -149,7 +147,22 @@ class RadarConfig:
         """Tone index grid i = -(L-1)/2 .. (L-1)/2."""
         return np.arange(self.L) - (self.L - 1) // 2
 
-    def with_noise_variance(self, sigma_n_sq: float) -> "RadarConfig":
+    def at_snr(self, snr_db) -> "RadarConfig":
+        """This config with the noise variance that realizes snr_db, where
+        SNR = E||Phi a||^2 / (MNL * K * sigma_n_sq).
+
+        With unit-modulus dictionary entries and uniformly drawn supports,
+        E||Phi a||^2 = K * MNL * sigma_alpha_sq, so K cancels and
+        sigma_n_sq = sigma_alpha_sq / 10^(snr_db/10). ValueError naming the SNR
+        unless 10^(snr_db/10) is finite and positive and sigma_n_sq finite.
+        """
+        with np.errstate(over="ignore"):
+            snr = float(10.0 ** (np.asarray(snr_db, dtype=float) / 10.0))
+        sigma_n_sq = self.sigma_alpha_sq / snr if 0 < snr < np.inf else np.inf
+        if not np.isfinite(sigma_n_sq):
+            raise ValueError("SNR must be finite, with 10^(SNR/10) finite and positive "
+                             "and the noise variance sigma_alpha_sq/10^(SNR/10) finite, "
+                             f"got {snr_db} dB")
         return replace(self, sigma_n_sq=sigma_n_sq)
 
 
@@ -235,22 +248,6 @@ def scene_to_sparse_vector(scene: TargetScene, config: RadarConfig) -> np.ndarra
     return a
 
 
-def snr_to_noise_variance(snr_linear, config: RadarConfig) -> float:
-    """Noise variance realizing SNR = E||Phi a||^2 / (MNL * K * sigma_n_sq).
-
-    With unit-modulus dictionary entries and uniformly drawn supports,
-    E||Phi a||^2 = K * MNL * sigma_alpha_sq, so K cancels and
-    sigma_n_sq = sigma_alpha_sq / SNR.
-    """
-    if snr_linear <= 0:
-        raise ValueError("SNR must be positive")
-    return config.sigma_alpha_sq / float(snr_linear)
-
-
-def snr_db_to_linear(snr_db) -> float:
-    return float(10.0 ** (np.asarray(snr_db, dtype=float) / 10.0))
-
-
 # -- config file I/O -----------------------------------------------------
 
 def config_to_dict(config: RadarConfig) -> dict:
@@ -273,7 +270,8 @@ def config_from_dict(d: dict, rng=None) -> RadarConfig:
     'array' selects a generator: "ula" (default) or "random" (requires rng).
     'M', 'N', 'bandwidth' and 'pri' are required. A key that is neither
     'array' nor one config_to_dict writes, a missing required key, a
-    non-integer 'M' or 'N' (bool included), a non-numeric scalar, an integer
+    non-integer 'M' or 'N' (bool included), a non-numeric scalar, a position
+    key that is not a list of numbers (strings and bools refused), an integer
     past float range, or 'array' beside explicit positions raises ValueError
     naming the key; so does a scalar outside RadarConfig's rule for its field,
     checked before a layout generator computes with it.
@@ -289,6 +287,10 @@ def config_from_dict(d: dict, rng=None) -> RadarConfig:
     missing = [key for key in required if key not in d]
     if missing:
         raise ValueError(f"missing config key(s): {', '.join(missing)}")
+    for key in _POSITION_KEYS:  # each element as a scalar key: a number, bool refused
+        if key in d and (not isinstance(d[key], list) or any(
+                isinstance(x, bool) or not isinstance(x, numbers.Real) for x in d[key])):
+            raise ValueError(f"config key {key!r} must be a list of numbers, got {d[key]!r}")
     for key, kind in _SCALAR_KEYS.items():
         if key not in d:
             continue

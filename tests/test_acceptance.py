@@ -123,7 +123,7 @@ def test_acceptance_4_theory_vs_simulation():
     # clipping on strong scenes, outside the non-overload model.)
     t0 = time.perf_counter()
     cfg = bm.make_ula_config(2, 3, 1e6, 3e-6)
-    cfg = cfg.with_noise_variance(bm.snr_to_noise_variance(bm.snr_db_to_linear(10.0), cfg))
+    cfg = cfg.at_snr(10.0)
     d = build_dictionary(cfg)
     K = 4
     stats = bm.build_covariances(cfg, K)

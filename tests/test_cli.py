@@ -181,6 +181,8 @@ def test_missing_output_directory_is_usage_error(tmp_path, cfg_file, capsys, mon
 ULA_CONFIG = {"M": 2, "N": 3, "bandwidth": 1e6, "pri": 3e-6, "array": "ula"}
 EXPLICIT_CONFIG = {"M": 1, "N": 2, "bandwidth": 1e6, "pri": 3e-6, "rx_pos": [0.0, 0.5],
                    "tx_pos": [0.0], "tone_offsets": [0.0]}
+POSITIONS_2X3 = {"M": 2, "N": 3, "bandwidth": 1e6, "pri": 3e-6, "rx_pos": [0, 0.5, 1],
+                 "tx_pos": [0, 1.5], "tone_offsets": [-5e5, 5e5]}
 
 
 @pytest.mark.parametrize("config, message", [
@@ -213,6 +215,18 @@ EXPLICIT_CONFIG = {"M": 1, "N": 2, "bandwidth": 1e6, "pri": 3e-6, "rx_pos": [0.0
     # refused before the ULA generator multiplies the middle band's 0 offset by it
     pytest.param({"M": 3, "N": 2, "bandwidth": float("inf"), "pri": 3e-6},
                  "bandwidth must be positive and finite", id="odd-M-infinite-bandwidth"),
+    # a position list holds numbers, as a scalar key does: no string, no bool
+    pytest.param({**POSITIONS_2X3, "rx_pos": ["0", "0.5", True], "tx_pos": [0, "1.5"]},
+                 "config key 'rx_pos' must be a list of numbers", id="string-positions"),
+    pytest.param(dict(POSITIONS_2X3, rx_pos=[0, 0.5, True]),
+                 "config key 'rx_pos' must be a list of numbers", id="bool-rx-pos"),
+    pytest.param(dict(POSITIONS_2X3, tx_pos=[0, "1.5"]),
+                 "config key 'tx_pos' must be a list of numbers", id="string-tx-pos"),
+    pytest.param(dict(POSITIONS_2X3, tone_offsets=[-5e5, "5e5"]),
+                 "config key 'tone_offsets' must be a list of numbers",
+                 id="string-tone-offset"),
+    pytest.param(dict(POSITIONS_2X3, tone_offsets=False),
+                 "config key 'tone_offsets' must be a list of numbers", id="bool-tone-offsets"),
 ])
 @pytest.mark.parametrize("command", ["design", "simulate"])
 def test_bad_config_key_is_usage_error(tmp_path, capsys, command, config, message):
@@ -340,8 +354,7 @@ def test_design_bundle_is_sweep_point_zero(tmp_path, random_cfg_file, monkeypatc
     spec = _parsed_spec(monkeypatch, ["simulate", *flags, "--trials", "1",
                                       "--out", str(tmp_path / "p.csv")])
     (index, axes), = spec.points()
-    ctx = harness._PointContext(build_dictionary(spec.config), spec.config, spec,
-                                index, None, *axes)
+    ctx = harness._PointContext(spec, build_dictionary(spec.config), None, index, axes)
     _assert_same_design(load_design(prefix), ctx.design)
 
 
@@ -352,7 +365,5 @@ def test_sweep_point_design_is_design_point(tmp_path, random_cfg_file, monkeypat
         "--budget-bits", "48", "--snr-db=-5,10", "--dcr", "2,4", "--k", "2",
         "--matrix-kind", "gaussian,dft", "--out", str(tmp_path / "s.csv")])
     index, axes = list(spec.points())[5]
-    ctx = harness._PointContext(build_dictionary(spec.config), spec.config, spec,
-                                index, None, *axes)
-    _assert_same_design(ctx.design, harness.design_point(
-        spec.config, spec.master_seed, index, *axes)[3])
+    ctx = harness._PointContext(spec, build_dictionary(spec.config), None, index, axes)
+    _assert_same_design(ctx.design, harness.design_point(spec, index, axes)[3])

@@ -702,8 +702,7 @@ def test_design_lmmse_matches_lmmse_error(kind):
     # the LMMSE the design takes from its SVDs equals the per-tone solves
     base = bm.make_ula_config(3, 4, 1e6, 3e-6)
     for snr_db in (-30.0, 10.0, 30.0):
-        cfg = base.with_noise_variance(
-            bm.snr_to_noise_variance(bm.snr_db_to_linear(snr_db), base))
+        cfg = base.at_snr(snr_db)
         stats = build_covariances(cfg, K=3)
         comp = build_compression_matrix(np.random.default_rng(23), cfg, 2, kind)
         design = design_multitone(stats, comp, comp.block_rows, 4, cfg.eta)
@@ -735,8 +734,7 @@ def test_stacked_design_matches_per_tone_loop(covariances, kind, dcr, budget):
     comp = build_compression_matrix(np.random.default_rng([dcr, budget, len(kind)]),
                                     base, dcr, kind)
     for snr_db in (-10.0, 10.0, 30.0):
-        cfg = base.with_noise_variance(
-            bm.snr_to_noise_variance(bm.snr_db_to_linear(snr_db), base))
+        cfg = base.at_snr(snr_db)
         stats = build_covariances(cfg, K=4)
         gamma = lmmse_transform(comp, stats)
         assert np.array_equal(gamma, reference_lmmse_transform(comp, stacked_statistics(stats)))
@@ -756,7 +754,7 @@ def test_stacked_design_matches_per_tone_loop_over_many_draws():
     assert base.L == 9
     rng = np.random.default_rng(41)
     for _ in range(40):
-        cfg = base.with_noise_variance(rng.uniform(0.01, 2.0))
+        cfg = dataclasses.replace(base, sigma_n_sq=rng.uniform(0.01, 2.0))
         stats = build_covariances(cfg, K=int(rng.integers(1, 9)))
         comp = build_compression_matrix(rng, cfg, 2, "gaussian")
         design = _assert_design_matches_reference(stats, comp, comp.block_rows, 8,

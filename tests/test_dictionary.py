@@ -113,8 +113,8 @@ def points():
         spec = harness.ExperimentSpec(config=cfg, budget_bits=(2 * cfg.mnl,),
                                       methods=bm.METHODS, trials=1)
         (p_idx, axes), = spec.points()
-        out.append((d, harness._PointContext(d, cfg, spec, p_idx,
-                                             harness._phi_operator(d), *axes)))
+        out.append((d, harness._PointContext(spec, d, harness._phi_operator(d),
+                                             p_idx, axes)))
     below, above = (d.n_rows * d.n_atoms for d, _ in out)
     assert below <= harness.DENSE_OPERATOR_MAX_ENTRIES < above
     return out

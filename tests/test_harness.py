@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -75,14 +76,29 @@ def test_phi_operator_built_once_per_sweep(tmp_path, small_cfg, monkeypatch):
     assert len(calls) == 1
 
     class PerPointPhi(harness._PointContext):
-        def __init__(self, dictionary, config, spec, point_index, phi, *axes):
-            super().__init__(dictionary, config, spec, point_index,
-                             harness._phi_operator(dictionary), *axes)
+        def __init__(self, spec, dictionary, phi, point_index, axes):
+            super().__init__(spec, dictionary, harness._phi_operator(dictionary),
+                             point_index, axes)
 
     monkeypatch.setattr(harness, "_PointContext", PerPointPhi)
     run_sweep(spec, out_csv=per_point)
     assert len(calls) == 1 + 1 + 2  # the sweep's own build, then one per point
     assert shared.read_bytes() == per_point.read_bytes()
+
+
+def test_dictionary_of_another_config_is_refused(small_cfg):
+    # a random layout with the same M, N and L gives a dictionary of the same
+    # shapes but other steering vectors; a dictionary built from an equal
+    # config, as a caller that keeps its dictionaries passes, is taken
+    other = bm.make_random_array_config(np.random.default_rng(5), small_cfg.M, small_cfg.N,
+                                        small_cfg.bandwidth, small_cfg.pri)
+    spec = _spec(small_cfg, trials=1)
+    for config, differ in ((other, "rx_pos, tx_pos, tone_offsets"),
+                           (dataclasses.replace(small_cfg, eta=3.0), "eta")):
+        with pytest.raises(ValueError, match=f"another config than the spec's: {differ} differ"):
+            run_sweep(spec, dictionary=bm.build_dictionary(config))
+    equal = dataclasses.replace(small_cfg)
+    assert run_sweep(spec, dictionary=bm.build_dictionary(equal)).points[0].trials == 1
 
 
 def test_single_point_runs_all_methods(small_cfg):
@@ -121,7 +137,7 @@ def test_lmmse_path_matches_theory(small_cfg):
     # within 3 percent (Monte Carlo over scene draws, absolute errors)
     from bitmimo.harness import draw_trial, run_noquan_lmmse_trial
 
-    cfg = small_cfg.with_noise_variance(bm.snr_to_noise_variance(1.0, small_cfg))
+    cfg = small_cfg.at_snr(0.0)
     K = 3
     d = bm.build_dictionary(cfg)
     stats = bm.build_covariances(cfg, K)
@@ -152,7 +168,7 @@ def test_noquan_lmmse_product_matches_einsum(small_cfg, monkeypatch):
     for method in ("bilimo", "noquan_lmmse"):
         spec = _spec(small_cfg, methods=(method,))
         index, axes = next(spec.points())
-        contexts[method] = harness._PointContext(d, small_cfg, spec, index, None, *axes)
+        contexts[method] = harness._PointContext(spec, d, None, index, axes)
     assert not hasattr(contexts["bilimo"], "gamma_blocks")
     ctx = contexts["noquan_lmmse"]
     seen = []
@@ -173,7 +189,7 @@ def test_noise_and_dither_keep_their_band_major_stream_order(small_cfg, monkeypa
     d = bm.build_dictionary(small_cfg)
     spec = _spec(small_cfg, methods=("task_ignorant",))
     index, axes = next(spec.points())
-    ctx = harness._PointContext(d, small_cfg, spec, index, None, *axes)
+    ctx = harness._PointContext(spec, d, None, index, axes)
     cfg, shape = ctx.config, (small_cfg.M, small_cfg.L, small_cfg.N)
 
     def tone_major(x):

@@ -83,8 +83,8 @@ def test_config_fields_convert_and_check_once():
                          rx_pos=[0, 1], tx_pos=[0], tone_offsets=[0])
     assert type(cfg.M) is int and type(cfg.bandwidth) is float
     assert cfg.rx_pos.dtype == float and not cfg.rx_pos.flags.writeable
-    assert type(cfg.with_noise_variance(np.float32(0.5)).sigma_n_sq) is float
-    assert cfg.with_noise_variance(0).sigma_n_sq == 0.0
+    assert type(dataclasses.replace(cfg, sigma_n_sq=np.float32(0.5)).sigma_n_sq) is float
+    assert dataclasses.replace(cfg, sigma_n_sq=0).sigma_n_sq == 0.0
     defaults = {f.name: f.default for f in dataclasses.fields(bm.RadarConfig)
                 if f.default is not dataclasses.MISSING}
     assert set(defaults) == {"eta", "sigma_alpha_sq", "sigma_n_sq"}
@@ -219,13 +219,28 @@ def test_scene_rejects_duplicate_cells():
         scene.cells[0] = 0  # read-only
 
 
-def test_snr_to_noise_variance_values():
+def test_at_snr_values():
     cfg = bm.make_ula_config(2, 3, 1e6, 3e-6, sigma_alpha_sq=1.0)
-    assert bm.snr_to_noise_variance(10.0, cfg) == pytest.approx(0.1)
-    assert bm.snr_to_noise_variance(1.0, cfg) == pytest.approx(1.0)
-    assert bm.snr_to_noise_variance(1e12, cfg) == pytest.approx(0.0, abs=1e-11)
+    assert cfg.at_snr(10.0).sigma_n_sq == pytest.approx(0.1)
+    assert cfg.at_snr(0.0).sigma_n_sq == pytest.approx(1.0)
+    assert cfg.at_snr(120.0).sigma_n_sq == pytest.approx(0.0, abs=1e-11)
     with pytest.raises(ValueError):
-        bm.snr_to_noise_variance(0.0, cfg)
+        cfg.at_snr(-np.inf)  # a linear SNR of 0
+
+
+def test_at_snr_keeps_the_bits_of_its_expression():
+    # at_snr is the one SNR rule: on a 0.01 dB grid over +-300 dB it gives the
+    # bits of sigma_alpha_sq / 10^(SNR/10) as the sweep has always computed
+    # them, and an SNR whose noise variance is not finite and positive is refused
+    cfg = bm.make_ula_config(2, 3, 1e6, 3e-6, sigma_alpha_sq=0.7)
+    for x in np.round(np.arange(-300, 300, 0.01), 2):
+        want = cfg.sigma_alpha_sq / float(10.0 ** (np.asarray(x, dtype=float) / 10.0))
+        assert cfg.at_snr(x).sigma_n_sq == want, x
+    for x in (np.nan, 3100, -3100, -3300):
+        with pytest.raises(ValueError, match=re.escape(
+                "SNR must be finite, with 10^(SNR/10) finite and positive and the noise "
+                f"variance sigma_alpha_sq/10^(SNR/10) finite, got {x} dB")):
+            cfg.at_snr(x)
 
 
 def test_snr_closed_form_monte_carlo_oracle():
@@ -242,7 +257,7 @@ def test_snr_closed_form_monte_carlo_oracle():
     mean_energy = acc / n / (K * cfg.mnl)
     assert abs(mean_energy - cfg.sigma_alpha_sq) < 0.01 * cfg.sigma_alpha_sq
     snr = 10.0
-    sigma_n = bm.snr_to_noise_variance(snr, cfg)
+    sigma_n = cfg.at_snr(10 * np.log10(snr)).sigma_n_sq
     empirical_snr = mean_energy * K * cfg.mnl / (cfg.mnl * K * sigma_n)
     assert abs(empirical_snr - snr) < 0.02 * snr
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,10 +28,10 @@ def test_default_covariances(setup):
 
 def test_zero_k_and_zero_noise(setup):
     cfg, _ = setup
-    noiseless = build_covariances(cfg.with_noise_variance(0.0), K=4)
+    noiseless = build_covariances(replace(cfg, sigma_n_sq=0.0), K=4)
     assert noiseless.sigma == noiseless.signal_var == 4.0
     with pytest.raises(ValueError, match="singular"):
-        build_covariances(cfg.with_noise_variance(0.0), K=0)  # singular Sigma
+        build_covariances(replace(cfg, sigma_n_sq=0.0), K=0)  # singular Sigma
     empty = build_covariances(cfg, K=0)
     assert empty.signal_var == 0.0
 
@@ -58,7 +60,7 @@ def test_covariance_monte_carlo_oracle(setup):
 
 def test_lmmse_identity_when_noiseless(setup):
     cfg, d = setup
-    stats = build_covariances(cfg.with_noise_variance(0.0), K=2)
+    stats = build_covariances(replace(cfg, sigma_n_sq=0.0), K=2)
     eye_blocks = np.broadcast_to(np.eye(cfg.mn, dtype=complex),
                                  (cfg.L, cfg.mn, cfg.mn))
     comp = bm.CompressionMatrix(blocks=np.array(eye_blocks))
@@ -71,7 +73,7 @@ def test_lmmse_identity_when_noiseless(setup):
 def test_lmmse_scalar_wiener_gain(setup):
     cfg, _ = setup
     c, w = 3.0, 2.0
-    cfg2 = cfg.with_noise_variance(w)
+    cfg2 = replace(cfg, sigma_n_sq=w)
     stats = build_covariances(cfg2, K=3)  # K*sigma_alpha_sq = 3 = c
     rng = np.random.default_rng(0)
     comp = build_compression_matrix(rng, cfg2, 2, "gaussian")
@@ -83,7 +85,7 @@ def test_lmmse_error_orthonormal_rows_closed_form(setup):
     # R_c = c I, R_w = w I and orthonormal rows per block: eps_L = J*c*w/(c+w)
     cfg, _ = setup
     c, w = 2.0, 0.5
-    stats = build_covariances(cfg.with_noise_variance(w), K=2)
+    stats = build_covariances(replace(cfg, sigma_n_sq=w), K=2)
     blocks = np.zeros((cfg.L, 2, cfg.mn), dtype=complex)
     for i in range(cfg.L):
         q, _ = np.linalg.qr(np.random.default_rng(i).standard_normal((cfg.mn, 2)))
@@ -97,7 +99,7 @@ def test_lmmse_error_monte_carlo_oracle(setup):
     cfg, d = setup
     phi = dense_phi(d)
     K = 3
-    cfg2 = cfg.with_noise_variance(0.8)
+    cfg2 = replace(cfg, sigma_n_sq=0.8)
     stats = build_covariances(cfg2, K)
     rng = np.random.default_rng(5)
     comp = build_compression_matrix(rng, cfg2, 2, "gaussian")
@@ -124,7 +126,7 @@ def test_lmmse_beats_random_linear_maps(setup):
     cfg, d = setup
     phi = dense_phi(d)
     K = 2
-    cfg2 = cfg.with_noise_variance(1.0)
+    cfg2 = replace(cfg, sigma_n_sq=1.0)
     stats = build_covariances(cfg2, K)
     rng = np.random.default_rng(9)
     comp = build_compression_matrix(rng, cfg2, 2, "gaussian")
@@ -152,7 +154,7 @@ def test_lmmse_beats_random_linear_maps(setup):
 def test_blockwise_equals_full_matrices(setup):
     # eps_L computed blockwise equals the dense-matrix evaluation to 1e-10
     cfg, _ = setup
-    stats = build_covariances(cfg.with_noise_variance(0.7), K=3)
+    stats = build_covariances(replace(cfg, sigma_n_sq=0.7), K=3)
     rng = np.random.default_rng(3)
     comp = build_compression_matrix(rng, cfg, 2, "bernoulli")
     m_full = blkdiag(comp.blocks)
@@ -168,7 +170,7 @@ def test_orthogonality_principle(setup):
     cfg, d = setup
     phi = dense_phi(d)
     K = 2
-    cfg2 = cfg.with_noise_variance(0.6)
+    cfg2 = replace(cfg, sigma_n_sq=0.6)
     stats = build_covariances(cfg2, K)
     rng = np.random.default_rng(13)
     comp = build_compression_matrix(rng, cfg2, 3, "gaussian")
@@ -197,7 +199,7 @@ def test_orthogonality_principle(setup):
 
 def test_invariance_under_row_permutation(setup):
     cfg, _ = setup
-    stats = build_covariances(cfg.with_noise_variance(0.4), K=2)
+    stats = build_covariances(replace(cfg, sigma_n_sq=0.4), K=2)
     rng = np.random.default_rng(17)
     comp = build_compression_matrix(rng, cfg, 2, "gaussian")
     base = lmmse_error(comp, stats)
