@@ -145,27 +145,32 @@ def equalizing_unitary(H: np.ndarray) -> np.ndarray:
     target = np.trace(Hw, axis1=1, axis2=2).real / P
     tol_abs = 1e-10 * np.maximum(np.abs(target), np.finfo(float).tiny)
     diag = np.diagonal(Hw, axis1=1, axis2=2)
-    active = np.arange(len(Hw))
+    active = rows = np.arange(len(Hw))
+    tol, blk, idx = tol_abs, active[:, None], np.empty((len(Hw), 2), dtype=np.intp)
     for _ in range(max_rotations):
         d = diag[active].real
         i, j = d.argmax(axis=1), d.argmin(axis=1)
-        rows = np.arange(active.size)
         a, c = d[rows, i], d[rows, j]
-        move = ~(a - c <= tol_abs[active])
-        if not move.any():
+        move = ~(a - c <= tol)
+        moving = np.count_nonzero(move)
+        if not moving:
             return U if H.ndim == 3 else U[0]
-        active, i, j, a, c = active[move], i[move], j[move], a[move], c[move]
+        if moving < active.size:  # a block dropped out: gather the rest
+            active, i, j, a, c = active[move], i[move], j[move], a[move], c[move]
+            rows, tol, blk = np.arange(moving), tol_abs[active], active[:, None]
+            idx = np.empty((moving, 2), dtype=np.intp)
         b = Hw[active, i, j]
         # np.abs on a complex array differs in the last bit from scalar abs; np.hypot does not
         mag = np.hypot(b.real, b.imag)
         phi = np.where(mag > 0, np.angle(b), 0.0)
         theta = 0.5 * np.arctan2(c - a, 2.0 * mag)
         ct, st = np.cos(theta), np.sin(theta)
-        G = np.empty((active.size, 2, 2), dtype=complex)
+        rot = np.exp(1j * phi)
+        G = np.empty((moving, 2, 2), dtype=complex)
         G[:, 0, 0] = G[:, 1, 1] = ct
-        G[:, 0, 1] = np.exp(1j * phi) * st
-        G[:, 1, 0] = -np.exp(-1j * phi) * st
-        blk, idx = active[:, None], np.stack([i, j], axis=1)
+        G[:, 0, 1] = rot * st
+        G[:, 1, 0] = -rot.conj() * st
+        idx[:, 0], idx[:, 1] = i, j
         Hw[blk, idx] = G @ Hw[blk, idx]
         # (P, 2) column pairs laid out as Hw[:, idx] is, so each item runs the same gemm
         Hw[blk, :, idx] = (Hw[blk, :, idx].transpose(0, 2, 1)
@@ -333,8 +338,10 @@ def _format_g10(x, out):
     m += frac > 0.5
     slow = ~ok | ((e >= -4) & (e <= 9)) | (np.abs(frac - 0.5) < 1e-5) \
         | (scaled < 1e9) | (m >= 1e10)
-    m = m.astype(np.intp)
-    m[slow] = 1000000000  # in-range digits for the rows Python rewrites
+    rest = np.flatnonzero(slow)
+    # the digit pass runs on the other rows only
+    fast = np.flatnonzero(~slow) if rest.size else slice(None)
+    m, e = m[fast].astype(np.intp), e[fast]
 
     lead = m // 100000000
     m -= lead * 100000000
@@ -343,16 +350,15 @@ def _format_g10(x, out):
     zeros = np.where(lo != 0, _QUAD_ZEROS.take(lo), np.where(
         hi != 0, 4 + _QUAD_ZEROS.take(hi), 8 + (lead % 10 == 0)))  # trailing, of d1..d9
 
-    row = np.empty((x.size, _G10_ROW), dtype=np.uint8)
+    row = np.empty((m.size, _G10_ROW), dtype=np.uint8)
     words = row.view(np.uint32)
-    words[:, 0] = _LEAD.take(lead + 100 * (zeros == 9) + 200 * (x < 0))
+    words[:, 0] = _LEAD.take(lead + 100 * (zeros == 9) + 200 * (x[fast] < 0))
     words[:, 2] = _QUAD.take(hi)
     words[:, 3] = _QUAD.take(lo)
     quads = row.view(np.uint64)
     quads[:, 1] &= _KEEP.take(np.minimum(zeros, 8))
     quads[:, 2] = _EXPONENT.take(e + 300)
-    out[...] = row[:, _G10_COLS]
-    rest = np.flatnonzero(slow)
+    out[fast] = row[:, _G10_COLS]
     if rest.size:
         # '%.10g' text is at most 17 bytes wide, so left-justified fields line
         # up as rows; their space padding becomes NUL

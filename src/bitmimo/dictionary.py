@@ -67,6 +67,19 @@ class SteeringDictionary:
         cfg = self.config
         return self.U.conj(), self.V.reshape(cfg.M * cfg.L, cfg.ml).conj().T
 
+    @cached_property
+    def band_gram(self):
+        """The band Grams U_m U_m^H, shape (M, N, N), when the rows of the
+        stacked V (ML x ML) are orthogonal, V V^H = ML*I to 1e-9*ML entrywise;
+        None otherwise. Then Phi Phi^H = ML * I_L (x) blkdiag_m(U_m U_m^H) in
+        tone-major order. Both layout generators give such a V, as they put
+        every band's tones on one grid of ML consecutive frequencies."""
+        cfg = self.config
+        V = self.V.reshape(cfg.ml, cfg.ml)
+        if not np.abs(V @ V.conj().T - cfg.ml * np.eye(cfg.ml)).max() <= 1e-9 * cfg.ml:
+            return None
+        return self.U @ self.U.conj().transpose(0, 2, 1)
+
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         """Phi^H @ y = vec(sum_m U_m^H Y_m conj(V_m)) for the per-band (N, L) Y_m
         of the tone-major y."""

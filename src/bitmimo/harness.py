@@ -204,16 +204,18 @@ def _single(array):
     return array.astype(np.complex64)
 
 
-def _solver_operator(apply, adjoint, rows, cols):
+def _solver_operator(apply, adjoint, rows, cols, lipschitz):
     """(apply, adjoint, lipschitz) FISTA runs on, from a pair built on complex64
     factors: the structured pair, or, up to DENSE_OPERATOR_MAX_ENTRIES, its
-    complex64 matrix formed row by row from the adjoint. The power iteration
-    starts from a complex64 probe, so it runs in single precision too."""
+    complex64 matrix formed row by row from the adjoint. lipschitz is ||A||^2,
+    or None for power iteration, which starts from a complex64 probe and so
+    runs in single precision too."""
     if rows * cols <= DENSE_OPERATOR_MAX_ENTRIES:
         apply, adjoint = _operator_pair(
             np.array([adjoint(e) for e in np.eye(rows, dtype=np.complex64)]).conj())
-    return apply, adjoint, power_iteration_lipschitz(
-        lambda x: apply(_single(x)), adjoint, cols)
+    if lipschitz is None:
+        lipschitz = power_iteration_lipschitz(lambda x: apply(_single(x)), adjoint, cols)
+    return apply, adjoint, lipschitz
 
 
 def _single_dictionary(dictionary):
@@ -222,11 +224,39 @@ def _single_dictionary(dictionary):
     return replace(dictionary, U=_single(dictionary.U), V=_single(dictionary.V))
 
 
+def _largest_eigenvalue(blocks):
+    """The largest eigenvalue over a stack of Hermitian blocks."""
+    return float(np.linalg.eigvalsh(blocks)[:, -1].max())
+
+
+def _phi_lipschitz(dictionary):
+    """||Phi||^2 = ML * max_m lambda_max(U_m U_m^H), from the dictionary's band
+    Grams; None when it has none."""
+    gram = dictionary.band_gram
+    return None if gram is None else dictionary.config.ml * _largest_eigenvalue(gram)
+
+
+def _task_lipschitz(dictionary, compression):
+    """||M Phi||^2 = ML * max_i lambda_max(M_i G M_i^H) with
+    G = blkdiag_m(U_m U_m^H), from the dictionary's band Grams; None when it
+    has none. M_i G is formed band by band, as (M, L*J_i, N) @ (M, N, N)."""
+    gram = dictionary.band_gram
+    if gram is None:
+        return None
+    cfg = dictionary.config
+    blocks = compression.blocks
+    L, ji, mn = blocks.shape
+    mg = blocks.reshape(L * ji, cfg.M, cfg.N).swapaxes(0, 1) @ gram     # (M, L*J_i, N)
+    mg = mg.swapaxes(0, 1).reshape(L, ji, mn)
+    return cfg.ml * _largest_eigenvalue(mg @ blocks.conj().transpose(0, 2, 1))
+
+
 def _phi_operator(dictionary):
     """Phi's solver operator; it depends only on the dictionary, so a sweep
     builds it once."""
     d = _single_dictionary(dictionary)
-    return _solver_operator(d.apply, d.apply_adjoint, d.n_rows, d.n_atoms)
+    return _solver_operator(d.apply, d.apply_adjoint, d.n_rows, d.n_atoms,
+                            _phi_lipschitz(dictionary))
 
 
 def _score(ctx, operator_id, draw, y, s_hat, saturation) -> TrialMetrics:
@@ -371,7 +401,7 @@ class _PointContext:
             self.operators["task"] = _solver_operator(
                 lambda x: comp.apply_to_c(d.apply(x)),
                 lambda y: d.apply_adjoint(comp.apply_adjoint_to_c(y)),
-                comp.rows, d.n_atoms)
+                comp.rows, d.n_atoms, _task_lipschitz(dictionary, self.compression))
 
 
 def run_sweep(spec: ExperimentSpec, out_csv=None, dictionary=None) -> ExperimentResult:

@@ -274,7 +274,8 @@ def config_from_dict(d: dict, rng=None) -> RadarConfig:
     key that is not a list of numbers (strings and bools refused), an integer
     past float range, or 'array' beside explicit positions raises ValueError
     naming the key; so does a scalar outside RadarConfig's rule for its field,
-    checked before a layout generator computes with it.
+    checked before a layout generator computes with it, and an 'M', 'N' or
+    bandwidth*pri that makes U or V larger than numpy's largest array.
     """
     if not isinstance(d, dict):
         raise ValueError("a config must be a JSON object")
@@ -305,6 +306,17 @@ def config_from_dict(d: dict, rng=None) -> RadarConfig:
     if "array" in d and "rx_pos" in d:
         raise ValueError("config key 'array' cannot be given beside explicit "
                          "rx_pos/tx_pos/tone_offsets")
+    # the steering matrices U (M x N x MN) and V (M x L x ML) must fit numpy's
+    # largest complex array, checked before a layout generator allocates by M or N
+    M, N = int(d["M"]), int(d["N"])
+    product = float(d["bandwidth"]) * float(d["pri"])
+    L = round(product) if product < np.inf else 1  # RadarConfig refuses inf
+    for matrix, side, named in (("U", N, "config key 'N'"),
+                                ("V", L, "the tone count bandwidth*pri")):
+        if (M * side) ** 2 > np.iinfo(np.intp).max // np.dtype(complex).itemsize:
+            named = "config key 'M'" if M >= side else named
+            raise ValueError(f"{named} is too large: the steering matrix {matrix} "
+                             "would pass numpy's maximum array size")
     # the scalars given; RadarConfig holds the defaults
     common = {key: d[key] for key, kind in _SCALAR_KEYS.items()
               if kind is numbers.Real and key in d}

@@ -227,6 +227,16 @@ POSITIONS_2X3 = {"M": 2, "N": 3, "bandwidth": 1e6, "pri": 3e-6, "rx_pos": [0, 0.
                  id="string-tone-offset"),
     pytest.param(dict(POSITIONS_2X3, tone_offsets=False),
                  "config key 'tone_offsets' must be a list of numbers", id="bool-tone-offsets"),
+    # U (M x N x MN) past numpy's largest array: refused before a generator
+    # allocates M positions
+    pytest.param(dict(ULA_CONFIG, M=1 << 40), "config key 'M' is too large: the steering "
+                 "matrix U would pass numpy's maximum array size", id="huge-M"),
+    pytest.param(dict(ULA_CONFIG, M=10 ** 300, array="random"),
+                 "config key 'M' is too large", id="301-digit-M"),
+    pytest.param(dict(ULA_CONFIG, N=10 ** 12), "config key 'N' is too large", id="huge-N"),
+    pytest.param(dict(EXPLICIT_CONFIG, bandwidth=1000000001, pri=1),
+                 "the tone count bandwidth*pri is too large: the steering matrix V",
+                 id="huge-tone-count"),
 ])
 @pytest.mark.parametrize("command", ["design", "simulate"])
 def test_bad_config_key_is_usage_error(tmp_path, capsys, command, config, message):

@@ -4,7 +4,9 @@ import pytest
 import bitmimo as bm
 from bitmimo import harness
 from bitmimo.dictionary import apply_fbar, apply_fbar_adjoint, build_dictionary
-from dense_oracle import dense_phi, dense_task, eval_c_direct, fbar_matrix
+from bitmimo.recovery import SAFE_STEP, power_iteration_lipschitz
+from bitmimo.statistics import COMPRESSION_KINDS, build_compression_matrix
+from dense_oracle import blkdiag, dense_phi, dense_task, eval_c_direct, fbar_matrix
 from theory import coherence
 
 
@@ -168,6 +170,90 @@ def test_apply_cells_matches_apply(points):
             scene = bm.sample_scene(rng, k, cfg)
             a = bm.scene_to_sparse_vector(scene, cfg)
             assert _rel(d.apply_cells(scene.cells, scene.alpha), d.apply(a)) <= 1e-12
+
+
+def _largest_eigenvalue(gram):
+    return float(np.linalg.eigvalsh(gram)[-1])
+
+
+def _dense_lipschitz(d, comp):
+    """||Phi||^2 and ||M Phi||^2 as the largest eigenvalues of the dense
+    Phi Phi^H and M (Phi Phi^H) M^H."""
+    phi = dense_phi(d)
+    gram = phi @ phi.conj().T
+    blocks = blkdiag(comp.blocks)
+    return (_largest_eigenvalue(gram),
+            _largest_eigenvalue(blocks @ gram @ blocks.conj().T))
+
+
+def test_band_gram_of_both_generators():
+    # every generated layout puts all bands' tones on one grid, so the stacked
+    # V has orthogonal rows and Phi Phi^H is ML times I_L (x) blkdiag(U_m U_m^H);
+    # the uniform array's band Grams are MN * I
+    for M, N, pri in ((1, 1, 1e-6), (2, 3, 3e-6), (4, 6, 7e-6), (8, 12, 9e-6)):
+        for cfg in (bm.make_ula_config(M, N, 1e6, pri),
+                    bm.make_random_array_config(np.random.default_rng(M), M, N, 1e6, pri)):
+            d = build_dictionary(cfg)
+            gram = d.band_gram
+            assert gram.shape == (M, N, N)
+            assert np.array_equal(gram, d.U @ d.U.conj().transpose(0, 2, 1))
+            if cfg.mnl <= 168:
+                phi = dense_phi(d)
+                want = cfg.ml * np.kron(np.eye(cfg.L), blkdiag(gram))
+                assert np.abs(phi @ phi.conj().T - want).max() <= 1e-10 * cfg.ml * cfg.mn
+        assert np.abs(build_dictionary(bm.make_ula_config(M, N, 1e6, pri)).band_gram
+                      - M * N * np.eye(N)).max() <= 1e-9 * M * N
+
+
+def test_no_band_gram_off_one_tone_grid():
+    # band offsets that are no whole number of tone spacings apart, or a tone
+    # count bandwidth*pri 1e-7 off an integer, leave the stacked V's rows
+    # non-orthogonal: no band Gram
+    off_grid = bm.RadarConfig(M=2, N=3, bandwidth=1e6, pri=3e-6, rx_pos=[0.0, 0.5, 1.0],
+                              tx_pos=[0.0, 1.5], tone_offsets=[-5e5, 6e5])
+    detuned = bm.make_ula_config(2, 3, 1e6, 3e-6 * (1 + 1e-7))
+    for cfg in (off_grid, detuned):
+        assert build_dictionary(cfg).band_gram is None
+
+
+def test_lipschitz_closed_form_matches_dense(points):
+    # Phi's and M*Phi's constants, as the harness computes them and as the
+    # point's solver operators carry them, against eigvalsh of the dense A A^H,
+    # for every compression kind at M=4, N=6 and at paper scale
+    cfg = bm.make_random_array_config(np.random.default_rng(12), 8, 12, 1e6, 9e-6)
+    d = build_dictionary(cfg)
+    cases = [(d, build_compression_matrix(np.random.default_rng(1), cfg, 2, "gaussian"))]
+    d_small = points[1][0]
+    cases += [(d_small, build_compression_matrix(np.random.default_rng(2), d_small.config,
+                                                 dcr, kind))
+              for kind in COMPRESSION_KINDS for dcr in (1, 3)]
+    for d, comp in cases:
+        phi_lip, task_lip = _dense_lipschitz(d, comp)
+        assert abs(harness._phi_lipschitz(d) - phi_lip) <= 1e-10 * phi_lip
+        assert abs(harness._task_lipschitz(d, comp) - task_lip) <= 1e-10 * task_lip
+    for d, ctx in points:
+        phi_lip, task_lip = _dense_lipschitz(d, ctx.compression)
+        assert abs(ctx.operators["phi"][2] - phi_lip) <= 1e-10 * phi_lip
+        assert abs(ctx.operators["task"][2] - task_lip) <= 1e-10 * task_lip
+
+
+def test_task_lipschitz_never_below_dense():
+    # the step cap SAFE_STEP / L_f must not pass 1 / ||M Phi||^2: the task
+    # constant is never below the dense largest eigenvalue. On the first of
+    # these paper-scale arrays, power iteration reads it more than SAFE_STEP's
+    # margin low
+    for seed in (9, 3, 5):
+        rng = np.random.default_rng(seed)
+        cfg = bm.make_random_array_config(rng, 8, 12, 1e6, 9e-6)
+        d = build_dictionary(cfg)
+        comp = build_compression_matrix(rng, cfg, 2, "gaussian")
+        _, task_lip = _dense_lipschitz(d, comp)
+        assert harness._task_lipschitz(d, comp) >= task_lip * (1 - 1e-12)
+        if seed == 9:
+            power = power_iteration_lipschitz(
+                lambda x: comp.apply_to_c(d.apply(x)),
+                lambda y: d.apply_adjoint(comp.apply_adjoint_to_c(y)), d.n_atoms)
+            assert power * SAFE_STEP < task_lip
 
 
 def test_sweep_point_beyond_old_dense_cap():

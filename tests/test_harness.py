@@ -57,23 +57,23 @@ def test_empty_method_list_rejected(small_cfg):
         _spec(small_cfg, methods=())
 
 
-def test_phi_operator_built_once_per_sweep(tmp_path, small_cfg, monkeypatch):
-    # Phi's operator and its Lipschitz constant depend only on the dictionary:
-    # a 2-point sweep runs one power iteration, and writes the same CSV bytes
-    # as a sweep that builds them at every point
+def _count_phi_builds(tmp_path, monkeypatch, cfg, counted_name):
+    """Calls of harness.<counted_name> in a 2-point sweep of cfg on the Phi
+    methods, then in a sweep that builds Phi's operator at every point; the
+    two sweeps must write the same CSV bytes."""
     calls = []
-    original = harness.power_iteration_lipschitz
+    original = getattr(harness, counted_name)
 
-    def counted(apply, adjoint, n):
-        calls.append(n)
-        return original(apply, adjoint, n)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(harness, "power_iteration_lipschitz", counted)
-    spec = _spec(small_cfg, methods=("task_ignorant", "noquan_dr"), trials=2,
+    monkeypatch.setattr(harness, counted_name, counted)
+    spec = _spec(cfg, methods=("task_ignorant", "noquan_dr"), trials=2,
                  snr_db=(0.0, 10.0))
     shared, per_point = tmp_path / "shared.csv", tmp_path / "per_point.csv"
     run_sweep(spec, out_csv=shared)
-    assert len(calls) == 1
+    per_sweep = len(calls)
 
     class PerPointPhi(harness._PointContext):
         def __init__(self, spec, dictionary, phi, point_index, axes):
@@ -82,8 +82,32 @@ def test_phi_operator_built_once_per_sweep(tmp_path, small_cfg, monkeypatch):
 
     monkeypatch.setattr(harness, "_PointContext", PerPointPhi)
     run_sweep(spec, out_csv=per_point)
-    assert len(calls) == 1 + 1 + 2  # the sweep's own build, then one per point
     assert shared.read_bytes() == per_point.read_bytes()
+    return per_sweep, len(calls)
+
+
+def test_phi_operator_built_once_per_sweep(tmp_path, small_cfg, monkeypatch):
+    # Phi's operator and its Lipschitz constant depend only on the dictionary:
+    # a 2-point sweep takes Phi's closed-form constant once, and writes the same
+    # CSV bytes as a sweep that builds them at every point; no power iteration
+    # runs on a generated layout
+    power = []
+    monkeypatch.setattr(harness, "power_iteration_lipschitz",
+                        lambda *args: power.append(args))
+    counts = _count_phi_builds(tmp_path, monkeypatch, small_cfg, "_phi_lipschitz")
+    assert counts == (1, 1 + 1 + 2)  # the sweep's own build, then one per point
+    assert power == []
+
+
+def test_phi_power_iteration_once_per_sweep_off_grid(tmp_path, monkeypatch):
+    # bands whose tones are off one common grid (offsets 1.5 and 1.8 tone
+    # spacings from 0) have no band Gram, so Phi's constant falls back to power
+    # iteration: once per sweep, and once more per point when built per point
+    cfg = bm.RadarConfig(M=2, N=3, bandwidth=1e6, pri=3e-6, rx_pos=[0.0, 0.5, 1.0],
+                         tx_pos=[0.0, 1.5], tone_offsets=[-5e5, 6e5])
+    assert bm.build_dictionary(cfg).band_gram is None
+    counts = _count_phi_builds(tmp_path, monkeypatch, cfg, "power_iteration_lipschitz")
+    assert counts == (1, 1 + 1 + 2)
 
 
 def test_dictionary_of_another_config_is_refused(small_cfg):

@@ -144,12 +144,14 @@ def test_fista_matches_reference_loop():
 
 
 def test_single_precision_solve_matches_double():
-    # the harness's complex64 solve against the complex128 one, on the task
-    # operator and on Phi at paper scale (M=8, N=12, L=9) for six arrays: every
-    # operator call stays in complex64 and the top-k support is that of the
-    # complex128 solve; on the first array (the paper-scale problem of
-    # test_fista_matches_reference_loop) also that of a long solve, with the
-    # objective (complex128 operator and rho) within 2e-6 of the long solve's.
+    # the harness's complex64 solve against the complex128 one, each at its
+    # power-iteration constant (the harness's fallback for layouts without a
+    # band Gram), on the task operator and on Phi at paper scale (M=8, N=12,
+    # L=9) for six arrays: every operator call stays in complex64 and the
+    # top-k support is that of the complex128 solve; on the first array (the
+    # paper-scale problem of test_fista_matches_reference_loop) also that of a
+    # long solve, with the objective (complex128 operator and rho) within 2e-6
+    # of the long solve's.
     # The iteration counts differ by rounding either way: in all no more than
     # the complex128 solves, on any one problem at most 5% more
     spec = RecoverySpec()
@@ -159,7 +161,7 @@ def test_single_precision_solve_matches_double():
             d, comp, s = _structured_problem(seed, 8, 12, 9e-6, 4, task=task)
             pair = _structured_pair(d, comp)
             apply32, adjoint32, lip32 = harness._solver_operator(
-                *_structured_pair(d, comp, single=True), s.size, d.n_atoms)
+                *_structured_pair(d, comp, single=True), s.size, d.n_atoms, None)
             dtypes = set()
 
             def recorded(fn):
