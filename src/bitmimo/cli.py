@@ -2,7 +2,7 @@
 
     bitmimo design   --config cfg.json --dcr 2 --budget-bits 1728 --k 4 --out prefix
     bitmimo simulate --config cfg.json --snr-db -10 --trials 50 --out point.csv
-    bitmimo sweep    --config cfg.json --snr-db=-30,-20,-10,0,10 --out sweep.csv
+    bitmimo sweep    --config cfg.json --snr-db -30,-20,-10,0,10 --out sweep.csv
 
 Every command reads the axis flags as comma-separated lists; `design` and
 `simulate` run one sweep point, so they take one value per axis flag. A run
@@ -49,6 +49,28 @@ AXIS_FLAGS = (("--budget-bits", _ints, "budget_bits"), ("--snr-db", _floats, "sn
 SPEC_FLAGS = tuple(field for _, _, field in AXIS_FLAGS) + ("methods", "trials",
                                                            "coeff_model")
 RECOVERY_FLAGS = ("rho_scale", "max_iter")
+
+
+def _join_negative_values(argv):
+    """argv with each numeric axis flag and a following value that starts with
+    a minus sign, such as `--snr-db -1e1` or `--snr-db -30,-20`, joined into
+    `--snr-db=-1e1`: argparse takes such a value for an option unless it is a
+    plain negative number. A value that does not parse as the flag's list
+    type (`--snr-db --trials`) is left for argparse to refuse."""
+    numeric = {flag: listed for flag, listed, _ in AXIS_FLAGS if listed is not _names}
+    out = []
+    for token in argv:
+        listed = numeric.get(out[-1]) if out else None
+        if listed is not None and token.startswith("-"):
+            try:
+                listed(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
 
 
 def _common_flags(p):
@@ -131,7 +153,7 @@ def cmd_design(args, spec):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         _check_output_dirs(args)
         if args.command != "sweep":

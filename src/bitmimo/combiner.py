@@ -20,8 +20,15 @@ gamma = eta/sqrt(P), and the digital filter is the MMSE-optimal
     D = blkdiag( M_i cov(c)_i B_i^H (B_i Sigma_i B_i^H + (4*gamma^2/(3*b^2)) I)^{-1} ) Fbar^H
 
 acting on the quantized samples, applied as an FFT over tones followed by
-the per-tone blocks D_i. The per-block excess MSE over the linear MMSE
-benchmark is
+the per-tone blocks D_i. With Gt_i = W_i diag(lam) V_i^H the reduced SVD,
+B_i Sigma_i B_i^H = U_i Lam_i^2 U_i^H and M_i cov(c)_i B_i^H = W_i diag(lam)
+Lam_i U_i^H, so each block has the closed form
+
+    D_i = W_ik diag( lam_l Lam_l / (Lam_l^2 + 4*gamma^2/(3*b^2)) ) U_ik^H
+
+over the first k = min(P, J_i, MN) columns of W_i and U_i, with no solve;
+only the first k singular vectors of either side enter the design. The
+per-block excess MSE over the linear MMSE benchmark is
 
     eps_i = sum_{l<=min(J_i,P)} lam_l^2 / ((zeta*lam_l - 1)^+ + 1)
             + sum_{l>P} lam_l^2                      (only when P < J_i).
@@ -228,15 +235,15 @@ def design_multitone(stats: SignalStatistics, compression: CompressionMatrix,
                      channels, levels, eta) -> AcquisitionDesign:
     """Blockwise optimal design for L >= 1 tones under white statistics.
 
-    One pass over the (L, ...) tone stacks: the SVDs of the whitened task
-    matrices, a waterfill per tone, one equalizer call on the stack of
-    diag(Lam_i^2), the combiners B_i = U_i Lam_i V_i^H Sigma_i^{-1/2} and one
-    solve for their MMSE filters D_i. The LMMSE comes from the same SVDs:
+    One pass over the (L, ...) tone stacks: the reduced SVDs of the whitened
+    task matrices, a waterfill per tone, one equalizer call on the stack of
+    diag(Lam_i^2), the combiners B_i = U_i Lam_i V_i^H Sigma_i^{-1/2} and
+    their MMSE filters D_i in closed form. The LMMSE comes from the same SVDs:
     Tr(T_i Sigma_i^{-1} T_i^H) is the squared norm of the singular values.
     """
     if compression.L != stats.L:
         raise ValueError("compression and statistics disagree on the tone count")
-    L, rows, mn = compression.blocks.shape
+    _, rows, mn = compression.blocks.shape
     gamma = eta / np.sqrt(channels)
     noise_load = 4.0 * gamma * gamma / (3.0 * levels * levels)
     # Sigma_i^{-1/2} = inv_sqrt * I by numpy's power, as the eigh-based general
@@ -244,31 +251,29 @@ def design_multitone(stats: SignalStatistics, compression: CompressionMatrix,
     # about 1 in 20 values
     inv_sqrt = np.power(stats.sigma, -0.5)
     T = compression.blocks * stats.signal_var
-    singvals, vh = np.linalg.svd(T * inv_sqrt, full_matrices=True)[1:]
+    left, singvals, vh = np.linalg.svd(T * inv_sqrt, full_matrices=False)
     gains_sq, water_levels = map(np.array, zip(*[
         waterfill(lam, channels, levels, eta, block_rows=rows) for lam in singvals]))
     # called through the module global so that a wrapper installed on it sees the call
     mixers = equalizing_unitary((gains_sq[:, :, None] * np.eye(channels)).astype(complex))
 
-    k = min(channels, mn)
-    gains = np.zeros((L, channels, mn))
-    gains[:, range(k), range(k)] = np.sqrt(gains_sq[:, :k])
-    B = mixers @ gains @ vh
+    # modes past k = min(P, J_i, MN) get no gain: B_i = U_ik Lam_ik V_ik^H Sigma_i^{-1/2}
+    k = min(channels, rows, mn)
+    gains = np.sqrt(gains_sq[:, :k])
+    B = (mixers[:, :, :k] * gains[:, None, :]) @ vh[:, :k]
     B *= inv_sqrt
-    del gains, vh  # let go once used: the (L, MN, MN) stacks set the design's peak RSS
-    inner = (B * stats.sigma) @ _hermitian(B)
-    inner += noise_load * np.eye(channels)
-    digital_h = np.linalg.solve(_hermitian(inner), _hermitian(T @ _hermitian(B)))
+    # B_i Sigma_i B_i^H = U_i Lam_i^2 U_i^H and T_i B_i^H = W_ik S_ik Lam_ik U_ik^H,
+    # so the MMSE filter is diagonal between the left vectors W_i and U_i
+    shrink = singvals[:, :k] * gains / (gains_sq[:, :k] + noise_load)
+    digital = (left[:, :, :k] * shrink[:, None, :]) @ _hermitian(mixers[:, :, :k])
 
     sq = singvals ** 2
-    active = min(rows, channels, singvals.shape[1])
-    head = (water_levels[:, None] * singvals[:, :active] - 1.0).clip(min=0.0)
-    block_emse = (np.sum(sq[:, :active] / (head + 1.0), axis=1)
-                  + np.sum(sq[:, active:], axis=1))
+    head = (water_levels[:, None] * singvals[:, :k] - 1.0).clip(min=0.0)
+    block_emse = np.sum(sq[:, :k] / (head + 1.0), axis=1) + np.sum(sq[:, k:], axis=1)
     lmmse = (np.trace(T @ _hermitian(compression.blocks), axis1=1, axis2=2).real
              - np.sum(sq, axis=1))
     return AcquisitionDesign(
-        combiner_blocks=B, digital_blocks=np.conjugate(digital_h.swapaxes(1, 2), order="C"),
+        combiner_blocks=B, digital_blocks=digital,
         gains_sq=gains_sq, water_levels=water_levels, singvals=singvals,
         mixers=mixers, block_emse=block_emse,
         support=float(gamma), levels=int(levels), eta=float(eta),
@@ -295,9 +300,8 @@ def _filter_table(design: AcquisitionDesign, config: RadarConfig):
 # exponent go into a 24-byte row from tables of byte strings viewed as
 # integers. Row bytes: 0-3 sign, d0, '.', d1 (NUL for a dropped character);
 # 4-7 unused; 8-15 d2..d9; 16-23 'e', the exponent's sign and its two or three
-# digits. _G10_COLS picks the 17 bytes that can spell a value.
+# digits. Bytes 0-3 and 8-20 are the 17 that can spell a value.
 _G10_WIDTH, _G10_ROW = 17, 24
-_G10_COLS = np.r_[0:4, 8:21]
 _POW10 = np.array([float(f"1e{k}") for k in range(-300, 301)])
 
 
@@ -358,7 +362,8 @@ def _format_g10(x, out):
     quads = row.view(np.uint64)
     quads[:, 1] &= _KEEP.take(np.minimum(zeros, 8))
     quads[:, 2] = _EXPONENT.take(e + 300)
-    out[fast] = row[:, _G10_COLS]
+    out[fast, :4] = row[:, :4]
+    out[fast, 4:] = row[:, 8:21]
     if rest.size:
         # '%.10g' text is at most 17 bytes wide, so left-justified fields line
         # up as rows; their space padding becomes NUL
@@ -381,7 +386,8 @@ def write_filter_response_csv(design, config, path):
     # "p," of every channel and "n,frequency_hz," of every row of a channel,
     # as NUL-padded byte rows
     channel = np.array([b"%d," % p for p in range(P)])
-    head = np.array([b"%d,%.10g," % (n, f) for n in range(N) for f in freqs.tolist()])
+    freq_texts = [b"%.10g," % f for f in freqs.tolist()]
+    head = np.array([b"%d," % n + f for n in range(N) for f in freq_texts])
     wp, wh = channel.itemsize, head.itemsize
     re_at = wp + wh
     im_at = re_at + _G10_WIDTH + 1

@@ -261,7 +261,15 @@ def estimate_support(a_hat, k):
     a_hat = np.asarray(a_hat)
     if k < 0 or k > a_hat.size:
         raise ValueError(f"k={k} out of range for a vector of {a_hat.size}")
-    return np.argsort(-np.abs(a_hat), kind="stable")[:k]
+    if k == 0:
+        return np.zeros(0, dtype=np.intp)
+    neg = -np.abs(a_hat)
+    # the cells at or above the k-th largest magnitude, in flat order, sorted
+    # stably: the first k of the full stable sort, ties included (a NaN k-th
+    # value keeps every cell)
+    kth = np.partition(neg, k - 1)[k - 1]
+    cells = np.flatnonzero(~(neg > kth))
+    return cells[np.argsort(neg[cells], kind="stable")[:k]]
 
 
 def hit_rate(true_cells, estimated_cells) -> float:

@@ -344,7 +344,7 @@ def reference_design_multitone(stats, compression, channels, levels, eta):
                                            stats.cov_noise):
         sigma_inv_sqrt = hermitian_inv_sqrt(cov_sig + cov_noise)
         T = m_block @ cov_sig
-        _, lam, vh = np.linalg.svd(T @ sigma_inv_sqrt, full_matrices=True)
+        left, lam, vh = np.linalg.svd(T @ sigma_inv_sqrt, full_matrices=False)
         alloc, zeta = reference_waterfill(lam, channels, levels, eta,
                                           block_rows=m_block.shape[0])
         lmmse += np.trace(T @ m_block.conj().T).real - np.sum(lam ** 2)
@@ -352,24 +352,24 @@ def reference_design_multitone(stats, compression, channels, levels, eta):
         head = (zeta * lam[:active] - 1.0).clip(min=0.0)
         block_emse.append(float(np.sum(lam[:active] ** 2 / (head + 1.0))
                                 + np.sum(lam[active:] ** 2)))
-        factors.append((T, sigma_inv_sqrt, vh))
+        factors.append((left, sigma_inv_sqrt, vh))
         singvals.append(lam)
         gains_sq.append(alloc)
         water_levels.append(zeta)
     mixers = equalizing_unitary(np.stack([np.diag(a) for a in gains_sq]).astype(complex))
 
+    # per tone, with k = min(P, J_i, MN) and Lam_k = diag(sqrt(alloc[:k])):
+    # B_i = U_ik Lam_k V_ik^H Sigma_i^{-1/2} gives B_i Sigma_i B_i^H = U_i Lam^2 U_i^H
+    # and T_i B_i^H = W_ik diag(lam_k) Lam_k U_ik^H, so the MMSE filter
+    # T_i B_i^H (B_i Sigma_i B_i^H + q I)^{-1} is W_ik diag(lam Lam / (Lam^2 + q)) U_ik^H
     combiners, digitals = [], []
     for i, (mixer, alloc) in enumerate(zip(mixers, gains_sq)):
-        T, sigma_inv_sqrt, vh = factors[i]
-        mn = sigma_inv_sqrt.shape[0]
-        Lmat = np.zeros((channels, mn))
-        k = min(channels, mn)
-        Lmat[:k, :k] = np.diag(np.sqrt(alloc[:k]))
-        B = mixer @ Lmat @ vh @ sigma_inv_sqrt
-        inner = B @ (stats.cov_signal[i] + stats.cov_noise[i]) @ B.conj().T
-        inner += noise_load * np.eye(channels)
-        digitals.append(np.linalg.solve(inner.conj().T, (T @ B.conj().T).conj().T).conj().T)
-        combiners.append(B)
+        left, sigma_inv_sqrt, vh = factors[i]
+        k = min(channels, len(singvals[i]))
+        gains = np.sqrt(alloc[:k])
+        combiners.append((mixer[:, :k] * gains) @ vh[:k] @ sigma_inv_sqrt)
+        shrink = singvals[i][:k] * gains / (alloc[:k] + noise_load)
+        digitals.append((left[:, :k] * shrink) @ mixer[:, :k].conj().T)
 
     return AcquisitionDesign(
         combiner_blocks=np.stack(combiners), digital_blocks=np.stack(digitals),

@@ -377,3 +377,40 @@ def test_sweep_point_design_is_design_point(tmp_path, random_cfg_file, monkeypat
     index, axes = list(spec.points())[5]
     ctx = harness._PointContext(spec, build_dictionary(spec.config), None, index, axes)
     _assert_same_design(ctx.design, harness.design_point(spec, index, axes)[3])
+
+
+@pytest.mark.parametrize("values, want", [
+    ("-1e1", (-10.0,)), ("-30,-20", (-30.0, -20.0)), ("-.5", (-0.5,)), ("-10", (-10.0,)),
+])
+def test_negative_axis_value_without_equals(tmp_path, cfg_file, monkeypatch, values, want):
+    # a value after an axis flag that starts with a minus sign is the flag's
+    # value, written with or without `=`
+    for argv in (["--snr-db", values], [f"--snr-db={values}"]):
+        spec = _parsed_spec(monkeypatch, [
+            "sweep", "--config", str(cfg_file), "--budget-bits", "36", *argv,
+            "--dcr", "2", "--k", "1", "--out", str(tmp_path / "s.csv")])
+        assert spec.snr_db == want
+
+
+def test_negative_axis_value_joined_only_for_numeric_values():
+    joined = cli._join_negative_values
+    assert joined(["sweep", "--snr-db", "-1e1", "--dcr", "2"]) \
+        == ["sweep", "--snr-db=-1e1", "--dcr", "2"]
+    assert joined(("--budget-bits", "-36,-72")) == ["--budget-bits=-36,-72"]
+    # not joined: another option, a value of another type, a non-axis flag,
+    # a name-list flag, a flag at the end
+    for argv in (["--snr-db", "--trials", "3"], ["--dcr", "-1.5"], ["--k", "-x"],
+                 ["--eta", "-2"], ["--matrix-kind", "-dft"], ["--snr-db"]):
+        assert joined(argv) == argv
+
+
+@pytest.mark.parametrize("command", ["design", "simulate", "sweep"])
+def test_axis_flag_followed_by_option_is_usage_error(tmp_path, cfg_file, capsys, command):
+    # `--snr-db --trials 3` gives --snr-db no value: exit code 2, nothing written
+    out = tmp_path / "out"
+    extra = [] if command == "design" else ["--trials", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg_file), "--snr-db", *extra, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--snr-db: expected one argument" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg_file]

@@ -277,6 +277,67 @@ def test_design_block_beats_random_search():
         assert designed <= rand * (1 + 1e-9)
 
 
+def _explicit_filter(design, stats, comp):
+    """The MMSE filter T_i B_i^H (B_i Sigma_i B_i^H + q I)^{-1} of every tone
+    of the design's combiner, by a solve per tone."""
+    stats = stacked_statistics(stats)
+    q = 4.0 * design.support ** 2 / (3.0 * design.levels ** 2)
+    out = []
+    for B, m_block, cov_sig, sigma in zip(design.combiner_blocks, comp.blocks,
+                                          stats.cov_signal, stats.sigma):
+        inner = B @ sigma @ B.conj().T + q * np.eye(design.channels)
+        TB = m_block @ cov_sig @ B.conj().T
+        out.append(np.linalg.solve(inner.conj().T, TB.conj().T).conj().T)
+    return np.stack(out)
+
+
+def _assert_closed_form_design(stats, comp, channels, levels, eta):
+    """The design's closed-form D_i equal the explicit filters within 1e-12
+    relative per tone, and the reduced SVD of the whitened task matrices gives
+    bitwise the singular values of the full SVD, on which the water levels and
+    every mixer rest."""
+    design = design_multitone(stats, comp, channels, levels, eta)
+    want = _explicit_filter(design, stats, comp)
+    err = np.linalg.norm(design.digital_blocks - want, axis=(1, 2))
+    assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=(1, 2))), err
+    whitened = (comp.blocks * stats.signal_var) * np.power(stats.sigma, -0.5)
+    full = np.linalg.svd(whitened, full_matrices=True)[1]
+    assert np.array_equal(np.linalg.svd(whitened, full_matrices=False)[1], full)
+    assert np.array_equal(design.singvals, full)
+    return design
+
+
+@pytest.mark.parametrize("layout", ["ula", "random"])
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli", "dft"])
+@pytest.mark.parametrize("dcr", [1, 2, 4])
+def test_closed_form_filter_matches_explicit_filter(layout, kind, dcr):
+    # M=8, N=12, L=9 at two SNRs, with P = J_i and P = J_i - 3 channels
+    if layout == "ula":
+        base = bm.make_ula_config(8, 12, 1e6, 9e-6)
+    else:
+        base = bm.make_random_array_config(np.random.default_rng(26), 8, 12, 1e6, 9e-6)
+    comp = build_compression_matrix(np.random.default_rng([dcr, len(kind)]), base, dcr, kind)
+    for snr_db in (-10.0, 20.0):
+        cfg = base.at_snr(snr_db)
+        stats = build_covariances(cfg, K=4)
+        for channels in (comp.block_rows, comp.block_rows - 3):
+            _assert_closed_form_design(stats, comp, channels, 16, cfg.eta)
+
+
+@pytest.mark.parametrize("rows, channels, mn", [(1, 3, 5), (2, 5, 5), (4, 2, 6), (7, 5, 3)])
+def test_closed_form_filter_on_small_blocks(rows, channels, mn):
+    # J_i < P leaves channels with no gain, and J_i > MN leaves task rows
+    # with no singular value: k = min(P, J_i, MN) modes enter the filter
+    rng = np.random.default_rng(rows * 100 + channels * 10 + mn)
+    m_block = rng.standard_normal((rows, mn)) + 1j * rng.standard_normal((rows, mn))
+    stats = bm.SignalStatistics(L=1, mn=mn, signal_var=2.0, noise_var=0.5)
+    design = _assert_closed_form_design(stats, CompressionMatrix(blocks=m_block[None]),
+                                        channels, 4, 2.0)
+    k = min(rows, channels, mn)
+    assert np.linalg.matrix_rank(design.digital_blocks[0], tol=1e-9) == k
+    assert np.count_nonzero(design.gains_sq[0]) <= k
+
+
 # -- full designs ---------------------------------------------------------------
 
 @pytest.fixture(scope="module")

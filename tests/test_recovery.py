@@ -397,6 +397,26 @@ def test_estimate_support_tie_break_lower_index():
     assert estimate_support(a, 1).tolist() == [5]  # index 5 wins the tie
 
 
+def test_estimate_support_matches_full_stable_sort():
+    # the partition-then-sort selection gives the first k cells of the full
+    # stable sort, in its order, on vectors with exact ties, zeros, complex
+    # values of equal magnitude and NaN, for every k
+    rng = np.random.default_rng(27)
+    for case in range(300):
+        n = int(rng.integers(1, 60))
+        a = rng.choice([0.0, 1.0, 2.0, -2.0, 3.5], size=n) \
+            + 1j * rng.choice([0.0, 2.0, -2.0], size=n)
+        if case % 3 == 1:
+            a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            a[rng.integers(0, n, size=n // 2)] = 0.0
+        elif case % 3 == 2:
+            a[rng.integers(0, n, size=1 + n // 10)] = complex(np.nan, 0.0)
+        want = np.argsort(-np.abs(a), kind="stable")
+        for k in range(n + 1):
+            got = estimate_support(a, k)
+            assert got.dtype == want.dtype and np.array_equal(got, want[:k]), (case, k)
+
+
 def test_estimate_support_scale_invariance():
     rng = np.random.default_rng(5)
     a = rng.standard_normal(24) + 1j * rng.standard_normal(24)
