@@ -94,18 +94,21 @@ def _sim_flags(p):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="bitmimo",
+    # allow_abbrev=False: a flag must be spelled in full, so `--snr -1e1` is
+    # refused as unknown rather than read as `--snr-db` with no value
+    parser = argparse.ArgumentParser(prog="bitmimo", allow_abbrev=False,
                                      description="bit-limited MIMO radar receiver simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("design", help="emit an acquisition-design bundle")
+    p = sub.add_parser("design", help="emit an acquisition-design bundle",
+                       allow_abbrev=False)
     _common_flags(p)
     p.add_argument("--out", required=True, help="bundle path prefix (.npz/.json)")
     p.add_argument("--filters-csv", help="also export analog filter responses to this CSV")
 
     for command, help_text in (("simulate", "run one sweep point"),
                                ("sweep", "run a full experiment sweep")):
-        p = sub.add_parser(command, help=help_text)
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         _common_flags(p)
         _sim_flags(p)
     return parser

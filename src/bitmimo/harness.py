@@ -108,7 +108,7 @@ class ExperimentSpec:
     recovery: RecoverySpec = field(default_factory=RecoverySpec)
 
     def __post_init__(self):
-        if not isinstance(self.trials, (int, np.integer)):
+        if isinstance(self.trials, bool) or not isinstance(self.trials, (int, np.integer)):
             raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise ValueError("need at least one trial per sweep point")
@@ -116,7 +116,8 @@ class ExperimentSpec:
             if not getattr(self, axis):
                 raise ValueError(f"sweep axis {axis} must be nonempty")
         for axis in ("budget_bits", "dcr", "k"):
-            bad = [v for v in getattr(self, axis) if not isinstance(v, (int, np.integer))]
+            bad = [v for v in getattr(self, axis)
+                   if isinstance(v, bool) or not isinstance(v, (int, np.integer))]
             if bad:
                 raise ValueError(f"sweep axis {axis} takes integers, got {bad}")
         if not self.methods:
@@ -204,59 +205,39 @@ def _single(array):
     return array.astype(np.complex64)
 
 
-def _solver_operator(apply, adjoint, rows, cols, lipschitz):
-    """(apply, adjoint, lipschitz) FISTA runs on, from a pair built on complex64
-    factors: the structured pair, or, up to DENSE_OPERATOR_MAX_ENTRIES, its
-    complex64 matrix formed row by row from the adjoint. lipschitz is ||A||^2,
-    or None for power iteration, which starts from a complex64 probe and so
-    runs in single precision too."""
-    if rows * cols <= DENSE_OPERATOR_MAX_ENTRIES:
+def _solver_operator(dictionary, compression=None):
+    """(apply, adjoint, lipschitz) FISTA runs on: Phi, or M*Phi for the given
+    compression M, on complex64 copies of U, V and M's blocks, so complex64
+    inputs stay in single precision. Up to DENSE_OPERATOR_MAX_ENTRIES entries
+    the pair is its complex64 matrix, formed row by row from the adjoint.
+    lipschitz is ||A||^2 = ML * max lambda_max over the dictionary's band
+    Grams G_m (Phi) or over M_i G M_i^H with G = blkdiag_m(G_m) (M*Phi); with
+    no band Grams, power iteration from a complex64 probe."""
+    cfg = dictionary.config
+    d = replace(dictionary, U=_single(dictionary.U), V=_single(dictionary.V))
+    apply, adjoint, rows = d.apply, d.apply_adjoint, d.n_rows
+    if compression is not None:
+        comp = replace(compression, blocks=_single(compression.blocks))
+        apply = lambda x: comp.apply_to_c(d.apply(x))
+        adjoint = lambda y: d.apply_adjoint(comp.apply_adjoint_to_c(y))
+        rows = comp.rows
+    gram = dictionary.band_gram
+    if gram is not None and compression is not None:
+        # M_i G formed band by band, as (M, L*J_i, N) @ (M, N, N)
+        blocks = compression.blocks
+        L, ji, mn = blocks.shape
+        mg = blocks.reshape(L * ji, cfg.M, cfg.N).swapaxes(0, 1) @ gram
+        mg = mg.swapaxes(0, 1).reshape(L, ji, mn)
+        gram = mg @ blocks.conj().transpose(0, 2, 1)
+    lipschitz = (None if gram is None
+                 else cfg.ml * float(np.linalg.eigvalsh(gram)[:, -1].max()))
+    if rows * d.n_atoms <= DENSE_OPERATOR_MAX_ENTRIES:
         apply, adjoint = _operator_pair(
             np.array([adjoint(e) for e in np.eye(rows, dtype=np.complex64)]).conj())
     if lipschitz is None:
-        lipschitz = power_iteration_lipschitz(lambda x: apply(_single(x)), adjoint, cols)
+        lipschitz = power_iteration_lipschitz(lambda x: apply(_single(x)), adjoint,
+                                              d.n_atoms)
     return apply, adjoint, lipschitz
-
-
-def _single_dictionary(dictionary):
-    """The dictionary on complex64 copies of U and V: its apply and adjoint
-    keep complex64 inputs in single precision."""
-    return replace(dictionary, U=_single(dictionary.U), V=_single(dictionary.V))
-
-
-def _largest_eigenvalue(blocks):
-    """The largest eigenvalue over a stack of Hermitian blocks."""
-    return float(np.linalg.eigvalsh(blocks)[:, -1].max())
-
-
-def _phi_lipschitz(dictionary):
-    """||Phi||^2 = ML * max_m lambda_max(U_m U_m^H), from the dictionary's band
-    Grams; None when it has none."""
-    gram = dictionary.band_gram
-    return None if gram is None else dictionary.config.ml * _largest_eigenvalue(gram)
-
-
-def _task_lipschitz(dictionary, compression):
-    """||M Phi||^2 = ML * max_i lambda_max(M_i G M_i^H) with
-    G = blkdiag_m(U_m U_m^H), from the dictionary's band Grams; None when it
-    has none. M_i G is formed band by band, as (M, L*J_i, N) @ (M, N, N)."""
-    gram = dictionary.band_gram
-    if gram is None:
-        return None
-    cfg = dictionary.config
-    blocks = compression.blocks
-    L, ji, mn = blocks.shape
-    mg = blocks.reshape(L * ji, cfg.M, cfg.N).swapaxes(0, 1) @ gram     # (M, L*J_i, N)
-    mg = mg.swapaxes(0, 1).reshape(L, ji, mn)
-    return cfg.ml * _largest_eigenvalue(mg @ blocks.conj().transpose(0, 2, 1))
-
-
-def _phi_operator(dictionary):
-    """Phi's solver operator; it depends only on the dictionary, so a sweep
-    builds it once."""
-    d = _single_dictionary(dictionary)
-    return _solver_operator(d.apply, d.apply_adjoint, d.n_rows, d.n_atoms,
-                            _phi_lipschitz(dictionary))
 
 
 def _score(ctx, operator_id, draw, y, s_hat, saturation) -> TrialMetrics:
@@ -395,13 +376,7 @@ class _PointContext:
 
         self.operators = {} if phi is None else {"phi": phi}
         if any(OPERATOR_OF[m] == "task" for m in spec.methods):
-            # the task operator M*Phi, on complex64 copies of the factors
-            d = _single_dictionary(dictionary)
-            comp = replace(self.compression, blocks=_single(self.compression.blocks))
-            self.operators["task"] = _solver_operator(
-                lambda x: comp.apply_to_c(d.apply(x)),
-                lambda y: d.apply_adjoint(comp.apply_adjoint_to_c(y)),
-                comp.rows, d.n_atoms, _task_lipschitz(dictionary, self.compression))
+            self.operators["task"] = _solver_operator(dictionary, self.compression)
 
 
 def run_sweep(spec: ExperimentSpec, out_csv=None, dictionary=None) -> ExperimentResult:
@@ -418,7 +393,7 @@ def run_sweep(spec: ExperimentSpec, out_csv=None, dictionary=None) -> Experiment
         raise ValueError("the dictionary was built for another config than the spec's: "
                          f"{', '.join(differ)} differ")
     methods = [m for m in METHODS if m in spec.methods]
-    phi = (_phi_operator(dictionary)
+    phi = (_solver_operator(dictionary)
            if any(OPERATOR_OF[m] == "phi" for m in methods) else None)
     points = []
     for p_idx, axes in spec.points():

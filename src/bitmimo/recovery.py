@@ -79,7 +79,7 @@ class RecoverySpec:
             value = getattr(self, name)
             if value is not None and not 0 <= value < np.inf:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-        if not isinstance(self.max_iter, (int, np.integer)):
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")

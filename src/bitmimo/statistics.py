@@ -35,7 +35,6 @@ class SignalStatistics:
     cov(w)_i = noise_var * I, each MN x MN."""
 
     L: int
-    mn: int
     signal_var: float  # K * sigma_alpha_sq
     noise_var: float   # sigma_n_sq
 
@@ -48,8 +47,7 @@ class SignalStatistics:
 def build_covariances(config: RadarConfig, K: int) -> SignalStatistics:
     """cov(c) = K*sigma_alpha_sq*I and cov(w) = sigma_n_sq*I per tone; Sigma
     must be nonsingular."""
-    stats = SignalStatistics(L=config.L, mn=config.mn,
-                             signal_var=K * config.sigma_alpha_sq,
+    stats = SignalStatistics(L=config.L, signal_var=K * config.sigma_alpha_sq,
                              noise_var=config.sigma_n_sq)
     if not stats.sigma > 0:
         raise ValueError("Sigma is singular; need cov(c)+cov(w) > 0")

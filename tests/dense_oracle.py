@@ -106,9 +106,11 @@ class StackedStatistics:
         return self.cov_signal + self.cov_noise
 
 
-def stacked_statistics(stats):
-    """The cov(c) = c*I and cov(w) = w*I stacks of white SignalStatistics."""
-    eye = np.broadcast_to(np.eye(stats.mn, dtype=complex), (stats.L, stats.mn, stats.mn))
+def stacked_statistics(stats, compression):
+    """The cov(c) = c*I and cov(w) = w*I stacks of white SignalStatistics, on
+    the MN-wide tone blocks the compression acts on."""
+    mn = compression.blocks.shape[2]
+    eye = np.broadcast_to(np.eye(mn, dtype=complex), (stats.L, mn, mn))
     return StackedStatistics(cov_signal=stats.signal_var * eye,
                              cov_noise=stats.noise_var * eye)
 

@@ -88,7 +88,7 @@ def test_acceptance_3_design_invariants():
     comp = bm.build_compression_matrix(np.random.default_rng(3), cfg, 2, "gaussian")
     channels = comp.block_rows
     design = design_multitone(stats, comp, channels, 4, cfg.eta)
-    dense = stacked_statistics(stats)
+    dense = stacked_statistics(stats, comp)
 
     assert design.support == cfg.eta / np.sqrt(channels)  # exact
     for i, B in enumerate(design.combiner_blocks):

@@ -414,3 +414,25 @@ def test_axis_flag_followed_by_option_is_usage_error(tmp_path, cfg_file, capsys,
     assert exc.value.code == 2
     assert "--snr-db: expected one argument" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfg_file]
+
+
+@pytest.mark.parametrize("command", ["design", "simulate", "sweep"])
+@pytest.mark.parametrize("argv", [["--snr", "-1e1"], ["--budget", "36"]])
+def test_abbreviated_flag_is_usage_error(tmp_path, cfg_file, capsys, command, argv):
+    # flags are spelled in full: a prefix of --snr-db or --budget-bits is an
+    # unrecognized argument, exit code 2, nothing written
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg_file), *argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg_file]
+
+
+def test_full_flag_with_negative_value_runs(tmp_path, cfg_file):
+    out = tmp_path / "point.csv"
+    assert main(["simulate", "--config", str(cfg_file), "--trials", "1",
+                 "--budget-bits", "36", "--snr-db", "-1e1", "--dcr", "2", "--k", "1",
+                 "--methods", "noquan_dr", "--max-iter", "20", "--out", str(out)]) == 0
+    header, row = out.read_text().strip().split("\n")
+    assert dict(zip(header.split(","), row.split(",")))["snr_db"] == "-10"

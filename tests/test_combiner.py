@@ -230,10 +230,9 @@ def test_equalizer_stack_matches_reference_loop_at_paper_scale(dcr):
 def _one_tone_design(m_block, signal_var, noise_var, channels, levels, eta):
     """(stacked statistics, compression, design): design_multitone at L = 1 on
     one tone's task matrix with cov(c) = signal_var*I, cov(w) = noise_var*I."""
-    stats = bm.SignalStatistics(L=1, mn=m_block.shape[1], signal_var=signal_var,
-                                noise_var=noise_var)
+    stats = bm.SignalStatistics(L=1, signal_var=signal_var, noise_var=noise_var)
     comp = CompressionMatrix(blocks=m_block[None])
-    return (stacked_statistics(stats), comp,
+    return (stacked_statistics(stats, comp), comp,
             design_multitone(stats, comp, channels, levels, eta))
 
 
@@ -280,7 +279,7 @@ def test_design_block_beats_random_search():
 def _explicit_filter(design, stats, comp):
     """The MMSE filter T_i B_i^H (B_i Sigma_i B_i^H + q I)^{-1} of every tone
     of the design's combiner, by a solve per tone."""
-    stats = stacked_statistics(stats)
+    stats = stacked_statistics(stats, comp)
     q = 4.0 * design.support ** 2 / (3.0 * design.levels ** 2)
     out = []
     for B, m_block, cov_sig, sigma in zip(design.combiner_blocks, comp.blocks,
@@ -330,7 +329,7 @@ def test_closed_form_filter_on_small_blocks(rows, channels, mn):
     # with no singular value: k = min(P, J_i, MN) modes enter the filter
     rng = np.random.default_rng(rows * 100 + channels * 10 + mn)
     m_block = rng.standard_normal((rows, mn)) + 1j * rng.standard_normal((rows, mn))
-    stats = bm.SignalStatistics(L=1, mn=mn, signal_var=2.0, noise_var=0.5)
+    stats = bm.SignalStatistics(L=1, signal_var=2.0, noise_var=0.5)
     design = _assert_closed_form_design(stats, CompressionMatrix(blocks=m_block[None]),
                                         channels, 4, 2.0)
     k = min(rows, channels, mn)
@@ -353,7 +352,7 @@ def small_design():
 
 def test_design_invariants(small_design):
     cfg, _, stats, comp, design = small_design
-    stats = stacked_statistics(stats)
+    stats = stacked_statistics(stats, comp)
     assert design.support == pytest.approx(cfg.eta / np.sqrt(design.channels), abs=1e-12)
     for i, B in enumerate(design.combiner_blocks):
         assert design.gains_sq[i].sum() == pytest.approx(1.0, abs=1e-10)
@@ -365,7 +364,7 @@ def test_design_invariants(small_design):
 
 def test_design_self_consistency(small_design):
     _, _, stats, comp, design = small_design
-    stats = stacked_statistics(stats)
+    stats = stacked_statistics(stats, comp)
     val = reference_emse_of_combiner(design.combiner_blocks, stats, comp,
                                      design.support, design.levels)
     assert val == pytest.approx(design.emse, rel=1e-9)
@@ -377,7 +376,7 @@ def test_design_self_consistency(small_design):
 
 def test_zero_combiner_loses_all_estimation_value(small_design):
     _, _, stats, comp, design = small_design
-    stats = stacked_statistics(stats)
+    stats = stacked_statistics(stats, comp)
     zero = np.zeros_like(design.combiner_blocks)
     val = reference_emse_of_combiner(zero, stats, comp, design.support, design.levels)
     expected = 0.0
@@ -396,7 +395,7 @@ def test_monotone_reduction():
     comp = build_compression_matrix(np.random.default_rng(6), cfg, 2, "gaussian")
     multi = design_multitone(stats, comp, 2, 4, cfg.eta)
     assert multi.emse == multi.block_emse[0]
-    stats = stacked_statistics(stats)
+    stats = stacked_statistics(stats, comp)
     B, q = multi.combiner_blocks[0], 4 * multi.support ** 2 / (3 * 4 ** 2)
     inner = B @ stats.sigma[0] @ B.conj().T + q * np.eye(2)
     T = comp.blocks[0] @ stats.cov_signal[0]
@@ -508,7 +507,7 @@ def test_support_consistency_monte_carlo(small_design):
 
 def test_digital_filter_is_stationary_point(small_design):
     _, _, stats, comp, design = small_design
-    stats = stacked_statistics(stats)
+    stats = stacked_statistics(stats, comp)
     digital = dense_digital(design)
     base = digital_filter_mse(digital, design.combiner_blocks, stats,
                               comp, design.support, design.levels)
@@ -768,12 +767,12 @@ def test_design_lmmse_matches_lmmse_error(kind):
         comp = build_compression_matrix(np.random.default_rng(23), cfg, 2, kind)
         design = design_multitone(stats, comp, comp.block_rows, 4, cfg.eta)
         assert design.lmmse == pytest.approx(
-            reference_lmmse_error(comp, stacked_statistics(stats)), rel=1e-10)
+            reference_lmmse_error(comp, stacked_statistics(stats, comp)), rel=1e-10)
 
 
 def _assert_design_matches_reference(stats, comp, channels, levels, eta):
     design = design_multitone(stats, comp, channels, levels, eta)
-    ref = reference_design_multitone(stacked_statistics(stats), comp, channels, levels, eta)
+    ref = reference_design_multitone(stacked_statistics(stats, comp), comp, channels, levels, eta)
     # C order too: a transposed layout would take other BLAS paths downstream
     for name in BUNDLE_ARRAYS:
         got = getattr(design, name)
@@ -798,7 +797,8 @@ def test_stacked_design_matches_per_tone_loop(covariances, kind, dcr, budget):
         cfg = base.at_snr(snr_db)
         stats = build_covariances(cfg, K=4)
         gamma = lmmse_transform(comp, stats)
-        assert np.array_equal(gamma, reference_lmmse_transform(comp, stacked_statistics(stats)))
+        assert np.array_equal(gamma, reference_lmmse_transform(
+            comp, stacked_statistics(stats, comp)))
         assert gamma.flags.c_contiguous
         for channels in (comp.block_rows, comp.block_rows - 3):
             levels = bm.levels_from_budget(budget, channels, cfg.L)
@@ -821,7 +821,7 @@ def test_stacked_design_matches_per_tone_loop_over_many_draws():
         design = _assert_design_matches_reference(stats, comp, comp.block_rows, 8,
                                                   cfg.eta)
         assert np.array_equal(lmmse_transform(comp, stats),
-                              reference_lmmse_transform(comp, stacked_statistics(stats)))
+                              reference_lmmse_transform(comp, stacked_statistics(stats, comp)))
         # emse is the plain left-to-right float sum, on any Python version (the
         # builtin sum compensates its rounding from Python 3.12 on)
         total = 0.0

@@ -115,7 +115,7 @@ def points():
         spec = harness.ExperimentSpec(config=cfg, budget_bits=(2 * cfg.mnl,),
                                       methods=bm.METHODS, trials=1)
         (p_idx, axes), = spec.points()
-        out.append((d, harness._PointContext(spec, d, harness._phi_operator(d),
+        out.append((d, harness._PointContext(spec, d, harness._solver_operator(d),
                                              p_idx, axes)))
     below, above = (d.n_rows * d.n_atoms for d, _ in out)
     assert below <= harness.DENSE_OPERATOR_MAX_ENTRIES < above
@@ -229,8 +229,8 @@ def test_lipschitz_closed_form_matches_dense(points):
               for kind in COMPRESSION_KINDS for dcr in (1, 3)]
     for d, comp in cases:
         phi_lip, task_lip = _dense_lipschitz(d, comp)
-        assert abs(harness._phi_lipschitz(d) - phi_lip) <= 1e-10 * phi_lip
-        assert abs(harness._task_lipschitz(d, comp) - task_lip) <= 1e-10 * task_lip
+        assert abs(harness._solver_operator(d)[2] - phi_lip) <= 1e-10 * phi_lip
+        assert abs(harness._solver_operator(d, comp)[2] - task_lip) <= 1e-10 * task_lip
     for d, ctx in points:
         phi_lip, task_lip = _dense_lipschitz(d, ctx.compression)
         assert abs(ctx.operators["phi"][2] - phi_lip) <= 1e-10 * phi_lip
@@ -248,7 +248,7 @@ def test_task_lipschitz_never_below_dense():
         d = build_dictionary(cfg)
         comp = build_compression_matrix(rng, cfg, 2, "gaussian")
         _, task_lip = _dense_lipschitz(d, comp)
-        assert harness._task_lipschitz(d, comp) >= task_lip * (1 - 1e-12)
+        assert harness._solver_operator(d, comp)[2] >= task_lip * (1 - 1e-12)
         if seed == 9:
             power = power_iteration_lipschitz(
                 lambda x: comp.apply_to_c(d.apply(x)),

@@ -39,12 +39,13 @@ def test_spec_validation(small_cfg):
 
 
 def test_spec_rejects_non_integer_counts(small_cfg):
-    # k=1.5 would pass the range check and run as k=1; each field is named
+    # k=1.5 or True would pass the range check and run as k=1; each field is named
     for field, bad in (("k", (1.5,)), ("k", (2, 2.0)), ("dcr", (2.5,)),
-                       ("budget_bits", (1728.0,)), ("budget_bits", ("1728",))):
+                       ("budget_bits", (1728.0,)), ("budget_bits", ("1728",)),
+                       ("k", (True,)), ("dcr", (True,)), ("budget_bits", (True,))):
         with pytest.raises(ValueError, match=f"sweep axis {field} takes integers"):
             _spec(small_cfg, **{field: bad})
-    for bad in (2.5, 3.0, "3"):
+    for bad in (2.5, 3.0, "3", True):
         with pytest.raises(ValueError, match="trials must be an integer"):
             _spec(small_cfg, trials=bad)
     spec = _spec(small_cfg, k=(np.int64(2),), dcr=(np.int32(2),), trials=np.int64(1))
@@ -57,15 +58,16 @@ def test_empty_method_list_rejected(small_cfg):
         _spec(small_cfg, methods=())
 
 
-def _count_phi_builds(tmp_path, monkeypatch, cfg, counted_name):
-    """Calls of harness.<counted_name> in a 2-point sweep of cfg on the Phi
-    methods, then in a sweep that builds Phi's operator at every point; the
-    two sweeps must write the same CSV bytes."""
+def _count_phi_builds(tmp_path, monkeypatch, cfg, counted_name, counts=lambda *args: True):
+    """Calls of harness.<counted_name> whose arguments pass counts, in a
+    2-point sweep of cfg on the Phi methods, then in a sweep that builds Phi's
+    operator at every point; the two sweeps must write the same CSV bytes."""
     calls = []
     original = getattr(harness, counted_name)
 
     def counted(*args):
-        calls.append(args)
+        if counts(*args):
+            calls.append(args)
         return original(*args)
 
     monkeypatch.setattr(harness, counted_name, counted)
@@ -77,7 +79,7 @@ def _count_phi_builds(tmp_path, monkeypatch, cfg, counted_name):
 
     class PerPointPhi(harness._PointContext):
         def __init__(self, spec, dictionary, phi, point_index, axes):
-            super().__init__(spec, dictionary, harness._phi_operator(dictionary),
+            super().__init__(spec, dictionary, harness._solver_operator(dictionary),
                              point_index, axes)
 
     monkeypatch.setattr(harness, "_PointContext", PerPointPhi)
@@ -88,13 +90,14 @@ def _count_phi_builds(tmp_path, monkeypatch, cfg, counted_name):
 
 def test_phi_operator_built_once_per_sweep(tmp_path, small_cfg, monkeypatch):
     # Phi's operator and its Lipschitz constant depend only on the dictionary:
-    # a 2-point sweep takes Phi's closed-form constant once, and writes the same
-    # CSV bytes as a sweep that builds them at every point; no power iteration
-    # runs on a generated layout
+    # a 2-point sweep builds Phi's operator, closed-form constant included, once,
+    # and writes the same CSV bytes as a sweep that builds it at every point; no
+    # power iteration runs on a generated layout
     power = []
     monkeypatch.setattr(harness, "power_iteration_lipschitz",
                         lambda *args: power.append(args))
-    counts = _count_phi_builds(tmp_path, monkeypatch, small_cfg, "_phi_lipschitz")
+    counts = _count_phi_builds(tmp_path, monkeypatch, small_cfg, "_solver_operator",
+                               lambda dictionary, compression=None: compression is None)
     assert counts == (1, 1 + 1 + 2)  # the sweep's own build, then one per point
     assert power == []
 
@@ -181,7 +184,7 @@ def test_lmmse_path_matches_theory(small_cfg):
         acc += (run_noquan_lmmse_trial(ctx, draw, rng).mse_s
                 * np.vdot(draw.s_true, draw.s_true).real)
     assert acc / n == pytest.approx(
-        reference_lmmse_error(comp, stacked_statistics(stats)), rel=0.03)
+        reference_lmmse_error(comp, stacked_statistics(stats, comp)), rel=0.03)
 
 
 def test_noquan_lmmse_product_matches_einsum(small_cfg, monkeypatch):

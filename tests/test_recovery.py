@@ -63,12 +63,9 @@ def test_fista_objective_nonincreasing():
     assert np.all(np.diff(hist) <= 1e-10 * np.abs(hist[:-1]) + 1e-10)
 
 
-def _structured_pair(d, comp, single=False):
+def _structured_pair(d, comp):
     """Phi's apply/adjoint pair (comp None) or M*Phi's, composed the way the
-    harness composes it; with single, on the complex64 factors it solves on."""
-    if single:
-        d = harness._single_dictionary(d)
-        comp = comp and replace(comp, blocks=comp.blocks.astype(np.complex64))
+    harness composes it."""
     if comp is None:
         return d.apply, d.apply_adjoint
     return (lambda x: comp.apply_to_c(d.apply(x)),
@@ -160,8 +157,9 @@ def test_single_precision_solve_matches_double():
         for task in (True, False):
             d, comp, s = _structured_problem(seed, 8, 12, 9e-6, 4, task=task)
             pair = _structured_pair(d, comp)
-            apply32, adjoint32, lip32 = harness._solver_operator(
-                *_structured_pair(d, comp, single=True), s.size, d.n_atoms, None)
+            apply32, adjoint32, _ = harness._solver_operator(d, comp)
+            lip32 = power_iteration_lipschitz(
+                lambda x: apply32(x.astype(np.complex64)), adjoint32, d.n_atoms)
             dtypes = set()
 
             def recorded(fn):
@@ -351,7 +349,7 @@ def test_recovery_spec_rejects_bad_stop_controls():
     for bad in (np.nan, np.inf, 0.0, -1e-5):
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             RecoverySpec(tol=bad)
-    for bad in (2.5, 300.0, "300", None):
+    for bad in (2.5, 300.0, "300", None, True):
         with pytest.raises(ValueError, match="max_iter must be an integer"):
             RecoverySpec(max_iter=bad)
     for bad in (0, -3):

@@ -10,7 +10,7 @@ from dense_oracle import blkdiag, dense_phi, reference_lmmse_error, stacked_stat
 
 def lmmse_error(comp, stats):
     """The per-tone loop's LMMSE on the c*I and w*I stacks of stats."""
-    return reference_lmmse_error(comp, stacked_statistics(stats))
+    return reference_lmmse_error(comp, stacked_statistics(stats, comp))
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +22,7 @@ def setup():
 def test_default_covariances(setup):
     cfg, _ = setup
     stats = build_covariances(cfg, K=4)
-    assert (stats.L, stats.mn) == (cfg.L, cfg.mn)
+    assert stats.L == cfg.L
     assert (stats.signal_var, stats.noise_var, stats.sigma) == (4.0, 0.5, 4.5)
 
 
@@ -158,7 +158,7 @@ def test_blockwise_equals_full_matrices(setup):
     rng = np.random.default_rng(3)
     comp = build_compression_matrix(rng, cfg, 2, "bernoulli")
     m_full = blkdiag(comp.blocks)
-    dense = stacked_statistics(stats)
+    dense = stacked_statistics(stats, comp)
     rc, sig = blkdiag(dense.cov_signal), blkdiag(dense.sigma)
     full = np.trace(m_full @ rc @ m_full.conj().T
                     - m_full @ rc @ np.linalg.solve(sig, rc) @ m_full.conj().T).real
