@@ -115,16 +115,26 @@ def build_parser():
 
 
 def _load_config(args):
+    if args.seed < 0:  # checked before it seeds the layout rng
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0xC0F1]))
-    config = load_config(args.config, rng=rng)
+    try:
+        config = load_config(args.config, rng=rng)
+    except OSError as exc:
+        raise ValueError(f"cannot read --config {args.config}: {exc.strerror}") from None
     return config if args.eta is None else replace(config, eta=args.eta)
 
 
-def _check_output_dirs(args):
-    """Refuse outputs whose directory is missing before any work is done."""
-    for path in (args.out, getattr(args, "filters_csv", None)):
-        if path and not Path(path).parent.is_dir():
+def _check_outputs(args):
+    """Refuse, before any work is done, an output file whose directory is
+    missing or whose path is a directory."""
+    suffixes = (".npz", ".json") if args.command == "design" else ("", ".meta.json")
+    paths = [args.out + suffix for suffix in suffixes] + [getattr(args, "filters_csv", None)]
+    for path in filter(None, paths):
+        if not Path(path).parent.is_dir():
             raise ValueError(f"output directory {Path(path).parent} does not exist")
+        if Path(path).is_dir():
+            raise ValueError(f"output {path} is a directory")
 
 
 def _check_one_point(args):
@@ -158,7 +168,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        _check_output_dirs(args)
+        _check_outputs(args)
         if args.command != "sweep":
             _check_one_point(args)
         config = _load_config(args)

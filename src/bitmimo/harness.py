@@ -1,9 +1,10 @@
 """Monte Carlo experiment engine: trials, sweeps, CSV output.
 
 A sweep point is one combination of (budget_bits, snr_db, dcr, k, matrix_kind).
-Phi's solver operator is built once per sweep; per point the compression
-matrix, acquisition design and task operator M*Phi are built once. All are
-shared read-only by the trials. Every trial runs in three steps:
+Phi's solver operator is built once per sweep; the compression matrix,
+acquisition design, LMMSE transform Gamma and task operator M*Phi once per
+point, whichever methods run. All are shared read-only by the trials. Every
+trial runs in three steps:
 
     draw       scene and noise, with the grid, channel and task vectors they
                give; once per trial, shared by every method
@@ -78,11 +79,6 @@ DENSE_OPERATOR_MAX_ENTRIES = 1 << 16
 
 METHODS = ("bilimo", "task_ignorant", "noquan_dr", "noquan_lmmse")
 
-# The solver operator each method recovers on: M*Phi ("task") for the methods
-# that estimate the task vector, Phi ("phi") for those that keep the channels.
-OPERATOR_OF = {"bilimo": "task", "task_ignorant": "phi", "noquan_dr": "phi",
-               "noquan_lmmse": "task"}
-
 CSV_COLUMNS = ("method", "budget_bits", "snr_db", "dcr", "k", "matrix_kind",
                "mse_s_mean", "mse_s_se", "mse_a_mean", "mse_a_se",
                "hit_rate_mean", "hit_rate_se", "eps_lmmse", "eps_emse",
@@ -108,18 +104,25 @@ class ExperimentSpec:
     recovery: RecoverySpec = field(default_factory=RecoverySpec)
 
     def __post_init__(self):
-        if isinstance(self.trials, bool) or not isinstance(self.trials, (int, np.integer)):
-            raise ValueError(f"trials must be an integer, got {self.trials!r}")
+        for name in ("trials", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError("need at least one trial per sweep point")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
         for axis in ("budget_bits", "snr_db", "dcr", "k", "matrix_kinds"):
             if not getattr(self, axis):
                 raise ValueError(f"sweep axis {axis} must be nonempty")
-        for axis in ("budget_bits", "dcr", "k"):
+        integers, numbers = (int, np.integer), (int, np.integer, float, np.floating)
+        for axis, types, noun in (("budget_bits", integers, "integers"),
+                                  ("snr_db", numbers, "numbers"),
+                                  ("dcr", integers, "integers"), ("k", integers, "integers")):
             bad = [v for v in getattr(self, axis)
-                   if isinstance(v, bool) or not isinstance(v, (int, np.integer))]
+                   if isinstance(v, bool) or not isinstance(v, types)]
             if bad:
-                raise ValueError(f"sweep axis {axis} takes integers, got {bad}")
+                raise ValueError(f"sweep axis {axis} takes {noun}, got {bad}")
         if not self.methods:
             raise ValueError("need at least one method")
         unknown = set(self.methods) - set(METHODS)
@@ -183,11 +186,11 @@ class Draw:
     s_true: np.ndarray
 
 
-def draw_trial(ctx, rng, k, coeff_model) -> Draw:
-    """Sample a k-target scene, then the channel noise, from rng; form the
-    grid vector, the noisy channels and the noiseless task vector."""
+def draw_trial(ctx, rng) -> Draw:
+    """Sample the point's scene (ctx.k targets, ctx.coeff_model), then the
+    channel noise, from rng; form the grid vector, noisy channels and task vector."""
     cfg = ctx.config
-    scene = sample_scene(rng, k, cfg, coeff_model)
+    scene = sample_scene(rng, ctx.k, cfg, ctx.coeff_model)
     sig = np.sqrt(cfg.sigma_n_sq / 2.0)
     shape = (cfg.M, cfg.L, cfg.N)  # the noise is drawn band by band, laid out tone-major
     noise = sig * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -240,10 +243,10 @@ def _solver_operator(dictionary, compression=None):
     return apply, adjoint, lipschitz
 
 
-def _score(ctx, operator_id, draw, y, s_hat, saturation) -> TrialMetrics:
-    """Recover the grid vector from the observation y on the named operator,
-    and score it and the task-vector estimate s_hat against the draw."""
-    apply, adjoint, lipschitz = ctx.operators[operator_id]
+def _score(ctx, operator, draw, y, s_hat, saturation) -> TrialMetrics:
+    """Recover the grid vector from y on the solver operator (apply, adjoint,
+    lipschitz); score it and the task-vector estimate s_hat against the draw."""
+    apply, adjoint, lipschitz = operator
     a_hat, info = fista(apply, adjoint, _single(y), ctx.recovery,
                         lipschitz=lipschitz, return_info=True)
     support = estimate_support(a_hat, draw.scene.k)
@@ -263,7 +266,7 @@ def run_bilimo_trial(ctx, draw, rng) -> TrialMetrics:
     u = apply_fbar(design.apply_combiner(draw.v), design.L, design.channels)
     z, sat = quantize_complex_vector(u, design.levels, design.support, rng)
     s_hat = design.apply_digital(z)
-    return _score(ctx, OPERATOR_OF["bilimo"], draw, s_hat, s_hat, sat)
+    return _score(ctx, ctx.task, draw, s_hat, s_hat, sat)
 
 
 def run_task_ignorant_trial(ctx, draw, rng) -> TrialMetrics:
@@ -275,13 +278,13 @@ def run_task_ignorant_trial(ctx, draw, rng) -> TrialMetrics:
                                      ctx.ti_levels, ctx.ti_support, rng)
     z = z.swapaxes(0, 1).reshape(-1)
     s_hat = ctx.compression.apply_to_c(z)
-    return _score(ctx, OPERATOR_OF["task_ignorant"], draw, z, s_hat, sat)
+    return _score(ctx, ctx.phi, draw, z, s_hat, sat)
 
 
 def run_noquan_dr_trial(ctx, draw, rng) -> TrialMetrics:
     """Unquantized direct recovery of the grid vector from the noisy channels."""
     s_hat = ctx.compression.apply_to_c(draw.v)
-    return _score(ctx, OPERATOR_OF["noquan_dr"], draw, draw.v, s_hat, None)
+    return _score(ctx, ctx.phi, draw, draw.v, s_hat, None)
 
 
 def run_noquan_lmmse_trial(ctx, draw, rng) -> TrialMetrics:
@@ -289,7 +292,7 @@ def run_noquan_lmmse_trial(ctx, draw, rng) -> TrialMetrics:
     gamma = ctx.gamma_blocks
     v_c = draw.v.reshape(gamma.shape[0], -1, 1)
     s_tilde = (gamma @ v_c).reshape(-1)
-    return _score(ctx, OPERATOR_OF["noquan_lmmse"], draw, s_tilde, s_tilde, None)
+    return _score(ctx, ctx.task, draw, s_tilde, s_tilde, None)
 
 
 # -- sweep machinery ---------------------------------------------------------
@@ -354,29 +357,26 @@ def design_point(spec, point_index, axes):
 
 
 class _PointContext:
-    """design_point's results, the point's k, the task-ignorant quantizer and
-    the solver operators of one sweep point, shared by its trials. operators
-    maps each id the spec's methods need to (apply, adjoint, lipschitz); phi
-    is the sweep's Phi operator, None when no method recovers on Phi."""
+    """design_point's results, the point's k and coefficient model, Gamma, the
+    task-ignorant quantizer when that method runs and the solver operators
+    (apply, adjoint, lipschitz) of one sweep point, shared by its trials: phi,
+    the sweep's Phi operator, and task, the point's M*Phi operator."""
 
     def __init__(self, spec, dictionary, phi, point_index, axes):
         self.config, stats, self.compression, self.design = design_point(
             spec, point_index, axes)
         budget, _, _, k, _ = axes
-        self.k, self.recovery = k, spec.recovery
+        self.k, self.coeff_model, self.recovery = k, spec.coeff_model, spec.recovery
+        # the spec checks the baseline's budget only when the method runs
         if "task_ignorant" in spec.methods:
             base = spec.config
             self.ti_levels = levels_from_budget(budget, base.mnl, 1)
             # known defect: sigma_n^2 of the base config, not of this point's SNR
             self.ti_support = base.eta * np.sqrt(
                 k * base.sigma_alpha_sq + base.sigma_n_sq)
-        if "noquan_lmmse" in spec.methods:
-            self.gamma_blocks = lmmse_transform(self.compression, stats)
-        self.dictionary = dictionary
-
-        self.operators = {} if phi is None else {"phi": phi}
-        if any(OPERATOR_OF[m] == "task" for m in spec.methods):
-            self.operators["task"] = _solver_operator(dictionary, self.compression)
+        self.gamma_blocks = lmmse_transform(self.compression, stats)
+        self.dictionary, self.phi = dictionary, phi
+        self.task = _solver_operator(dictionary, self.compression)
 
 
 def run_sweep(spec: ExperimentSpec, out_csv=None, dictionary=None) -> ExperimentResult:
@@ -393,8 +393,7 @@ def run_sweep(spec: ExperimentSpec, out_csv=None, dictionary=None) -> Experiment
         raise ValueError("the dictionary was built for another config than the spec's: "
                          f"{', '.join(differ)} differ")
     methods = [m for m in METHODS if m in spec.methods]
-    phi = (_solver_operator(dictionary)
-           if any(OPERATOR_OF[m] == "phi" for m in methods) else None)
+    phi = _solver_operator(dictionary)
     points = []
     for p_idx, axes in spec.points():
         ctx = _PointContext(spec, dictionary, phi, p_idx, axes)
@@ -404,7 +403,7 @@ def run_sweep(spec: ExperimentSpec, out_csv=None, dictionary=None) -> Experiment
         for t in range(spec.trials):
             rng_scene = np.random.default_rng(
                 np.random.SeedSequence([spec.master_seed, p_idx, t, 0]))
-            draw = draw_trial(ctx, rng_scene, ctx.k, spec.coeff_model)
+            draw = draw_trial(ctx, rng_scene)
             for method in methods:
                 tag = METHODS.index(method) + 1
                 rng_m = np.random.default_rng(

@@ -77,13 +77,13 @@ class RecoverySpec:
     def __post_init__(self):
         for name in ("rho", "rho_scale"):
             value = getattr(self, name)
-            if value is not None and not 0 <= value < np.inf:
+            if value is not None and (isinstance(value, bool) or not 0 <= value < np.inf):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not 0 < self.tol < np.inf:
+        if isinstance(self.tol, bool) or not 0 < self.tol < np.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
 

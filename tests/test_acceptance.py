@@ -132,15 +132,16 @@ def test_acceptance_4_theory_vs_simulation():
     a_mat = dense_task(d, comp)
     ops = ((lambda x: a_mat @ x), (lambda y: (y.conj() @ a_mat).conj()))
     ctx = SimpleNamespace(
-        config=cfg, dictionary=d, compression=comp, design=design,
+        config=cfg, dictionary=d, compression=comp, design=design, k=K,
+        coeff_model="gaussian",
         recovery=RecoverySpec(max_iter=3),  # only the task estimate matters here
-        operators={"task": (*ops, power_iteration_lipschitz(*ops, a_mat.shape[1]))})
+        task=(*ops, power_iteration_lipschitz(*ops, a_mat.shape[1])))
 
     rng = np.random.default_rng(100)
     trials = 2000
     acc = 0.0
     for _ in range(trials):
-        draw = draw_trial(ctx, rng, K, "gaussian")
+        draw = draw_trial(ctx, rng)
         # ||s - s_hat||^2, from the relative error the trial reports
         acc += (run_bilimo_trial(ctx, draw, rng).mse_s
                 * np.vdot(draw.s_true, draw.s_true).real)

@@ -178,6 +178,64 @@ def test_missing_output_directory_is_usage_error(tmp_path, cfg_file, capsys, mon
     assert list(tmp_path.iterdir()) == [cfg_file]
 
 
+@pytest.mark.parametrize("args, message", [
+    pytest.param(["simulate", "--trials", "1", "--out", "{taken}"],
+                 "output {taken} is a directory", id="simulate-out"),
+    pytest.param(["sweep", "--trials", "1", "--out", "{taken}/p.csv"],
+                 "output {taken}/p.csv.meta.json is a directory", id="sweep-sidecar"),
+    pytest.param(["design", "--out", "{taken}/bundle"],
+                 "output {taken}/bundle.json is a directory", id="design-bundle"),
+    pytest.param(["design", "--out", "{tmp}/bundle", "--filters-csv", "{taken}"],
+                 "output {taken} is a directory", id="design-filters-csv"),
+])
+def test_output_path_that_is_a_directory_is_usage_error(tmp_path, cfg_file, capsys,
+                                                        monkeypatch, args, message):
+    # every file the command would write is checked before any design or
+    # trial runs: exit code 2 and nothing written
+    def no_design(*a, **k):
+        raise AssertionError("a design ran")
+
+    monkeypatch.setattr(harness, "design_multitone", no_design)
+    taken = tmp_path / "taken"
+    for name in ("p.csv.meta.json", "bundle.json"):
+        (taken / name).mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+    argv = [a.format(taken=taken, tmp=tmp_path) for a in args]
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", str(cfg_file), "--budget-bits", "36", *argv[1:]])
+    assert exc.value.code == 2
+    assert message.format(taken=taken) in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("name, reason", [
+    pytest.param("missing.json", "No such file or directory", id="missing"),
+    pytest.param("cfg_dir", "Is a directory", id="directory"),
+])
+@pytest.mark.parametrize("command", ["design", "simulate"])
+def test_unreadable_config_is_usage_error(tmp_path, capsys, command, name, reason):
+    # a --config that does not exist or names a directory: exit code 2, the
+    # path and the OS reason on stderr, nothing written
+    (tmp_path / "cfg_dir").mkdir()
+    path, out = tmp_path / name, tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path), "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"cannot read --config {path}: {reason}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg_dir"]
+
+
+@pytest.mark.parametrize("command", ["design", "simulate", "sweep"])
+def test_negative_seed_is_usage_error(tmp_path, cfg_file, capsys, command):
+    # refused by name before the seed draws a layout: exit code 2, nothing written
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg_file), "--seed", "-1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--seed must be nonnegative, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg_file]
+
+
 ULA_CONFIG = {"M": 2, "N": 3, "bandwidth": 1e6, "pri": 3e-6, "array": "ula"}
 EXPLICIT_CONFIG = {"M": 1, "N": 2, "bandwidth": 1e6, "pri": 3e-6, "rx_pos": [0.0, 0.5],
                    "tx_pos": [0.0], "tone_offsets": [0.0]}

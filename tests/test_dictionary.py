@@ -129,8 +129,8 @@ def test_matrix_free_matches_dense(points):
     rng = np.random.default_rng(1)
     for d, ctx in points:
         phi, task = dense_phi(d), dense_task(d, ctx.compression)
-        phi_apply, phi_adjoint, _ = ctx.operators["phi"]
-        task_apply, task_adjoint, _ = ctx.operators["task"]
+        phi_apply, phi_adjoint, _ = ctx.phi
+        task_apply, task_adjoint, _ = ctx.task
         for _ in range(5):
             a = rng.standard_normal(d.n_atoms) + 1j * rng.standard_normal(d.n_atoms)
             y = rng.standard_normal(d.n_rows) + 1j * rng.standard_normal(d.n_rows)
@@ -152,8 +152,8 @@ def test_adjoint_identity(points):
         comp = ctx.compression
         pairs = [(d.apply, d.apply_adjoint, d.n_atoms, d.n_rows),
                  (comp.apply_to_c, comp.apply_adjoint_to_c, d.n_rows, comp.rows),
-                 (*ctx.operators["task"][:2], d.n_atoms, comp.rows),
-                 (*ctx.operators["phi"][:2], d.n_atoms, d.n_rows)]
+                 (*ctx.task[:2], d.n_atoms, comp.rows),
+                 (*ctx.phi[:2], d.n_atoms, d.n_rows)]
         for apply, adjoint, n_in, n_out in pairs:
             for _ in range(10):
                 x = rng.standard_normal(n_in) + 1j * rng.standard_normal(n_in)
@@ -233,8 +233,8 @@ def test_lipschitz_closed_form_matches_dense(points):
         assert abs(harness._solver_operator(d, comp)[2] - task_lip) <= 1e-10 * task_lip
     for d, ctx in points:
         phi_lip, task_lip = _dense_lipschitz(d, ctx.compression)
-        assert abs(ctx.operators["phi"][2] - phi_lip) <= 1e-10 * phi_lip
-        assert abs(ctx.operators["task"][2] - task_lip) <= 1e-10 * task_lip
+        assert abs(ctx.phi[2] - phi_lip) <= 1e-10 * phi_lip
+        assert abs(ctx.task[2] - task_lip) <= 1e-10 * task_lip
 
 
 def test_task_lipschitz_never_below_dense():

@@ -48,9 +48,19 @@ def test_spec_rejects_non_integer_counts(small_cfg):
     for bad in (2.5, 3.0, "3", True):
         with pytest.raises(ValueError, match="trials must be an integer"):
             _spec(small_cfg, trials=bad)
-    spec = _spec(small_cfg, k=(np.int64(2),), dcr=(np.int32(2),), trials=np.int64(1))
+    # snr_db=(True,) would run at 1 dB, master_seed=True as seed 1
+    for bad in ((True,), (10.0, False), ("10",)):
+        with pytest.raises(ValueError, match="sweep axis snr_db takes numbers"):
+            _spec(small_cfg, snr_db=bad)
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="master_seed must be an integer"):
+            _spec(small_cfg, master_seed=bad)
+    with pytest.raises(ValueError, match="master_seed must be nonnegative, got -1"):
+        _spec(small_cfg, master_seed=-1)
+    spec = _spec(small_cfg, k=(np.int64(2),), dcr=(np.int32(2),), trials=np.int64(1),
+                 snr_db=(np.float32(10),), master_seed=np.int64(7))
     (_, axes), = spec.points()
-    assert axes[2:4] == (2, 2)
+    assert axes[1:4] == (10.0, 2, 2)
 
 
 def test_empty_method_list_rejected(small_cfg):
@@ -105,12 +115,22 @@ def test_phi_operator_built_once_per_sweep(tmp_path, small_cfg, monkeypatch):
 def test_phi_power_iteration_once_per_sweep_off_grid(tmp_path, monkeypatch):
     # bands whose tones are off one common grid (offsets 1.5 and 1.8 tone
     # spacings from 0) have no band Gram, so Phi's constant falls back to power
-    # iteration: once per sweep, and once more per point when built per point
+    # iteration: once per sweep, and once more per point when built per point.
+    # M*Phi's fallback, once per point, is told apart by its MNL/dcr rows
     cfg = bm.RadarConfig(M=2, N=3, bandwidth=1e6, pri=3e-6, rx_pos=[0.0, 0.5, 1.0],
                          tx_pos=[0.0, 1.5], tone_offsets=[-5e5, 6e5])
     assert bm.build_dictionary(cfg).band_gram is None
-    counts = _count_phi_builds(tmp_path, monkeypatch, cfg, "power_iteration_lipschitz")
+    rows = []
+
+    def phi_rows(apply, adjoint, n):
+        rows.append(apply(np.zeros(n, np.complex64)).size)
+        return rows[-1] == cfg.mnl
+
+    counts = _count_phi_builds(tmp_path, monkeypatch, cfg, "power_iteration_lipschitz",
+                               phi_rows)
     assert counts == (1, 1 + 1 + 2)
+    assert sorted(set(rows)) == [cfg.mnl // 2, cfg.mnl]
+    assert len(rows) == counts[1] + 2 + 2  # and M*Phi's, once per point in each sweep
 
 
 def test_dictionary_of_another_config_is_refused(small_cfg):
@@ -171,15 +191,15 @@ def test_lmmse_path_matches_theory(small_cfg):
     comp = bm.build_compression_matrix(np.random.default_rng(1), cfg, 2, "gaussian")
     a_mat = dense_task(d, comp)
     ops = ((lambda x: a_mat @ x), (lambda y: (y.conj() @ a_mat).conj()))
-    ctx = SimpleNamespace(config=cfg, dictionary=d, compression=comp,
+    ctx = SimpleNamespace(config=cfg, dictionary=d, compression=comp, k=K,
+                          coeff_model="gaussian",
                           gamma_blocks=bm.lmmse_transform(comp, stats),
-                          recovery=RecoverySpec(max_iter=2),
-                          operators={"task": (*ops, 1.0)})
+                          recovery=RecoverySpec(max_iter=2), task=(*ops, 1.0))
     rng = np.random.default_rng(2)
     acc = 0.0
     n = 4000
     for _ in range(n):
-        draw = draw_trial(ctx, rng, K, "gaussian")
+        draw = draw_trial(ctx, rng)
         # ||s - s_hat||^2, from the relative error the trial reports
         acc += (run_noquan_lmmse_trial(ctx, draw, rng).mse_s
                 * np.vdot(draw.s_true, draw.s_true).real)
@@ -187,22 +207,34 @@ def test_lmmse_path_matches_theory(small_cfg):
         reference_lmmse_error(comp, stacked_statistics(stats, comp)), rel=0.03)
 
 
-def test_noquan_lmmse_product_matches_einsum(small_cfg, monkeypatch):
-    # the batched Gamma_i @ v_c of the LMMSE front end equals the per-tone
-    # einsum; Gamma is built only for a spec that selects noquan_lmmse
+def test_point_context_is_the_same_for_every_method_subset(small_cfg):
+    # a point holds Phi's and M*Phi's operators and Gamma whichever methods
+    # run: a BiLiMO-only and a noquan_dr-only spec give the same ones
     d = bm.build_dictionary(small_cfg)
-    contexts = {}
-    for method in ("bilimo", "noquan_lmmse"):
+    phi = harness._solver_operator(d)
+    contexts = []
+    for method in ("bilimo", "noquan_dr"):
         spec = _spec(small_cfg, methods=(method,))
         index, axes = next(spec.points())
-        contexts[method] = harness._PointContext(spec, d, None, index, axes)
-    assert not hasattr(contexts["bilimo"], "gamma_blocks")
-    ctx = contexts["noquan_lmmse"]
+        contexts.append(harness._PointContext(spec, d, phi, index, axes))
+    first, second = contexts
+    assert first.phi is phi and second.phi is phi
+    probe = np.random.default_rng(5).standard_normal(d.n_atoms).astype(np.complex64)
+    assert np.array_equal(first.task[0](probe), second.task[0](probe))
+    assert first.task[2] == second.task[2]
+    assert np.array_equal(first.gamma_blocks, second.gamma_blocks)
+
+
+def test_noquan_lmmse_product_matches_einsum(small_cfg, monkeypatch):
+    # the batched Gamma_i @ v_c of the LMMSE front end equals the per-tone einsum
+    spec = _spec(small_cfg, methods=("noquan_lmmse",))
+    index, axes = next(spec.points())
+    ctx = harness._PointContext(spec, bm.build_dictionary(small_cfg), None, index, axes)
     seen = []
     monkeypatch.setattr(harness, "_score",
                         lambda ctx, op, draw, y, s_hat, sat: seen.append(s_hat))
     rng = np.random.default_rng(24)
-    draw = harness.draw_trial(ctx, rng, 2, "gaussian")
+    draw = harness.draw_trial(ctx, rng)
     harness.run_noquan_lmmse_trial(ctx, draw, rng)
     v_c = draw.v.reshape(small_cfg.L, small_cfg.mn)
     want = np.einsum("ijk,ik->ij", ctx.gamma_blocks, v_c).reshape(-1)
@@ -223,7 +255,7 @@ def test_noise_and_dither_keep_their_band_major_stream_order(small_cfg, monkeypa
         return x.swapaxes(-3, -2).reshape(x.shape[:-3] + (-1,))
 
     rng, replay = np.random.default_rng(31), np.random.default_rng(31)
-    draw = harness.draw_trial(ctx, rng, 2, "gaussian")
+    draw = harness.draw_trial(ctx, rng)
     scene = bm.sample_scene(replay, 2, cfg, "gaussian")
     g1, g2 = replay.standard_normal(shape), replay.standard_normal(shape)
     noise = np.sqrt(cfg.sigma_n_sq / 2.0) * tone_major(g1 + 1j * g2)

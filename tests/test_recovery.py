@@ -336,7 +336,7 @@ def test_fista_rejects_bad_inputs():
         fista(*_ops(A), np.array([np.inf, 0.0]), RecoverySpec())
     with pytest.raises(ValueError):
         fista(*_ops(np.zeros((2, 2))), np.ones(2, dtype=complex), RecoverySpec())
-    for bad in (-0.5, np.inf, np.nan):
+    for bad in (-0.5, np.inf, np.nan, True, False):
         with pytest.raises(ValueError, match="rho_scale must be finite"):
             RecoverySpec(rho_scale=bad)
         with pytest.raises(ValueError, match="rho must be finite"):
@@ -346,7 +346,7 @@ def test_fista_rejects_bad_inputs():
 def test_recovery_spec_rejects_bad_stop_controls():
     # a nan tol never fires and an infinite one stops after one iteration; a
     # non-integer max_iter would fail only at the first solve
-    for bad in (np.nan, np.inf, 0.0, -1e-5):
+    for bad in (np.nan, np.inf, 0.0, -1e-5, True):
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             RecoverySpec(tol=bad)
     for bad in (2.5, 300.0, "300", None, True):
