@@ -22,7 +22,7 @@ import numpy as np
 
 from .combiner import design_multitone, save_design, write_filter_response_csv
 from .harness import METHODS, ExperimentSpec, design_point, run_sweep
-from .model import COEFF_MODELS, load_config
+from .model import COEFF_MODELS, checked, load_config
 from .recovery import RecoverySpec
 # design_multitone and these two are unused here: perfbench/spans.py traces them on cli
 from .statistics import build_compression_matrix, build_covariances
@@ -115,9 +115,8 @@ def build_parser():
 
 
 def _load_config(args):
-    if args.seed < 0:  # checked before it seeds the layout rng
-        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
-    rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0xC0F1]))
+    seed = checked("--seed", args.seed, "int>=0")  # before it seeds the layout rng
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0F1]))
     try:
         config = load_config(args.config, rng=rng)
     except OSError as exc:
@@ -127,14 +126,22 @@ def _load_config(args):
 
 def _check_outputs(args):
     """Refuse, before any work is done, an output file whose directory is
-    missing or whose path is a directory."""
+    missing, whose path is a directory, or that would overwrite the --config
+    file or another output of the command."""
     suffixes = (".npz", ".json") if args.command == "design" else ("", ".meta.json")
-    paths = [args.out + suffix for suffix in suffixes] + [getattr(args, "filters_csv", None)]
-    for path in filter(None, paths):
+    paths = [("--out", args.out + suffix) for suffix in suffixes]
+    if getattr(args, "filters_csv", None):
+        paths.append(("--filters-csv", args.filters_csv))
+    taken = {Path(args.config).resolve(): f"--config file {args.config}"}
+    for flag, path in paths:
         if not Path(path).parent.is_dir():
             raise ValueError(f"output directory {Path(path).parent} does not exist")
         if Path(path).is_dir():
             raise ValueError(f"output {path} is a directory")
+        resolved = Path(path).resolve()
+        if resolved in taken:
+            raise ValueError(f"{flag} {path} would overwrite the {taken[resolved]}")
+        taken[resolved] = f"{flag} file {path}"
 
 
 def _check_one_point(args):

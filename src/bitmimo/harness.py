@@ -46,7 +46,7 @@ from . import __version__
 from .adc import levels_from_budget, quantize_complex_vector
 from .combiner import config_hash, design_multitone, waterfill_gain
 from .dictionary import apply_fbar, build_dictionary
-from .model import (COEFF_MODELS, RadarConfig, TargetScene, config_to_dict,
+from .model import (COEFF_MODELS, RadarConfig, TargetScene, checked, config_to_dict,
                     sample_scene, scene_to_sparse_vector)
 from .recovery import (RecoverySpec, estimate_support, fista, hit_rate,
                        power_iteration_lipschitz, relative_mse)
@@ -104,34 +104,27 @@ class ExperimentSpec:
     recovery: RecoverySpec = field(default_factory=RecoverySpec)
 
     def __post_init__(self):
-        for name in ("trials", "master_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.trials < 1:
-            raise ValueError("need at least one trial per sweep point")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
-        for axis in ("budget_bits", "snr_db", "dcr", "k", "matrix_kinds"):
-            if not getattr(self, axis):
-                raise ValueError(f"sweep axis {axis} must be nonempty")
-        integers, numbers = (int, np.integer), (int, np.integer, float, np.floating)
-        for axis, types, noun in (("budget_bits", integers, "integers"),
-                                  ("snr_db", numbers, "numbers"),
-                                  ("dcr", integers, "integers"), ("k", integers, "integers")):
-            bad = [v for v in getattr(self, axis)
-                   if isinstance(v, bool) or not isinstance(v, types)]
-            if bad:
-                raise ValueError(f"sweep axis {axis} takes {noun}, got {bad}")
-        if not self.methods:
-            raise ValueError("need at least one method")
-        unknown = set(self.methods) - set(METHODS)
+        for name, rule in (("trials", "int>=1"), ("master_seed", "int>=0")):
+            object.__setattr__(self, name, checked(name, getattr(self, name), rule))
+        for name, rule in (("budget_bits", "int"), ("snr_db", "float"), ("dcr", "int"),
+                           ("k", "int"), ("matrix_kinds", None), ("methods", None)):
+            values = getattr(self, name)
+            if not (isinstance(values, (tuple, list)) or np.ndim(values) == 1):
+                raise ValueError(f"{name} must be a sequence, got {values!r}")
+            if not len(values):
+                raise ValueError(f"{name} must be nonempty")
+            if rule:
+                for value in values:
+                    checked(name, value, rule)
+        unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
-            raise ValueError(f"unknown methods {sorted(unknown)}; pick from {METHODS}")
+            raise ValueError(f"unknown methods {unknown}; pick from {METHODS}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods must not repeat a method, got {self.methods!r}")
         # each axis value's own check, so that no point fails in its setup
-        unknown = set(self.matrix_kinds) - set(COMPRESSION_KINDS)
+        unknown = [kind for kind in self.matrix_kinds if kind not in COMPRESSION_KINDS]
         if unknown:
-            raise ValueError(f"unknown matrix kinds {sorted(unknown)}; "
+            raise ValueError(f"unknown matrix kinds {unknown}; "
                              f"pick from {COMPRESSION_KINDS}")
         if self.coeff_model not in COEFF_MODELS:
             raise ValueError(f"unknown coeff_model {self.coeff_model!r}; "

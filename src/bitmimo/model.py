@@ -23,6 +23,7 @@ import numpy as np
 
 __all__ = [
     "COEFF_MODELS",
+    "checked",
     "RadarConfig",
     "TargetScene",
     "make_ula_config",
@@ -45,25 +46,40 @@ def _readonly(a, dtype):
     return out
 
 
-def _checked(name, kind, value):
-    """A RadarConfig field's value as its annotated kind, or ValueError naming
-    the field: "int" an integer >= 1 (bool refused), "float" finite and > 0
-    (sigma_n_sq also 0), "np.ndarray" a read-only 1-D array of finite floats."""
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        return int(value)
+def checked(name, value, rule):
+    """value under rule, converted, or ValueError naming it. The rules:
+    "int>=1", "int>=0" and "int", integers; "float>0" and "float>=0", finite
+    floats; "float", any float; "floats", a 1-D list of finite floats, as a
+    read-only array. A bool, numpy bool, string or None is never a number, and
+    an integer past float range is refused where it becomes a float."""
+    def number(x, kind=numbers.Real):  # bool is an Integral, numpy's bool is not
+        return isinstance(x, kind) and not isinstance(x, bool)
+    if rule == "floats":
+        items = value.tolist() if isinstance(value, np.ndarray) else value
+        if not isinstance(items, (list, tuple)) or not all(map(number, items)):
+            raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+    elif rule.startswith("int"):
+        if not number(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        out = int(value)
+        if rule == "int>=1" and out < 1:
+            raise ValueError(f"{name} must be >= 1, got {out}")
+        if rule == "int>=0" and out < 0:
+            raise ValueError(f"{name} must be nonnegative, got {out}")
+        return out
+    elif not number(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     try:
-        out = float(value) if kind == "float" else _readonly(value, float)
-    except (TypeError, ValueError, OverflowError):
+        out = _readonly(items, float) if rule == "floats" else float(value)
+    except OverflowError:
         raise ValueError(f"{name} must be a number a float can hold") from None
-    if kind == "np.ndarray":
-        if out.ndim != 1 or not np.all(np.isfinite(out)):
-            raise ValueError(f"{name} must be a list of finite numbers")
+    if rule == "floats" and not np.all(np.isfinite(out)):
+        raise ValueError(f"{name} must be a list of finite numbers, got {value!r}")
     # written as `not x > 0` so that NaN is refused too
-    elif not (0 <= out if name == "sigma_n_sq" else 0 < out) or out == np.inf:
-        rule = "nonnegative" if name == "sigma_n_sq" else "positive"
-        raise ValueError(f"{name} must be {rule} and finite, got {out}")
+    if rule == "float>0" and not 0 < out < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {out}")
+    if rule == "float>=0" and not 0 <= out < np.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {out}")
     return out
 
 
@@ -106,8 +122,8 @@ class RadarConfig:
     sigma_n_sq: float = 1.0
 
     def __post_init__(self):
-        for name, kind in _KIND_OF.items():
-            object.__setattr__(self, name, _checked(name, kind, getattr(self, name)))
+        for name, rule in _RULE_OF.items():
+            object.__setattr__(self, name, checked(name, getattr(self, name), rule))
         product = self.bandwidth * self.pri
         L = int(round(product)) if product < np.inf else 0
         if L % 2 == 0 or abs(product - L) > 1e-6 * max(1.0, L):
@@ -166,8 +182,10 @@ class RadarConfig:
         return replace(self, sigma_n_sq=sigma_n_sq)
 
 
-# RadarConfig's init fields and kinds: annotations, strings under the __future__ import
-_KIND_OF = {f.name: f.type for f in fields(RadarConfig) if f.init}
+# RadarConfig's init fields and the rule of each, by its annotation (a string
+# under the __future__ import); the noise variance may be 0
+_RULE_OF = {f.name: {"int": "int>=1", "float": "float>0", "np.ndarray": "floats"}[f.type]
+            for f in fields(RadarConfig) if f.init} | {"sigma_n_sq": "float>=0"}
 
 
 @dataclass(frozen=True)
@@ -252,15 +270,12 @@ def scene_to_sparse_vector(scene: TargetScene, config: RadarConfig) -> np.ndarra
 
 def config_to_dict(config: RadarConfig) -> dict:
     """RadarConfig's init fields by name: arrays as lists, scalars as Python numbers."""
-    return {key: np.asarray(getattr(config, key)).tolist() for key in _KIND_OF}
+    return {key: np.asarray(getattr(config, key)).tolist() for key in _RULE_OF}
 
 
-_POSITION_KEYS = tuple(key for key, kind in _KIND_OF.items() if kind == "np.ndarray")
-# the scalar keys config_from_dict checks, with the type each must have
-_SCALAR_KEYS = {key: numbers.Integral if kind == "int" else numbers.Real
-                for key, kind in _KIND_OF.items() if key not in _POSITION_KEYS}
+_POSITION_KEYS = tuple(key for key, rule in _RULE_OF.items() if rule == "floats")
 # the keys of config_to_dict, plus the layout generator's "array"
-_CONFIG_KEYS = frozenset(_KIND_OF) | {"array"}
+_CONFIG_KEYS = frozenset(_RULE_OF) | {"array"}
 
 
 def config_from_dict(d: dict, rng=None) -> RadarConfig:
@@ -269,13 +284,11 @@ def config_from_dict(d: dict, rng=None) -> RadarConfig:
     Either explicit 'rx_pos'/'tx_pos'/'tone_offsets' are given, all three, or
     'array' selects a generator: "ula" (default) or "random" (requires rng).
     'M', 'N', 'bandwidth' and 'pri' are required. A key that is neither
-    'array' nor one config_to_dict writes, a missing required key, a
-    non-integer 'M' or 'N' (bool included), a non-numeric scalar, a position
-    key that is not a list of numbers (strings and bools refused), an integer
-    past float range, or 'array' beside explicit positions raises ValueError
-    naming the key; so does a scalar outside RadarConfig's rule for its field,
-    checked before a layout generator computes with it, and an 'M', 'N' or
-    bandwidth*pri that makes U or V larger than numpy's largest array.
+    'array' nor one config_to_dict writes, a missing required key, a value
+    outside the `checked` rule of its RadarConfig field (checked before a
+    layout generator computes with it), or 'array' beside explicit positions
+    raises ValueError naming the key; so does an 'M', 'N' or bandwidth*pri
+    that makes U or V larger than numpy's largest array.
     """
     if not isinstance(d, dict):
         raise ValueError("a config must be a JSON object")
@@ -288,28 +301,15 @@ def config_from_dict(d: dict, rng=None) -> RadarConfig:
     missing = [key for key in required if key not in d]
     if missing:
         raise ValueError(f"missing config key(s): {', '.join(missing)}")
-    for key in _POSITION_KEYS:  # each element as a scalar key: a number, bool refused
-        if key in d and (not isinstance(d[key], list) or any(
-                isinstance(x, bool) or not isinstance(x, numbers.Real) for x in d[key])):
-            raise ValueError(f"config key {key!r} must be a list of numbers, got {d[key]!r}")
-    for key, kind in _SCALAR_KEYS.items():
-        if key not in d:
-            continue
-        if isinstance(d[key], bool) or not isinstance(d[key], kind):
-            what = "an integer" if kind is numbers.Integral else "a number"
-            raise ValueError(f"config key {key!r} must be {what}, got {d[key]!r}")
-        try:  # before a generator computes with it
-            float(d[key])
-        except OverflowError:
-            raise ValueError(f"config key {key!r} is an integer past float range") from None
-        _checked(key, _KIND_OF[key], d[key])
+    given = {key: checked(f"config key {key!r}", d[key], rule)
+             for key, rule in _RULE_OF.items() if key in d}
     if "array" in d and "rx_pos" in d:
         raise ValueError("config key 'array' cannot be given beside explicit "
                          "rx_pos/tx_pos/tone_offsets")
     # the steering matrices U (M x N x MN) and V (M x L x ML) must fit numpy's
     # largest complex array, checked before a layout generator allocates by M or N
-    M, N = int(d["M"]), int(d["N"])
-    product = float(d["bandwidth"]) * float(d["pri"])
+    M, N = given["M"], given["N"]
+    product = given["bandwidth"] * given["pri"]
     L = round(product) if product < np.inf else 1  # RadarConfig refuses inf
     for matrix, side, named in (("U", N, "config key 'N'"),
                                 ("V", L, "the tone count bandwidth*pri")):
@@ -317,19 +317,15 @@ def config_from_dict(d: dict, rng=None) -> RadarConfig:
             named = "config key 'M'" if M >= side else named
             raise ValueError(f"{named} is too large: the steering matrix {matrix} "
                              "would pass numpy's maximum array size")
-    # the scalars given; RadarConfig holds the defaults
-    common = {key: d[key] for key, kind in _SCALAR_KEYS.items()
-              if kind is numbers.Real and key in d}
     if "rx_pos" in d:
-        return RadarConfig(M=d["M"], N=d["N"], rx_pos=d["rx_pos"], tx_pos=d["tx_pos"],
-                           tone_offsets=d["tone_offsets"], **common)
+        return RadarConfig(**given)
     kind = d.get("array", "ula")
     if kind == "ula":
-        return make_ula_config(d["M"], d["N"], **common)
+        return make_ula_config(**given)
     if kind == "random":
         if rng is None:
             raise ValueError("random array layout requires an rng (seed)")
-        return make_random_array_config(rng, d["M"], d["N"], **common)
+        return make_random_array_config(rng, **given)
     raise ValueError(f"unknown array kind {kind!r}")
 
 

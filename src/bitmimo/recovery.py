@@ -34,6 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import checked
+
 __all__ = [
     "RecoverySpec",
     "fista",
@@ -75,16 +77,11 @@ class RecoverySpec:
     tol: float = 1e-5
 
     def __post_init__(self):
-        for name in ("rho", "rho_scale"):
+        for name, rule in (("rho", "float>=0"), ("rho_scale", "float>=0"),
+                           ("max_iter", "int>=1"), ("tol", "float>0")):
             value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or not 0 <= value < np.inf):
-                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if isinstance(self.tol, bool) or not 0 < self.tol < np.inf:
-            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+            if value is not None or name != "rho":  # rho None: chosen per problem
+                object.__setattr__(self, name, checked(name, value, rule))
 
 
 def _wide(v):

@@ -49,12 +49,16 @@ def test_simulate_command(tmp_path, cfg_file):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    pytest.param("--methods", ",", "at least one method", id="empty-methods"),
-    pytest.param("--trials", "0", "at least one trial", id="zero-trials"),
+    pytest.param("--methods", ",", "methods must be nonempty", id="empty-methods"),
+    pytest.param("--trials", "0", "trials must be >= 1", id="zero-trials"),
     pytest.param("--methods", "foo", "unknown methods", id="unknown-method"),
+    pytest.param("--methods", "bilimo,noquan_dr,bilimo", "methods must not repeat a method",
+                 id="repeated-method"),
     pytest.param("--max-iter", "0", "max_iter must be >= 1", id="zero-max-iter"),
-    pytest.param("--rho-scale", "-0.5", "rho_scale must be finite", id="rho-scale-negative"),
-    pytest.param("--rho-scale", "nan", "rho_scale must be finite", id="rho-scale-nan"),
+    pytest.param("--rho-scale", "-0.5", "rho_scale must be nonnegative and finite",
+                 id="rho-scale-negative"),
+    pytest.param("--rho-scale", "nan", "rho_scale must be nonnegative and finite",
+                 id="rho-scale-nan"),
 ])
 def test_empty_method_list_rejected(tmp_path, cfg_file, capsys, flag, value, message):
     # an invalid flag value is a usage error: exit code 2, the reason on
@@ -208,6 +212,46 @@ def test_output_path_that_is_a_directory_is_usage_error(tmp_path, cfg_file, caps
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("config_name, args, message", [
+    pytest.param("cfg.json", ["design", "--out", "{tmp}/d", "--filters-csv", "{tmp}/d.json"],
+                 "--filters-csv {tmp}/d.json would overwrite the --out file {tmp}/d.json",
+                 id="design-filters-csv-over-bundle-json"),
+    pytest.param("cfg.json",
+                 ["design", "--out", "{tmp}/d", "--filters-csv", "{tmp}/sub/../d.npz"],
+                 "would overwrite the --out file {tmp}/d.npz",
+                 id="design-filters-csv-over-bundle-npz"),
+    pytest.param("cfg.json", ["design", "--out", "{tmp}/d", "--filters-csv", "{cfg}"],
+                 "--filters-csv {cfg} would overwrite the --config file {cfg}",
+                 id="design-filters-csv-over-config"),
+    pytest.param("cfg.json", ["simulate", "--trials", "1", "--out", "{cfg}"],
+                 "--out {cfg} would overwrite the --config file {cfg}",
+                 id="simulate-out-over-config"),
+    pytest.param("p.csv.meta.json", ["sweep", "--trials", "1", "--out", "{tmp}/p.csv"],
+                 "--out {cfg} would overwrite the --config file {cfg}",
+                 id="sweep-sidecar-over-config"),
+])
+def test_output_that_would_overwrite_a_file_of_the_run_is_usage_error(
+        tmp_path, cfg_file, capsys, monkeypatch, config_name, args, message):
+    # an output whose resolved path is the --config file or another output of
+    # the command is refused before any design or trial runs: exit code 2, the
+    # config unchanged and nothing written
+    def no_design(*a, **k):
+        raise AssertionError("a design ran")
+
+    monkeypatch.setattr(harness, "design_multitone", no_design)
+    (tmp_path / "sub").mkdir()
+    config = cfg_file.rename(tmp_path / config_name)
+    config_bytes = config.read_bytes()
+    before = sorted(tmp_path.rglob("*"))
+    argv = [a.format(tmp=tmp_path, cfg=config) for a in args]
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", str(config), "--budget-bits", "36", *argv[1:]])
+    assert exc.value.code == 2
+    assert message.format(tmp=tmp_path, cfg=config) in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert config.read_bytes() == config_bytes
+
+
 @pytest.mark.parametrize("name, reason", [
     pytest.param("missing.json", "No such file or directory", id="missing"),
     pytest.param("cfg_dir", "Is a directory", id="directory"),
@@ -272,7 +316,8 @@ POSITIONS_2X3 = {"M": 2, "N": 3, "bandwidth": 1e6, "pri": 3e-6, "rx_pos": [0, 0.
                  "config key 'array' cannot be given beside explicit", id="array-and-positions"),
     # refused before the ULA generator multiplies the middle band's 0 offset by it
     pytest.param({"M": 3, "N": 2, "bandwidth": float("inf"), "pri": 3e-6},
-                 "bandwidth must be positive and finite", id="odd-M-infinite-bandwidth"),
+                 "config key 'bandwidth' must be positive and finite",
+                 id="odd-M-infinite-bandwidth"),
     # a position list holds numbers, as a scalar key does: no string, no bool
     pytest.param({**POSITIONS_2X3, "rx_pos": ["0", "0.5", True], "tx_pos": [0, "1.5"]},
                  "config key 'rx_pos' must be a list of numbers", id="string-positions"),
@@ -342,7 +387,7 @@ def test_config_value_without_a_float_is_usage_error(tmp_path, capsys, command, 
                   "--out", str(out)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert re.search(rf"(config key '{key}'|error: {key}) (must be|is an integer)",
+        assert re.search(rf"(config key '{key}'|error: {key}) (must be|is too large)",
                          err), (value, err)
         assert list(tmp_path.iterdir()) == [path]
 

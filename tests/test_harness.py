@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -43,14 +44,14 @@ def test_spec_rejects_non_integer_counts(small_cfg):
     for field, bad in (("k", (1.5,)), ("k", (2, 2.0)), ("dcr", (2.5,)),
                        ("budget_bits", (1728.0,)), ("budget_bits", ("1728",)),
                        ("k", (True,)), ("dcr", (True,)), ("budget_bits", (True,))):
-        with pytest.raises(ValueError, match=f"sweep axis {field} takes integers"):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
             _spec(small_cfg, **{field: bad})
     for bad in (2.5, 3.0, "3", True):
         with pytest.raises(ValueError, match="trials must be an integer"):
             _spec(small_cfg, trials=bad)
     # snr_db=(True,) would run at 1 dB, master_seed=True as seed 1
     for bad in ((True,), (10.0, False), ("10",)):
-        with pytest.raises(ValueError, match="sweep axis snr_db takes numbers"):
+        with pytest.raises(ValueError, match="snr_db must be a number"):
             _spec(small_cfg, snr_db=bad)
     for bad in (True, 1.0, "1"):
         with pytest.raises(ValueError, match="master_seed must be an integer"):
@@ -64,8 +65,30 @@ def test_spec_rejects_non_integer_counts(small_cfg):
 
 
 def test_empty_method_list_rejected(small_cfg):
-    with pytest.raises(ValueError, match="at least one method"):
+    with pytest.raises(ValueError, match="methods must be nonempty"):
         _spec(small_cfg, methods=())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("snr_db", 10.0), ("k", 2), ("budget_bits", np.int64(36)), ("dcr", None),
+    ("methods", "bilimo"), ("matrix_kinds", "dft"), ("snr_db", np.array(10.0)),
+    ("k", np.array([[2]])), ("methods", {"bilimo"}),
+])
+def test_spec_refuses_a_scalar_or_string_for_a_sequence(small_cfg, field, value):
+    # a scalar axis would fail in points() and a string would be read letter
+    # by letter; each is refused by the field's name
+    with pytest.raises(ValueError, match=f"^{field} must be a sequence, got "):
+        _spec(small_cfg, **{field: value})
+
+
+def test_spec_refuses_a_repeated_method(small_cfg):
+    # a repeated method would run twice and be listed twice in the sidecar
+    with pytest.raises(ValueError, match=re.escape(
+            "methods must not repeat a method, got ('bilimo', 'noquan_dr', 'bilimo')")):
+        _spec(small_cfg, methods=("bilimo", "noquan_dr", "bilimo"))
+    # a list or a 1-D array is a sequence too
+    spec = _spec(small_cfg, methods=["noquan_dr", "bilimo"], snr_db=np.array([0.0, 10.0]))
+    assert [axes[1] for _, axes in spec.points()] == [0.0, 10.0]
 
 
 def _count_phi_builds(tmp_path, monkeypatch, cfg, counted_name, counts=lambda *args: True):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import re
 
 import numpy as np
@@ -7,7 +8,10 @@ import pytest
 import bitmimo as bm
 from bitmimo.combiner import config_hash
 from bitmimo.dictionary import build_dictionary
-from bitmimo.model import config_from_dict, config_to_dict
+from bitmimo.cli import main
+from bitmimo.harness import ExperimentSpec
+from bitmimo.model import checked, config_from_dict, config_to_dict
+from bitmimo.recovery import RecoverySpec
 
 
 def scene_from_sparse_vector(a, config):
@@ -92,19 +96,103 @@ def test_config_fields_convert_and_check_once():
                  bm.make_random_array_config(np.random.default_rng(0), 2, 3, 1e6, 3e-6)):
         assert {key: getattr(made, key) for key in defaults} == defaults
     for change, message in (
-            ({"M": True}, "M must be an integer >= 1, got True"),
-            ({"N": 2.0}, "N must be an integer >= 1, got 2.0"),
-            ({"rx_pos": [[0.0, 1.0]]}, "rx_pos must be a list of finite numbers"),
+            ({"M": True}, "M must be an integer, got True"),
+            ({"N": 2.0}, "N must be an integer, got 2.0"),
+            ({"rx_pos": [[0.0, 1.0]]}, "rx_pos must be a list of numbers"),
             ({"tone_offsets": [np.nan]}, "tone_offsets must be a list of finite numbers"),
             ({"tx_pos": [10 ** 400]}, "tx_pos must be a number a float can hold"),
             ({"bandwidth": 10 ** 400}, "bandwidth must be a number a float can hold"),
-            ({"eta": None}, "eta must be a number a float can hold"),
+            ({"eta": None}, "eta must be a number, got None"),
             ({"pri": -np.inf}, "pri must be positive and finite"),
             ({"sigma_alpha_sq": 0.0}, "sigma_alpha_sq must be positive and finite"),
             ({"sigma_n_sq": -1.0}, "sigma_n_sq must be nonnegative and finite")):
         with pytest.raises(ValueError, match=re.escape(message)):
             dataclasses.replace(cfg, **change)
 
+
+
+# what a user might set where a number goes; "float" (the SNR axis, whose range
+# at_snr owns) refuses only the first four, and rho may be None
+NOT_A_NUMBER = {"bool": True, "np.bool_": np.True_, "str": "1", "None": None,
+                "nan": float("nan"), "inf": float("inf"), "-inf": -float("inf")}
+EXPLICIT = {"M": 2, "N": 3, "bandwidth": 1e6, "pri": 3e-6, "rx_pos": [0.0, 0.5, 1.0],
+            "tx_pos": [0.0, 1.5], "tone_offsets": [-5e5, 5e5]}
+AXES = {"budget_bits": [36], "snr_db": [10.0], "dcr": [2], "k": [2]}
+
+
+def _with(d, field, bad):
+    """d with bad in field; a list field gets it as its last entry."""
+    value = d[field][:-1] + [bad] if isinstance(d.get(field), list) else bad
+    return dict(d, **{field: value})
+
+
+def _build(entry, field, bad):
+    if entry == "RadarConfig":
+        return bm.RadarConfig(**_with(EXPLICIT, field, bad))
+    if entry == "config_from_dict":
+        return config_from_dict(_with(EXPLICIT, field, bad))
+    if entry == "RecoverySpec":
+        return RecoverySpec(**{field: bad})
+    return ExperimentSpec(config=bm.RadarConfig(**EXPLICIT), **_with(AXES, field, bad))
+
+
+@pytest.mark.parametrize("entry, field", [
+    *(("RadarConfig", field) for field in EXPLICIT),
+    *(("RadarConfig", field) for field in ("eta", "sigma_alpha_sq", "sigma_n_sq")),
+    *(("config_from_dict", field) for field in EXPLICIT),
+    *(("config_from_dict", field) for field in ("eta", "sigma_alpha_sq", "sigma_n_sq")),
+    *(("ExperimentSpec", field) for field in ("trials", "master_seed", *AXES)),
+    *(("RecoverySpec", field) for field in ("rho", "rho_scale", "max_iter", "tol")),
+])
+def test_every_entry_point_refuses_what_is_not_a_number(entry, field):
+    # every number a user sets goes through model.checked: a ValueError that
+    # names the field, for each value its rule refuses
+    named = f"config key {field!r}" if entry == "config_from_dict" else field
+    accepted = {("ExperimentSpec", "snr_db"): ("nan", "inf", "-inf"),
+                ("RecoverySpec", "rho"): ("None",)}.get((entry, field), ())
+    for what, bad in NOT_A_NUMBER.items():
+        if what in accepted:
+            continue
+        with pytest.raises(ValueError, match=f"^{re.escape(named)} must be "):
+            _build(entry, field, bad)
+            pytest.fail(f"{entry} took {field}={what}")
+
+
+@pytest.mark.parametrize("seed", ["-1", "nan", "inf", "True", "1.5", "None"])
+def test_cli_seed_is_refused_by_name(tmp_path, capsys, seed):
+    # --seed as argparse reads it (an int), then through model.checked
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(EXPLICIT))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(path), "--seed", seed, "--out",
+              str(tmp_path / "out.csv")])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_checked_rules():
+    # each rule on a value it takes and converts, and at its bound
+    assert checked("x", np.int64(3), "int>=1") == 3 and checked("x", 0, "int>=0") == 0
+    assert checked("x", -(10 ** 400), "int") == -(10 ** 400)
+    assert type(checked("x", np.float32(0.5), "float>0")) is float
+    assert checked("x", 0, "float>=0") == 0.0 and np.isnan(checked("x", np.nan, "float"))
+    out = checked("x", (0, np.float32(0.5)), "floats")
+    assert out.dtype == float and out.tolist() == [0.0, 0.5] and not out.flags.writeable
+    for value, rule, message in (
+            (0, "int>=1", "x must be >= 1, got 0"),
+            (-1, "int>=0", "x must be nonnegative, got -1"),
+            (np.float64(2.0), "int", "x must be an integer, got "),
+            (0.0, "float>0", "x must be positive and finite, got 0.0"),
+            (-0.5, "float>=0", "x must be nonnegative and finite, got -0.5"),
+            (10 ** 400, "float", "x must be a number a float can hold"),
+            ([0, 10 ** 400], "floats", "x must be a number a float can hold"),
+            ("01", "floats", "x must be a list of numbers, got '01'"),
+            (np.zeros((1, 2)), "floats", "x must be a list of numbers"),
+            (np.array([np.False_]), "floats", "x must be a list of numbers"),
+            ([0.0, np.inf], "floats", "x must be a list of finite numbers, got [0.0, inf]")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            checked("x", value, rule)
 
 def test_integer_literal_hashes_like_its_float():
     # "eta": 2 and "eta": 2.0 are one config, on a generated and an explicit
