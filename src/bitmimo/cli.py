@@ -162,7 +162,7 @@ def _given(args, names):
 def cmd_design(args, spec):
     """Write the design bundle (and filter CSV) of the spec's one point."""
     (index, axes), = spec.points()
-    config, _, _, design = design_point(spec, index, axes)
+    config, _, _, design, _ = design_point(spec, index, axes)
     save_design(design, args.out, config)
     if args.filters_csv:
         write_filter_response_csv(design, config, args.filters_csv)

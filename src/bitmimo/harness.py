@@ -1,10 +1,12 @@
 """Monte Carlo experiment engine: trials, sweeps, CSV output.
 
 A sweep point is one combination of (budget_bits, snr_db, dcr, k, matrix_kind).
-Phi's solver operator is built once per sweep; the compression matrix,
-acquisition design, LMMSE transform Gamma and task operator M*Phi once per
-point, whichever methods run. All are shared read-only by the trials. Every
-trial runs in three steps:
+Its scalars (config at its SNR, P, b, task-ignorant quantizer) come from
+_point_scalars, which the spec runs on every point before any work, and
+design_point once more per point when it runs. Phi's solver operator is built
+once per sweep; the compression matrix, acquisition design, LMMSE transform
+Gamma and task operator M*Phi once per point, whichever methods run. All are
+shared read-only by the trials. Every trial runs in three steps:
 
     draw       scene and noise, with the grid, channel and task vectors they
                give; once per trial, shared by every method
@@ -113,44 +115,49 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be a sequence, got {values!r}")
             if not len(values):
                 raise ValueError(f"{name} must be nonempty")
-            if rule:
-                for value in values:
-                    checked(name, value, rule)
-        unknown = [m for m in self.methods if m not in METHODS]
-        if unknown:
-            raise ValueError(f"unknown methods {unknown}; pick from {METHODS}")
+            object.__setattr__(self, name, tuple(
+                checked(name, value, rule) if rule else value for value in values))
+        for name, known in (("methods", METHODS), ("matrix_kinds", COMPRESSION_KINDS)):
+            unknown = [value for value in getattr(self, name) if value not in known]
+            if unknown:
+                raise ValueError(f"unknown {name.replace('_', ' ')} {unknown}; "
+                                 f"pick from {known}")
+            object.__setattr__(self, name, tuple(map(str, getattr(self, name))))
         if len(set(self.methods)) < len(self.methods):
             raise ValueError(f"methods must not repeat a method, got {self.methods!r}")
-        # each axis value's own check, so that no point fails in its setup
-        unknown = [kind for kind in self.matrix_kinds if kind not in COMPRESSION_KINDS]
-        if unknown:
-            raise ValueError(f"unknown matrix kinds {unknown}; "
-                             f"pick from {COMPRESSION_KINDS}")
         if self.coeff_model not in COEFF_MODELS:
             raise ValueError(f"unknown coeff_model {self.coeff_model!r}; "
                              f"pick from {COEFF_MODELS}")
-        for snr_db in self.snr_db:
-            self.config.at_snr(snr_db)
-        grid = self.config.grid_size
-        for k in self.k:
-            if not 1 <= k <= grid:
-                raise ValueError(f"k={k} must be between 1 and the grid size {grid}")
-        for dcr in self.dcr:
-            channels = compression_block_rows(self.config, dcr)
-            for budget in self.budget_bits:
-                levels = levels_from_budget(budget, channels, self.config.L)
-                waterfill_gain(channels, levels, self.config.eta)
-        for budget in self.budget_bits if "task_ignorant" in self.methods else ():
-            try:  # the baseline spends each budget on all MNL channels, one tone each
-                levels_from_budget(budget, self.config.mnl, 1)
-            except ValueError as exc:
-                raise ValueError(f"task_ignorant: {exc}") from None
+        for _, axes in self.points():  # so that no point fails in its setup
+            _point_scalars(self, axes)
 
     def points(self):
-        axes = itertools.product(self.budget_bits, self.snr_db, self.dcr,
-                                 self.k, self.matrix_kinds)
-        for idx, (budget, snr, dcr, kk, kind) in enumerate(axes):
-            yield idx, (int(budget), float(snr), int(dcr), int(kk), str(kind))
+        return enumerate(itertools.product(self.budget_bits, self.snr_db, self.dcr,
+                                           self.k, self.matrix_kinds))
+
+
+def _point_scalars(spec, axes):
+    """(config at the point's SNR, P, b, and the task-ignorant quantizer's
+    (levels, support) when that method runs, else None) of the spec's point
+    with these axes; ValueError, naming the value, for an SNR, k, dcr, budget
+    or eta that its rule refuses."""
+    budget, snr_db, dcr, k, _ = axes
+    config = spec.config.at_snr(snr_db)
+    if not 1 <= k <= config.grid_size:
+        raise ValueError(f"k={k} must be between 1 and the grid size {config.grid_size}")
+    channels = compression_block_rows(config, dcr)
+    levels = levels_from_budget(budget, channels, config.L)
+    waterfill_gain(channels, levels, config.eta)
+    if "task_ignorant" not in spec.methods:
+        return config, channels, levels, None
+    base = spec.config
+    try:  # the baseline spends the budget on all MNL channels, one tone each
+        ti_levels = levels_from_budget(budget, base.mnl, 1)
+    except ValueError as exc:
+        raise ValueError(f"task_ignorant: {exc}") from None
+    # known defect: sigma_n^2 of the base config, not of this point's SNR
+    return config, channels, levels, (
+        ti_levels, base.eta * np.sqrt(k * base.sigma_alpha_sq + base.sigma_n_sq))
 
 
 @dataclass
@@ -335,38 +342,30 @@ class ExperimentResult:
 
 
 def design_point(spec, point_index, axes):
-    """(config at the point's SNR, statistics, compression, design) of the
-    spec's point point_index with axes as spec.points() yields them; `bitmimo
-    design` is the one point of its spec."""
-    budget, snr_db, dcr, k, kind = axes
-    config = spec.config.at_snr(snr_db)
+    """(config at the point's SNR, statistics, compression, design, task-ignorant
+    quantizer) of the spec's point point_index with axes as spec.points() yields
+    them; `bitmimo design` is the one point of its spec."""
+    _, _, dcr, k, kind = axes
+    config, channels, levels, task_ignorant = _point_scalars(spec, axes)
     stats = build_covariances(config, k)
     seed = np.random.SeedSequence([spec.master_seed, point_index, 1 << 20])
     compression = build_compression_matrix(np.random.default_rng(seed), config, dcr, kind)
-    channels = compression.block_rows
-    levels = levels_from_budget(budget, channels, config.L)
     return config, stats, compression, design_multitone(
-        stats, compression, channels, levels, config.eta)
+        stats, compression, channels, levels, config.eta), task_ignorant
 
 
 class _PointContext:
-    """design_point's results, the point's k and coefficient model, Gamma, the
-    task-ignorant quantizer when that method runs and the solver operators
-    (apply, adjoint, lipschitz) of one sweep point, shared by its trials: phi,
-    the sweep's Phi operator, and task, the point's M*Phi operator."""
+    """design_point's results (ti_levels and ti_support when task_ignorant runs),
+    the point's k and coefficient model, Gamma and the solver operators (apply,
+    adjoint, lipschitz) of one sweep point, shared by its trials: phi, the
+    sweep's Phi operator, and task, the point's M*Phi operator."""
 
     def __init__(self, spec, dictionary, phi, point_index, axes):
-        self.config, stats, self.compression, self.design = design_point(
+        self.config, stats, self.compression, self.design, task_ignorant = design_point(
             spec, point_index, axes)
-        budget, _, _, k, _ = axes
-        self.k, self.coeff_model, self.recovery = k, spec.coeff_model, spec.recovery
-        # the spec checks the baseline's budget only when the method runs
-        if "task_ignorant" in spec.methods:
-            base = spec.config
-            self.ti_levels = levels_from_budget(budget, base.mnl, 1)
-            # known defect: sigma_n^2 of the base config, not of this point's SNR
-            self.ti_support = base.eta * np.sqrt(
-                k * base.sigma_alpha_sq + base.sigma_n_sq)
+        if task_ignorant:
+            self.ti_levels, self.ti_support = task_ignorant
+        self.k, self.coeff_model, self.recovery = axes[3], spec.coeff_model, spec.recovery
         self.gamma_blocks = lmmse_transform(self.compression, stats)
         self.dictionary, self.phi = dictionary, phi
         self.task = _solver_operator(dictionary, self.compression)

@@ -170,10 +170,11 @@ class RadarConfig:
         With unit-modulus dictionary entries and uniformly drawn supports,
         E||Phi a||^2 = K * MNL * sigma_alpha_sq, so K cancels and
         sigma_n_sq = sigma_alpha_sq / 10^(snr_db/10). ValueError naming the SNR
-        unless 10^(snr_db/10) is finite and positive and sigma_n_sq finite.
+        unless snr_db is a number, 10^(snr_db/10) finite and positive and
+        sigma_n_sq finite.
         """
         with np.errstate(over="ignore"):
-            snr = float(10.0 ** (np.asarray(snr_db, dtype=float) / 10.0))
+            snr = float(10.0 ** (np.asarray(checked("snr_db", snr_db, "float")) / 10.0))
         sigma_n_sq = self.sigma_alpha_sq / snr if 0 < snr < np.inf else np.inf
         if not np.isfinite(sigma_n_sq):
             raise ValueError("SNR must be finite, with 10^(SNR/10) finite and positive "
@@ -212,26 +213,15 @@ class TargetScene:
 
 
 def make_ula_config(M, N, bandwidth, pri, **scalars) -> RadarConfig:
-    """Uniform linear arrays: zeta_n = n/2, xi_m = N*m/2 (virtual ULA of MN
-    elements), with tone offsets f_m = (m - (M+1)/2) * bandwidth. scalars are
-    RadarConfig's eta, sigma_alpha_sq and sigma_n_sq."""
-    m = np.arange(M)
-    return RadarConfig(M=M, N=N, bandwidth=bandwidth, pri=pri,
-                       rx_pos=np.arange(N) / 2.0, tx_pos=N * m / 2.0,
-                       tone_offsets=(m - (M + 1) / 2.0) * bandwidth, **scalars)
+    """config_from_dict's "ula" layout; scalars are RadarConfig's eta,
+    sigma_alpha_sq and sigma_n_sq."""
+    return config_from_dict(dict(scalars, M=M, N=N, bandwidth=bandwidth, pri=pri))
 
 
 def make_random_array_config(rng, M, N, bandwidth, pri, **scalars) -> RadarConfig:
-    """Element positions uniform over the virtual aperture [0, MN/2] wavelengths
-    (first element of each array pinned at 0); tone offsets are
-    f_m = (i_m - (M+1)/2) * bandwidth with (i_m) a random permutation of 0..M-1,
-    which keeps the bands disjoint. scalars are as for make_ula_config."""
-    aperture = M * N / 2.0
-    rx = np.concatenate(([0.0], rng.uniform(0.0, aperture, size=N - 1)))
-    tx = np.concatenate(([0.0], rng.uniform(0.0, aperture, size=M - 1)))
-    i_m = rng.permutation(M)
-    return RadarConfig(M=M, N=N, bandwidth=bandwidth, pri=pri, rx_pos=rx, tx_pos=tx,
-                       tone_offsets=(i_m - (M + 1) / 2.0) * bandwidth, **scalars)
+    """config_from_dict's "random" layout; scalars as for make_ula_config."""
+    return config_from_dict(dict(scalars, M=M, N=N, bandwidth=bandwidth, pri=pri,
+                                 array="random"), rng=rng)
 
 
 def sample_scene(rng, K, config: RadarConfig, coeff_model="gaussian") -> TargetScene:
@@ -282,13 +272,17 @@ def config_from_dict(d: dict, rng=None) -> RadarConfig:
     """Build a config from JSON-style keys.
 
     Either explicit 'rx_pos'/'tx_pos'/'tone_offsets' are given, all three, or
-    'array' selects a generator: "ula" (default) or "random" (requires rng).
+    'array' selects a layout, computed after the checks below: "ula" (default),
+    zeta_n = n/2 and xi_m = N*m/2 (a virtual ULA of MN elements) with order
+    0..M-1, or "random", positions uniform over the virtual aperture [0, MN/2]
+    wavelengths (the first of each array at 0) drawn from rng, rx then tx, with
+    order a random permutation of 0..M-1 drawn next. The tone offsets
+    f_m = (order_m - (M+1)/2) * bandwidth keep the bands disjoint.
     'M', 'N', 'bandwidth' and 'pri' are required. A key that is neither
     'array' nor one config_to_dict writes, a missing required key, a value
-    outside the `checked` rule of its RadarConfig field (checked before a
-    layout generator computes with it), or 'array' beside explicit positions
-    raises ValueError naming the key; so does an 'M', 'N' or bandwidth*pri
-    that makes U or V larger than numpy's largest array.
+    outside the `checked` rule of its RadarConfig field, or 'array' beside
+    explicit positions raises ValueError naming the key; so does an 'M', 'N'
+    or bandwidth*pri that makes U or V larger than numpy's largest array.
     """
     if not isinstance(d, dict):
         raise ValueError("a config must be a JSON object")
@@ -307,7 +301,7 @@ def config_from_dict(d: dict, rng=None) -> RadarConfig:
         raise ValueError("config key 'array' cannot be given beside explicit "
                          "rx_pos/tx_pos/tone_offsets")
     # the steering matrices U (M x N x MN) and V (M x L x ML) must fit numpy's
-    # largest complex array, checked before a layout generator allocates by M or N
+    # largest complex array, checked before a layout allocates by M or N
     M, N = given["M"], given["N"]
     product = given["bandwidth"] * given["pri"]
     L = round(product) if product < np.inf else 1  # RadarConfig refuses inf
@@ -321,12 +315,18 @@ def config_from_dict(d: dict, rng=None) -> RadarConfig:
         return RadarConfig(**given)
     kind = d.get("array", "ula")
     if kind == "ula":
-        return make_ula_config(**given)
-    if kind == "random":
+        order = np.arange(M)
+        rx, tx = np.arange(N) / 2.0, N * order / 2.0
+    elif kind == "random":
         if rng is None:
             raise ValueError("random array layout requires an rng (seed)")
-        return make_random_array_config(rng, **given)
-    raise ValueError(f"unknown array kind {kind!r}")
+        rx = np.concatenate(([0.0], rng.uniform(0.0, M * N / 2.0, size=N - 1)))
+        tx = np.concatenate(([0.0], rng.uniform(0.0, M * N / 2.0, size=M - 1)))
+        order = rng.permutation(M)
+    else:
+        raise ValueError(f"unknown array kind {kind!r}")
+    return RadarConfig(**given, rx_pos=rx, tx_pos=tx,
+                       tone_offsets=(order - (M + 1) / 2.0) * given["bandwidth"])
 
 
 def load_config(path, rng=None) -> RadarConfig:

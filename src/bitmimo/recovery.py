@@ -162,8 +162,7 @@ def fista(apply_a, apply_at, s_hat, spec: RecoverySpec, lipschitz=None,
     n = corr.shape[0]
     if lipschitz is None:
         lipschitz = power_iteration_lipschitz(apply_a, apply_at, n)
-    if lipschitz <= 0:
-        raise ValueError("zero operator")
+    lipschitz = checked("lipschitz", lipschitz, "float>0")
     step_cap, step_floor = SAFE_STEP * lipschitz, STEP_FLOOR * lipschitz
     step_l = LONG_STEP * lipschitz
 

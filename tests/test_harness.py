@@ -64,6 +64,16 @@ def test_spec_rejects_non_integer_counts(small_cfg):
     assert axes[1:4] == (10.0, 2, 2)
 
 
+def test_spec_stores_each_axis_as_checked_tuple(small_cfg):
+    # points() converts nothing: the spec holds Python numbers and strings
+    spec = _spec(small_cfg, snr_db=(np.float32(10),), k=(np.int64(2),),
+                 budget_bits=[np.int32(36)], matrix_kinds=np.array(["dft"]),
+                 methods=[np.str_("bilimo")])
+    got = (spec.budget_bits, spec.snr_db, spec.k, spec.matrix_kinds, spec.methods)
+    assert got == ((36,), (10.0,), (2,), ("dft",), ("bilimo",))
+    assert [type(axis[0]) for axis in got] == [int, float, int, str, str]
+
+
 def test_empty_method_list_rejected(small_cfg):
     with pytest.raises(ValueError, match="methods must be nonempty"):
         _spec(small_cfg, methods=())

@@ -231,6 +231,47 @@ def test_random_array_positions_in_aperture():
     assert np.all(cfg.tx_pos <= cfg.mn / 2) and np.all(cfg.tx_pos >= 0)
 
 
+def test_generated_layouts_are_the_config_files():
+    # a generator and a config file with 'array' give the same config from
+    # equal rng states; the random layout draws rx, then tx, then the
+    # permutation, and the ULA is its closed form
+    for seed in range(20):
+        M, N = 2 + seed % 7, 1 + seed % 5
+        keys = {"M": M, "N": N, "bandwidth": 1e6, "pri": 3e-6, "eta": 1.5}
+        made = bm.make_random_array_config(np.random.default_rng(seed), **keys)
+        read = config_from_dict(dict(keys, array="random"), rng=np.random.default_rng(seed))
+        assert config_to_dict(made) == config_to_dict(read)
+        rng = np.random.default_rng(seed)
+        rx, tx = rng.uniform(0, M * N / 2, N - 1), rng.uniform(0, M * N / 2, M - 1)
+        order = rng.permutation(M)
+        assert np.array_equal(made.rx_pos, np.r_[0.0, rx])
+        assert np.array_equal(made.tx_pos, np.r_[0.0, tx])
+        assert np.array_equal(made.tone_offsets, (order - (M + 1) / 2) * 1e6)
+        ula = bm.make_ula_config(**keys)
+        assert config_to_dict(ula) == config_to_dict(config_from_dict(keys))
+        assert np.array_equal(ula.rx_pos, np.arange(N) / 2)
+        assert np.array_equal(ula.tx_pos, N * np.arange(M) / 2)
+        assert np.array_equal(ula.tone_offsets, (np.arange(M) - (M + 1) / 2) * 1e6)
+
+
+def test_generators_and_at_snr_refuse_what_a_config_file_refuses():
+    # the generators take config_from_dict's checks before any layout
+    # arithmetic, and at_snr takes the SNR axis's rule
+    rng = np.random.default_rng(0)
+    cfg = bm.make_ula_config(2, 3, 1e6, 3e-6)
+    for build, message in (
+            (lambda: bm.make_ula_config(2, 3, "1e6", 3e-6),
+             "config key 'bandwidth' must be a number, got '1e6'"),
+            (lambda: bm.make_random_array_config(rng, 2, 3.0, 1e6, 3e-6),
+             "config key 'N' must be an integer, got 3.0"),
+            (lambda: bm.make_random_array_config(rng, 0, 3, 1e6, 3e-6),
+             "config key 'M' must be >= 1, got 0"),
+            (lambda: cfg.at_snr("10"), "snr_db must be a number, got '10'"),
+            (lambda: cfg.at_snr(True), "snr_db must be a number, got True")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+
+
 def test_sample_scene_gaussian_counts_and_power():
     cfg = bm.make_ula_config(2, 3, 1e6, 3e-6)
     rng = np.random.default_rng(1)

@@ -343,6 +343,25 @@ def test_fista_rejects_bad_inputs():
                 RecoverySpec(**{name: bad})
 
 
+def test_fista_refuses_a_lipschitz_constant_that_is_not_positive_and_finite():
+    # a nan constant fails every backtracking test and an infinite one returns
+    # zeros after one iteration; the applies are capped so that a solve that
+    # takes such a constant ends instead of spinning
+    A = np.eye(2, dtype=complex)
+    applies = []
+
+    def apply(x):
+        applies.append(1)
+        if len(applies) > 100:
+            raise RuntimeError("the solve took the constant")
+        return A @ x
+
+    for bad in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="lipschitz must be positive and finite"):
+            fista(apply, _ops(A)[1], np.ones(2, dtype=complex), RecoverySpec(),
+                  lipschitz=bad)
+
+
 def test_recovery_spec_rejects_bad_stop_controls():
     # a nan tol never fires and an infinite one stops after one iteration; a
     # non-integer max_iter would fail only at the first solve
