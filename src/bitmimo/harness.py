@@ -20,14 +20,15 @@ observation goes to the solver as complex64. Everything before it (draw, front
 ends, design) and every metric stays in complex128, so mse_s, the design errors
 and the saturation rate do not depend on the solver's precision.
 
-Seeding is fully deterministic:
+Seeding is fully deterministic; _rng(spec, *key) turns every key into a
+generator, default_rng([master_seed, *key]):
 
-    compression rng   <- SeedSequence([master_seed, point_index, 1 << 20])
-    scene/noise rng   <- SeedSequence([master_seed, point_index, trial, 0])
-    method dither rng <- SeedSequence([master_seed, point_index, trial, tag])
+    compression rng   <- _rng(spec, point_index, 1 << 20)
+    scene/noise rng   <- _rng(spec, point_index, trial, 0)
+    method dither rng <- _rng(spec, point_index, trial, slot)
 
-with tag the method's position (1-based) in the canonical method order, so a
-method's results do not depend on which other methods are enabled.
+with slot the method's position (1-based) in METHODS, so a method's results do
+not depend on which other methods are enabled.
 
 The CSV, the solver diagnostics included, is byte-reproducible for a fixed
 spec and seed; wall-clock timings and timestamps live only in the JSON sidecar.
@@ -40,7 +41,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -106,6 +107,9 @@ class ExperimentSpec:
     recovery: RecoverySpec = field(default_factory=RecoverySpec)
 
     def __post_init__(self):
+        for name, kind in (("config", RadarConfig), ("recovery", RecoverySpec)):
+            if not isinstance(value := getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
         for name, rule in (("trials", "int>=1"), ("master_seed", "int>=0")):
             object.__setattr__(self, name, checked(name, getattr(self, name), rule))
         for name, rule in (("budget_bits", "int"), ("snr_db", "float"), ("dcr", "int"),
@@ -138,7 +142,7 @@ class ExperimentSpec:
 
 def _point_scalars(spec, axes):
     """(config at the point's SNR, P, b, and the task-ignorant quantizer's
-    (levels, support) when that method runs, else None) of the spec's point
+    (levels, support), both None unless that method runs) of the spec's point
     with these axes; ValueError, naming the value, for an SNR, k, dcr, budget
     or eta that its rule refuses."""
     budget, snr_db, dcr, k, _ = axes
@@ -149,7 +153,7 @@ def _point_scalars(spec, axes):
     levels = levels_from_budget(budget, channels, config.L)
     waterfill_gain(channels, levels, config.eta)
     if "task_ignorant" not in spec.methods:
-        return config, channels, levels, None
+        return config, channels, levels, (None, None)
     base = spec.config
     try:  # the baseline spends the budget on all MNL channels, one tone each
         ti_levels = levels_from_budget(budget, base.mnl, 1)
@@ -305,16 +309,16 @@ def _mean_se(values):
 
 class PointResult:
     """One (sweep point, method), built once when the point closes from the
-    trials it kept (at least one): the per-trial metrics and the CSV
-    aggregates, solver diagnostics included. index is the point's position in
-    spec.points(); wall_ms, the sidecar's, sums the kept trials' wall time."""
+    trials it kept (at least one) of n_trials: the per-trial metrics and the
+    CSV aggregates, solver diagnostics included. index is the point's position
+    in spec.points(); wall_ms, the sidecar's, sums the kept trials' wall time."""
 
-    def __init__(self, method, index, axes, kept, n_failed, wall_ms,
+    def __init__(self, method, index, axes, kept, n_trials, wall_ms,
                  eps_lmmse, eps_emse, max_iter):
         self.method, self.index = method, index
         self.budget_bits, self.snr_db, self.dcr, self.k, self.matrix_kind = axes
         self.eps_lmmse, self.eps_emse = eps_lmmse, eps_emse
-        self.n_failed, self.wall_ms = n_failed, wall_ms
+        self.n_failed, self.wall_ms = n_trials - len(kept), wall_ms
         self.mse_s = [m.mse_s for m in kept]
         self.mse_a = [m.mse_a for m in kept]
         self.hits = [m.hit for m in kept]
@@ -338,7 +342,11 @@ class PointResult:
 @dataclass
 class ExperimentResult:
     points: list
-    spec: ExperimentSpec
+
+
+def _rng(spec, *key):
+    """The generator of seed key under spec.master_seed (see the seed table)."""
+    return np.random.default_rng([spec.master_seed, *key])
 
 
 def design_point(spec, point_index, axes):
@@ -348,23 +356,22 @@ def design_point(spec, point_index, axes):
     _, _, dcr, k, kind = axes
     config, channels, levels, task_ignorant = _point_scalars(spec, axes)
     stats = build_covariances(config, k)
-    seed = np.random.SeedSequence([spec.master_seed, point_index, 1 << 20])
-    compression = build_compression_matrix(np.random.default_rng(seed), config, dcr, kind)
+    compression = build_compression_matrix(_rng(spec, point_index, 1 << 20), config,
+                                           dcr, kind)
     return config, stats, compression, design_multitone(
         stats, compression, channels, levels, config.eta), task_ignorant
 
 
 class _PointContext:
-    """design_point's results (ti_levels and ti_support when task_ignorant runs),
-    the point's k and coefficient model, Gamma and the solver operators (apply,
-    adjoint, lipschitz) of one sweep point, shared by its trials: phi, the
-    sweep's Phi operator, and task, the point's M*Phi operator."""
+    """design_point's results (ti_levels and ti_support None unless
+    task_ignorant runs), the point's k and coefficient model, Gamma and the
+    solver operators (apply, adjoint, lipschitz) of one sweep point, shared by
+    its trials: phi, the sweep's Phi, and task, the point's M*Phi operator."""
 
     def __init__(self, spec, dictionary, phi, point_index, axes):
         self.config, stats, self.compression, self.design, task_ignorant = design_point(
             spec, point_index, axes)
-        if task_ignorant:
-            self.ti_levels, self.ti_support = task_ignorant
+        self.ti_levels, self.ti_support = task_ignorant
         self.k, self.coeff_model, self.recovery = axes[3], spec.coeff_model, spec.recovery
         self.gamma_blocks = lmmse_transform(self.compression, stats)
         self.dictionary, self.phi = dictionary, phi
@@ -384,42 +391,35 @@ def run_sweep(spec: ExperimentSpec, out_csv=None, dictionary=None) -> Experiment
     if differ:
         raise ValueError("the dictionary was built for another config than the spec's: "
                          f"{', '.join(differ)} differ")
-    methods = [m for m in METHODS if m in spec.methods]
+    slots = [(slot, m) for slot, m in enumerate(METHODS, 1) if m in spec.methods]
     phi = _solver_operator(dictionary)
     points = []
     for p_idx, axes in spec.points():
         ctx = _PointContext(spec, dictionary, phi, p_idx, axes)
-        kept = {m: [] for m in methods}
-        failed = dict.fromkeys(methods, 0)
-        wall_ms = dict.fromkeys(methods, 0.0)
+        kept = {m: [] for _, m in slots}
+        wall_ms = dict.fromkeys(kept, 0.0)
         for t in range(spec.trials):
-            rng_scene = np.random.default_rng(
-                np.random.SeedSequence([spec.master_seed, p_idx, t, 0]))
-            draw = draw_trial(ctx, rng_scene)
-            for method in methods:
-                tag = METHODS.index(method) + 1
-                rng_m = np.random.default_rng(
-                    np.random.SeedSequence([spec.master_seed, p_idx, t, tag]))
+            draw = draw_trial(ctx, _rng(spec, p_idx, t, 0))
+            for slot, method in slots:
+                rng = _rng(spec, p_idx, t, slot)
                 t0 = time.perf_counter()
                 try:
                     # looked up at call time, so a replaced trial function is seen
-                    kept[method].append(
-                        globals()[f"run_{method}_trial"](ctx, draw, rng_m))
+                    kept[method].append(globals()[f"run_{method}_trial"](ctx, draw, rng))
                 except (ValueError, ArithmeticError) as exc:
                     logger.exception("trial %d of %s at point %d failed; excluded",
                                      t, method, p_idx)
-                    failed[method] += 1
-                    if failed[method] == spec.trials:
+                    if t == spec.trials - 1 and not kept[method]:
                         raise RuntimeError(f"every trial of {method} at point "
                                            f"{p_idx} failed") from exc
                     continue
                 wall_ms[method] += (time.perf_counter() - t0) * 1e3
-        points += [PointResult(m, p_idx, axes, kept[m], failed[m], wall_ms[m],
+        points += [PointResult(m, p_idx, axes, kept[m], spec.trials, wall_ms[m],
                                ctx.design.lmmse,
                                ctx.design.emse if m == "bilimo" else None,
                                spec.recovery.max_iter)
-                   for m in methods]
-    result = ExperimentResult(points=points, spec=spec)
+                   for m in kept]
+    result = ExperimentResult(points=points)
     if out_csv is not None:
         write_csv(result, out_csv)
         _write_sidecar(spec, points, f"{out_csv}.meta.json")
@@ -453,7 +453,6 @@ def _blas_name():
 
 
 def _write_sidecar(spec: ExperimentSpec, points, path) -> None:
-    rspec = spec.recovery
     meta = {
         "version": __version__,
         "numpy": np.__version__,
@@ -463,8 +462,7 @@ def _write_sidecar(spec: ExperimentSpec, points, path) -> None:
         "config_hash": config_hash(spec.config),
         "master_seed": spec.master_seed,
         "eta": spec.config.eta,
-        "rho_rule": {"rho": rspec.rho, "rho_scale": rspec.rho_scale,
-                     "max_iter": rspec.max_iter, "tol": rspec.tol},
+        "rho_rule": asdict(spec.recovery),
         "trials": spec.trials,
         "methods": list(spec.methods),
         "coeff_model": spec.coeff_model,

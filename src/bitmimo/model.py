@@ -15,9 +15,10 @@ scene matrix).
 
 from __future__ import annotations
 
+import copy
 import json
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -171,7 +172,7 @@ class RadarConfig:
         E||Phi a||^2 = K * MNL * sigma_alpha_sq, so K cancels and
         sigma_n_sq = sigma_alpha_sq / 10^(snr_db/10). ValueError naming the SNR
         unless snr_db is a number, 10^(snr_db/10) finite and positive and
-        sigma_n_sq finite.
+        sigma_n_sq finite. The copy shares this config's read-only arrays.
         """
         with np.errstate(over="ignore"):
             snr = float(10.0 ** (np.asarray(checked("snr_db", snr_db, "float")) / 10.0))
@@ -180,7 +181,9 @@ class RadarConfig:
             raise ValueError("SNR must be finite, with 10^(SNR/10) finite and positive "
                              "and the noise variance sigma_alpha_sq/10^(SNR/10) finite, "
                              f"got {snr_db} dB")
-        return replace(self, sigma_n_sq=sigma_n_sq)
+        out = copy.copy(self)  # checked once; only sigma_n_sq changes, checked above
+        object.__setattr__(out, "sigma_n_sq", sigma_n_sq)
+        return out
 
 
 # RadarConfig's init fields and the rule of each, by its annotation (a string

@@ -101,6 +101,17 @@ def test_spec_refuses_a_repeated_method(small_cfg):
     assert [axes[1] for _, axes in spec.points()] == [0.0, 10.0]
 
 
+def test_spec_refuses_a_config_or_recovery_of_another_type(small_cfg):
+    # recovery=None would fail at the first solve, config="cfg.json" at the
+    # first point; each is refused by the field's name
+    for field, bad, kind in (("config", "cfg.json", "RadarConfig"),
+                             ("config", bm.model.config_to_dict(small_cfg), "RadarConfig"),
+                             ("recovery", None, "RecoverySpec"),
+                             ("recovery", {"max_iter": 60}, "RecoverySpec")):
+        with pytest.raises(ValueError, match=f"^{field} must be a {kind}, got "):
+            _spec(small_cfg, **{field: bad})
+
+
 def _count_phi_builds(tmp_path, monkeypatch, cfg, counted_name, counts=lambda *args: True):
     """Calls of harness.<counted_name> whose arguments pass counts, in a
     2-point sweep of cfg on the Phi methods, then in a sweep that builds Phi's
@@ -329,6 +340,41 @@ def test_method_metrics_independent_of_selection(small_cfg):
         only, = run_sweep(_spec(small_cfg, methods=(p_all.method,), trials=2)).points
         assert (only.mse_s, only.mse_a, only.hits) == (p_all.mse_s, p_all.mse_a,
                                                        p_all.hits)
+
+
+def test_seed_table_pins_every_generator(small_cfg, monkeypatch):
+    # the determinism contract's key layout: each trial's draw comes from
+    # [seed, point, trial, 0], each method's dither from [seed, point, trial,
+    # slot] with slot the method's 1-based place in METHODS, and each point's
+    # compression from [seed, point, 1 << 20]
+    spec = _spec(small_cfg, methods=bm.METHODS, trials=2, snr_db=(0.0, 10.0))
+    names = ["draw_trial"] + [f"run_{method}_trial" for method in bm.METHODS]
+    seen = []
+
+    def recorded(name):
+        original = getattr(harness, name)
+
+        def wrapper(ctx, *args):
+            seen.append((name, args[-1].bit_generator.state))
+            return original(ctx, *args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(harness, name, recorded(name))
+    run_sweep(spec)
+
+    def state(*key):
+        rng = np.random.default_rng(np.random.SeedSequence([7, *key]))
+        return rng.bit_generator.state
+
+    assert seen == [(name, state(point, t, slot)) for point in range(2)
+                    for t in range(2) for slot, name in enumerate(names)]
+    for point, axes in spec.points():
+        config, _, compression, _, _ = harness.design_point(spec, point, axes)
+        want = bm.build_compression_matrix(
+            np.random.default_rng(np.random.SeedSequence([7, point, 1 << 20])),
+            config, axes[2], axes[4])
+        assert np.array_equal(compression.blocks, want.blocks)
 
 
 def test_each_trial_synthesizes_its_scene_once(small_cfg, monkeypatch):

@@ -372,6 +372,25 @@ def test_at_snr_keeps_the_bits_of_its_expression():
             cfg.at_snr(x)
 
 
+def test_at_snr_is_the_checked_config_with_its_noise_variance():
+    # at_snr sets sigma_n_sq on a copy of the checked config: the config a
+    # replace() that re-runs every check gives, sharing the read-only arrays
+    base = bm.make_random_array_config(np.random.default_rng(3), 8, 12, 1e6, 9e-6,
+                                       sigma_alpha_sq=0.7)
+    for snr_db in (-20.0, 0.0, 13.7, 120.0):
+        cfg = base.at_snr(snr_db)
+        assert cfg.sigma_n_sq == pytest.approx(0.7 / 10 ** (snr_db / 10))
+        want = dataclasses.replace(base, sigma_n_sq=cfg.sigma_n_sq)
+        assert config_to_dict(cfg) == config_to_dict(want) and cfg.L == want.L
+        for name in ("rx_pos", "tx_pos", "tone_offsets"):
+            assert getattr(cfg, name) is getattr(base, name)
+            assert not getattr(cfg, name).flags.writeable
+    assert base.sigma_n_sq == 1.0
+    for bad in ("10", True, None, [10.0], np.nan, np.inf, -np.inf, 3100, -3300):
+        with pytest.raises(ValueError):
+            base.at_snr(bad)
+
+
 def test_snr_closed_form_monte_carlo_oracle():
     # E||Phi a||^2 / (K*MNL) should equal sigma_alpha_sq to < 1%, which makes
     # sigma_n_sq = sigma_alpha_sq/SNR realize the target SNR within 2%.
