@@ -9,6 +9,18 @@ Every command reads the axis flags as comma-separated lists; `design` and
 flag left out takes its default from ExperimentSpec or RecoverySpec.
 Results go to the CSV named by --out, with provenance (seed, eta, rho rule,
 version, numpy version, config hash, wall times) in <out>.meta.json.
+
+An invalid flag or config value is refused before any work: the reason goes
+to stderr as an argparse usage error, nothing is written, and the exit code
+is 2. Each rule lives where it is enforced: model.checked (every number,
+--seed included), model.config_from_dict (the config file's keys),
+ExperimentSpec and harness._point_scalars (the axes, methods and trials, and
+every point's SNR, k, dcr, budget and eta, through RadarConfig.at_snr,
+statistics.compression_block_rows, adc.levels_from_budget and
+combiner.waterfill_gain), RecoverySpec (--rho-scale, --max-iter),
+_load_config (a --config it cannot read), _check_outputs (the output paths)
+and _check_one_point (one value per axis flag on design and simulate).
+`design` builds the one-point spec of its flags to get the same checks.
 """
 
 from __future__ import annotations
@@ -24,7 +36,8 @@ from .combiner import design_multitone, save_design, write_filter_response_csv
 from .harness import METHODS, ExperimentSpec, design_point, run_sweep
 from .model import COEFF_MODELS, checked, load_config
 from .recovery import RecoverySpec
-# design_multitone and these two are unused here: perfbench/spans.py traces them on cli
+# design_multitone and these two are unused here: perfbench/spans.py traces them
+# on cli, and they go when those spans go
 from .statistics import build_compression_matrix, build_covariances
 
 
@@ -115,8 +128,10 @@ def build_parser():
 
 
 def _load_config(args):
+    """The --config file's config, with --eta applied; ValueError for a file
+    that cannot be read (missing, or a directory)."""
     seed = checked("--seed", args.seed, "int>=0")  # before it seeds the layout rng
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0F1]))
+    rng = np.random.default_rng([seed, 0xC0F1])  # the layout row of harness's seed table
     try:
         config = load_config(args.config, rng=rng)
     except OSError as exc:
@@ -126,8 +141,11 @@ def _load_config(args):
 
 def _check_outputs(args):
     """Refuse, before any work is done, an output file whose directory is
-    missing, whose path is a directory, or that would overwrite the --config
-    file or another output of the command."""
+    missing, whose path is a directory, or whose resolved path is the
+    --config file or another output of the command (`--filters-csv d.json`
+    beside `design --out d`). The outputs are the bundle's <out>.npz and
+    <out>.json and the --filters-csv file, or the CSV named by --out and its
+    <out>.meta.json."""
     suffixes = (".npz", ".json") if args.command == "design" else ("", ".meta.json")
     paths = [("--out", args.out + suffix) for suffix in suffixes]
     if getattr(args, "filters_csv", None):

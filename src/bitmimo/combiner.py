@@ -76,7 +76,8 @@ def waterfill_gain(channels, levels, eta):
     ulps above 1, the condition under which the first mode's level
     zeta_1 * lam_1 = ((1/coef + 1) / lam_1) * lam_1 exceeds 1 for every lam_1.
     Past it no mode is sure to clear the water level; with 1/coef infinite
-    the water level is infinite.
+    the water level is infinite. The harness runs this check on every sweep
+    point when a spec is made (harness._point_scalars).
     """
     eta = float(eta)  # a float past 1e154 squares to inf without a warning
     coef = 4.0 * eta * eta / (3.0 * levels * levels * channels)
@@ -229,6 +230,8 @@ class AcquisitionDesign:
 # the arrays of a design bundle, in <prefix>.npz under these names
 BUNDLE_ARRAYS = ("combiner_blocks", "digital_blocks", "gains_sq", "water_levels",
                  "singvals", "mixers", "block_emse")
+# and its scalars, in <prefix>.json beside the config_hash of the design's config
+_BUNDLE_SCALARS = ("support", "levels", "eta", "channels", "emse", "lmmse")
 
 
 def design_multitone(stats: SignalStatistics, compression: CompressionMatrix,
@@ -254,7 +257,8 @@ def design_multitone(stats: SignalStatistics, compression: CompressionMatrix,
     left, singvals, vh = np.linalg.svd(T * inv_sqrt, full_matrices=False)
     gains_sq, water_levels = map(np.array, zip(*[
         waterfill(lam, channels, levels, eta, block_rows=rows) for lam in singvals]))
-    # called through the module global so that a wrapper installed on it sees the call
+    # perfbench/spans.py wraps this module global for its combiner.equalizer
+    # span, so the call must go through it; that need goes when the span goes
     mixers = equalizing_unitary((gains_sq[:, :, None] * np.eye(channels)).astype(complex))
 
     # modes past k = min(P, J_i, MN) get no gain: B_i = U_ik Lam_ik V_ik^H Sigma_i^{-1/2}
@@ -419,27 +423,27 @@ def save_design(design: AcquisitionDesign, path_prefix, config: RadarConfig) -> 
     """Binary-plus-JSON bundle: the BUNDLE_ARRAYS tone stacks in <prefix>.npz,
     scalars in <prefix>.json."""
     np.savez(f"{path_prefix}.npz", **{name: getattr(design, name) for name in BUNDLE_ARRAYS})
-    meta = {
-        "support": design.support, "levels": design.levels, "eta": design.eta,
-        "channels": design.channels, "emse": design.emse, "lmmse": design.lmmse,
-        "config_hash": config_hash(config),
-    }
+    meta = {name: getattr(design, name) for name in _BUNDLE_SCALARS}
+    meta["config_hash"] = config_hash(config)
     with open(f"{path_prefix}.json", "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
 
 
 def load_design(path_prefix) -> AcquisitionDesign:
-    """The design of a bundle written by save_design. A bundle that lacks one
-    of BUNDLE_ARRAYS (such as one holding a dense `digital` filter in place of
-    `digital_blocks`) raises ValueError naming the first missing array; other
-    arrays (such as the `right_vectors` of older bundles) are ignored."""
+    """The design of a bundle written by save_design. A bundle whose .json
+    lacks one of the scalars (support, levels, eta, channels, emse, lmmse), or
+    whose .npz lacks one of BUNDLE_ARRAYS (such as one holding a dense
+    `digital` filter in place of `digital_blocks`), raises ValueError naming
+    the first missing one; other arrays (such as the `right_vectors` of older
+    bundles) are ignored."""
     with open(f"{path_prefix}.json") as fh:
         meta = json.load(fh)
+    for name in _BUNDLE_SCALARS:
+        if name not in meta:
+            raise ValueError(f"design bundle {path_prefix}.json has no {name!r} value")
     with np.load(f"{path_prefix}.npz") as data:
         for name in BUNDLE_ARRAYS:
             if name not in data.files:
                 raise ValueError(f"design bundle {path_prefix}.npz has no {name!r} array")
         arrays = {name: data[name] for name in BUNDLE_ARRAYS}
-    return AcquisitionDesign(
-        **arrays, support=meta["support"], levels=meta["levels"], eta=meta["eta"],
-        channels=meta["channels"], emse=meta["emse"], lmmse=meta["lmmse"])
+    return AcquisitionDesign(**arrays, **{name: meta[name] for name in _BUNDLE_SCALARS})

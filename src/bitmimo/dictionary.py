@@ -43,7 +43,9 @@ class SteeringDictionary:
     U: np.ndarray          # (M, N, MN)
     V: np.ndarray          # (M, L, ML)
 
-    Phi = None  # no dense matrix is held; kept for code that reads the old field
+    # no dense matrix is held; only perfbench/spans.py reads this (its
+    # dictionary.phi_mb metric), and it goes when that span goes
+    Phi = None
 
     @property
     def n_rows(self) -> int:

@@ -20,18 +20,23 @@ observation goes to the solver as complex64. Everything before it (draw, front
 ends, design) and every metric stays in complex128, so mse_s, the design errors
 and the saturation rate do not depend on the solver's precision.
 
-Seeding is fully deterministic; _rng(spec, *key) turns every key into a
-generator, default_rng([master_seed, *key]):
+Seeding is fully deterministic. Every generator the seed drives is
+default_rng of a key list that starts with the seed, and _rng(spec, *key) =
+default_rng([master_seed, *key]) makes all but the first:
 
+    layout rng        <- default_rng([seed, 0xC0F1]), drawn by the CLI before
+                         any spec exists (a random layout of --config)
     compression rng   <- _rng(spec, point_index, 1 << 20)
     scene/noise rng   <- _rng(spec, point_index, trial, 0)
     method dither rng <- _rng(spec, point_index, trial, slot)
 
 with slot the method's position (1-based) in METHODS, so a method's results do
-not depend on which other methods are enabled.
+not depend on which other methods are enabled. Noise and the task-ignorant
+dither are drawn band by band, in (M, L, N) shape, and laid out tone-major.
 
 The CSV, the solver diagnostics included, is byte-reproducible for a fixed
-spec and seed; wall-clock timings and timestamps live only in the JSON sidecar.
+spec and seed, on one build (numpy, BLAS, this code) at one BLAS thread count;
+wall-clock timings and timestamps live only in the JSON sidecar.
 """
 
 from __future__ import annotations
@@ -92,7 +97,17 @@ CSV_COLUMNS = ("method", "budget_bits", "snr_db", "dcr", "k", "matrix_kind",
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Sweep axes, trial count, seed and method selection."""
+    """Sweep axes, trial count, seed and method selection.
+
+    Refuses, each by the field's name, a config that is not a RadarConfig, a
+    recovery that is not a RecoverySpec, trials below 1 and a negative
+    master_seed. Each axis and methods must be a nonempty sequence (never a
+    scalar or a string) and is stored as a tuple of its values, each checked
+    with model.checked (budget_bits, dcr and k integers, snr_db a float);
+    an unknown method or matrix kind, or a repeated method, is refused.
+    Then _point_scalars runs on every point, so a point that cannot run is
+    refused here, before any work.
+    """
 
     config: RadarConfig
     budget_bits: tuple = (1728,)
@@ -311,7 +326,8 @@ class PointResult:
     """One (sweep point, method), built once when the point closes from the
     trials it kept (at least one) of n_trials: the per-trial metrics and the
     CSV aggregates, solver diagnostics included. index is the point's position
-    in spec.points(); wall_ms, the sidecar's, sums the kept trials' wall time."""
+    in spec.points(); n_failed = n_trials - kept; wall_ms, the sidecar's, sums
+    the kept trials' wall time."""
 
     def __init__(self, method, index, axes, kept, n_trials, wall_ms,
                  eps_lmmse, eps_emse, max_iter):
@@ -383,7 +399,8 @@ def run_sweep(spec: ExperimentSpec, out_csv=None, dictionary=None) -> Experiment
     provenance sidecar (<out_csv>.meta.json). A trial that fails numerically
     (ValueError, ArithmeticError) is logged and excluded; other exceptions
     propagate, and so does a method whose every trial at a point fails. A
-    dictionary given must be built for spec.config."""
+    dictionary given must be built for spec.config; ValueError names the
+    config keys that differ."""
     if dictionary is None:
         dictionary = build_dictionary(spec.config)
     ours, theirs = config_to_dict(spec.config), config_to_dict(dictionary.config)
@@ -404,7 +421,8 @@ def run_sweep(spec: ExperimentSpec, out_csv=None, dictionary=None) -> Experiment
                 rng = _rng(spec, p_idx, t, slot)
                 t0 = time.perf_counter()
                 try:
-                    # looked up at call time, so a replaced trial function is seen
+                    # looked up at call time because perfbench/spans.py wraps the
+                    # run_*_trial functions; a plain call will do when that span goes
                     kept[method].append(globals()[f"run_{method}_trial"](ctx, draw, rng))
                 except (ValueError, ArithmeticError) as exc:
                     logger.exception("trial %d of %s at point %d failed; excluded",

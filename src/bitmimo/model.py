@@ -48,11 +48,14 @@ def _readonly(a, dtype):
 
 
 def checked(name, value, rule):
-    """value under rule, converted, or ValueError naming it. The rules:
+    """value under rule, converted, or ValueError naming it: the one rule for
+    every number a user sets, which RadarConfig, config_from_dict,
+    ExperimentSpec, RecoverySpec and the CLI's --seed call. The rules:
     "int>=1", "int>=0" and "int", integers; "float>0" and "float>=0", finite
-    floats; "float", any float; "floats", a 1-D list of finite floats, as a
-    read-only array. A bool, numpy bool, string or None is never a number, and
-    an integer past float range is refused where it becomes a float."""
+    floats; "float", any float (the SNR axis, whose range at_snr owns);
+    "floats", a 1-D list of finite floats, as a read-only array. A bool, numpy
+    bool, string or None is never a number, and an integer past float range is
+    refused where it becomes a float."""
     def number(x, kind=numbers.Real):  # bool is an Integral, numpy's bool is not
         return isinstance(x, kind) and not isinstance(x, bool)
     if rule == "floats":
@@ -88,12 +91,19 @@ def checked(name, value, rule):
 class RadarConfig:
     """Array geometry, waveform/tone parameters and noise/quantizer scales.
 
+    __post_init__ converts and checks every value once, with the `checked`
+    rule its field's annotation gives: "int>=1" for M and N, "float>0" for the
+    scalars (sigma_n_sq "float>=0") and "floats" for the arrays. The class
+    holds the only defaults; config_from_dict passes on only the keys a file
+    gives.
+
     Attributes
     ----------
     M, N : int
         Transmit / receive element counts.
     L : int
-        Tones per band, derived: round(bandwidth * pri), which must be odd.
+        Tones per band, derived: round(bandwidth * pri), where bandwidth * pri
+        must be finite and within 1e-6 (relative) of an odd integer.
     bandwidth : float
         Per-waveform bandwidth B_h in Hz.
     pri : float
@@ -103,11 +113,11 @@ class RadarConfig:
     tone_offsets : ndarray
         FDMA band centers f_m in Hz; the bands [f_m +/- bandwidth/2] are disjoint.
     eta : float
-        Quantizer support multiplier (support = eta * max input std).
+        Quantizer support multiplier (support = eta * max input std), default 2.
     sigma_alpha_sq : float
-        Reflection-coefficient variance.
+        Reflection-coefficient variance, default 1.
     sigma_n_sq : float
-        Noise variance per frequency-domain component.
+        Noise variance per frequency-domain component, default 1; may be 0.
     """
 
     M: int
@@ -195,7 +205,8 @@ _RULE_OF = {f.name: {"int": "int>=1", "float": "float>0", "np.ndarray": "floats"
 @dataclass(frozen=True)
 class TargetScene:
     """K on-grid targets: sorted, distinct flat grid cells l1*MN + l2 and
-    their complex amplitudes."""
+    their complex amplitudes, both read-only. The cells are the one index
+    format from the draw to the score (estimate_support, hit_rate)."""
 
     cells: np.ndarray
     alpha: np.ndarray
@@ -216,8 +227,8 @@ class TargetScene:
 
 
 def make_ula_config(M, N, bandwidth, pri, **scalars) -> RadarConfig:
-    """config_from_dict's "ula" layout; scalars are RadarConfig's eta,
-    sigma_alpha_sq and sigma_n_sq."""
+    """config_from_dict's "ula" layout, with its checks and messages; scalars
+    are RadarConfig's eta, sigma_alpha_sq and sigma_n_sq."""
     return config_from_dict(dict(scalars, M=M, N=N, bandwidth=bandwidth, pri=pri))
 
 
@@ -281,11 +292,17 @@ def config_from_dict(d: dict, rng=None) -> RadarConfig:
     wavelengths (the first of each array at 0) drawn from rng, rx then tx, with
     order a random permutation of 0..M-1 drawn next. The tone offsets
     f_m = (order_m - (M+1)/2) * bandwidth keep the bands disjoint.
-    'M', 'N', 'bandwidth' and 'pri' are required. A key that is neither
-    'array' nor one config_to_dict writes, a missing required key, a value
-    outside the `checked` rule of its RadarConfig field, or 'array' beside
+    'M', 'N', 'bandwidth' and 'pri' are required. Each given key is checked,
+    before any layout is computed, under the name "config key '<key>'" with
+    the `checked` rule of its RadarConfig field, so a JSON integer literal
+    reads as a float ("eta": 2 as 2.0) and a string ("0.5") or bool is refused,
+    in an array too. A key that is neither 'array' nor one config_to_dict
+    writes (a misspelling, or 'L' or 'carrier', which earlier versions wrote),
+    a missing required key, a value outside its rule, or 'array' beside
     explicit positions raises ValueError naming the key; so does an 'M', 'N'
-    or bandwidth*pri that makes U or V larger than numpy's largest array.
+    or bandwidth*pri that makes U (M x N x MN) or V (M x L x ML) larger than
+    numpy's largest array. RadarConfig then refuses a bandwidth*pri that
+    gives no odd L.
     """
     if not isinstance(d, dict):
         raise ValueError("a config must be a JSON object")
@@ -333,5 +350,7 @@ def config_from_dict(d: dict, rng=None) -> RadarConfig:
 
 
 def load_config(path, rng=None) -> RadarConfig:
+    """config_from_dict of the JSON file at path. Python's json reads NaN,
+    Infinity and integers past float range; the checks refuse each."""
     with open(path) as fh:
         return config_from_dict(json.load(fh), rng=rng)

@@ -25,6 +25,9 @@ that keeps complex64 gives complex64 iterates, and complex128 data the
 double-precision path. Either way the objective values the monotone guard
 compares, and the duality gap reported after the loop, are accumulated in
 float64.
+
+The paper-theory helpers that only tests call (coherence, the
+coherence-based stability bound, soft_threshold) live in tests/theory.py.
 """
 
 from __future__ import annotations
@@ -68,7 +71,10 @@ class RecoverySpec:
     """LASSO regularization and stopping controls.
 
     rho is the absolute regularization weight; when None it is chosen per
-    problem as rho_scale * ||A^H s_hat||_inf.
+    problem as rho_scale * ||A^H s_hat||_inf. Each field is checked with
+    model.checked, ValueError naming it: rho None or a finite float >= 0,
+    rho_scale a finite float >= 0, max_iter an integer >= 1, tol a finite
+    float > 0.
     """
 
     rho: float | None = None

@@ -4,7 +4,9 @@ The tone-major coefficient vector c and the noise w follow the
 uncorrelated-scatterer model of the paper's simulations: per tone block,
 cov(c) = K*sigma_alpha_sq * I and cov(w) = sigma_n_sq * I, so both are held
 as two scalars. The design of task-based quantization for general per-tone
-covariances lives in tests/dense_oracle.py as the reference.
+covariances, with the LMMSE error and the excess MSE of any combiner, lives
+in tests/dense_oracle.py as the reference, which the white-statistics design
+and LMMSE transform must match bitwise.
 
 The compression matrix is stored blockwise: block M_i (J_i x MN) acts on the
 tone-i block of c, so as a dense matrix it is blkdiag(M_1..M_L).

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -712,6 +714,20 @@ def test_load_design_rejects_dense_digital_bundle(tmp_path, small_design):
         arrays = {name: data[name] for name in data.files if name != "digital_blocks"}
     np.savez(f"{prefix}.npz", digital=dense_digital(design), **arrays)
     with pytest.raises(ValueError, match="'digital_blocks'"):
+        load_design(prefix)
+
+
+@pytest.mark.parametrize("key", ["support", "levels", "eta", "channels", "emse", "lmmse"])
+def test_load_design_names_a_missing_scalar(tmp_path, small_design, key):
+    # a bundle .json without one of the design's scalars is refused by name,
+    # not with a bare KeyError
+    cfg, _, _, _, design = small_design
+    prefix = tmp_path / "b"
+    save_design(design, prefix, cfg)
+    meta = json.loads(Path(f"{prefix}.json").read_text())
+    del meta[key]
+    Path(f"{prefix}.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=f"'{key}'"):
         load_design(prefix)
 
 

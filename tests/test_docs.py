@@ -1,12 +1,15 @@
 """The README's schema and config example agree with the code."""
 
+import importlib
 import json
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import numpy as np
 
+import bitmimo
 from bitmimo import cli
 from bitmimo.harness import CSV_COLUMNS
 from bitmimo.model import config_from_dict
@@ -54,3 +57,39 @@ def test_readme_cli_examples_run(tmp_path):
         if "--filters-csv" in argv:
             written.append(argv[argv.index("--filters-csv") + 1])
         assert all(Path(path).is_file() for path in written), written
+
+
+def test_readme_module_rows_are_short():
+    # a "What's inside" row says what its module is for; the rules, messages
+    # and bit-level guarantees live in the docstrings of the code that enforces them
+    rows = [line for line in README.splitlines() if line.startswith("| `bitmimo.")]
+    words = {row.split("`")[1]: len(row.split()) for row in rows}
+    assert sorted(words) == sorted(f"bitmimo.{m.name}"
+                                   for m in pkgutil.iter_modules(bitmimo.__path__))
+    assert max(words.values()) <= 120, words
+
+
+def test_readme_dotted_names_resolve():
+    # every backticked dotted name that starts at the package, at one of its
+    # modules or at a class it exports (`harness.design_point`,
+    # `RadarConfig.at_snr`) names something that exists
+    modules = {m.name for m in pkgutil.iter_modules(bitmimo.__path__)}
+    classes = {name for name, obj in vars(bitmimo).items() if isinstance(obj, type)}
+    resolved = []
+    for span in re.findall(r"`([^`\n]+)`", README):
+        dotted = re.match(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span)
+        if dotted is None:
+            continue
+        parts = dotted.group().split(".")
+        if parts[0] == "bitmimo":
+            parts = parts[1:]
+        elif parts[0] not in modules | classes:
+            continue
+        obj = bitmimo
+        if parts[0] in modules:
+            obj, parts = importlib.import_module(f"bitmimo.{parts[0]}"), parts[1:]
+        for part in parts:
+            assert hasattr(obj, part), f"README names `{dotted.group()}`; {part} is gone"
+            obj = getattr(obj, part)
+        resolved.append(dotted.group())
+    assert len(set(resolved)) >= 10, resolved
