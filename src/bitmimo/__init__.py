@@ -17,8 +17,8 @@ from .harness import (METHODS, ExperimentResult, ExperimentSpec, PointResult,
                       TrialMetrics, run_bilimo_trial, run_noquan_dr_trial,
                       run_noquan_lmmse_trial, run_sweep,
                       run_task_ignorant_trial, write_csv)
-from .model import (RadarConfig, TargetScene, load_config, make_random_array_config,
-                    make_ula_config, sample_scene, scene_to_sparse_vector)
+from .model import (RadarConfig, TargetScene, load_config, sample_scene,
+                    scene_to_sparse_vector)
 from .recovery import RecoverySpec, estimate_support, fista, hit_rate, relative_mse
 from .statistics import (CompressionMatrix, SignalStatistics,
                          build_compression_matrix, build_covariances,

@@ -33,11 +33,11 @@ per-block excess MSE over the linear MMSE benchmark is
     eps_i = sum_{l<=min(J_i,P)} lam_l^2 / ((zeta*lam_l - 1)^+ + 1)
             + sum_{l>P} lam_l^2                      (only when P < J_i).
 
-Every step but the waterfill runs on the (L, ...) tone stacks at once, and
-the products with the scaled identities cov(c)_i and Sigma_i^{+-1/2} are
-products with scalars, which give bitwise what the matrix products give.
-numpy's stacked linalg and matmul calls run the same LAPACK/BLAS call per
-tone, so each tone gets bitwise the result it would get alone.
+Every step runs on the (L, ...) tone stacks at once, and the products with
+the scaled identities cov(c)_i and Sigma_i^{+-1/2} are products with
+scalars, which give bitwise what the matrix products give. numpy's stacked
+linalg and matmul calls run the same LAPACK/BLAS call per tone, so each tone
+gets bitwise the result it would get alone.
 """
 
 from __future__ import annotations
@@ -88,73 +88,81 @@ def waterfill_gain(channels, levels, eta):
 
 
 def waterfill(singvals, channels, levels, eta, block_rows):
-    """Gain allocation over singular modes and the exact water level.
+    """Gain allocations over every tone's singular modes, and the exact water levels.
 
     Parameters
     ----------
-    singvals : array
-        Nonnegative singular values, descending.
+    singvals : (L, r) array
+        Each tone's nonnegative singular values, descending.
     channels : int
         Number of analog channels P (normalization sums over at most P modes).
     levels, eta : quantizer levels b and support multiplier.
     block_rows : int
-        Task rows J_i of this block; modes beyond min(J_i, P) get zero gain.
+        Task rows J_i of every block; modes beyond min(J_i, P) get zero gain.
 
     Returns
     -------
-    (alloc, zeta) : allocation Lam^2 as a length-`channels` array, and the
-        water level solving (4*eta^2/(3*b^2*P)) * sum (zeta*lam - 1)^+ = 1.
-    ValueError when eta is such that no mode clears the water level
-    (waterfill_gain).
+    (alloc, zeta) : allocations Lam_i^2, shape (L, channels), and the water
+        levels, shape (L,), each solving
+        (4*eta^2/(3*b^2*P)) * sum_l (zeta_i*lam_il - 1)^+ = 1.
+    ValueError unless singvals is a 2-D stack of nonnegative values with every
+    tone sorted and holding a positive value, and when eta is such that no
+    mode clears the water level (waterfill_gain).
 
     The active set is closed form: (1/coef + r) * lam_r - sum_{l<=r} lam_l is
     nonincreasing in r, so it is the largest r whose candidate level
-    zeta_r = (1/coef + r) / sum_{l<=r} lam_l gives zeta_r * lam_r > 1.
+    zeta_r = (1/coef + r) / sum_{l<=r} lam_l gives zeta_r * lam_r > 1, over
+    the r <= min(P, J_i) modes with lam_r > 0. The running sums run along each
+    tone, so each tone gets bitwise the allocation it would get alone.
     """
     lam = np.asarray(singvals, dtype=float)
-    if lam.size == 0 or lam.max() <= 0:
-        raise ValueError("waterfilling needs at least one positive singular value")
-    if np.any(np.diff(lam) > 1e-12 * max(1.0, lam[0])):
+    if lam.ndim != 2 or not (lam.size and np.all(lam >= 0) and lam.max(axis=1).all()):
+        raise ValueError("waterfilling needs an (L, r) stack of nonnegative singular "
+                         "values with a positive one in every tone")
+    if np.any(np.diff(lam, axis=1) > 1e-12 * np.maximum(1.0, lam[:, :1])):
         raise ValueError("singular values must be sorted in descending order")
     coef = waterfill_gain(channels, levels, eta)
-    r_max = int(min(channels, block_rows, np.count_nonzero(lam > 0)))
-    cand = (1.0 / coef + np.arange(1, r_max + 1)) / np.cumsum(lam[:r_max])
-    active = np.flatnonzero(cand * lam[:r_max] > 1.0)[-1] + 1
-    zeta = cand[active - 1]
-    alloc = np.zeros(int(channels))
-    alloc[:active] = coef * (zeta * lam[:active] - 1.0)
-    return alloc, float(zeta)
+    # modes past min(P, J_i), or past a tone's positive values, get no gain
+    r_max = np.minimum(min(channels, block_rows), np.count_nonzero(lam > 0, axis=1))
+    lam = lam[:, :r_max.max()]
+    mode = np.arange(lam.shape[1])
+    cand = (1.0 / coef + (mode + 1)) / np.cumsum(lam, axis=1)
+    above = (cand * lam > 1.0) & (mode < r_max[:, None])
+    active = lam.shape[1] - np.argmax(above[:, ::-1], axis=1)  # one past the last mode above
+    zeta = cand[np.arange(len(lam)), active - 1]
+    alloc = np.zeros((len(lam), int(channels)))
+    alloc[:, :lam.shape[1]] = np.where(mode < active[:, None],
+                                       coef * (zeta[:, None] * lam - 1.0), 0.0)
+    return alloc, zeta
 
 
-def equalizing_unitary(H: np.ndarray) -> np.ndarray:
-    """Unitary U such that U H U^H has all diagonal entries equal to Tr(H)/P.
+def equalizing_unitary(gains_sq: np.ndarray) -> np.ndarray:
+    """Unitaries U_i, shape (L, P, P), such that U_i diag(g_i) U_i^H has all
+    diagonal entries equal to sum(g_i)/P, for the (L, P) stack of nonnegative
+    gains g_i (ValueError unless it is 2-D, finite and nonnegative).
 
-    H is one (P, P) Hermitian matrix or a stack (L, P, P) of them, and U has
-    the shape of H. Each block iterates 2x2 rotations on its current
-    (max-diagonal, min-diagonal) index pair, each chosen to equalize that
-    pair; the squared diagonal spread contracts geometrically. All blocks
-    rotate in lockstep, one batched step per rotation, and a block drops out
-    once its spread is at most 1e-10 * Tr(H)/P. Capped at 50*P^2 rotations.
-    Every block gets bitwise the U it would get alone.
+    Each block iterates 2x2 rotations on its current (max-diagonal,
+    min-diagonal) index pair of Hw = U_i diag(g_i) U_i^H, each chosen to
+    equalize that pair; the squared diagonal spread contracts geometrically.
+    All blocks rotate in lockstep, one batched step per rotation, and a block
+    drops out once its spread is at most 1e-10 * sum(g_i)/P, so an all-equal
+    block takes no rotation. Capped at 50*P^2 rotations. Every block gets
+    bitwise the U it would get alone.
     """
-    H = np.asarray(H, dtype=complex)
-    stack = H if H.ndim == 3 else H[None]
-    P = stack.shape[-1]
-    if stack.ndim != 3 or stack.shape[1] != P:
-        raise ValueError("H must be square")
-    Hh = _hermitian(stack)
-    scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
-    if np.any(np.abs(stack - Hh).max(axis=(1, 2)) > 1e-10 * scale):
-        raise ValueError("H must be Hermitian")
+    g = np.asarray(gains_sq, dtype=float)
+    if g.ndim != 2 or not np.all(np.isfinite(g)) or np.any(g < 0):
+        raise ValueError("gains must be an (L, P) stack of finite nonnegative values")
+    L, P = g.shape
     max_rotations = 50 * P * P
 
-    Hw = (stack + Hh) / 2.0
-    U = np.tile(np.eye(P, dtype=complex), (len(Hw), 1, 1))
+    Hw = np.zeros((L, P, P), dtype=complex)
+    Hw[:, np.arange(P), np.arange(P)] = g
+    U = np.tile(np.eye(P, dtype=complex), (L, 1, 1))
     target = np.trace(Hw, axis1=1, axis2=2).real / P
     tol_abs = 1e-10 * np.maximum(np.abs(target), np.finfo(float).tiny)
     diag = np.diagonal(Hw, axis1=1, axis2=2)
-    active = rows = np.arange(len(Hw))
-    tol, blk, idx = tol_abs, active[:, None], np.empty((len(Hw), 2), dtype=np.intp)
+    active = rows = np.arange(L)
+    tol, blk, idx = tol_abs, active[:, None], np.empty((L, 2), dtype=np.intp)
     for _ in range(max_rotations):
         d = diag[active].real
         i, j = d.argmax(axis=1), d.argmin(axis=1)
@@ -162,7 +170,7 @@ def equalizing_unitary(H: np.ndarray) -> np.ndarray:
         move = ~(a - c <= tol)
         moving = np.count_nonzero(move)
         if not moving:
-            return U if H.ndim == 3 else U[0]
+            return U
         if moving < active.size:  # a block dropped out: gather the rest
             active, i, j, a, c = active[move], i[move], j[move], a[move], c[move]
             rows, tol, blk = np.arange(moving), tol_abs[active], active[:, None]
@@ -239,9 +247,10 @@ def design_multitone(stats: SignalStatistics, compression: CompressionMatrix,
     """Blockwise optimal design for L >= 1 tones under white statistics.
 
     One pass over the (L, ...) tone stacks: the reduced SVDs of the whitened
-    task matrices, a waterfill per tone, one equalizer call on the stack of
-    diag(Lam_i^2), the combiners B_i = U_i Lam_i V_i^H Sigma_i^{-1/2} and
-    their MMSE filters D_i in closed form. The LMMSE comes from the same SVDs:
+    task matrices, one waterfill on their (L, r) singular values, one
+    equalizer call on the (L, P) gains Lam_i^2, the combiners
+    B_i = U_i Lam_i V_i^H Sigma_i^{-1/2} and their MMSE filters D_i in closed
+    form. The LMMSE comes from the same SVDs:
     Tr(T_i Sigma_i^{-1} T_i^H) is the squared norm of the singular values.
     """
     if compression.L != stats.L:
@@ -255,11 +264,10 @@ def design_multitone(stats: SignalStatistics, compression: CompressionMatrix,
     inv_sqrt = np.power(stats.sigma, -0.5)
     T = compression.blocks * stats.signal_var
     left, singvals, vh = np.linalg.svd(T * inv_sqrt, full_matrices=False)
-    gains_sq, water_levels = map(np.array, zip(*[
-        waterfill(lam, channels, levels, eta, block_rows=rows) for lam in singvals]))
+    gains_sq, water_levels = waterfill(singvals, channels, levels, eta, block_rows=rows)
     # perfbench/spans.py wraps this module global for its combiner.equalizer
     # span, so the call must go through it; that need goes when the span goes
-    mixers = equalizing_unitary((gains_sq[:, :, None] * np.eye(channels)).astype(complex))
+    mixers = equalizing_unitary(gains_sq)
 
     # modes past k = min(P, J_i, MN) get no gain: B_i = U_ik Lam_ik V_ik^H Sigma_i^{-1/2}
     k = min(channels, rows, mn)

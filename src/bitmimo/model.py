@@ -27,8 +27,6 @@ __all__ = [
     "checked",
     "RadarConfig",
     "TargetScene",
-    "make_ula_config",
-    "make_random_array_config",
     "sample_scene",
     "scene_to_sparse_vector",
     "config_to_dict",
@@ -224,18 +222,6 @@ class TargetScene:
     @property
     def k(self) -> int:
         return len(self.alpha)
-
-
-def make_ula_config(M, N, bandwidth, pri, **scalars) -> RadarConfig:
-    """config_from_dict's "ula" layout, with its checks and messages; scalars
-    are RadarConfig's eta, sigma_alpha_sq and sigma_n_sq."""
-    return config_from_dict(dict(scalars, M=M, N=N, bandwidth=bandwidth, pri=pri))
-
-
-def make_random_array_config(rng, M, N, bandwidth, pri, **scalars) -> RadarConfig:
-    """config_from_dict's "random" layout; scalars as for make_ula_config."""
-    return config_from_dict(dict(scalars, M=M, N=N, bandwidth=bandwidth, pri=pri,
-                                 array="random"), rng=rng)
 
 
 def sample_scene(rng, K, config: RadarConfig, coeff_model="gaussian") -> TargetScene:

@@ -358,7 +358,7 @@ def reference_design_multitone(stats, compression, channels, levels, eta):
         singvals.append(lam)
         gains_sq.append(alloc)
         water_levels.append(zeta)
-    mixers = equalizing_unitary(np.stack([np.diag(a) for a in gains_sq]).astype(complex))
+    mixers = equalizing_unitary(np.stack(gains_sq))
 
     # per tone, with k = min(P, J_i, MN) and Lam_k = diag(sqrt(alloc[:k])):
     # B_i = U_ik Lam_k V_ik^H Sigma_i^{-1/2} gives B_i Sigma_i B_i^H = U_i Lam^2 U_i^H

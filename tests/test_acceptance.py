@@ -22,6 +22,7 @@ from bitmimo.harness import ExperimentSpec, draw_trial, run_bilimo_trial, run_sw
 from bitmimo.recovery import RecoverySpec, fista, power_iteration_lipschitz
 from dense_oracle import (dense_task, eval_c_direct, reference_emse_of_combiner,
                           reference_support_gamma, stacked_statistics)
+from layouts import make_random_array_config, make_ula_config
 from theory import coherence, recovery_error_bound
 
 FULL_ARRAY_SEED = 2026   # array/tone draw for the production-scale experiments
@@ -34,7 +35,7 @@ def _passed(num, text):
 
 @pytest.fixture(scope="module")
 def full_scale():
-    cfg = bm.make_random_array_config(np.random.default_rng(FULL_ARRAY_SEED),
+    cfg = make_random_array_config(np.random.default_rng(FULL_ARRAY_SEED),
                                       8, 12, 1e6, 9e-6)
     return cfg, bm.build_dictionary(cfg)
 
@@ -83,7 +84,7 @@ def test_acceptance_3_design_invariants():
     # small config MN=12, L=3; designed combiner satisfies the normalization,
     # equal-diagonal and support invariants, and no random unit-trace combiner
     # among 200 achieves lower modeled excess MSE.
-    cfg = bm.make_ula_config(3, 4, 1e6, 3e-6, sigma_n_sq=0.1)
+    cfg = make_ula_config(3, 4, 1e6, 3e-6, sigma_n_sq=0.1)
     stats = bm.build_covariances(cfg, K=3)
     comp = bm.build_compression_matrix(np.random.default_rng(3), cfg, 2, "gaussian")
     channels = comp.block_rows
@@ -122,7 +123,7 @@ def test_acceptance_4_theory_vs_simulation():
     # eps_lmmse + eps_emse within 10 percent. (The small residual gap is ADC
     # clipping on strong scenes, outside the non-overload model.)
     t0 = time.perf_counter()
-    cfg = bm.make_ula_config(2, 3, 1e6, 3e-6)
+    cfg = make_ula_config(2, 3, 1e6, 3e-6)
     cfg = cfg.at_snr(10.0)
     d = build_dictionary(cfg)
     K = 4
@@ -211,7 +212,7 @@ def test_acceptance_7_recovery_error_bound():
         seed += 1
         assert seed < 400, "instance generation exhausted"
         rng = np.random.default_rng((seed, 23))
-        cfg = bm.make_ula_config(1, 12, 1e6, 9e-6, eta=3.0, sigma_n_sq=0.05)
+        cfg = make_ula_config(1, 12, 1e6, 9e-6, eta=3.0, sigma_n_sq=0.05)
         d = build_dictionary(cfg)
         K = 1
         stats = bm.build_covariances(cfg, K)

@@ -20,6 +20,7 @@ from dense_oracle import (blkdiag, block_from_responses, dense_digital,
                           reference_lmmse_transform, reference_support_gamma,
                           reference_waterfill, reference_write_filter_response_csv,
                           stacked_statistics)
+from layouts import make_random_array_config, make_ula_config
 
 
 def _bisect_water_level(lam, channels, levels, eta, block_rows):
@@ -46,25 +47,26 @@ def _bisect_water_level(lam, channels, levels, eta, block_rows):
 # -- waterfill ----------------------------------------------------------------
 
 def test_waterfill_uniform_allocation():
-    lam = np.full(4, 2.5)
+    lam = np.full((1, 4), 2.5)
     alloc, zeta = waterfill(lam, channels=4, levels=2, eta=2.0, block_rows=4)
+    assert alloc.shape == (1, 4) and zeta.shape == (1,)
     assert np.allclose(alloc, 0.25)
-    assert zeta * lam[0] > 1
+    assert zeta[0] * lam[0, 0] > 1
 
 
 def test_waterfill_single_mode_closed_form():
-    alloc, zeta = waterfill([1.0], channels=1, levels=2, eta=1.5, block_rows=1)
-    assert np.allclose(alloc, [1.0])
-    assert zeta == pytest.approx(1.0 + 3 * 4 / (4 * 1.5 ** 2))
+    alloc, zeta = waterfill([[1.0]], channels=1, levels=2, eta=1.5, block_rows=1)
+    assert np.allclose(alloc, [[1.0]])
+    assert zeta[0] == pytest.approx(1.0 + 3 * 4 / (4 * 1.5 ** 2))
 
 
 def test_waterfill_two_mode_worked_example():
     # coef = 4*eta^2/(3 b^2 P) = 1/2 with eta = sqrt(3), b = 2, P = 2:
     # zeta = 4/3, allocation (5/6, 1/6)
-    alloc, zeta = waterfill([2.0, 1.0], channels=2, levels=2,
+    alloc, zeta = waterfill([[2.0, 1.0]], channels=2, levels=2,
                             eta=np.sqrt(3.0), block_rows=2)
-    assert zeta == pytest.approx(4.0 / 3.0, rel=1e-12)
-    assert np.allclose(alloc, [5.0 / 6.0, 1.0 / 6.0])
+    assert zeta[0] == pytest.approx(4.0 / 3.0, rel=1e-12)
+    assert np.allclose(alloc[0], [5.0 / 6.0, 1.0 / 6.0])
 
 
 def test_waterfill_against_bisection_oracle():
@@ -76,7 +78,7 @@ def test_waterfill_against_bisection_oracle():
         levels = 2 ** int(rng.integers(1, 5))
         eta = rng.uniform(1.0, 3.0)
         block_rows = int(rng.integers(1, n + 1))
-        alloc, zeta = waterfill(lam, channels, levels, eta, block_rows)
+        (alloc,), (zeta,) = waterfill([lam], channels, levels, eta, block_rows)
         coef = 4 * eta ** 2 / (3 * levels ** 2 * channels)
         assert alloc.sum() == pytest.approx(1.0, abs=1e-10)  # normalization
         zeta_oracle = _bisect_water_level(lam, channels, levels, eta, block_rows)
@@ -91,33 +93,50 @@ def test_waterfill_against_bisection_oracle():
         assert abs(head.sum() - 1.0) < 1e-6
 
 
+def _assert_waterfill_matches_scan(singvals, channels, levels, eta, block_rows):
+    """The stacked waterfill gives every tone bitwise the allocation and
+    water level of the one-tone active-set scan."""
+    alloc, zeta = waterfill(singvals, channels, levels, eta, block_rows)
+    assert alloc.shape == (len(singvals), channels) and zeta.shape == (len(singvals),)
+    for lam, got_alloc, got_zeta in zip(singvals, alloc, zeta):
+        want_alloc, want_zeta = reference_waterfill(lam, channels, levels, eta, block_rows)
+        assert np.array_equal(got_alloc, want_alloc) and got_zeta == want_zeta
+
+
 def test_waterfill_zero_tail_modes():
-    alloc, _ = waterfill([3.0, 1e-18, 0.0], channels=3, levels=4, eta=2.0,
+    alloc, _ = waterfill([[3.0, 1e-18, 0.0]], channels=3, levels=4, eta=2.0,
                          block_rows=3)
-    assert alloc[0] == pytest.approx(1.0)
+    assert alloc[0, 0] == pytest.approx(1.0)
+    # a value past a zero, within the sort tolerance, gets no gain, even at
+    # levels fine enough for the same value past a positive one to get some
+    lam = np.array([[1.0, 0.0, 1e-13], [1.0, 0.5, 1e-13]])
+    alloc, _ = waterfill(lam, channels=3, levels=2 ** 31, eta=2.0, block_rows=3)
+    assert alloc[0, 2] == 0.0 and alloc[1, 2] > 0.0
+    _assert_waterfill_matches_scan(lam, 3, 2 ** 31, 2.0, 3)
 
 
 def test_waterfill_closed_form_matches_active_set_scan():
     # the largest feasible active set is the one the scan accepts: bitwise
-    # equal allocations and water levels on random, tied, all-equal and
-    # zero-tailed spectra
+    # equal allocations and water levels on stacks that mix random, tied,
+    # all-equal and zero-tailed spectra
     rng = np.random.default_rng(31)
-    for case in range(400):
+    for case in range(100):
         size = int(rng.integers(1, 40))
-        lam = np.sort(rng.exponential(size=size))[::-1]
-        if case % 4 == 1:
-            lam = np.repeat(lam[:max(1, size // 3)], 3)
-        elif case % 4 == 2:
-            lam = np.full(size, rng.exponential())
-        elif case % 4 == 3:
-            lam[int(rng.integers(1, size + 1)):] = 0.0
+        tones = []
+        for tone in range(int(rng.integers(1, 10))):
+            lam = np.sort(rng.exponential(size=size))[::-1]
+            if (case + tone) % 4 == 1:
+                lam = np.repeat(lam[:-(-size // 3)], 3)[:size]
+            elif (case + tone) % 4 == 2:
+                lam = np.full(size, rng.exponential())
+            elif (case + tone) % 4 == 3:
+                lam[int(rng.integers(1, size + 1)):] = 0.0
+            tones.append(lam)
         channels = int(rng.integers(1, 50))
         block_rows = int(rng.integers(1, 50))
         levels = 2 ** int(rng.integers(1, 8))
         eta = float(rng.uniform(0.5, 4.0))
-        alloc, zeta = waterfill(lam, channels, levels, eta, block_rows)
-        ref_alloc, ref_zeta = reference_waterfill(lam, channels, levels, eta, block_rows)
-        assert np.array_equal(alloc, ref_alloc) and zeta == ref_zeta
+        _assert_waterfill_matches_scan(np.stack(tones), channels, levels, eta, block_rows)
 
 
 def test_waterfill_gain_bounds_the_first_water_level():
@@ -130,101 +149,92 @@ def test_waterfill_gain_bounds_the_first_water_level():
     eta = eta_of(0.5 / eps)
     assert 1.0 / waterfill_gain(channels, levels, eta) + 1.0 == 1.0 + 2.0 * eps
     lams = np.random.default_rng(24).uniform(0.1, 10.0, 2000)
-    for lam in np.concatenate([lams, np.nextafter(1.0, [0.0, 2.0]), [1.0]]):
-        alloc, zeta = waterfill([lam], channels, levels, eta, block_rows=1)
-        assert zeta * lam > 1.0 and alloc[0] > 0
+    lams = np.concatenate([lams, np.nextafter(1.0, [0.0, 2.0]), [1.0]])
+    alloc, zeta = waterfill(lams[:, None], channels, levels, eta, block_rows=1)
+    assert np.all(zeta * lams > 1.0) and np.all(alloc[:, 0] > 0)
     for bad in (eta_of(1.0 / eps), 1e300, 1e-200):
         with pytest.raises(ValueError, match="no mode above the water level"):
-            waterfill([1.0, 0.5], channels, levels, bad, block_rows=2)
+            waterfill([[1.0, 0.5]], channels, levels, bad, block_rows=2)
 
 
 def test_waterfill_rejects_bad_input():
-    with pytest.raises(ValueError):
-        waterfill([0.0, 0.0], channels=2, levels=2, eta=2.0, block_rows=2)
-    with pytest.raises(ValueError):
-        waterfill([1.0, 2.0], channels=2, levels=2, eta=2.0, block_rows=2)
+    # one all-zero, negative, NaN or unsorted tone refuses the whole stack,
+    # and so does a stack that is not 2-D
+    good = [3.0, 1.0, 0.5]
+    for stack, message in (([good, [0.0, 0.0, 0.0]], "a positive one"),
+                           ([good, [1.0, 0.5, -0.5]], "nonnegative"),
+                           ([good, [1.0, np.nan, 0.5]], "nonnegative"),
+                           ([good, [1.0, 2.0, 0.5]], "descending"),
+                           (good, r"an \(L, r\) stack"),
+                           ([[good]], r"an \(L, r\) stack"),
+                           (np.empty((2, 0)), r"an \(L, r\) stack")):
+        with pytest.raises(ValueError, match=message):
+            waterfill(stack, channels=2, levels=2, eta=2.0, block_rows=2)
 
 
 # -- equalizing unitary --------------------------------------------------------
 
 def test_equalizer_scaled_identity_is_fixed_point():
-    U = equalizing_unitary(3.0 * np.eye(4, dtype=complex))
-    H = U @ (3.0 * np.eye(4)) @ U.conj().T
-    assert np.allclose(np.diag(H), 3.0)
+    # an all-equal tone takes no rotation
+    U = equalizing_unitary(np.full((1, 4), 3.0))
+    assert U.shape == (1, 4, 4)
+    assert np.array_equal(U[0], np.eye(4))
 
 
 def test_equalizer_two_by_two_half_split():
-    H = np.diag([1.0, 0.0]).astype(complex)
-    U = equalizing_unitary(H)
-    out = U @ H @ U.conj().T
+    U = equalizing_unitary([[1.0, 0.0]])[0]
+    out = U @ np.diag([1.0, 0.0]) @ U.conj().T
     assert np.allclose(np.diag(out).real, 0.5, atol=1e-10)
     # a 45-degree rotation achieves it
     assert np.allclose(np.abs(U), np.full((2, 2), np.sqrt(0.5)), atol=1e-10)
 
 
-def test_equalizer_random_psd_property():
-    rng = np.random.default_rng(1)
-    for _ in range(25):
-        P = 8
-        X = rng.standard_normal((P, P)) + 1j * rng.standard_normal((P, P))
-        H = X @ X.conj().T
-        U = equalizing_unitary(H)
-        assert np.allclose(U @ U.conj().T, np.eye(P), atol=1e-10)
-        out = U @ H @ U.conj().T
-        target = np.trace(H).real / P
-        d = np.diag(out).real
-        assert d.max() - d.min() <= 1e-10 * target
-        assert np.allclose(np.sort(np.linalg.eigvalsh(out)),
-                           np.sort(np.linalg.eigvalsh(H)), atol=1e-8 * target)
-
-
-def test_equalizer_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        equalizing_unitary(np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex))
-
-
 def test_equalizer_stack_rejects_any_bad_block():
-    stack = np.tile(np.diag([3.0, 1.0, 0.0]).astype(complex), (4, 1, 1))
-    stack[2, 0, 1] = 1.0  # one non-Hermitian block among Hermitian ones
-    with pytest.raises(ValueError, match="Hermitian"):
-        equalizing_unitary(stack)
-    with pytest.raises(ValueError, match="square"):
-        equalizing_unitary(np.zeros((4, 3, 2), dtype=complex))
-    with pytest.raises(ValueError, match="square"):
-        equalizing_unitary(np.zeros(3, dtype=complex))
+    # one negative or non-finite gain refuses the whole stack, and so does a
+    # stack that is not 2-D
+    stack = np.tile([3.0, 1.0, 0.0], (4, 1))
+    for value in (-1e-300, np.nan, np.inf):
+        bad = stack.copy()
+        bad[2, 1] = value
+        with pytest.raises(ValueError, match="finite nonnegative"):
+            equalizing_unitary(bad)
+    for shape in ((3,), (4, 3, 3)):
+        with pytest.raises(ValueError, match=r"\(L, P\) stack"):
+            equalizing_unitary(np.ones(shape))
 
 
 def test_equalizer_stack_matches_reference_loop_on_mixed_blocks():
-    # blocks that need different rotation counts, and a scaled identity that
-    # needs none, rotate in lockstep exactly as each does alone
+    # blocks that need different rotation counts, zero gains, and an all-equal
+    # block that needs none, rotate in lockstep exactly as each does alone and
+    # as the one-matrix loop does on diag(g)
     rng = np.random.default_rng(16)
     for P in (2, 5, 8):
-        X = rng.standard_normal((P, P)) + 1j * rng.standard_normal((P, P))
-        low = rng.standard_normal((P, 2)) + 1j * rng.standard_normal((P, 2))
         sparse = np.zeros(P)
         sparse[:max(1, P // 3)] = rng.uniform(0.5, 2.0, size=max(1, P // 3))
-        stack = np.stack([X @ X.conj().T, low @ low.conj().T, np.diag(sparse),
-                          2.5 * np.eye(P), np.diag(rng.uniform(0.0, 1.0, size=P))])
+        waterfilled = waterfill(np.sort(rng.exponential(size=(1, P)))[:, ::-1], P, 4,
+                                2.0, P)[0][0]
+        stack = np.stack([sparse, np.full(P, 2.5), rng.uniform(0.0, 1.0, size=P),
+                          np.zeros(P), waterfilled])
         U = equalizing_unitary(stack)
-        assert U.shape == stack.shape
-        for H, U_block in zip(stack, U):
-            assert np.array_equal(U_block, reference_equalizing_unitary(H))
-        assert np.array_equal(equalizing_unitary(stack[0]), U[0])
+        assert U.shape == (len(stack), P, P)
+        assert np.array_equal(U[1], np.eye(P)) and np.array_equal(U[3], np.eye(P))
+        for k, (g, U_block) in enumerate(zip(stack, U)):
+            assert np.array_equal(U_block, reference_equalizing_unitary(np.diag(g)))
+            assert np.array_equal(equalizing_unitary(stack[k:k + 1])[0], U_block)
 
 
 @pytest.mark.parametrize("dcr", [2, 4])
 def test_equalizer_stack_matches_reference_loop_at_paper_scale(dcr):
-    # the design's one stacked call on the nine diag(Lam_i^2) of an M=8, N=12,
-    # L=9 design (P = 48, 24) gives each tone the one-matrix loop's mixer
-    cfg = bm.make_ula_config(8, 12, 1e6, 9e-6, sigma_n_sq=0.1)
+    # the design's one stacked call on the nine Lam_i^2 of an M=8, N=12, L=9
+    # design (P = 48, 24) gives each tone the one-matrix loop's mixer
+    cfg = make_ula_config(8, 12, 1e6, 9e-6, sigma_n_sq=0.1)
     assert cfg.L == 9
     stats = build_covariances(cfg, K=4)
     comp = build_compression_matrix(np.random.default_rng(17), cfg, dcr, "gaussian")
     design = design_multitone(stats, comp, comp.block_rows, 4, cfg.eta)
     assert design.channels == 96 // dcr
     for gains_sq, mixer in zip(design.gains_sq, design.mixers):
-        H = np.diag(gains_sq).astype(complex)
-        assert np.array_equal(mixer, reference_equalizing_unitary(H))
+        assert np.array_equal(mixer, reference_equalizing_unitary(np.diag(gains_sq)))
 
 
 # -- block design --------------------------------------------------------------
@@ -312,17 +322,26 @@ def _assert_closed_form_design(stats, comp, channels, levels, eta):
 @pytest.mark.parametrize("kind", ["gaussian", "bernoulli", "dft"])
 @pytest.mark.parametrize("dcr", [1, 2, 4])
 def test_closed_form_filter_matches_explicit_filter(layout, kind, dcr):
-    # M=8, N=12, L=9 at two SNRs, with P = J_i and P = J_i - 3 channels
+    # M=8, N=12, L=9 with P = J_i and P = J_i - 3 channels: the closed-form
+    # filters at -10 and 20 dB and 16 levels, and the stacked waterfill on the
+    # design's singular values from -10 to 20 dB at 2 to 256 levels
     if layout == "ula":
-        base = bm.make_ula_config(8, 12, 1e6, 9e-6)
+        base = make_ula_config(8, 12, 1e6, 9e-6)
     else:
-        base = bm.make_random_array_config(np.random.default_rng(26), 8, 12, 1e6, 9e-6)
+        base = make_random_array_config(np.random.default_rng(26), 8, 12, 1e6, 9e-6)
     comp = build_compression_matrix(np.random.default_rng([dcr, len(kind)]), base, dcr, kind)
-    for snr_db in (-10.0, 20.0):
+    for snr_db in (-10.0, 0.0, 10.0, 20.0):
         cfg = base.at_snr(snr_db)
         stats = build_covariances(cfg, K=4)
+        singvals = np.linalg.svd((comp.blocks * stats.signal_var)
+                                 * np.power(stats.sigma, -0.5), full_matrices=False)[1]
         for channels in (comp.block_rows, comp.block_rows - 3):
-            _assert_closed_form_design(stats, comp, channels, 16, cfg.eta)
+            if snr_db in (-10.0, 20.0):
+                design = _assert_closed_form_design(stats, comp, channels, 16, cfg.eta)
+                assert np.array_equal(design.singvals, singvals)
+            for levels in 2 ** np.arange(1, 9):
+                _assert_waterfill_matches_scan(singvals, channels, int(levels), cfg.eta,
+                                               comp.block_rows)
 
 
 @pytest.mark.parametrize("rows, channels, mn", [(1, 3, 5), (2, 5, 5), (4, 2, 6), (7, 5, 3)])
@@ -343,7 +362,7 @@ def test_closed_form_filter_on_small_blocks(rows, channels, mn):
 
 @pytest.fixture(scope="module")
 def small_design():
-    cfg = bm.make_ula_config(2, 3, 1e6, 3e-6, sigma_n_sq=0.25)
+    cfg = make_ula_config(2, 3, 1e6, 3e-6, sigma_n_sq=0.25)
     d = bm.build_dictionary(cfg)
     stats = build_covariances(cfg, K=3)
     comp = build_compression_matrix(np.random.default_rng(5), cfg, 2, "gaussian")
@@ -391,7 +410,7 @@ def test_zero_combiner_loses_all_estimation_value(small_design):
 def test_monotone_reduction():
     # L = 1: the sample-domain DFT is the identity, so the design is the single
     # block's combiner followed by its MMSE digital filter
-    cfg = bm.make_ula_config(4, 1, 1e6, 1e-6, sigma_n_sq=0.5)
+    cfg = make_ula_config(4, 1, 1e6, 1e-6, sigma_n_sq=0.5)
     assert cfg.L == 1
     stats = build_covariances(cfg, K=2)
     comp = build_compression_matrix(np.random.default_rng(6), cfg, 2, "gaussian")
@@ -411,20 +430,20 @@ def test_design_makes_one_equalizer_call(monkeypatch):
     import bitmimo.combiner as combiner
     calls = []
 
-    def counted(H):
-        calls.append(np.shape(H))
-        return equalizing_unitary(H)
+    def counted(gains_sq):
+        calls.append(np.shape(gains_sq))
+        return equalizing_unitary(gains_sq)
 
     monkeypatch.setattr(combiner, "equalizing_unitary", counted)
-    cfg = bm.make_ula_config(2, 3, 1e6, 3e-6, sigma_n_sq=0.25)
+    cfg = make_ula_config(2, 3, 1e6, 3e-6, sigma_n_sq=0.25)
     stats = build_covariances(cfg, K=3)
     comp = build_compression_matrix(np.random.default_rng(5), cfg, 2, "gaussian")
     design_multitone(stats, comp, 3, 4, cfg.eta)
-    assert calls == [(cfg.L, 3, 3)]
+    assert calls == [(cfg.L, 3)]
 
 
 def test_identical_blocks_share_water_level():
-    cfg = bm.make_ula_config(2, 2, 1e6, 3e-6, sigma_n_sq=0.3)
+    cfg = make_ula_config(2, 2, 1e6, 3e-6, sigma_n_sq=0.3)
     stats = build_covariances(cfg, K=2)
     one = build_compression_matrix(np.random.default_rng(7), cfg, 2, "gaussian").blocks[0]
     comp = CompressionMatrix(blocks=np.tile(one, (cfg.L, 1, 1)))
@@ -437,7 +456,7 @@ def test_identical_blocks_share_water_level():
 
 def test_infinite_resolution_limit():
     # b enormous and P >= J: every mode's excess error term vanishes
-    cfg = bm.make_ula_config(4, 1, 1e6, 1e-6, sigma_n_sq=0.5)
+    cfg = make_ula_config(4, 1, 1e6, 1e-6, sigma_n_sq=0.5)
     stats = build_covariances(cfg, K=2)
     comp = build_compression_matrix(np.random.default_rng(8), cfg, 2, "gaussian")
     design = design_multitone(stats, comp, 4, 2 ** 31, cfg.eta)
@@ -446,7 +465,7 @@ def test_infinite_resolution_limit():
 
 def test_low_channel_count_pays_the_tail():
     # P < J: the excess error includes the unserved singular-value tail
-    cfg = bm.make_ula_config(4, 1, 1e6, 1e-6, sigma_n_sq=0.5)
+    cfg = make_ula_config(4, 1, 1e6, 1e-6, sigma_n_sq=0.5)
     stats = build_covariances(cfg, K=2)
     comp = build_compression_matrix(np.random.default_rng(9), cfg, 1, "gaussian")
     design = design_multitone(stats, comp, 1, 2 ** 31, cfg.eta)
@@ -455,7 +474,7 @@ def test_low_channel_count_pays_the_tail():
 
 
 def test_emse_monotone_in_levels_and_channels():
-    cfg = bm.make_ula_config(2, 2, 1e6, 3e-6, sigma_n_sq=0.4)
+    cfg = make_ula_config(2, 2, 1e6, 3e-6, sigma_n_sq=0.4)
     stats = build_covariances(cfg, K=3)
     comp = build_compression_matrix(np.random.default_rng(10), cfg, 2, "gaussian")
     by_levels = [design_multitone(stats, comp, 2, b, cfg.eta).emse
@@ -469,7 +488,7 @@ def test_emse_monotone_in_levels_and_channels():
 def test_design_monotone_matches_dithered_simulation():
     # MN=4, J=2, P=2, b=4, eta=2: the modeled excess error matches a dithered
     # quantization simulation within 10% over 2e4 trials
-    cfg = bm.make_ula_config(1, 4, 1e6, 1e-6, sigma_n_sq=0.5)
+    cfg = make_ula_config(1, 4, 1e6, 1e-6, sigma_n_sq=0.5)
     assert cfg.L == 1 and cfg.mn == 4
     K = 2
     stats = build_covariances(cfg, K)
@@ -569,7 +588,7 @@ def test_filter_response_csv(tmp_path, small_design):
 
 def _pn_config_design():
     # P = 4 channels against N = 2 receive elements
-    cfg = bm.make_ula_config(3, 2, 1e6, 3e-6, sigma_n_sq=0.3)
+    cfg = make_ula_config(3, 2, 1e6, 3e-6, sigma_n_sq=0.3)
     stats = build_covariances(cfg, K=2)
     comp = build_compression_matrix(np.random.default_rng(18), cfg, 1, "gaussian")
     return cfg, design_multitone(stats, comp, 4, 4, cfg.eta)
@@ -578,7 +597,7 @@ def _pn_config_design():
 def _paper_scale_design(dcr, sigma_alpha_sq=1.0):
     # M=8, N=12, L=9: P = 48 at dcr 2, 24 at dcr 4; the gains T0 * B scale
     # as 1/sqrt(sigma_alpha_sq) at a fixed SNR
-    cfg = bm.make_ula_config(8, 12, 1e6, 9e-6, sigma_alpha_sq=sigma_alpha_sq,
+    cfg = make_ula_config(8, 12, 1e6, 9e-6, sigma_alpha_sq=sigma_alpha_sq,
                              sigma_n_sq=0.1 * sigma_alpha_sq)
     stats = build_covariances(cfg, K=4)
     comp = build_compression_matrix(np.random.default_rng(20 + dcr), cfg, dcr, "dft")
@@ -751,7 +770,7 @@ def test_load_design_reads_bundle_with_right_vectors(tmp_path, small_design):
 def test_apply_digital_matches_dense_filter(kind, dcr):
     # the per-tone filter behind an FFT over tones equals the dense
     # blkdiag(D_i) Fbar^H product at M=8, N=12, L=9
-    cfg = bm.make_ula_config(8, 12, 1e6, 9e-6, sigma_n_sq=0.1)
+    cfg = make_ula_config(8, 12, 1e6, 9e-6, sigma_n_sq=0.1)
     stats = build_covariances(cfg, K=4)
     comp = build_compression_matrix(np.random.default_rng(20), cfg, dcr, kind)
     design = design_multitone(stats, comp, comp.block_rows, 4, cfg.eta)
@@ -776,7 +795,7 @@ def test_apply_combiner_matches_einsum(small_design):
 @pytest.mark.parametrize("kind", ["gaussian", "bernoulli", "dft"])
 def test_design_lmmse_matches_lmmse_error(kind):
     # the LMMSE the design takes from its SVDs equals the per-tone solves
-    base = bm.make_ula_config(3, 4, 1e6, 3e-6)
+    base = make_ula_config(3, 4, 1e6, 3e-6)
     for snr_db in (-30.0, 10.0, 30.0):
         cfg = base.at_snr(snr_db)
         stats = build_covariances(cfg, K=3)
@@ -806,7 +825,7 @@ def test_stacked_design_matches_per_tone_loop(covariances, kind, dcr, budget):
     # the per-tone loop's arrays and scalars on the c*I and w*I stacks at
     # M=8, N=12, L=9 and SNR -10, 10 and 30 dB; at P = J_i - 3 the modes past
     # P enter the excess MSE
-    base = bm.make_ula_config(8, 12, 1e6, 9e-6)
+    base = make_ula_config(8, 12, 1e6, 9e-6)
     comp = build_compression_matrix(np.random.default_rng([dcr, budget, len(kind)]),
                                     base, dcr, kind)
     for snr_db in (-10.0, 10.0, 30.0):
@@ -827,7 +846,7 @@ def test_stacked_design_matches_per_tone_loop_over_many_draws():
     # running one; some Sigma = (c + w) * I has a (c + w)^-0.5 whose last bit
     # numpy's power and Python's float ** disagree on, and a K that is not a
     # power of two makes Gamma's rounding depend on its operand order
-    base = bm.make_ula_config(2, 3, 1e6, 9e-6)
+    base = make_ula_config(2, 3, 1e6, 9e-6)
     assert base.L == 9
     rng = np.random.default_rng(41)
     for _ in range(40):

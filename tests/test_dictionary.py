@@ -7,17 +7,18 @@ from bitmimo.dictionary import apply_fbar, apply_fbar_adjoint, build_dictionary
 from bitmimo.recovery import SAFE_STEP, power_iteration_lipschitz
 from bitmimo.statistics import COMPRESSION_KINDS, build_compression_matrix
 from dense_oracle import blkdiag, dense_phi, dense_task, eval_c_direct, fbar_matrix
+from layouts import make_random_array_config, make_ula_config
 from theory import coherence
 
 
 @pytest.fixture(scope="module")
 def small():
-    cfg = bm.make_ula_config(2, 3, 1e6, 3e-6)
+    cfg = make_ula_config(2, 3, 1e6, 3e-6)
     return cfg, build_dictionary(cfg)
 
 
 def test_scalar_degenerate_case():
-    cfg = bm.make_ula_config(1, 1, 1e6, 1e-6)
+    cfg = make_ula_config(1, 1, 1e6, 1e-6)
     d = build_dictionary(cfg)
     assert (d.n_rows, d.n_atoms) == (1, 1)
     assert d.apply(np.ones(1))[0] == pytest.approx(1.0)  # xi=zeta=0, l=0 grid point
@@ -25,7 +26,7 @@ def test_scalar_degenerate_case():
 
 
 def test_paper_scale_dimensions():
-    cfg = bm.make_ula_config(8, 12, 1e6, 9e-6)
+    cfg = make_ula_config(8, 12, 1e6, 9e-6)
     d = build_dictionary(cfg)
     assert (d.n_rows, d.n_atoms) == (864, 6912)
     assert d.apply(np.zeros(6912, dtype=complex)).shape == (864,)
@@ -110,7 +111,7 @@ def points():
     the solver receives, for all four methods."""
     out = []
     for M, N, pri in OPERATOR_CONFIGS:
-        cfg = bm.make_random_array_config(np.random.default_rng(8), M, N, 1e6, pri)
+        cfg = make_random_array_config(np.random.default_rng(8), M, N, 1e6, pri)
         d = build_dictionary(cfg)
         spec = harness.ExperimentSpec(config=cfg, budget_bits=(2 * cfg.mnl,),
                                       methods=bm.METHODS, trials=1)
@@ -191,8 +192,8 @@ def test_band_gram_of_both_generators():
     # V has orthogonal rows and Phi Phi^H is ML times I_L (x) blkdiag(U_m U_m^H);
     # the uniform array's band Grams are MN * I
     for M, N, pri in ((1, 1, 1e-6), (2, 3, 3e-6), (4, 6, 7e-6), (8, 12, 9e-6)):
-        for cfg in (bm.make_ula_config(M, N, 1e6, pri),
-                    bm.make_random_array_config(np.random.default_rng(M), M, N, 1e6, pri)):
+        for cfg in (make_ula_config(M, N, 1e6, pri),
+                    make_random_array_config(np.random.default_rng(M), M, N, 1e6, pri)):
             d = build_dictionary(cfg)
             gram = d.band_gram
             assert gram.shape == (M, N, N)
@@ -201,7 +202,7 @@ def test_band_gram_of_both_generators():
                 phi = dense_phi(d)
                 want = cfg.ml * np.kron(np.eye(cfg.L), blkdiag(gram))
                 assert np.abs(phi @ phi.conj().T - want).max() <= 1e-10 * cfg.ml * cfg.mn
-        assert np.abs(build_dictionary(bm.make_ula_config(M, N, 1e6, pri)).band_gram
+        assert np.abs(build_dictionary(make_ula_config(M, N, 1e6, pri)).band_gram
                       - M * N * np.eye(N)).max() <= 1e-9 * M * N
 
 
@@ -211,7 +212,7 @@ def test_no_band_gram_off_one_tone_grid():
     # non-orthogonal: no band Gram
     off_grid = bm.RadarConfig(M=2, N=3, bandwidth=1e6, pri=3e-6, rx_pos=[0.0, 0.5, 1.0],
                               tx_pos=[0.0, 1.5], tone_offsets=[-5e5, 6e5])
-    detuned = bm.make_ula_config(2, 3, 1e6, 3e-6 * (1 + 1e-7))
+    detuned = make_ula_config(2, 3, 1e6, 3e-6 * (1 + 1e-7))
     for cfg in (off_grid, detuned):
         assert build_dictionary(cfg).band_gram is None
 
@@ -220,7 +221,7 @@ def test_lipschitz_closed_form_matches_dense(points):
     # Phi's and M*Phi's constants, as the harness computes them and as the
     # point's solver operators carry them, against eigvalsh of the dense A A^H,
     # for every compression kind at M=4, N=6 and at paper scale
-    cfg = bm.make_random_array_config(np.random.default_rng(12), 8, 12, 1e6, 9e-6)
+    cfg = make_random_array_config(np.random.default_rng(12), 8, 12, 1e6, 9e-6)
     d = build_dictionary(cfg)
     cases = [(d, build_compression_matrix(np.random.default_rng(1), cfg, 2, "gaussian"))]
     d_small = points[1][0]
@@ -244,7 +245,7 @@ def test_task_lipschitz_never_below_dense():
     # margin low
     for seed in (9, 3, 5):
         rng = np.random.default_rng(seed)
-        cfg = bm.make_random_array_config(rng, 8, 12, 1e6, 9e-6)
+        cfg = make_random_array_config(rng, 8, 12, 1e6, 9e-6)
         d = build_dictionary(cfg)
         comp = build_compression_matrix(rng, cfg, 2, "gaussian")
         _, task_lip = _dense_lipschitz(d, comp)
@@ -259,7 +260,7 @@ def test_task_lipschitz_never_below_dense():
 def test_sweep_point_beyond_old_dense_cap():
     # M=16, N=16, L=15: a dense Phi would take 3840 x 61440 x 16 B = 3.8 GB,
     # above the 2 GiB that used to cap the dictionary build
-    cfg = bm.make_random_array_config(np.random.default_rng(16), 16, 16, 1e6, 15e-6)
+    cfg = make_random_array_config(np.random.default_rng(16), 16, 16, 1e6, 15e-6)
     assert cfg.mnl * cfg.grid_size * 16 > 2 << 30
     spec = harness.ExperimentSpec(config=cfg, budget_bits=(2 * cfg.mnl,),
                                   methods=("bilimo", "noquan_dr"), trials=1,

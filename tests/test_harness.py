@@ -12,11 +12,12 @@ from bitmimo import harness
 from bitmimo.harness import CSV_COLUMNS, ExperimentSpec, run_sweep
 from bitmimo.recovery import RecoverySpec
 from dense_oracle import dense_task, reference_lmmse_error, stacked_statistics
+from layouts import make_random_array_config, make_ula_config
 
 
 @pytest.fixture(scope="module")
 def small_cfg():
-    return bm.make_ula_config(2, 3, 1e6, 3e-6)
+    return make_ula_config(2, 3, 1e6, 3e-6)
 
 
 def _spec(cfg, **kw):
@@ -181,7 +182,7 @@ def test_dictionary_of_another_config_is_refused(small_cfg):
     # a random layout with the same M, N and L gives a dictionary of the same
     # shapes but other steering vectors; a dictionary built from an equal
     # config, as a caller that keeps its dictionaries passes, is taken
-    other = bm.make_random_array_config(np.random.default_rng(5), small_cfg.M, small_cfg.N,
+    other = make_random_array_config(np.random.default_rng(5), small_cfg.M, small_cfg.N,
                                         small_cfg.bandwidth, small_cfg.pri)
     spec = _spec(small_cfg, trials=1)
     for config, differ in ((other, "rx_pos, tx_pos, tone_offsets"),

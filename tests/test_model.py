@@ -12,6 +12,7 @@ from bitmimo.cli import main
 from bitmimo.harness import ExperimentSpec
 from bitmimo.model import checked, config_from_dict, config_to_dict
 from bitmimo.recovery import RecoverySpec
+from layouts import make_random_array_config, make_ula_config
 
 
 def scene_from_sparse_vector(a, config):
@@ -24,39 +25,39 @@ def scene_from_sparse_vector(a, config):
 
 
 def test_ula_config_paper_scale():
-    cfg = bm.make_ula_config(8, 12, 1e6, 9e-6)
+    cfg = make_ula_config(8, 12, 1e6, 9e-6)
     assert cfg.L == 9
     assert cfg.mnl == 864
     assert cfg.grid_size == 6912
 
 
 def test_ula_degenerate_single_element():
-    cfg = bm.make_ula_config(1, 1, 1e6, 1e-6)
+    cfg = make_ula_config(1, 1, 1e6, 1e-6)
     assert cfg.rx_pos[0] == 0 and cfg.tx_pos[0] == 0
     assert cfg.L == 1
 
 
 def test_ula_positions_m2_n3():
-    cfg = bm.make_ula_config(2, 3, 1e6, 3e-6)
+    cfg = make_ula_config(2, 3, 1e6, 3e-6)
     assert np.allclose(cfg.tx_pos, [0.0, 1.5])
     assert np.allclose(cfg.rx_pos, [0.0, 0.5, 1.0])
 
 
 def test_ula_virtual_positions_distinct():
-    cfg = bm.make_ula_config(3, 4, 1e6, 3e-6)
+    cfg = make_ula_config(3, 4, 1e6, 3e-6)
     virt = (cfg.tx_pos[:, None] + cfg.rx_pos[None, :]).ravel()
     assert len(np.unique(virt)) == cfg.mn
 
 
 def test_reject_even_L():
     with pytest.raises(ValueError):
-        bm.make_ula_config(2, 2, 1e6, 4e-6)  # B_h*T_0 = 4, even
+        make_ula_config(2, 2, 1e6, 4e-6)  # B_h*T_0 = 4, even
 
 
 def test_tone_count_is_derived():
     # L is no init field: bandwidth*pri sets it, and neither it nor a carrier
     # is a config key
-    cfg = bm.make_ula_config(2, 3, 1e6, 3e-6)
+    cfg = make_ula_config(2, 3, 1e6, 3e-6)
     assert cfg.L == 3
     assert dataclasses.replace(cfg, pri=5e-6).L == 5
     with pytest.raises(ValueError, match="init=False"):
@@ -64,20 +65,20 @@ def test_tone_count_is_derived():
     assert not {"L", "carrier"} & set(config_to_dict(cfg))
     for bandwidth, pri in ((1e308, 10.0), (1e6, 4e-6), (1e6, 3.1e-6)):
         with pytest.raises(ValueError, match="bandwidth\\*pri"):
-            bm.make_ula_config(2, 2, bandwidth, pri)
+            make_ula_config(2, 2, bandwidth, pri)
 
 
 def test_reject_nonpositive():
     with pytest.raises(ValueError):
-        bm.make_ula_config(0, 2, 1e6, 3e-6)
+        make_ula_config(0, 2, 1e6, 3e-6)
     with pytest.raises(ValueError):
-        bm.make_ula_config(2, 2, -1e6, 3e-6)
+        make_ula_config(2, 2, -1e6, 3e-6)
     with pytest.raises(ValueError):
-        bm.make_ula_config(2, 2, 1e6, 3e-6, eta=0.0)
+        make_ula_config(2, 2, 1e6, 3e-6, eta=0.0)
     # NaN fails every comparison, so it must not slip past a `x <= 0` check
     for field in ("eta", "sigma_alpha_sq", "sigma_n_sq"):
         with pytest.raises(ValueError, match=field):
-            bm.make_ula_config(2, 2, 1e6, 3e-6, **{field: float("nan")})
+            make_ula_config(2, 2, 1e6, 3e-6, **{field: float("nan")})
 
 
 def test_config_fields_convert_and_check_once():
@@ -92,8 +93,8 @@ def test_config_fields_convert_and_check_once():
     defaults = {f.name: f.default for f in dataclasses.fields(bm.RadarConfig)
                 if f.default is not dataclasses.MISSING}
     assert set(defaults) == {"eta", "sigma_alpha_sq", "sigma_n_sq"}
-    for made in (bm.make_ula_config(2, 3, 1e6, 3e-6),
-                 bm.make_random_array_config(np.random.default_rng(0), 2, 3, 1e6, 3e-6)):
+    for made in (make_ula_config(2, 3, 1e6, 3e-6),
+                 make_random_array_config(np.random.default_rng(0), 2, 3, 1e6, 3e-6)):
         assert {key: getattr(made, key) for key in defaults} == defaults
     for change, message in (
             ({"M": True}, "M must be an integer, got True"),
@@ -208,16 +209,16 @@ def test_integer_literal_hashes_like_its_float():
 
 
 def test_random_array_deterministic_and_distinct():
-    cfg1 = bm.make_random_array_config(np.random.default_rng(42), 4, 3, 1e6, 3e-6)
-    cfg2 = bm.make_random_array_config(np.random.default_rng(42), 4, 3, 1e6, 3e-6)
+    cfg1 = make_random_array_config(np.random.default_rng(42), 4, 3, 1e6, 3e-6)
+    cfg2 = make_random_array_config(np.random.default_rng(42), 4, 3, 1e6, 3e-6)
     assert np.array_equal(cfg1.rx_pos, cfg2.rx_pos)
     assert np.array_equal(cfg1.tone_offsets, cfg2.tone_offsets)
-    cfg3 = bm.make_random_array_config(np.random.default_rng(43), 4, 3, 1e6, 3e-6)
+    cfg3 = make_random_array_config(np.random.default_rng(43), 4, 3, 1e6, 3e-6)
     assert not np.array_equal(cfg1.rx_pos, cfg3.rx_pos)
 
 
 def test_random_array_tone_permutation():
-    cfg = bm.make_random_array_config(np.random.default_rng(0), 8, 12, 1e6, 9e-6)
+    cfg = make_random_array_config(np.random.default_rng(0), 8, 12, 1e6, 9e-6)
     normalized = cfg.tone_offsets / cfg.bandwidth + (8 + 1) / 2.0
     assert sorted(np.rint(normalized).astype(int).tolist()) == list(range(8))
     # offsets land on the half-integer grid {-4.5 .. +3.5}
@@ -225,7 +226,7 @@ def test_random_array_tone_permutation():
 
 
 def test_random_array_positions_in_aperture():
-    cfg = bm.make_random_array_config(np.random.default_rng(5), 4, 6, 1e6, 3e-6)
+    cfg = make_random_array_config(np.random.default_rng(5), 4, 6, 1e6, 3e-6)
     assert cfg.rx_pos[0] == 0 and cfg.tx_pos[0] == 0
     assert np.all(cfg.rx_pos <= cfg.mn / 2) and np.all(cfg.rx_pos >= 0)
     assert np.all(cfg.tx_pos <= cfg.mn / 2) and np.all(cfg.tx_pos >= 0)
@@ -238,7 +239,7 @@ def test_generated_layouts_are_the_config_files():
     for seed in range(20):
         M, N = 2 + seed % 7, 1 + seed % 5
         keys = {"M": M, "N": N, "bandwidth": 1e6, "pri": 3e-6, "eta": 1.5}
-        made = bm.make_random_array_config(np.random.default_rng(seed), **keys)
+        made = make_random_array_config(np.random.default_rng(seed), **keys)
         read = config_from_dict(dict(keys, array="random"), rng=np.random.default_rng(seed))
         assert config_to_dict(made) == config_to_dict(read)
         rng = np.random.default_rng(seed)
@@ -247,7 +248,7 @@ def test_generated_layouts_are_the_config_files():
         assert np.array_equal(made.rx_pos, np.r_[0.0, rx])
         assert np.array_equal(made.tx_pos, np.r_[0.0, tx])
         assert np.array_equal(made.tone_offsets, (order - (M + 1) / 2) * 1e6)
-        ula = bm.make_ula_config(**keys)
+        ula = make_ula_config(**keys)
         assert config_to_dict(ula) == config_to_dict(config_from_dict(keys))
         assert np.array_equal(ula.rx_pos, np.arange(N) / 2)
         assert np.array_equal(ula.tx_pos, N * np.arange(M) / 2)
@@ -258,13 +259,13 @@ def test_generators_and_at_snr_refuse_what_a_config_file_refuses():
     # the generators take config_from_dict's checks before any layout
     # arithmetic, and at_snr takes the SNR axis's rule
     rng = np.random.default_rng(0)
-    cfg = bm.make_ula_config(2, 3, 1e6, 3e-6)
+    cfg = make_ula_config(2, 3, 1e6, 3e-6)
     for build, message in (
-            (lambda: bm.make_ula_config(2, 3, "1e6", 3e-6),
+            (lambda: make_ula_config(2, 3, "1e6", 3e-6),
              "config key 'bandwidth' must be a number, got '1e6'"),
-            (lambda: bm.make_random_array_config(rng, 2, 3.0, 1e6, 3e-6),
+            (lambda: make_random_array_config(rng, 2, 3.0, 1e6, 3e-6),
              "config key 'N' must be an integer, got 3.0"),
-            (lambda: bm.make_random_array_config(rng, 0, 3, 1e6, 3e-6),
+            (lambda: make_random_array_config(rng, 0, 3, 1e6, 3e-6),
              "config key 'M' must be >= 1, got 0"),
             (lambda: cfg.at_snr("10"), "snr_db must be a number, got '10'"),
             (lambda: cfg.at_snr(True), "snr_db must be a number, got True")):
@@ -273,7 +274,7 @@ def test_generators_and_at_snr_refuse_what_a_config_file_refuses():
 
 
 def test_sample_scene_gaussian_counts_and_power():
-    cfg = bm.make_ula_config(2, 3, 1e6, 3e-6)
+    cfg = make_ula_config(2, 3, 1e6, 3e-6)
     rng = np.random.default_rng(1)
     draws = [bm.sample_scene(rng, 4, cfg) for _ in range(4000)]
     for sc in draws[:50]:
@@ -284,13 +285,13 @@ def test_sample_scene_gaussian_counts_and_power():
 
 
 def test_sample_scene_unit_modulus():
-    cfg = bm.make_ula_config(2, 3, 1e6, 3e-6, sigma_alpha_sq=4.0)
+    cfg = make_ula_config(2, 3, 1e6, 3e-6, sigma_alpha_sq=4.0)
     scene = bm.sample_scene(np.random.default_rng(2), 5, cfg, "unit_modulus")
     assert np.allclose(np.abs(scene.alpha), 2.0)
 
 
 def test_sample_scene_edge_cases():
-    cfg = bm.make_ula_config(2, 3, 1e6, 3e-6)
+    cfg = make_ula_config(2, 3, 1e6, 3e-6)
     empty = bm.sample_scene(np.random.default_rng(0), 0, cfg)
     assert empty.k == 0
     assert np.count_nonzero(bm.scene_to_sparse_vector(empty, cfg)) == 0
@@ -303,7 +304,7 @@ def test_sample_scene_edge_cases():
 
 
 def test_sparse_vector_origin_cell():
-    cfg = bm.make_ula_config(2, 3, 1e6, 3e-6)
+    cfg = make_ula_config(2, 3, 1e6, 3e-6)
     scene = bm.TargetScene(cells=[0], alpha=[1.0])
     a = bm.scene_to_sparse_vector(scene, cfg)
     assert a[0] == 1.0 and np.count_nonzero(a) == 1
@@ -311,7 +312,7 @@ def test_sparse_vector_origin_cell():
 
 def test_sparse_vector_index_arithmetic():
     # M=2, N=3, L=3 -> MN=6, ML=6; (l1=2, l2=5) lands at 2*6+5 = 17
-    cfg = bm.make_ula_config(2, 3, 1e6, 3e-6)
+    cfg = make_ula_config(2, 3, 1e6, 3e-6)
     assert cfg.mn == 6 and cfg.ml == 6
     scene = bm.TargetScene(cells=[2 * cfg.mn + 5], alpha=[1 + 2j])
     a = bm.scene_to_sparse_vector(scene, cfg)
@@ -324,7 +325,7 @@ def test_sparse_vector_index_arithmetic():
 
 
 def test_scene_roundtrip_property():
-    cfg = bm.make_ula_config(2, 3, 1e6, 3e-6)
+    cfg = make_ula_config(2, 3, 1e6, 3e-6)
     rng = np.random.default_rng(3)
     for _ in range(100):
         scene = bm.sample_scene(rng, int(rng.integers(1, 8)), cfg)
@@ -349,7 +350,7 @@ def test_scene_rejects_duplicate_cells():
 
 
 def test_at_snr_values():
-    cfg = bm.make_ula_config(2, 3, 1e6, 3e-6, sigma_alpha_sq=1.0)
+    cfg = make_ula_config(2, 3, 1e6, 3e-6, sigma_alpha_sq=1.0)
     assert cfg.at_snr(10.0).sigma_n_sq == pytest.approx(0.1)
     assert cfg.at_snr(0.0).sigma_n_sq == pytest.approx(1.0)
     assert cfg.at_snr(120.0).sigma_n_sq == pytest.approx(0.0, abs=1e-11)
@@ -361,7 +362,7 @@ def test_at_snr_keeps_the_bits_of_its_expression():
     # at_snr is the one SNR rule: on a 0.01 dB grid over +-300 dB it gives the
     # bits of sigma_alpha_sq / 10^(SNR/10) as the sweep has always computed
     # them, and an SNR whose noise variance is not finite and positive is refused
-    cfg = bm.make_ula_config(2, 3, 1e6, 3e-6, sigma_alpha_sq=0.7)
+    cfg = make_ula_config(2, 3, 1e6, 3e-6, sigma_alpha_sq=0.7)
     for x in np.round(np.arange(-300, 300, 0.01), 2):
         want = cfg.sigma_alpha_sq / float(10.0 ** (np.asarray(x, dtype=float) / 10.0))
         assert cfg.at_snr(x).sigma_n_sq == want, x
@@ -375,7 +376,7 @@ def test_at_snr_keeps_the_bits_of_its_expression():
 def test_at_snr_is_the_checked_config_with_its_noise_variance():
     # at_snr sets sigma_n_sq on a copy of the checked config: the config a
     # replace() that re-runs every check gives, sharing the read-only arrays
-    base = bm.make_random_array_config(np.random.default_rng(3), 8, 12, 1e6, 9e-6,
+    base = make_random_array_config(np.random.default_rng(3), 8, 12, 1e6, 9e-6,
                                        sigma_alpha_sq=0.7)
     for snr_db in (-20.0, 0.0, 13.7, 120.0):
         cfg = base.at_snr(snr_db)
@@ -394,7 +395,7 @@ def test_at_snr_is_the_checked_config_with_its_noise_variance():
 def test_snr_closed_form_monte_carlo_oracle():
     # E||Phi a||^2 / (K*MNL) should equal sigma_alpha_sq to < 1%, which makes
     # sigma_n_sq = sigma_alpha_sq/SNR realize the target SNR within 2%.
-    cfg = bm.make_ula_config(2, 2, 1e6, 3e-6)
+    cfg = make_ula_config(2, 2, 1e6, 3e-6)
     d = build_dictionary(cfg)
     rng = np.random.default_rng(7)
     K, n = 3, 10000
@@ -414,7 +415,7 @@ def test_config_json_roundtrip(tmp_path):
     import json
     from bitmimo.model import config_to_dict, load_config
 
-    cfg = bm.make_random_array_config(np.random.default_rng(3), 3, 4, 1e6, 3e-6,
+    cfg = make_random_array_config(np.random.default_rng(3), 3, 4, 1e6, 3e-6,
                                       eta=2.5, sigma_n_sq=0.3)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config_to_dict(cfg)))

@@ -11,6 +11,7 @@ from bitmimo.recovery import (RecoverySpec, estimate_support, fista, hit_rate,
                               power_iteration_lipschitz, relative_mse)
 from bitmimo.statistics import build_compression_matrix
 from dense_oracle import dense_phi, reference_fista, reference_restarted_fista
+from layouts import make_random_array_config, make_ula_config
 from theory import recovery_error_bound, soft_threshold
 
 
@@ -36,7 +37,7 @@ def test_fista_zero_rho_orthonormal_is_least_squares():
 def test_fista_noiseless_single_atom_support():
     # MN*ML = 24 atoms, K = 1, random compression with J = 12: the largest
     # entry of the solution matches the brute-force best single atom
-    cfg = bm.make_ula_config(2, 2, 1e6, 3e-6)
+    cfg = make_ula_config(2, 2, 1e6, 3e-6)
     d = bm.build_dictionary(cfg)
     rng = np.random.default_rng(1)
     M = (rng.standard_normal((12, cfg.mnl)) + 1j * rng.standard_normal((12, cfg.mnl))) / np.sqrt(2)
@@ -76,7 +77,7 @@ def _structured_problem(seed, M, N, pri, k, task=True):
     """(dictionary, compression or None, s): a noisy k-target observation s on
     M*Phi (task) or Phi of a random array."""
     rng = np.random.default_rng(seed)
-    cfg = bm.make_random_array_config(rng, M, N, 1e6, pri)
+    cfg = make_random_array_config(rng, M, N, 1e6, pri)
     d = bm.build_dictionary(cfg)
     comp = build_compression_matrix(rng, cfg, 2, "gaussian") if task else None
     a = bm.scene_to_sparse_vector(bm.sample_scene(rng, k, cfg), cfg)
@@ -456,7 +457,7 @@ def test_support_and_hit_rate_match_the_pair_computation():
     # flat-cell support and hit rate agree with the (l1, l2)-pair computation
     # on random estimates with planted exact magnitude ties, for k from 1 to
     # the grid size
-    cfg = bm.make_ula_config(2, 3, 1e6, 3e-6)
+    cfg = make_ula_config(2, 3, 1e6, 3e-6)
     grid, mn = cfg.grid_size, cfg.mn
     rng = np.random.default_rng(29)
     ties = 0

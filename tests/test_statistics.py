@@ -6,6 +6,7 @@ import pytest
 import bitmimo as bm
 from bitmimo.statistics import build_compression_matrix, build_covariances, lmmse_transform
 from dense_oracle import blkdiag, dense_phi, reference_lmmse_error, stacked_statistics
+from layouts import make_ula_config
 
 
 def lmmse_error(comp, stats):
@@ -15,7 +16,7 @@ def lmmse_error(comp, stats):
 
 @pytest.fixture(scope="module")
 def setup():
-    cfg = bm.make_ula_config(2, 2, 1e6, 3e-6, sigma_n_sq=0.5)
+    cfg = make_ula_config(2, 2, 1e6, 3e-6, sigma_n_sq=0.5)
     return cfg, bm.build_dictionary(cfg)
 
 
@@ -213,7 +214,7 @@ def test_invariance_under_row_permutation(setup):
 # -- compression matrices ---------------------------------------------------
 
 def test_compression_paper_scale_dimensions():
-    cfg = bm.make_ula_config(8, 12, 1e6, 9e-6)
+    cfg = make_ula_config(8, 12, 1e6, 9e-6)
     comp = build_compression_matrix(np.random.default_rng(0), cfg, 2, "gaussian")
     assert comp.rows == 432
     assert comp.block_rows == 48
@@ -260,7 +261,7 @@ def test_compression_determinism_and_kinds(setup):
     bern = build_compression_matrix(np.random.default_rng(7), cfg, 2, "bernoulli")
     assert np.allclose(np.abs(bern.blocks.real), 1 / np.sqrt(2))
     assert np.allclose(np.abs(bern.blocks), 1.0)
-    big = bm.make_ula_config(8, 12, 1e6, 9e-6)
+    big = make_ula_config(8, 12, 1e6, 9e-6)
     gaus = build_compression_matrix(np.random.default_rng(8), big, 2, "gaussian")
     assert np.mean(np.abs(gaus.blocks) ** 2) == pytest.approx(1.0, rel=0.02)
     with pytest.raises(ValueError):
