@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -90,8 +89,6 @@ def _common_flags(p):
     p.add_argument("--config", required=True, help="JSON radar config file")
     # the seed draws a random layout before any spec exists, so it keeps a default
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--eta", type=float,
-                   help="override the config's quantizer support multiplier")
     for flag, listed, field in AXIS_FLAGS:
         p.add_argument(flag, type=listed, dest=field)
 
@@ -128,15 +125,14 @@ def build_parser():
 
 
 def _load_config(args):
-    """The --config file's config, with --eta applied; ValueError for a file
-    that cannot be read (missing, or a directory)."""
+    """The --config file's config, the one source of eta and every other config
+    value; ValueError for a file that cannot be read (missing, or a directory)."""
     seed = checked("--seed", args.seed, "int>=0")  # before it seeds the layout rng
     rng = np.random.default_rng([seed, 0xC0F1])  # the layout row of harness's seed table
     try:
-        config = load_config(args.config, rng=rng)
+        return load_config(args.config, rng=rng)
     except OSError as exc:
         raise ValueError(f"cannot read --config {args.config}: {exc.strerror}") from None
-    return config if args.eta is None else replace(config, eta=args.eta)
 
 
 def _check_outputs(args):

@@ -21,6 +21,12 @@ def cfg_file(tmp_path):
     return path
 
 
+def _set_config_key(path, key, value):
+    """Rewrite the config file at path with key set to value; json writes a
+    float NaN or inf as NaN or Infinity, which load_config reads back."""
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), **{key: value})))
+
+
 def test_design_command(tmp_path, cfg_file, capsys):
     prefix = tmp_path / "bundle"
     filters = tmp_path / "filters.csv"
@@ -85,10 +91,13 @@ def test_empty_method_list_rejected(tmp_path, cfg_file, capsys, flag, value, mes
     pytest.param("--snr-db", "-3300", "got -3300.0 dB", id="snr-minus-3300"),
     pytest.param("--snr-db", "-3100", "sigma_alpha_sq/10^(SNR/10) finite, got -3100.0 dB",
                  id="snr-minus-3100"),
-    pytest.param("--eta", "0", "eta must be positive", id="eta-0"),
-    pytest.param("--eta", "nan", "eta must be positive", id="eta-nan"),
-    pytest.param("--eta", "inf", "eta must be positive and finite", id="eta-inf"),
-    pytest.param("--eta", "1e300", "no mode above the water level", id="eta-1e300"),
+    # "eta" is the config key, written into the config file
+    pytest.param("eta", "0", "config key 'eta' must be positive and finite", id="eta-0"),
+    pytest.param("eta", "nan", "config key 'eta' must be positive and finite",
+                 id="eta-nan"),
+    pytest.param("eta", "inf", "config key 'eta' must be positive and finite",
+                 id="eta-inf"),
+    pytest.param("eta", "1e300", "no mode above the water level", id="eta-1e300"),
     # 1000 and 5555 bits per real sample: past 2**53 levels the quantizer's
     # float64 cell index is not exact
     pytest.param("--budget-bits", "18000", "gives 1000 bits per real sample",
@@ -100,14 +109,19 @@ def test_empty_method_list_rejected(tmp_path, cfg_file, capsys, flag, value, mes
 def test_invalid_axis_value_is_usage_error(tmp_path, cfg_file, capsys, command,
                                            flag, value, message):
     # checked once by ExperimentSpec, which `design` builds for its one point
-    # (and --eta by the config it overrides): exit code 2, the reason on
-    # stderr and nothing written. The 36-bit budget (2 bits per real sample on
-    # P = 3 channels and L = 3 tones) is the base the flag under test overrides.
+    # (and the config's eta first by config_from_dict): exit code 2, the reason
+    # on stderr and nothing written. The 36-bit budget (2 bits per real sample
+    # on P = 3 channels and L = 3 tones) is the base the flag under test overrides.
     out = tmp_path / "out"
     extra = ["--filters-csv", str(out)] if command == "design" else ["--trials", "1"]
+    if flag.startswith("--"):
+        override = [flag, value]
+    else:
+        _set_config_key(cfg_file, flag, float(value))
+        override = []
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", str(cfg_file), *extra, "--budget-bits", "36",
-              flag, value, "--out", str(out)])
+              *override, "--out", str(out)])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfg_file]
@@ -146,15 +160,17 @@ def test_flags_left_out_take_the_spec_defaults(tmp_path, cfg_file, monkeypatch):
 @pytest.mark.parametrize("command, eta", [("design", "1e9"), ("simulate", "1e9"),
                                           ("design", "1e-200"), ("sweep", "1e9")])
 def test_eta_without_water_level_is_usage_error(tmp_path, cfg_file, capsys, command, eta):
-    # at 36 bits, b = 4 levels on P = 3 channels: from eta near 3.5e8 up
-    # 1/coef + 1 rounds to within an ulp of 1, and at 1e-200 coef is 0; the
-    # sweep fails for its 36-bit budget beside a 1728-bit one
+    # the config file's eta passes config_from_dict, but at 36 bits, b = 4
+    # levels on P = 3 channels: from eta near 3.5e8 up 1/coef + 1 rounds to
+    # within an ulp of 1, and at 1e-200 coef is 0; the sweep fails for its
+    # 36-bit budget beside a 1728-bit one
+    _set_config_key(cfg_file, "eta", float(eta))
     out = tmp_path / "out"
     budget = "36,1728" if command == "sweep" else "36"
     extra = ["--filters-csv", str(out)] if command == "design" else ["--trials", "1"]
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", str(cfg_file), *extra, "--budget-bits", budget,
-              "--eta", eta, "--out", str(out)])
+              "--out", str(out)])
     assert exc.value.code == 2
     assert "no mode above the water level" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfg_file]
@@ -503,7 +519,7 @@ def test_negative_axis_value_joined_only_for_numeric_values():
     # not joined: another option, a value of another type, a non-axis flag,
     # a name-list flag, a flag at the end
     for argv in (["--snr-db", "--trials", "3"], ["--dcr", "-1.5"], ["--k", "-x"],
-                 ["--eta", "-2"], ["--matrix-kind", "-dft"], ["--snr-db"]):
+                 ["--trials", "-2"], ["--matrix-kind", "-dft"], ["--snr-db"]):
         assert joined(argv) == argv
 
 
@@ -520,10 +536,12 @@ def test_axis_flag_followed_by_option_is_usage_error(tmp_path, cfg_file, capsys,
 
 
 @pytest.mark.parametrize("command", ["design", "simulate", "sweep"])
-@pytest.mark.parametrize("argv", [["--snr", "-1e1"], ["--budget", "36"]])
+@pytest.mark.parametrize("argv", [["--snr", "-1e1"], ["--budget", "36"],
+                                  pytest.param(["--eta", "2"], id="eta")])
 def test_abbreviated_flag_is_usage_error(tmp_path, cfg_file, capsys, command, argv):
     # flags are spelled in full: a prefix of --snr-db or --budget-bits is an
-    # unrecognized argument, exit code 2, nothing written
+    # unrecognized argument, exit code 2, nothing written; so is --eta, as
+    # only the config file sets eta
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", str(cfg_file), *argv, "--out", str(out)])

@@ -324,12 +324,18 @@ def _assert_closed_form_design(stats, comp, channels, levels, eta):
 def test_closed_form_filter_matches_explicit_filter(layout, kind, dcr):
     # M=8, N=12, L=9 with P = J_i and P = J_i - 3 channels: the closed-form
     # filters at -10 and 20 dB and 16 levels, and the stacked waterfill on the
-    # design's singular values from -10 to 20 dB at 2 to 256 levels
+    # design's singular values from -10 to 20 dB at 2 to 256 levels. White
+    # statistics leave the design only L, MN and the compression to read, so
+    # on one compression draw both layouts give the same design bit for bit:
+    # the random layout takes a second draw
     if layout == "ula":
         base = make_ula_config(8, 12, 1e6, 9e-6)
     else:
         base = make_random_array_config(np.random.default_rng(26), 8, 12, 1e6, 9e-6)
-    comp = build_compression_matrix(np.random.default_rng([dcr, len(kind)]), base, dcr, kind)
+    first, second = (build_compression_matrix(np.random.default_rng([dcr, len(kind), *key]),
+                                              base, dcr, kind) for key in ((), (1,)))
+    assert not np.array_equal(first.blocks, second.blocks)
+    comp = first if layout == "ula" else second
     for snr_db in (-10.0, 0.0, 10.0, 20.0):
         cfg = base.at_snr(snr_db)
         stats = build_covariances(cfg, K=4)

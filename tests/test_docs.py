@@ -1,5 +1,6 @@
 """The README's schema and config example agree with the code."""
 
+import argparse
 import importlib
 import json
 import pkgutil
@@ -93,3 +94,24 @@ def test_readme_dotted_names_resolve():
             obj = getattr(obj, part)
         resolved.append(dotted.group())
     assert len(set(resolved)) >= 10, resolved
+
+
+def test_readme_cli_flags_exist():
+    # every --flag the README names is an option of some subcommand, except
+    # pip's in the install section and the prefixes its "spelled in full"
+    # sentence names as refused
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {flag for p in sub.choices.values() for a in p._actions
+               for flag in a.option_strings}
+
+    def flags(text):
+        return set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text))
+
+    refused = re.search(r"Flags\s+must\s+be\s+spelled\s+in\s+full:.*?\.", README, re.S).group()
+    for prefix in flags(refused):
+        assert prefix not in options and any(o.startswith(prefix) for o in options), prefix
+    install = README[README.index("## Install and test"):README.index("## CLI")]
+    named = flags(README.replace(install, "").replace(refused, ""))
+    assert named <= options, f"README names {sorted(named - options)}, no subcommand takes"
+    assert len(named) >= 10, named
