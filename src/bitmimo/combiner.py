@@ -87,18 +87,16 @@ def waterfill_gain(channels, levels, eta):
     return coef
 
 
-def waterfill(singvals, channels, levels, eta, block_rows):
+def waterfill(singvals, channels, levels, eta):
     """Gain allocations over every tone's singular modes, and the exact water levels.
 
     Parameters
     ----------
     singvals : (L, r) array
-        Each tone's nonnegative singular values, descending.
+        Each tone's nonnegative singular values, descending, one per mode.
     channels : int
-        Number of analog channels P (normalization sums over at most P modes).
+        Number of analog channels P; modes beyond min(r, P) get zero gain.
     levels, eta : quantizer levels b and support multiplier.
-    block_rows : int
-        Task rows J_i of every block; modes beyond min(J_i, P) get zero gain.
 
     Returns
     -------
@@ -112,8 +110,8 @@ def waterfill(singvals, channels, levels, eta, block_rows):
     The active set is closed form: (1/coef + r) * lam_r - sum_{l<=r} lam_l is
     nonincreasing in r, so it is the largest r whose candidate level
     zeta_r = (1/coef + r) / sum_{l<=r} lam_l gives zeta_r * lam_r > 1, over
-    the r <= min(P, J_i) modes with lam_r > 0. The running sums run along each
-    tone, so each tone gets bitwise the allocation it would get alone.
+    the modes r <= P with lam_r > 0. The running sums run along each tone,
+    so each tone gets bitwise the allocation it would get alone.
     """
     lam = np.asarray(singvals, dtype=float)
     if lam.ndim != 2 or not (lam.size and np.all(lam >= 0) and lam.max(axis=1).all()):
@@ -122,8 +120,8 @@ def waterfill(singvals, channels, levels, eta, block_rows):
     if np.any(np.diff(lam, axis=1) > 1e-12 * np.maximum(1.0, lam[:, :1])):
         raise ValueError("singular values must be sorted in descending order")
     coef = waterfill_gain(channels, levels, eta)
-    # modes past min(P, J_i), or past a tone's positive values, get no gain
-    r_max = np.minimum(min(channels, block_rows), np.count_nonzero(lam > 0, axis=1))
+    # modes past P, or past a tone's positive values, get no gain
+    r_max = np.minimum(channels, np.count_nonzero(lam > 0, axis=1))
     lam = lam[:, :r_max.max()]
     mode = np.arange(lam.shape[1])
     cand = (1.0 / coef + (mode + 1)) / np.cumsum(lam, axis=1)
@@ -232,7 +230,7 @@ class AcquisitionDesign:
     def apply_digital(self, z: np.ndarray) -> np.ndarray:
         """D @ z = blkdiag(D_i) Fbar^H z for the quantized samples z."""
         L, _, P = self.digital_blocks.shape
-        return (self.digital_blocks @ apply_fbar_adjoint(z, L, P).reshape(L, P, 1)).reshape(-1)
+        return (self.digital_blocks @ apply_fbar_adjoint(z, L).reshape(L, P, 1)).reshape(-1)
 
 
 # the arrays of a design bundle, in <prefix>.npz under these names
@@ -253,9 +251,6 @@ def design_multitone(stats: SignalStatistics, compression: CompressionMatrix,
     form. The LMMSE comes from the same SVDs:
     Tr(T_i Sigma_i^{-1} T_i^H) is the squared norm of the singular values.
     """
-    if compression.L != stats.L:
-        raise ValueError("compression and statistics disagree on the tone count")
-    _, rows, mn = compression.blocks.shape
     gamma = eta / np.sqrt(channels)
     noise_load = 4.0 * gamma * gamma / (3.0 * levels * levels)
     # Sigma_i^{-1/2} = inv_sqrt * I by numpy's power, as the eigh-based general
@@ -264,13 +259,13 @@ def design_multitone(stats: SignalStatistics, compression: CompressionMatrix,
     inv_sqrt = np.power(stats.sigma, -0.5)
     T = compression.blocks * stats.signal_var
     left, singvals, vh = np.linalg.svd(T * inv_sqrt, full_matrices=False)
-    gains_sq, water_levels = waterfill(singvals, channels, levels, eta, block_rows=rows)
+    gains_sq, water_levels = waterfill(singvals, channels, levels, eta)
     # perfbench/spans.py wraps this module global for its combiner.equalizer
     # span, so the call must go through it; that need goes when the span goes
     mixers = equalizing_unitary(gains_sq)
 
-    # modes past k = min(P, J_i, MN) get no gain: B_i = U_ik Lam_ik V_ik^H Sigma_i^{-1/2}
-    k = min(channels, rows, mn)
+    # modes past k = min(P, SVD width) get no gain: B_i = U_ik Lam_ik V_ik^H Sigma_i^{-1/2}
+    k = min(channels, singvals.shape[1])
     gains = np.sqrt(gains_sq[:, :k])
     B = (mixers[:, :, :k] * gains[:, None, :]) @ vh[:, :k]
     B *= inv_sqrt

@@ -116,20 +116,16 @@ def build_dictionary(config: RadarConfig) -> SteeringDictionary:
 
 # -- sample-domain DFT operator Fbar = F_L^H (x) I_P ----------------------
 
-def apply_fbar(x: np.ndarray, L: int, P: int) -> np.ndarray:
-    """y = (F_L^H (x) I_P) x with the unitary L-point DFT F_L."""
+def apply_fbar(x: np.ndarray, L: int) -> np.ndarray:
+    """y = (F_L^H (x) I_P) x with the unitary L-point DFT F_L and P = len(x)/L."""
     x = np.asarray(x)
-    if x.shape[-1] != L * P:
-        raise ValueError(f"expected length {L * P}, got {x.shape[-1]}")
-    X = x.reshape(x.shape[:-1] + (L, P))
+    X = x.reshape(x.shape[:-1] + (L, -1))
     return (np.fft.ifft(X, axis=-2) * np.sqrt(L)).reshape(x.shape)
 
 
-def apply_fbar_adjoint(y: np.ndarray, L: int, P: int) -> np.ndarray:
-    """x = (F_L (x) I_P) y, the adjoint (= inverse) of apply_fbar."""
+def apply_fbar_adjoint(y: np.ndarray, L: int) -> np.ndarray:
+    """x = (F_L (x) I_P) y with P = len(y)/L, the adjoint (= inverse) of apply_fbar."""
     y = np.asarray(y)
-    if y.shape[-1] != L * P:
-        raise ValueError(f"expected length {L * P}, got {y.shape[-1]}")
-    Y = y.reshape(y.shape[:-1] + (L, P))
+    Y = y.reshape(y.shape[:-1] + (L, -1))
     return (np.fft.fft(Y, axis=-2) / np.sqrt(L)).reshape(y.shape)
 

@@ -282,7 +282,7 @@ def run_bilimo_trial(ctx, draw, rng) -> TrialMetrics:
     """Designed receiver: combine, sample-domain DFT, dithered quantize,
     digital filter; recovery on the task operator M*Phi."""
     design = ctx.design
-    u = apply_fbar(design.apply_combiner(draw.v), design.L, design.channels)
+    u = apply_fbar(design.apply_combiner(draw.v), design.L)
     z, sat = quantize_complex_vector(u, design.levels, design.support, rng)
     s_hat = design.apply_digital(z)
     return _score(ctx, ctx.task, draw, s_hat, s_hat, sat)

@@ -34,9 +34,8 @@ __all__ = [
 @dataclass(frozen=True)
 class SignalStatistics:
     """White statistics of every tone block: cov(c)_i = signal_var * I and
-    cov(w)_i = noise_var * I, each MN x MN."""
+    cov(w)_i = noise_var * I, each MN x MN, the same for any tone count."""
 
-    L: int
     signal_var: float  # K * sigma_alpha_sq
     noise_var: float   # sigma_n_sq
 
@@ -49,7 +48,7 @@ class SignalStatistics:
 def build_covariances(config: RadarConfig, K: int) -> SignalStatistics:
     """cov(c) = K*sigma_alpha_sq*I and cov(w) = sigma_n_sq*I per tone; Sigma
     must be nonsingular."""
-    stats = SignalStatistics(L=config.L, signal_var=K * config.sigma_alpha_sq,
+    stats = SignalStatistics(signal_var=K * config.sigma_alpha_sq,
                              noise_var=config.sigma_n_sq)
     if not stats.sigma > 0:
         raise ValueError("Sigma is singular; need cov(c)+cov(w) > 0")

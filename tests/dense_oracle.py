@@ -108,9 +108,9 @@ class StackedStatistics:
 
 def stacked_statistics(stats, compression):
     """The cov(c) = c*I and cov(w) = w*I stacks of white SignalStatistics, on
-    the MN-wide tone blocks the compression acts on."""
+    the compression's L tone blocks, each MN wide."""
     mn = compression.blocks.shape[2]
-    eye = np.broadcast_to(np.eye(mn, dtype=complex), (stats.L, mn, mn))
+    eye = np.broadcast_to(np.eye(mn, dtype=complex), (compression.L, mn, mn))
     return StackedStatistics(cov_signal=stats.signal_var * eye,
                              cov_noise=stats.noise_var * eye)
 

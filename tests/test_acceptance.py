@@ -227,7 +227,7 @@ def test_acceptance_7_recovery_error_bound():
         c = d.apply_cells(scene.cells, scene.alpha)
         w = np.sqrt(cfg.sigma_n_sq / 2) * (rng.standard_normal(cfg.mnl)
                                            + 1j * rng.standard_normal(cfg.mnl))
-        u = apply_fbar(design.apply_combiner(c + w), design.L, design.channels)
+        u = apply_fbar(design.apply_combiner(c + w), design.L)
         z, sat = quantize_complex_vector(u, design.levels, design.support, rng)
         if sat > 0:
             continue  # the bound presumes non-overloaded quantizers

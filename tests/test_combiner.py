@@ -48,14 +48,14 @@ def _bisect_water_level(lam, channels, levels, eta, block_rows):
 
 def test_waterfill_uniform_allocation():
     lam = np.full((1, 4), 2.5)
-    alloc, zeta = waterfill(lam, channels=4, levels=2, eta=2.0, block_rows=4)
+    alloc, zeta = waterfill(lam, channels=4, levels=2, eta=2.0)
     assert alloc.shape == (1, 4) and zeta.shape == (1,)
     assert np.allclose(alloc, 0.25)
     assert zeta[0] * lam[0, 0] > 1
 
 
 def test_waterfill_single_mode_closed_form():
-    alloc, zeta = waterfill([[1.0]], channels=1, levels=2, eta=1.5, block_rows=1)
+    alloc, zeta = waterfill([[1.0]], channels=1, levels=2, eta=1.5)
     assert np.allclose(alloc, [[1.0]])
     assert zeta[0] == pytest.approx(1.0 + 3 * 4 / (4 * 1.5 ** 2))
 
@@ -63,8 +63,7 @@ def test_waterfill_single_mode_closed_form():
 def test_waterfill_two_mode_worked_example():
     # coef = 4*eta^2/(3 b^2 P) = 1/2 with eta = sqrt(3), b = 2, P = 2:
     # zeta = 4/3, allocation (5/6, 1/6)
-    alloc, zeta = waterfill([[2.0, 1.0]], channels=2, levels=2,
-                            eta=np.sqrt(3.0), block_rows=2)
+    alloc, zeta = waterfill([[2.0, 1.0]], channels=2, levels=2, eta=np.sqrt(3.0))
     assert zeta[0] == pytest.approx(4.0 / 3.0, rel=1e-12)
     assert np.allclose(alloc[0], [5.0 / 6.0, 1.0 / 6.0])
 
@@ -78,7 +77,7 @@ def test_waterfill_against_bisection_oracle():
         levels = 2 ** int(rng.integers(1, 5))
         eta = rng.uniform(1.0, 3.0)
         block_rows = int(rng.integers(1, n + 1))
-        (alloc,), (zeta,) = waterfill([lam], channels, levels, eta, block_rows)
+        (alloc,), (zeta,) = waterfill([lam[:block_rows]], channels, levels, eta)
         coef = 4 * eta ** 2 / (3 * levels ** 2 * channels)
         assert alloc.sum() == pytest.approx(1.0, abs=1e-10)  # normalization
         zeta_oracle = _bisect_water_level(lam, channels, levels, eta, block_rows)
@@ -94,9 +93,10 @@ def test_waterfill_against_bisection_oracle():
 
 
 def _assert_waterfill_matches_scan(singvals, channels, levels, eta, block_rows):
-    """The stacked waterfill gives every tone bitwise the allocation and
-    water level of the one-tone active-set scan."""
-    alloc, zeta = waterfill(singvals, channels, levels, eta, block_rows)
+    """The stacked waterfill on the first block_rows modes gives every tone
+    bitwise the allocation and water level of the one-tone active-set scan
+    capped at block_rows."""
+    alloc, zeta = waterfill(singvals[:, :block_rows], channels, levels, eta)
     assert alloc.shape == (len(singvals), channels) and zeta.shape == (len(singvals),)
     for lam, got_alloc, got_zeta in zip(singvals, alloc, zeta):
         want_alloc, want_zeta = reference_waterfill(lam, channels, levels, eta, block_rows)
@@ -104,13 +104,12 @@ def _assert_waterfill_matches_scan(singvals, channels, levels, eta, block_rows):
 
 
 def test_waterfill_zero_tail_modes():
-    alloc, _ = waterfill([[3.0, 1e-18, 0.0]], channels=3, levels=4, eta=2.0,
-                         block_rows=3)
+    alloc, _ = waterfill([[3.0, 1e-18, 0.0]], channels=3, levels=4, eta=2.0)
     assert alloc[0, 0] == pytest.approx(1.0)
     # a value past a zero, within the sort tolerance, gets no gain, even at
     # levels fine enough for the same value past a positive one to get some
     lam = np.array([[1.0, 0.0, 1e-13], [1.0, 0.5, 1e-13]])
-    alloc, _ = waterfill(lam, channels=3, levels=2 ** 31, eta=2.0, block_rows=3)
+    alloc, _ = waterfill(lam, channels=3, levels=2 ** 31, eta=2.0)
     assert alloc[0, 2] == 0.0 and alloc[1, 2] > 0.0
     _assert_waterfill_matches_scan(lam, 3, 2 ** 31, 2.0, 3)
 
@@ -150,11 +149,11 @@ def test_waterfill_gain_bounds_the_first_water_level():
     assert 1.0 / waterfill_gain(channels, levels, eta) + 1.0 == 1.0 + 2.0 * eps
     lams = np.random.default_rng(24).uniform(0.1, 10.0, 2000)
     lams = np.concatenate([lams, np.nextafter(1.0, [0.0, 2.0]), [1.0]])
-    alloc, zeta = waterfill(lams[:, None], channels, levels, eta, block_rows=1)
+    alloc, zeta = waterfill(lams[:, None], channels, levels, eta)
     assert np.all(zeta * lams > 1.0) and np.all(alloc[:, 0] > 0)
     for bad in (eta_of(1.0 / eps), 1e300, 1e-200):
         with pytest.raises(ValueError, match="no mode above the water level"):
-            waterfill([[1.0, 0.5]], channels, levels, bad, block_rows=2)
+            waterfill([[1.0, 0.5]], channels, levels, bad)
 
 
 def test_waterfill_rejects_bad_input():
@@ -169,7 +168,7 @@ def test_waterfill_rejects_bad_input():
                            ([[good]], r"an \(L, r\) stack"),
                            (np.empty((2, 0)), r"an \(L, r\) stack")):
         with pytest.raises(ValueError, match=message):
-            waterfill(stack, channels=2, levels=2, eta=2.0, block_rows=2)
+            waterfill(stack, channels=2, levels=2, eta=2.0)
 
 
 # -- equalizing unitary --------------------------------------------------------
@@ -212,7 +211,7 @@ def test_equalizer_stack_matches_reference_loop_on_mixed_blocks():
         sparse = np.zeros(P)
         sparse[:max(1, P // 3)] = rng.uniform(0.5, 2.0, size=max(1, P // 3))
         waterfilled = waterfill(np.sort(rng.exponential(size=(1, P)))[:, ::-1], P, 4,
-                                2.0, P)[0][0]
+                                2.0)[0][0]
         stack = np.stack([sparse, np.full(P, 2.5), rng.uniform(0.0, 1.0, size=P),
                           np.zeros(P), waterfilled])
         U = equalizing_unitary(stack)
@@ -242,7 +241,7 @@ def test_equalizer_stack_matches_reference_loop_at_paper_scale(dcr):
 def _one_tone_design(m_block, signal_var, noise_var, channels, levels, eta):
     """(stacked statistics, compression, design): design_multitone at L = 1 on
     one tone's task matrix with cov(c) = signal_var*I, cov(w) = noise_var*I."""
-    stats = bm.SignalStatistics(L=1, signal_var=signal_var, noise_var=noise_var)
+    stats = bm.SignalStatistics(signal_var=signal_var, noise_var=noise_var)
     comp = CompressionMatrix(blocks=m_block[None])
     return (stacked_statistics(stats, comp), comp,
             design_multitone(stats, comp, channels, levels, eta))
@@ -356,7 +355,7 @@ def test_closed_form_filter_on_small_blocks(rows, channels, mn):
     # with no singular value: k = min(P, J_i, MN) modes enter the filter
     rng = np.random.default_rng(rows * 100 + channels * 10 + mn)
     m_block = rng.standard_normal((rows, mn)) + 1j * rng.standard_normal((rows, mn))
-    stats = bm.SignalStatistics(L=1, signal_var=2.0, noise_var=0.5)
+    stats = bm.SignalStatistics(signal_var=2.0, noise_var=0.5)
     design = _assert_closed_form_design(stats, CompressionMatrix(blocks=m_block[None]),
                                         channels, 4, 2.0)
     k = min(rows, channels, mn)
@@ -527,7 +526,7 @@ def test_support_consistency_monte_carlo(small_design):
     v = c + w
     B = design.combiner_blocks
     u = np.einsum("ijk,tik->tij", B, v.reshape(n, cfg.L, cfg.mn)).reshape(n, -1)
-    u = apply_fbar(u, cfg.L, design.channels)
+    u = apply_fbar(u, cfg.L)
     per_channel = np.mean(np.abs(u) ** 2, axis=0)
     assert per_channel.max() == pytest.approx(design.support ** 2 / cfg.eta ** 2, rel=0.05)
 
@@ -869,3 +868,34 @@ def test_stacked_design_matches_per_tone_loop_over_many_draws():
         for eps in design.block_emse.tolist():
             total += eps
         assert design.emse == total
+
+
+def test_one_statistics_serves_any_tone_count():
+    # white statistics are the same on every tone: the statistics of a 3-tone
+    # config design a 9-tone compression, and each tone gets bitwise the
+    # design of its own one-block compression
+    stats = build_covariances(make_ula_config(2, 3, 1e6, 3e-6, sigma_n_sq=0.25), K=3)
+    cfg = make_ula_config(2, 3, 1e6, 9e-6, sigma_n_sq=0.25)
+    assert cfg.L == 9
+    comp = build_compression_matrix(np.random.default_rng(42), cfg, 2, "gaussian")
+    design = design_multitone(stats, comp, comp.block_rows, 4, cfg.eta)
+    for i in range(cfg.L):
+        one = design_multitone(stats, CompressionMatrix(blocks=comp.blocks[i:i + 1]),
+                               comp.block_rows, 4, cfg.eta)
+        for name in BUNDLE_ARRAYS:
+            assert np.array_equal(getattr(design, name)[i], getattr(one, name)[0]), name
+
+
+def test_tall_task_blocks_match_per_tone_loop():
+    # J_i = MN + 3 task rows on MN-wide blocks: the SVD has MN modes, fewer
+    # than J_i, so the design's mode count comes from the SVD's width while
+    # the per-tone loop caps at min(P, J_i, MN); at P = MN + 3, MN and MN - 2
+    cfg = make_ula_config(2, 3, 1e6, 9e-6, sigma_n_sq=0.25)
+    stats = build_covariances(cfg, K=3)
+    rng = np.random.default_rng(43)
+    shape = (cfg.L, cfg.mn + 3, cfg.mn)
+    comp = CompressionMatrix(
+        blocks=(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0))
+    for channels in (cfg.mn + 3, cfg.mn, cfg.mn - 2):
+        design = _assert_design_matches_reference(stats, comp, channels, 8, cfg.eta)
+        assert design.singvals.shape == (cfg.L, cfg.mn)

@@ -23,7 +23,6 @@ def setup():
 def test_default_covariances(setup):
     cfg, _ = setup
     stats = build_covariances(cfg, K=4)
-    assert stats.L == cfg.L
     assert (stats.signal_var, stats.noise_var, stats.sigma) == (4.0, 0.5, 4.5)
 
 
