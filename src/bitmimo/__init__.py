@@ -20,6 +20,5 @@ from .harness import (METHODS, ExperimentResult, ExperimentSpec, PointResult,
 from .model import (RadarConfig, TargetScene, load_config, sample_scene,
                     scene_to_sparse_vector)
 from .recovery import RecoverySpec, estimate_support, fista, hit_rate, relative_mse
-from .statistics import (CompressionMatrix, SignalStatistics,
-                         build_compression_matrix, build_covariances,
-                         lmmse_transform)
+from .statistics import (SignalStatistics, build_compression_matrix,
+                         build_covariances, lmmse_transform)

@@ -48,9 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import apply_fbar_adjoint
+from .dictionary import apply_blocks, apply_fbar_adjoint
 from .model import RadarConfig, config_to_dict
-from .statistics import CompressionMatrix, SignalStatistics
+from .statistics import SignalStatistics
 
 __all__ = [
     "AcquisitionDesign",
@@ -224,13 +224,11 @@ class AcquisitionDesign:
 
     def apply_combiner(self, v_c: np.ndarray) -> np.ndarray:
         """Bbar @ v for a tone-major coefficient vector v."""
-        L, _, mn = self.combiner_blocks.shape
-        return (self.combiner_blocks @ v_c.reshape(L, mn, 1)).reshape(-1)
+        return apply_blocks(self.combiner_blocks, v_c)
 
     def apply_digital(self, z: np.ndarray) -> np.ndarray:
         """D @ z = blkdiag(D_i) Fbar^H z for the quantized samples z."""
-        L, _, P = self.digital_blocks.shape
-        return (self.digital_blocks @ apply_fbar_adjoint(z, L).reshape(L, P, 1)).reshape(-1)
+        return apply_blocks(self.digital_blocks, apply_fbar_adjoint(z, self.L))
 
 
 # the arrays of a design bundle, in <prefix>.npz under these names
@@ -240,9 +238,10 @@ BUNDLE_ARRAYS = ("combiner_blocks", "digital_blocks", "gains_sq", "water_levels"
 _BUNDLE_SCALARS = ("support", "levels", "eta", "channels", "emse", "lmmse")
 
 
-def design_multitone(stats: SignalStatistics, compression: CompressionMatrix,
+def design_multitone(stats: SignalStatistics, compression: np.ndarray,
                      channels, levels, eta) -> AcquisitionDesign:
-    """Blockwise optimal design for L >= 1 tones under white statistics.
+    """Blockwise optimal design for L >= 1 tones under white statistics, of
+    the compression's (L, J_i, MN) block stack M_i.
 
     One pass over the (L, ...) tone stacks: the reduced SVDs of the whitened
     task matrices, one waterfill on their (L, r) singular values, one
@@ -257,7 +256,7 @@ def design_multitone(stats: SignalStatistics, compression: CompressionMatrix,
     # reference computes it; Python's float ** differs in the last bit for
     # about 1 in 20 values
     inv_sqrt = np.power(stats.sigma, -0.5)
-    T = compression.blocks * stats.signal_var
+    T = compression * stats.signal_var
     left, singvals, vh = np.linalg.svd(T * inv_sqrt, full_matrices=False)
     gains_sq, water_levels = waterfill(singvals, channels, levels, eta)
     # perfbench/spans.py wraps this module global for its combiner.equalizer
@@ -277,7 +276,7 @@ def design_multitone(stats: SignalStatistics, compression: CompressionMatrix,
     sq = singvals ** 2
     head = (water_levels[:, None] * singvals[:, :k] - 1.0).clip(min=0.0)
     block_emse = np.sum(sq[:, :k] / (head + 1.0), axis=1) + np.sum(sq[:, k:], axis=1)
-    lmmse = (np.trace(T @ _hermitian(compression.blocks), axis1=1, axis2=2).real
+    lmmse = (np.trace(T @ _hermitian(compression), axis1=1, axis2=2).real
              - np.sum(sq, axis=1))
     return AcquisitionDesign(
         combiner_blocks=B, digital_blocks=digital,

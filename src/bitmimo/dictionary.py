@@ -15,7 +15,10 @@ restrictions of Phi as a few batched matrix products on U and V, each
 per-band (M, L, N) product laid out tone-major by a swap of its first two axes.
 
 The sample-domain operator Fbar = F_L^H (x) I_P uses the unitary L-point DFT
-throughout; apply_fbar / apply_fbar_adjoint implement it matrix-free.
+throughout; apply_fbar / apply_fbar_adjoint implement it matrix-free. Beside
+it, apply_blocks / apply_blocks_adjoint apply a tone stack (L, r, c), such as
+the compression M, the LMMSE map Gamma, the combiner B or the digital filter
+D, as the block-diagonal blkdiag(X_1..X_L) to a tone-major vector.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ __all__ = [
     "build_dictionary",
     "apply_fbar",
     "apply_fbar_adjoint",
+    "apply_blocks",
+    "apply_blocks_adjoint",
 ]
 
 
@@ -129,3 +134,14 @@ def apply_fbar_adjoint(y: np.ndarray, L: int) -> np.ndarray:
     Y = y.reshape(y.shape[:-1] + (L, -1))
     return (np.fft.fft(Y, axis=-2) / np.sqrt(L)).reshape(y.shape)
 
+
+# -- block-diagonal product of a tone stack ---------------------------------
+
+def apply_blocks(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """blkdiag(X_1..X_L) @ v for the (L, r, c) tone stack X and a tone-major v."""
+    return (blocks @ v.reshape(len(blocks), -1, 1)).reshape(-1)
+
+
+def apply_blocks_adjoint(blocks: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """blkdiag(X_1..X_L)^H @ s, tone-major; the adjoint of apply_blocks."""
+    return (s.reshape(len(blocks), 1, -1).conj() @ blocks).conj().reshape(-1)

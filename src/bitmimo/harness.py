@@ -53,7 +53,7 @@ import numpy as np
 from . import __version__
 from .adc import levels_from_budget, quantize_complex_vector
 from .combiner import config_hash, design_multitone, waterfill_gain
-from .dictionary import apply_fbar, build_dictionary
+from .dictionary import apply_blocks, apply_blocks_adjoint, apply_fbar, build_dictionary
 from .model import (COEFF_MODELS, RadarConfig, TargetScene, checked, config_to_dict,
                     sample_scene, scene_to_sparse_vector)
 from .recovery import (RecoverySpec, estimate_support, fista, hit_rate,
@@ -216,7 +216,7 @@ def draw_trial(ctx, rng) -> Draw:
     c = ctx.dictionary.apply_cells(scene.cells, scene.alpha)
     return Draw(scene=scene, a=scene_to_sparse_vector(scene, cfg),
                 v=c + noise.swapaxes(0, 1).reshape(-1),
-                s_true=ctx.compression.apply_to_c(c))
+                s_true=apply_blocks(ctx.compression, c))
 
 
 def _operator_pair(mat):
@@ -229,28 +229,27 @@ def _single(array):
 
 def _solver_operator(dictionary, compression=None):
     """(apply, adjoint, lipschitz) FISTA runs on: Phi, or M*Phi for the given
-    compression M, on complex64 copies of U, V and M's blocks, so complex64
-    inputs stay in single precision. Up to DENSE_OPERATOR_MAX_ENTRIES entries
-    the pair is its complex64 matrix, formed row by row from the adjoint.
-    lipschitz is ||A||^2 = ML * max lambda_max over the dictionary's band
-    Grams G_m (Phi) or over M_i G M_i^H with G = blkdiag_m(G_m) (M*Phi); with
-    no band Grams, power iteration from a complex64 probe."""
+    (L, J_i, MN) compression stack M, on complex64 copies of U, V and M, so
+    complex64 inputs stay in single precision. Up to DENSE_OPERATOR_MAX_ENTRIES
+    entries the pair is its complex64 matrix, formed row by row from the
+    adjoint. lipschitz is ||A||^2 = ML * max lambda_max over the dictionary's
+    band Grams G_m (Phi) or over M_i G M_i^H with G = blkdiag_m(G_m) (M*Phi);
+    with no band Grams, power iteration from a complex64 probe."""
     cfg = dictionary.config
     d = replace(dictionary, U=_single(dictionary.U), V=_single(dictionary.V))
     apply, adjoint, rows = d.apply, d.apply_adjoint, d.n_rows
     if compression is not None:
-        comp = replace(compression, blocks=_single(compression.blocks))
-        apply = lambda x: comp.apply_to_c(d.apply(x))
-        adjoint = lambda y: d.apply_adjoint(comp.apply_adjoint_to_c(y))
-        rows = comp.rows
+        comp = _single(compression)
+        apply = lambda x: apply_blocks(comp, d.apply(x))
+        adjoint = lambda y: d.apply_adjoint(apply_blocks_adjoint(comp, y))
+        rows = comp.shape[0] * comp.shape[1]
     gram = dictionary.band_gram
     if gram is not None and compression is not None:
         # M_i G formed band by band, as (M, L*J_i, N) @ (M, N, N)
-        blocks = compression.blocks
-        L, ji, mn = blocks.shape
-        mg = blocks.reshape(L * ji, cfg.M, cfg.N).swapaxes(0, 1) @ gram
+        L, ji, mn = compression.shape
+        mg = compression.reshape(L * ji, cfg.M, cfg.N).swapaxes(0, 1) @ gram
         mg = mg.swapaxes(0, 1).reshape(L, ji, mn)
-        gram = mg @ blocks.conj().transpose(0, 2, 1)
+        gram = mg @ compression.conj().transpose(0, 2, 1)
     lipschitz = (None if gram is None
                  else cfg.ml * float(np.linalg.eigvalsh(gram)[:, -1].max()))
     if rows * d.n_atoms <= DENSE_OPERATOR_MAX_ENTRIES:
@@ -296,21 +295,19 @@ def run_task_ignorant_trial(ctx, draw, rng) -> TrialMetrics:
     z, sat = quantize_complex_vector(draw.v.reshape(cfg.L, cfg.M, cfg.N).swapaxes(0, 1),
                                      ctx.ti_levels, ctx.ti_support, rng)
     z = z.swapaxes(0, 1).reshape(-1)
-    s_hat = ctx.compression.apply_to_c(z)
+    s_hat = apply_blocks(ctx.compression, z)
     return _score(ctx, ctx.phi, draw, z, s_hat, sat)
 
 
 def run_noquan_dr_trial(ctx, draw, rng) -> TrialMetrics:
     """Unquantized direct recovery of the grid vector from the noisy channels."""
-    s_hat = ctx.compression.apply_to_c(draw.v)
+    s_hat = apply_blocks(ctx.compression, draw.v)
     return _score(ctx, ctx.phi, draw, draw.v, s_hat, None)
 
 
 def run_noquan_lmmse_trial(ctx, draw, rng) -> TrialMetrics:
     """Unquantized linear-MMSE estimate of the task vector, then sparse recovery."""
-    gamma = ctx.gamma_blocks
-    v_c = draw.v.reshape(gamma.shape[0], -1, 1)
-    s_tilde = (gamma @ v_c).reshape(-1)
+    s_tilde = apply_blocks(ctx.gamma_blocks, draw.v)
     return _score(ctx, ctx.task, draw, s_tilde, s_tilde, None)
 
 

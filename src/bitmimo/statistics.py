@@ -8,8 +8,9 @@ covariances, with the LMMSE error and the excess MSE of any combiner, lives
 in tests/dense_oracle.py as the reference, which the white-statistics design
 and LMMSE transform must match bitwise.
 
-The compression matrix is stored blockwise: block M_i (J_i x MN) acts on the
-tone-i block of c, so as a dense matrix it is blkdiag(M_1..M_L).
+A compression is held as its (L, J_i, MN) block stack, a plain array: block
+M_i (J_i x MN) acts on the tone-i block of c, so as a dense matrix it is
+blkdiag(M_1..M_L), applied by dictionary.apply_blocks.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .model import RadarConfig
 
 __all__ = [
     "SignalStatistics",
-    "CompressionMatrix",
     "build_covariances",
     "COMPRESSION_KINDS",
     "compression_block_rows",
@@ -55,36 +55,6 @@ def build_covariances(config: RadarConfig, K: int) -> SignalStatistics:
     return stats
 
 
-@dataclass(frozen=True)
-class CompressionMatrix:
-    """Blockwise compressive measurement matrix; block i acts on tone i of c."""
-
-    blocks: np.ndarray  # (L, J_i, MN)
-
-    @property
-    def L(self) -> int:
-        return self.blocks.shape[0]
-
-    @property
-    def block_rows(self) -> int:
-        return self.blocks.shape[1]
-
-    @property
-    def rows(self) -> int:
-        """Total task dimension J."""
-        return self.blocks.shape[0] * self.blocks.shape[1]
-
-    def apply_to_c(self, v_c: np.ndarray) -> np.ndarray:
-        """s = blkdiag(M_i) @ v for a tone-major vector v."""
-        L, ji, mn = self.blocks.shape
-        return (self.blocks @ v_c.reshape(L, mn, 1)).reshape(-1)
-
-    def apply_adjoint_to_c(self, s: np.ndarray) -> np.ndarray:
-        """blkdiag(M_i)^H @ s, a tone-major vector; the adjoint of apply_to_c."""
-        L, ji, mn = self.blocks.shape
-        return (s.reshape(L, 1, ji).conj() @ self.blocks).conj().reshape(-1)
-
-
 COMPRESSION_KINDS = ("gaussian", "bernoulli", "dft")
 
 
@@ -100,9 +70,9 @@ def compression_block_rows(config: RadarConfig, dcr: int) -> int:
 
 
 def build_compression_matrix(rng, config: RadarConfig, dcr: int,
-                             kind="gaussian") -> CompressionMatrix:
-    """Random block compression with compression_block_rows(config, dcr) rows
-    per tone block.
+                             kind="gaussian") -> np.ndarray:
+    """Random block compression, the (L, J_i, MN) stack of its blocks M_i with
+    J_i = compression_block_rows(config, dcr).
 
     kinds (COMPRESSION_KINDS): 'gaussian' (i.i.d. circularly-symmetric, unit
     variance), 'bernoulli' ((+/-1 +/- j)/sqrt(2)), 'dft' (J_i distinct rows of
@@ -123,15 +93,14 @@ def build_compression_matrix(rng, config: RadarConfig, dcr: int,
             blocks[i] = F[rng.choice(mn, size=ji, replace=False)]
     else:
         raise ValueError(f"unknown compression kind {kind!r}")
-    return CompressionMatrix(blocks=blocks)
+    return blocks
 
 
-def lmmse_transform(compression: CompressionMatrix,
-                    stats: SignalStatistics) -> np.ndarray:
+def lmmse_transform(compression: np.ndarray, stats: SignalStatistics) -> np.ndarray:
     """Per-tone blocks Gamma_i = M_i cov(c)_i Sigma_i^{-1} = (c * M_i) / (c + w)
-    of the LMMSE map.
+    of the LMMSE map, an (L, J_i, MN) stack like the compression's.
 
     Stacked block-diagonally (tone-major), Gamma estimates s = M Phi a from the
     noisy tone-major observation c + w.
     """
-    return compression.blocks * stats.signal_var / stats.sigma
+    return compression * stats.signal_var / stats.sigma

@@ -86,7 +86,7 @@ def dense_phi(d):
 
 def dense_task(d, compression):
     """M*Phi, shape J x M^2NL."""
-    return blkdiag(compression.blocks) @ dense_phi(d)
+    return blkdiag(compression) @ dense_phi(d)
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,8 @@ class StackedStatistics:
 def stacked_statistics(stats, compression):
     """The cov(c) = c*I and cov(w) = w*I stacks of white SignalStatistics, on
     the compression's L tone blocks, each MN wide."""
-    mn = compression.blocks.shape[2]
-    eye = np.broadcast_to(np.eye(mn, dtype=complex), (compression.L, mn, mn))
+    mn = compression.shape[2]
+    eye = np.broadcast_to(np.eye(mn, dtype=complex), (len(compression), mn, mn))
     return StackedStatistics(cov_signal=stats.signal_var * eye,
                              cov_noise=stats.noise_var * eye)
 
@@ -342,8 +342,7 @@ def reference_design_multitone(stats, compression, channels, levels, eta):
     factors, singvals, gains_sq, water_levels = [], [], [], []
     block_emse = []
     lmmse = 0.0
-    for m_block, cov_sig, cov_noise in zip(compression.blocks, stats.cov_signal,
-                                           stats.cov_noise):
+    for m_block, cov_sig, cov_noise in zip(compression, stats.cov_signal, stats.cov_noise):
         sigma_inv_sqrt = hermitian_inv_sqrt(cov_sig + cov_noise)
         T = m_block @ cov_sig
         left, lam, vh = np.linalg.svd(T @ sigma_inv_sqrt, full_matrices=False)
@@ -385,10 +384,10 @@ def reference_design_multitone(stats, compression, channels, levels, eta):
 def reference_lmmse_transform(compression, stats):
     """lmmse_transform for general per-tone covariances, one solve per tone."""
     sigma = stats.sigma
-    out = np.empty_like(compression.blocks)
+    out = np.empty_like(compression)
     for i in range(stats.L):
         out[i] = np.linalg.solve(
-            sigma[i].conj().T, (compression.blocks[i] @ stats.cov_signal[i]).conj().T
+            sigma[i].conj().T, (compression[i] @ stats.cov_signal[i]).conj().T
         ).conj().T
     return out
 
@@ -399,8 +398,8 @@ def reference_lmmse_error(compression, stats):
     total = 0.0
     gamma = reference_lmmse_transform(compression, stats)
     for i in range(stats.L):
-        T = compression.blocks[i] @ stats.cov_signal[i]
-        total += np.trace(T @ compression.blocks[i].conj().T
+        T = compression[i] @ stats.cov_signal[i]
+        total += np.trace(T @ compression[i].conj().T
                           - gamma[i] @ T.conj().T).real
     return float(total)
 
@@ -419,7 +418,7 @@ def reference_emse_of_combiner(combiner_blocks, stats, compression, gamma, level
     sigma = stats.sigma
     total = 0.0
     for i in range(stats.L):
-        T = compression.blocks[i] @ stats.cov_signal[i]
+        T = compression[i] @ stats.cov_signal[i]
         total += np.trace(T @ np.linalg.solve(sigma[i], T.conj().T)).real
         if np.any(B[i]):
             inner = B[i] @ sigma[i] @ B[i].conj().T + q * np.eye(B[i].shape[0])

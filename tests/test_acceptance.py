@@ -87,7 +87,7 @@ def test_acceptance_3_design_invariants():
     cfg = make_ula_config(3, 4, 1e6, 3e-6, sigma_n_sq=0.1)
     stats = bm.build_covariances(cfg, K=3)
     comp = bm.build_compression_matrix(np.random.default_rng(3), cfg, 2, "gaussian")
-    channels = comp.block_rows
+    channels = comp.shape[1]
     design = design_multitone(stats, comp, channels, 4, cfg.eta)
     dense = stacked_statistics(stats, comp)
 
@@ -129,7 +129,7 @@ def test_acceptance_4_theory_vs_simulation():
     K = 4
     stats = bm.build_covariances(cfg, K)
     comp = bm.build_compression_matrix(np.random.default_rng(0), cfg, 2, "gaussian")
-    design = design_multitone(stats, comp, comp.block_rows, 4, cfg.eta)
+    design = design_multitone(stats, comp, comp.shape[1], 4, cfg.eta)
     a_mat = dense_task(d, comp)
     ops = ((lambda x: a_mat @ x), (lambda y: (y.conj() @ a_mat).conj()))
     ctx = SimpleNamespace(
@@ -221,7 +221,7 @@ def test_acceptance_7_recovery_error_bound():
         mu = coherence(a_mat)
         if not recovery_error_bound(K, mu, 0, 0, 0).condition_ok:
             continue
-        design = design_multitone(stats, comp, comp.block_rows, 16, cfg.eta)
+        design = design_multitone(stats, comp, comp.shape[1], 16, cfg.eta)
         scene = bm.sample_scene(rng, K, cfg, "unit_modulus")
         a = bm.scene_to_sparse_vector(scene, cfg)
         c = d.apply_cells(scene.cells, scene.alpha)

@@ -356,6 +356,17 @@ POSITIONS_2X3 = {"M": 2, "N": 3, "bandwidth": 1e6, "pri": 3e-6, "rx_pos": [0, 0.
     pytest.param(dict(EXPLICIT_CONFIG, bandwidth=1000000001, pri=1),
                  "the tone count bandwidth*pri is too large: the steering matrix V",
                  id="huge-tone-count"),
+    pytest.param([ULA_CONFIG], "a config must be a JSON object", id="json-array"),
+    pytest.param(dict(ULA_CONFIG, array="hex"), "unknown array kind 'hex'", id="hex-array"),
+    # the layout checks of RadarConfig, on explicit positions and offsets
+    pytest.param(dict(POSITIONS_2X3, rx_pos=[0, 0.5]),
+                 "position arrays must have lengths N and M", id="two-rx-positions"),
+    pytest.param(dict(POSITIONS_2X3, rx_pos=[0.1, 0.5, 1]),
+                 "first rx/tx positions are normalized to 0", id="rx-pos-off-0"),
+    pytest.param(dict(POSITIONS_2X3, tone_offsets=[0.0]),
+                 "need one tone offset per transmit element", id="one-tone-offset"),
+    pytest.param(dict(POSITIONS_2X3, tone_offsets=[0, 5e5]), "tone bands overlap",
+                 id="overlapping-bands"),
 ])
 @pytest.mark.parametrize("command", ["design", "simulate"])
 def test_bad_config_key_is_usage_error(tmp_path, capsys, command, config, message):

@@ -11,8 +11,7 @@ from bitmimo.combiner import (BUNDLE_ARRAYS, CSV_BLOCK_CHANNELS, _filter_table, 
                               design_multitone, equalizing_unitary, load_design, save_design,
                               waterfill, waterfill_gain, write_filter_response_csv)
 from bitmimo.dictionary import apply_fbar
-from bitmimo.statistics import (CompressionMatrix, build_compression_matrix,
-                                build_covariances, lmmse_transform)
+from bitmimo.statistics import build_compression_matrix, build_covariances, lmmse_transform
 from dense_oracle import (blkdiag, block_from_responses, dense_digital,
                           digital_filter_mse, reference_design_multitone,
                           reference_emse_of_combiner, reference_equalizing_unitary,
@@ -230,7 +229,7 @@ def test_equalizer_stack_matches_reference_loop_at_paper_scale(dcr):
     assert cfg.L == 9
     stats = build_covariances(cfg, K=4)
     comp = build_compression_matrix(np.random.default_rng(17), cfg, dcr, "gaussian")
-    design = design_multitone(stats, comp, comp.block_rows, 4, cfg.eta)
+    design = design_multitone(stats, comp, comp.shape[1], 4, cfg.eta)
     assert design.channels == 96 // dcr
     for gains_sq, mixer in zip(design.gains_sq, design.mixers):
         assert np.array_equal(mixer, reference_equalizing_unitary(np.diag(gains_sq)))
@@ -242,7 +241,7 @@ def _one_tone_design(m_block, signal_var, noise_var, channels, levels, eta):
     """(stacked statistics, compression, design): design_multitone at L = 1 on
     one tone's task matrix with cov(c) = signal_var*I, cov(w) = noise_var*I."""
     stats = bm.SignalStatistics(signal_var=signal_var, noise_var=noise_var)
-    comp = CompressionMatrix(blocks=m_block[None])
+    comp = m_block[None]
     return (stacked_statistics(stats, comp), comp,
             design_multitone(stats, comp, channels, levels, eta))
 
@@ -293,7 +292,7 @@ def _explicit_filter(design, stats, comp):
     stats = stacked_statistics(stats, comp)
     q = 4.0 * design.support ** 2 / (3.0 * design.levels ** 2)
     out = []
-    for B, m_block, cov_sig, sigma in zip(design.combiner_blocks, comp.blocks,
+    for B, m_block, cov_sig, sigma in zip(design.combiner_blocks, comp,
                                           stats.cov_signal, stats.sigma):
         inner = B @ sigma @ B.conj().T + q * np.eye(design.channels)
         TB = m_block @ cov_sig @ B.conj().T
@@ -310,7 +309,7 @@ def _assert_closed_form_design(stats, comp, channels, levels, eta):
     want = _explicit_filter(design, stats, comp)
     err = np.linalg.norm(design.digital_blocks - want, axis=(1, 2))
     assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=(1, 2))), err
-    whitened = (comp.blocks * stats.signal_var) * np.power(stats.sigma, -0.5)
+    whitened = (comp * stats.signal_var) * np.power(stats.sigma, -0.5)
     full = np.linalg.svd(whitened, full_matrices=True)[1]
     assert np.array_equal(np.linalg.svd(whitened, full_matrices=False)[1], full)
     assert np.array_equal(design.singvals, full)
@@ -333,20 +332,20 @@ def test_closed_form_filter_matches_explicit_filter(layout, kind, dcr):
         base = make_random_array_config(np.random.default_rng(26), 8, 12, 1e6, 9e-6)
     first, second = (build_compression_matrix(np.random.default_rng([dcr, len(kind), *key]),
                                               base, dcr, kind) for key in ((), (1,)))
-    assert not np.array_equal(first.blocks, second.blocks)
+    assert not np.array_equal(first, second)
     comp = first if layout == "ula" else second
     for snr_db in (-10.0, 0.0, 10.0, 20.0):
         cfg = base.at_snr(snr_db)
         stats = build_covariances(cfg, K=4)
-        singvals = np.linalg.svd((comp.blocks * stats.signal_var)
+        singvals = np.linalg.svd((comp * stats.signal_var)
                                  * np.power(stats.sigma, -0.5), full_matrices=False)[1]
-        for channels in (comp.block_rows, comp.block_rows - 3):
+        for channels in (comp.shape[1], comp.shape[1] - 3):
             if snr_db in (-10.0, 20.0):
                 design = _assert_closed_form_design(stats, comp, channels, 16, cfg.eta)
                 assert np.array_equal(design.singvals, singvals)
             for levels in 2 ** np.arange(1, 9):
                 _assert_waterfill_matches_scan(singvals, channels, int(levels), cfg.eta,
-                                               comp.block_rows)
+                                               comp.shape[1])
 
 
 @pytest.mark.parametrize("rows, channels, mn", [(1, 3, 5), (2, 5, 5), (4, 2, 6), (7, 5, 3)])
@@ -356,8 +355,7 @@ def test_closed_form_filter_on_small_blocks(rows, channels, mn):
     rng = np.random.default_rng(rows * 100 + channels * 10 + mn)
     m_block = rng.standard_normal((rows, mn)) + 1j * rng.standard_normal((rows, mn))
     stats = bm.SignalStatistics(signal_var=2.0, noise_var=0.5)
-    design = _assert_closed_form_design(stats, CompressionMatrix(blocks=m_block[None]),
-                                        channels, 4, 2.0)
+    design = _assert_closed_form_design(stats, m_block[None], channels, 4, 2.0)
     k = min(rows, channels, mn)
     assert np.linalg.matrix_rank(design.digital_blocks[0], tol=1e-9) == k
     assert np.count_nonzero(design.gains_sq[0]) <= k
@@ -371,7 +369,7 @@ def small_design():
     d = bm.build_dictionary(cfg)
     stats = build_covariances(cfg, K=3)
     comp = build_compression_matrix(np.random.default_rng(5), cfg, 2, "gaussian")
-    channels = comp.block_rows
+    channels = comp.shape[1]
     design = design_multitone(stats, comp, channels, levels=4, eta=cfg.eta)
     return cfg, d, stats, comp, design
 
@@ -407,7 +405,7 @@ def test_zero_combiner_loses_all_estimation_value(small_design):
     val = reference_emse_of_combiner(zero, stats, comp, design.support, design.levels)
     expected = 0.0
     for i in range(stats.L):
-        T = comp.blocks[i] @ stats.cov_signal[i]
+        T = comp[i] @ stats.cov_signal[i]
         expected += np.trace(T @ np.linalg.solve(stats.sigma[i], T.conj().T)).real
     assert val == pytest.approx(expected, rel=1e-12)
 
@@ -424,7 +422,7 @@ def test_monotone_reduction():
     stats = stacked_statistics(stats, comp)
     B, q = multi.combiner_blocks[0], 4 * multi.support ** 2 / (3 * 4 ** 2)
     inner = B @ stats.sigma[0] @ B.conj().T + q * np.eye(2)
-    T = comp.blocks[0] @ stats.cov_signal[0]
+    T = comp[0] @ stats.cov_signal[0]
     D = T @ B.conj().T @ np.linalg.inv(inner)
     assert np.allclose(multi.digital_blocks[0], D)
     z = np.random.default_rng(6).standard_normal(2) + 0j
@@ -450,9 +448,9 @@ def test_design_makes_one_equalizer_call(monkeypatch):
 def test_identical_blocks_share_water_level():
     cfg = make_ula_config(2, 2, 1e6, 3e-6, sigma_n_sq=0.3)
     stats = build_covariances(cfg, K=2)
-    one = build_compression_matrix(np.random.default_rng(7), cfg, 2, "gaussian").blocks[0]
-    comp = CompressionMatrix(blocks=np.tile(one, (cfg.L, 1, 1)))
-    design = design_multitone(stats, comp, comp.block_rows, 4, cfg.eta)
+    one = build_compression_matrix(np.random.default_rng(7), cfg, 2, "gaussian")[0]
+    comp = np.tile(one, (cfg.L, 1, 1))
+    design = design_multitone(stats, comp, comp.shape[1], 4, cfg.eta)
     zs, es = design.water_levels, design.block_emse
     assert np.allclose(zs, zs[0])
     assert np.allclose(es, es[0])
@@ -606,7 +604,7 @@ def _paper_scale_design(dcr, sigma_alpha_sq=1.0):
                              sigma_n_sq=0.1 * sigma_alpha_sq)
     stats = build_covariances(cfg, K=4)
     comp = build_compression_matrix(np.random.default_rng(20 + dcr), cfg, dcr, "dft")
-    return cfg, design_multitone(stats, comp, comp.block_rows, 16, cfg.eta)
+    return cfg, design_multitone(stats, comp, comp.shape[1], 16, cfg.eta)
 
 
 def test_filter_response_csv_matches_row_writer(tmp_path, small_design):
@@ -778,7 +776,7 @@ def test_apply_digital_matches_dense_filter(kind, dcr):
     cfg = make_ula_config(8, 12, 1e6, 9e-6, sigma_n_sq=0.1)
     stats = build_covariances(cfg, K=4)
     comp = build_compression_matrix(np.random.default_rng(20), cfg, dcr, kind)
-    design = design_multitone(stats, comp, comp.block_rows, 4, cfg.eta)
+    design = design_multitone(stats, comp, comp.shape[1], 4, cfg.eta)
     rng = np.random.default_rng(21)
     z = rng.standard_normal((3, cfg.L * design.channels)) \
         + 1j * rng.standard_normal((3, cfg.L * design.channels))
@@ -805,7 +803,7 @@ def test_design_lmmse_matches_lmmse_error(kind):
         cfg = base.at_snr(snr_db)
         stats = build_covariances(cfg, K=3)
         comp = build_compression_matrix(np.random.default_rng(23), cfg, 2, kind)
-        design = design_multitone(stats, comp, comp.block_rows, 4, cfg.eta)
+        design = design_multitone(stats, comp, comp.shape[1], 4, cfg.eta)
         assert design.lmmse == pytest.approx(
             reference_lmmse_error(comp, stacked_statistics(stats, comp)), rel=1e-10)
 
@@ -840,7 +838,7 @@ def test_stacked_design_matches_per_tone_loop(covariances, kind, dcr, budget):
         assert np.array_equal(gamma, reference_lmmse_transform(
             comp, stacked_statistics(stats, comp)))
         assert gamma.flags.c_contiguous
-        for channels in (comp.block_rows, comp.block_rows - 3):
+        for channels in (comp.shape[1], comp.shape[1] - 3):
             levels = bm.levels_from_budget(budget, channels, cfg.L)
             _assert_design_matches_reference(stats, comp, channels, levels, cfg.eta)
 
@@ -858,7 +856,7 @@ def test_stacked_design_matches_per_tone_loop_over_many_draws():
         cfg = dataclasses.replace(base, sigma_n_sq=rng.uniform(0.01, 2.0))
         stats = build_covariances(cfg, K=int(rng.integers(1, 9)))
         comp = build_compression_matrix(rng, cfg, 2, "gaussian")
-        design = _assert_design_matches_reference(stats, comp, comp.block_rows, 8,
+        design = _assert_design_matches_reference(stats, comp, comp.shape[1], 8,
                                                   cfg.eta)
         assert np.array_equal(lmmse_transform(comp, stats),
                               reference_lmmse_transform(comp, stacked_statistics(stats, comp)))
@@ -878,10 +876,9 @@ def test_one_statistics_serves_any_tone_count():
     cfg = make_ula_config(2, 3, 1e6, 9e-6, sigma_n_sq=0.25)
     assert cfg.L == 9
     comp = build_compression_matrix(np.random.default_rng(42), cfg, 2, "gaussian")
-    design = design_multitone(stats, comp, comp.block_rows, 4, cfg.eta)
+    design = design_multitone(stats, comp, comp.shape[1], 4, cfg.eta)
     for i in range(cfg.L):
-        one = design_multitone(stats, CompressionMatrix(blocks=comp.blocks[i:i + 1]),
-                               comp.block_rows, 4, cfg.eta)
+        one = design_multitone(stats, comp[i:i + 1], comp.shape[1], 4, cfg.eta)
         for name in BUNDLE_ARRAYS:
             assert np.array_equal(getattr(design, name)[i], getattr(one, name)[0]), name
 
@@ -894,8 +891,7 @@ def test_tall_task_blocks_match_per_tone_loop():
     stats = build_covariances(cfg, K=3)
     rng = np.random.default_rng(43)
     shape = (cfg.L, cfg.mn + 3, cfg.mn)
-    comp = CompressionMatrix(
-        blocks=(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0))
+    comp = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
     for channels in (cfg.mn + 3, cfg.mn, cfg.mn - 2):
         design = _assert_design_matches_reference(stats, comp, channels, 8, cfg.eta)
         assert design.singvals.shape == (cfg.L, cfg.mn)

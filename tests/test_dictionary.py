@@ -3,7 +3,8 @@ import pytest
 
 import bitmimo as bm
 from bitmimo import harness
-from bitmimo.dictionary import apply_fbar, apply_fbar_adjoint, build_dictionary
+from bitmimo.dictionary import (apply_blocks, apply_blocks_adjoint, apply_fbar,
+                                apply_fbar_adjoint, build_dictionary)
 from bitmimo.recovery import SAFE_STEP, power_iteration_lipschitz
 from bitmimo.statistics import COMPRESSION_KINDS, build_compression_matrix
 from dense_oracle import blkdiag, dense_phi, dense_task, eval_c_direct, fbar_matrix
@@ -151,9 +152,11 @@ def test_adjoint_identity(points):
     rng = np.random.default_rng(2)
     for d, ctx in points:
         comp = ctx.compression
+        rows = comp.shape[0] * comp.shape[1]
         pairs = [(d.apply, d.apply_adjoint, d.n_atoms, d.n_rows),
-                 (comp.apply_to_c, comp.apply_adjoint_to_c, d.n_rows, comp.rows),
-                 (*ctx.task[:2], d.n_atoms, comp.rows),
+                 (lambda v: apply_blocks(comp, v),
+                  lambda s: apply_blocks_adjoint(comp, s), d.n_rows, rows),
+                 (*ctx.task[:2], d.n_atoms, rows),
                  (*ctx.phi[:2], d.n_atoms, d.n_rows)]
         for apply, adjoint, n_in, n_out in pairs:
             for _ in range(10):
@@ -182,7 +185,7 @@ def _dense_lipschitz(d, comp):
     Phi Phi^H and M (Phi Phi^H) M^H."""
     phi = dense_phi(d)
     gram = phi @ phi.conj().T
-    blocks = blkdiag(comp.blocks)
+    blocks = blkdiag(comp)
     return (_largest_eigenvalue(gram),
             _largest_eigenvalue(blocks @ gram @ blocks.conj().T))
 
@@ -252,8 +255,8 @@ def test_task_lipschitz_never_below_dense():
         assert harness._solver_operator(d, comp)[2] >= task_lip * (1 - 1e-12)
         if seed == 9:
             power = power_iteration_lipschitz(
-                lambda x: comp.apply_to_c(d.apply(x)),
-                lambda y: d.apply_adjoint(comp.apply_adjoint_to_c(y)), d.n_atoms)
+                lambda x: apply_blocks(comp, d.apply(x)),
+                lambda y: d.apply_adjoint(apply_blocks_adjoint(comp, y)), d.n_atoms)
             assert power * SAFE_STEP < task_lip
 
 

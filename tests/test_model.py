@@ -257,7 +257,8 @@ def test_generated_layouts_are_the_config_files():
 
 def test_generators_and_at_snr_refuse_what_a_config_file_refuses():
     # the generators take config_from_dict's checks before any layout
-    # arithmetic, and at_snr takes the SNR axis's rule
+    # arithmetic, a random layout needs the rng that draws it, and at_snr
+    # takes the SNR axis's rule
     rng = np.random.default_rng(0)
     cfg = make_ula_config(2, 3, 1e6, 3e-6)
     for build, message in (
@@ -267,6 +268,9 @@ def test_generators_and_at_snr_refuse_what_a_config_file_refuses():
              "config key 'N' must be an integer, got 3.0"),
             (lambda: make_random_array_config(rng, 0, 3, 1e6, 3e-6),
              "config key 'M' must be >= 1, got 0"),
+            (lambda: config_from_dict({"M": 2, "N": 3, "bandwidth": 1e6, "pri": 3e-6,
+                                       "array": "random"}),
+             "random array layout requires an rng (seed)"),
             (lambda: cfg.at_snr("10"), "snr_db must be a number, got '10'"),
             (lambda: cfg.at_snr(True), "snr_db must be a number, got True")):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -301,6 +305,8 @@ def test_sample_scene_edge_cases():
         bm.sample_scene(np.random.default_rng(0), cfg.grid_size + 1, cfg)
     with pytest.raises(ValueError, match="unknown coeff_model"):
         bm.sample_scene(np.random.default_rng(0), 1, cfg, "bogus")
+    with pytest.raises(ValueError, match="K must be nonnegative"):
+        bm.sample_scene(np.random.default_rng(0), -1, cfg)
 
 
 def test_sparse_vector_origin_cell():

@@ -7,6 +7,7 @@ import pytest
 
 import bitmimo as bm
 from bitmimo import harness
+from bitmimo.dictionary import apply_blocks, apply_blocks_adjoint
 from bitmimo.recovery import (RecoverySpec, estimate_support, fista, hit_rate,
                               power_iteration_lipschitz, relative_mse)
 from bitmimo.statistics import build_compression_matrix
@@ -69,8 +70,8 @@ def _structured_pair(d, comp):
     harness composes it."""
     if comp is None:
         return d.apply, d.apply_adjoint
-    return (lambda x: comp.apply_to_c(d.apply(x)),
-            lambda y: d.apply_adjoint(comp.apply_adjoint_to_c(y)))
+    return (lambda x: apply_blocks(comp, d.apply(x)),
+            lambda y: d.apply_adjoint(apply_blocks_adjoint(comp, y)))
 
 
 def _structured_problem(seed, M, N, pri, k, task=True):

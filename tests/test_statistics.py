@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bitmimo as bm
+from bitmimo.dictionary import apply_blocks
 from bitmimo.statistics import build_compression_matrix, build_covariances, lmmse_transform
 from dense_oracle import blkdiag, dense_phi, reference_lmmse_error, stacked_statistics
 from layouts import make_ula_config
@@ -63,7 +64,7 @@ def test_lmmse_identity_when_noiseless(setup):
     stats = build_covariances(replace(cfg, sigma_n_sq=0.0), K=2)
     eye_blocks = np.broadcast_to(np.eye(cfg.mn, dtype=complex),
                                  (cfg.L, cfg.mn, cfg.mn))
-    comp = bm.CompressionMatrix(blocks=np.array(eye_blocks))
+    comp = np.array(eye_blocks)
     gamma = lmmse_transform(comp, stats)
     for i in range(cfg.L):
         assert np.allclose(gamma[i], np.eye(cfg.mn), atol=1e-10)
@@ -78,7 +79,7 @@ def test_lmmse_scalar_wiener_gain(setup):
     rng = np.random.default_rng(0)
     comp = build_compression_matrix(rng, cfg2, 2, "gaussian")
     gamma = lmmse_transform(comp, stats)
-    assert np.allclose(gamma, (c / (c + w)) * comp.blocks)
+    assert np.allclose(gamma, (c / (c + w)) * comp)
 
 
 def test_lmmse_error_orthonormal_rows_closed_form(setup):
@@ -86,12 +87,11 @@ def test_lmmse_error_orthonormal_rows_closed_form(setup):
     cfg, _ = setup
     c, w = 2.0, 0.5
     stats = build_covariances(replace(cfg, sigma_n_sq=w), K=2)
-    blocks = np.zeros((cfg.L, 2, cfg.mn), dtype=complex)
+    comp = np.zeros((cfg.L, 2, cfg.mn), dtype=complex)
     for i in range(cfg.L):
         q, _ = np.linalg.qr(np.random.default_rng(i).standard_normal((cfg.mn, 2)))
-        blocks[i] = q.T
-    comp = bm.CompressionMatrix(blocks=blocks)
-    expected = comp.rows * c * w / (c + w)
+        comp[i] = q.T
+    expected = comp.shape[0] * comp.shape[1] * c * w / (c + w)
     assert lmmse_error(comp, stats) == pytest.approx(expected, rel=1e-10)
 
 
@@ -114,7 +114,7 @@ def test_lmmse_error_monte_carlo_oracle(setup):
         wn = np.sqrt(0.8 / 2) * (rng.standard_normal((chunk, cfg.mnl))
                                  + 1j * rng.standard_normal((chunk, cfg.mnl)))
         v_c = c + wn
-        s = np.einsum("ijk,tik->tij", comp.blocks,
+        s = np.einsum("ijk,tik->tij", comp,
                       c.reshape(chunk, cfg.L, cfg.mn)).reshape(chunk, -1)
         s_t = np.einsum("ijk,tik->tij", gamma,
                         v_c.reshape(chunk, cfg.L, cfg.mn)).reshape(chunk, -1)
@@ -131,7 +131,7 @@ def test_lmmse_beats_random_linear_maps(setup):
     rng = np.random.default_rng(9)
     comp = build_compression_matrix(rng, cfg2, 2, "gaussian")
     gamma_dense = blkdiag(lmmse_transform(comp, stats))
-    m_dense = blkdiag(comp.blocks)
+    m_dense = blkdiag(comp)
     n = 10_000
     cells = np.argpartition(rng.random((n, cfg.grid_size)), K, axis=1)[:, :K]
     alpha = (rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))) / np.sqrt(2)
@@ -157,7 +157,7 @@ def test_blockwise_equals_full_matrices(setup):
     stats = build_covariances(replace(cfg, sigma_n_sq=0.7), K=3)
     rng = np.random.default_rng(3)
     comp = build_compression_matrix(rng, cfg, 2, "bernoulli")
-    m_full = blkdiag(comp.blocks)
+    m_full = blkdiag(comp)
     dense = stacked_statistics(stats, comp)
     rc, sig = blkdiag(dense.cov_signal), blkdiag(dense.sigma)
     full = np.trace(m_full @ rc @ m_full.conj().T
@@ -176,7 +176,7 @@ def test_orthogonality_principle(setup):
     comp = build_compression_matrix(rng, cfg2, 3, "gaussian")
     gamma = lmmse_transform(comp, stats)
     n = 100_000
-    cross = np.zeros((comp.rows, cfg.mnl), dtype=complex)
+    cross = np.zeros((comp.shape[0] * comp.shape[1], cfg.mnl), dtype=complex)
     chunk = 20_000
     for _ in range(n // chunk):
         cells = np.argpartition(rng.random((chunk, cfg.grid_size)), K, axis=1)[:, :K]
@@ -185,14 +185,14 @@ def test_orthogonality_principle(setup):
         wn = np.sqrt(0.3) * (rng.standard_normal((chunk, cfg.mnl))
                              + 1j * rng.standard_normal((chunk, cfg.mnl)))
         v = c + wn
-        s = np.einsum("ijk,tik->tij", comp.blocks,
+        s = np.einsum("ijk,tik->tij", comp,
                       c.reshape(chunk, cfg.L, cfg.mn)).reshape(chunk, -1)
         s_t = np.einsum("ijk,tik->tij", gamma,
                         v.reshape(chunk, cfg.L, cfg.mn)).reshape(chunk, -1)
         cross += (s - s_t).T @ v.conj()
     cross /= n
     # standard error scale of each cross-covariance entry
-    se = np.sqrt(lmmse_error(comp, stats) / comp.rows
+    se = np.sqrt(lmmse_error(comp, stats) / (comp.shape[0] * comp.shape[1])
                  * (K + 0.6)) / np.sqrt(n)
     assert np.abs(cross).max() <= 3 * se * 1.6  # 3 sigma with head-room for max over entries
 
@@ -203,10 +203,9 @@ def test_invariance_under_row_permutation(setup):
     rng = np.random.default_rng(17)
     comp = build_compression_matrix(rng, cfg, 2, "gaussian")
     base = lmmse_error(comp, stats)
-    shuffled_blocks = comp.blocks.copy()
+    comp2 = comp.copy()
     for i in range(cfg.L):  # permuting rows of each block permutes rows of M and s together
-        shuffled_blocks[i] = shuffled_blocks[i][rng.permutation(comp.block_rows)]
-    comp2 = bm.CompressionMatrix(blocks=shuffled_blocks)
+        comp2[i] = comp2[i][rng.permutation(comp.shape[1])]
     assert lmmse_error(comp2, stats) == pytest.approx(base, rel=1e-12)
 
 
@@ -215,22 +214,22 @@ def test_invariance_under_row_permutation(setup):
 def test_compression_paper_scale_dimensions():
     cfg = make_ula_config(8, 12, 1e6, 9e-6)
     comp = build_compression_matrix(np.random.default_rng(0), cfg, 2, "gaussian")
-    assert comp.rows == 432
-    assert comp.block_rows == 48
-    assert int(np.ceil(comp.rows / cfg.L)) == 48  # analog channel count
+    assert comp.shape[0] * comp.shape[1] == 432
+    assert comp.shape[1] == 48
+    assert int(np.ceil(comp.shape[0] * comp.shape[1] / cfg.L)) == 48  # analog channel count
 
 
 def test_compression_block_structure_exact(setup):
     cfg, _ = setup
     comp = build_compression_matrix(np.random.default_rng(1), cfg, 2, "gaussian")
-    # apply_to_c, formed column by column, is exactly blkdiag(M_i) on tone-major c
-    aligned = np.array([comp.apply_to_c(e) for e in np.eye(cfg.mnl, dtype=complex)]).T
-    ji = comp.block_rows
+    # apply_blocks, formed column by column, is exactly blkdiag(M_i) on tone-major c
+    aligned = np.array([apply_blocks(comp, e) for e in np.eye(cfg.mnl, dtype=complex)]).T
+    ji = comp.shape[1]
     for i in range(cfg.L):
         for j in range(cfg.L):
             blk = aligned[i * ji:(i + 1) * ji, j * cfg.mn:(j + 1) * cfg.mn]
             if i == j:
-                assert np.array_equal(blk, comp.blocks[i])
+                assert np.array_equal(blk, comp[i])
             else:
                 assert np.count_nonzero(blk) == 0
 
@@ -240,15 +239,15 @@ def test_compression_apply_matches_dense(setup):
     comp = build_compression_matrix(np.random.default_rng(2), cfg, 3, "gaussian")
     rng = np.random.default_rng(3)
     c = rng.standard_normal(cfg.mnl) + 1j * rng.standard_normal(cfg.mnl)
-    assert np.allclose(comp.apply_to_c(c), blkdiag(comp.blocks) @ c)
+    assert np.allclose(apply_blocks(comp, c), blkdiag(comp) @ c)
 
 
 def test_compression_dft_full_rows_unitary(setup):
     cfg, _ = setup
     comp = build_compression_matrix(np.random.default_rng(4), cfg, 1, "dft")
-    assert comp.block_rows == cfg.mn
+    assert comp.shape[1] == cfg.mn
     for i in range(cfg.L):
-        gram = comp.blocks[i] @ comp.blocks[i].conj().T
+        gram = comp[i] @ comp[i].conj().T
         assert np.allclose(gram, cfg.mn * np.eye(cfg.mn), atol=1e-9)
 
 
@@ -256,13 +255,13 @@ def test_compression_determinism_and_kinds(setup):
     cfg, _ = setup
     a = build_compression_matrix(np.random.default_rng(7), cfg, 2, "gaussian")
     b = build_compression_matrix(np.random.default_rng(7), cfg, 2, "gaussian")
-    assert np.array_equal(a.blocks, b.blocks)
+    assert np.array_equal(a, b)
     bern = build_compression_matrix(np.random.default_rng(7), cfg, 2, "bernoulli")
-    assert np.allclose(np.abs(bern.blocks.real), 1 / np.sqrt(2))
-    assert np.allclose(np.abs(bern.blocks), 1.0)
+    assert np.allclose(np.abs(bern.real), 1 / np.sqrt(2))
+    assert np.allclose(np.abs(bern), 1.0)
     big = make_ula_config(8, 12, 1e6, 9e-6)
     gaus = build_compression_matrix(np.random.default_rng(8), big, 2, "gaussian")
-    assert np.mean(np.abs(gaus.blocks) ** 2) == pytest.approx(1.0, rel=0.02)
+    assert np.mean(np.abs(gaus) ** 2) == pytest.approx(1.0, rel=0.02)
     with pytest.raises(ValueError):
         build_compression_matrix(np.random.default_rng(0), cfg, cfg.mnl + 1, "gaussian")
     with pytest.raises(ValueError):
