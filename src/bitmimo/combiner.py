@@ -197,7 +197,8 @@ def equalizing_unitary(gains_sq: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class AcquisitionDesign:
     """Per-tone analog combiner, digital filter and quantizer, held as (L, ...)
-    tone stacks under the design bundle's array names.
+    tone stacks under the design bundle's array names. The tone count L is the
+    first axis of every stack, e.g. len(design.digital_blocks).
 
     The filter on the quantized samples z is D = blkdiag(D_i) Fbar^H; it is
     never formed, apply_digital runs an FFT over tones and then each D_i.
@@ -218,17 +219,13 @@ class AcquisitionDesign:
     emse: float               # designed excess MSE over the LMMSE benchmark
     lmmse: float              # LMMSE of the task vector from unquantized data
 
-    @property
-    def L(self) -> int:
-        return self.combiner_blocks.shape[0]
-
     def apply_combiner(self, v_c: np.ndarray) -> np.ndarray:
         """Bbar @ v for a tone-major coefficient vector v."""
         return apply_blocks(self.combiner_blocks, v_c)
 
     def apply_digital(self, z: np.ndarray) -> np.ndarray:
         """D @ z = blkdiag(D_i) Fbar^H z for the quantized samples z."""
-        return apply_blocks(self.digital_blocks, apply_fbar_adjoint(z, self.L))
+        return apply_blocks(self.digital_blocks, apply_fbar_adjoint(z, len(self.digital_blocks)))
 
 
 # the arrays of a design bundle, in <prefix>.npz under these names

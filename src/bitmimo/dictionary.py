@@ -42,7 +42,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SteeringDictionary:
-    """Steering matrices U and V; Phi as an operator on tone-major c."""
+    """Steering matrices U and V; Phi (config.mnl x config.grid_size) as an
+    operator on tone-major c."""
 
     config: RadarConfig
     U: np.ndarray          # (M, N, MN)
@@ -51,14 +52,6 @@ class SteeringDictionary:
     # no dense matrix is held; only perfbench/spans.py reads this (its
     # dictionary.phi_mb metric), and it goes when that span goes
     Phi = None
-
-    @property
-    def n_rows(self) -> int:
-        return self.config.mnl
-
-    @property
-    def n_atoms(self) -> int:
-        return self.config.grid_size
 
     def apply(self, a: np.ndarray) -> np.ndarray:
         """c = Phi @ a: band m is vec(U_m A V_m^T) with A[l2, l1] = a[l1*MN + l2]."""

@@ -237,7 +237,7 @@ def _solver_operator(dictionary, compression=None):
     with no band Grams, power iteration from a complex64 probe."""
     cfg = dictionary.config
     d = replace(dictionary, U=_single(dictionary.U), V=_single(dictionary.V))
-    apply, adjoint, rows = d.apply, d.apply_adjoint, d.n_rows
+    apply, adjoint, rows = d.apply, d.apply_adjoint, cfg.mnl
     if compression is not None:
         comp = _single(compression)
         apply = lambda x: apply_blocks(comp, d.apply(x))
@@ -252,12 +252,12 @@ def _solver_operator(dictionary, compression=None):
         gram = mg @ compression.conj().transpose(0, 2, 1)
     lipschitz = (None if gram is None
                  else cfg.ml * float(np.linalg.eigvalsh(gram)[:, -1].max()))
-    if rows * d.n_atoms <= DENSE_OPERATOR_MAX_ENTRIES:
+    if rows * cfg.grid_size <= DENSE_OPERATOR_MAX_ENTRIES:
         apply, adjoint = _operator_pair(
             np.array([adjoint(e) for e in np.eye(rows, dtype=np.complex64)]).conj())
     if lipschitz is None:
         lipschitz = power_iteration_lipschitz(lambda x: apply(_single(x)), adjoint,
-                                              d.n_atoms)
+                                              cfg.grid_size)
     return apply, adjoint, lipschitz
 
 
@@ -281,7 +281,7 @@ def run_bilimo_trial(ctx, draw, rng) -> TrialMetrics:
     """Designed receiver: combine, sample-domain DFT, dithered quantize,
     digital filter; recovery on the task operator M*Phi."""
     design = ctx.design
-    u = apply_fbar(design.apply_combiner(draw.v), design.L)
+    u = apply_fbar(design.apply_combiner(draw.v), ctx.config.L)
     z, sat = quantize_complex_vector(u, design.levels, design.support, rng)
     s_hat = design.apply_digital(z)
     return _score(ctx, ctx.task, draw, s_hat, s_hat, sat)

@@ -51,7 +51,8 @@ def fbar_matrix(L, P):
 
 def dense_digital(design):
     """D = blkdiag(D_i) Fbar^H, shape J x PL, acting on the quantized samples."""
-    return blkdiag(design.digital_blocks) @ fbar_matrix(design.L, design.channels).conj().T
+    blocks = design.digital_blocks
+    return blkdiag(blocks) @ fbar_matrix(len(blocks), design.channels).conj().T
 
 
 def eval_c_direct(scene, config):

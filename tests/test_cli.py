@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import re
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -39,6 +41,20 @@ def test_design_command(tmp_path, cfg_file, capsys):
     assert design.support == pytest.approx(2.0 / np.sqrt(3))
     assert filters.read_text().startswith("p,n,frequency_hz")
     assert "eps_emse" in capsys.readouterr().out
+
+
+def test_module_run_exits_with_mains_return_code(tmp_path, cfg_file, monkeypatch):
+    # `python -m bitmimo.cli` runs main on sys.argv and exits with its code
+    prefix = tmp_path / "bundle"
+    monkeypatch.setattr(sys, "argv", ["bitmimo", "design", "--config", str(cfg_file),
+                                      "--seed", "3", "--budget-bits", "36",
+                                      "--out", str(prefix)])
+    # runpy warns when the module it runs as __main__ is already imported
+    monkeypatch.delitem(sys.modules, "bitmimo.cli")
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("bitmimo.cli", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert (tmp_path / "bundle.npz").exists() and (tmp_path / "bundle.json").exists()
 
 
 def test_simulate_command(tmp_path, cfg_file):

@@ -21,7 +21,7 @@ def small():
 def test_scalar_degenerate_case():
     cfg = make_ula_config(1, 1, 1e6, 1e-6)
     d = build_dictionary(cfg)
-    assert (d.n_rows, d.n_atoms) == (1, 1)
+    assert (cfg.mnl, cfg.grid_size) == (1, 1)
     assert d.apply(np.ones(1))[0] == pytest.approx(1.0)  # xi=zeta=0, l=0 grid point
     assert np.allclose(fbar_matrix(1, 1), 1.0)
 
@@ -29,7 +29,7 @@ def test_scalar_degenerate_case():
 def test_paper_scale_dimensions():
     cfg = make_ula_config(8, 12, 1e6, 9e-6)
     d = build_dictionary(cfg)
-    assert (d.n_rows, d.n_atoms) == (864, 6912)
+    assert (cfg.mnl, cfg.grid_size) == (864, 6912)
     assert d.apply(np.zeros(6912, dtype=complex)).shape == (864,)
     assert d.apply_adjoint(np.zeros(864, dtype=complex)).shape == (6912,)
     assert d.Phi is None  # the dense dictionary is never held
@@ -119,7 +119,7 @@ def points():
         (p_idx, axes), = spec.points()
         out.append((d, harness._PointContext(spec, d, harness._solver_operator(d),
                                              p_idx, axes)))
-    below, above = (d.n_rows * d.n_atoms for d, _ in out)
+    below, above = (d.config.mnl * d.config.grid_size for d, _ in out)
     assert below <= harness.DENSE_OPERATOR_MAX_ENTRIES < above
     return out
 
@@ -133,9 +133,10 @@ def test_matrix_free_matches_dense(points):
         phi, task = dense_phi(d), dense_task(d, ctx.compression)
         phi_apply, phi_adjoint, _ = ctx.phi
         task_apply, task_adjoint, _ = ctx.task
+        n, m = d.config.grid_size, d.config.mnl
         for _ in range(5):
-            a = rng.standard_normal(d.n_atoms) + 1j * rng.standard_normal(d.n_atoms)
-            y = rng.standard_normal(d.n_rows) + 1j * rng.standard_normal(d.n_rows)
+            a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
             s = rng.standard_normal(task.shape[0]) + 1j * rng.standard_normal(task.shape[0])
             assert _rel(d.apply(a), phi @ a) <= 1e-10
             assert _rel(d.apply_adjoint(y), phi.conj().T @ y) <= 1e-10
@@ -153,11 +154,11 @@ def test_adjoint_identity(points):
     for d, ctx in points:
         comp = ctx.compression
         rows = comp.shape[0] * comp.shape[1]
-        pairs = [(d.apply, d.apply_adjoint, d.n_atoms, d.n_rows),
+        pairs = [(d.apply, d.apply_adjoint, d.config.grid_size, d.config.mnl),
                  (lambda v: apply_blocks(comp, v),
-                  lambda s: apply_blocks_adjoint(comp, s), d.n_rows, rows),
-                 (*ctx.task[:2], d.n_atoms, rows),
-                 (*ctx.phi[:2], d.n_atoms, d.n_rows)]
+                  lambda s: apply_blocks_adjoint(comp, s), d.config.mnl, rows),
+                 (*ctx.task[:2], d.config.grid_size, rows),
+                 (*ctx.phi[:2], d.config.grid_size, d.config.mnl)]
         for apply, adjoint, n_in, n_out in pairs:
             for _ in range(10):
                 x = rng.standard_normal(n_in) + 1j * rng.standard_normal(n_in)
@@ -256,7 +257,7 @@ def test_task_lipschitz_never_below_dense():
         if seed == 9:
             power = power_iteration_lipschitz(
                 lambda x: apply_blocks(comp, d.apply(x)),
-                lambda y: d.apply_adjoint(apply_blocks_adjoint(comp, y)), d.n_atoms)
+                lambda y: d.apply_adjoint(apply_blocks_adjoint(comp, y)), cfg.grid_size)
             assert power * SAFE_STEP < task_lip
 
 

@@ -264,7 +264,7 @@ def test_point_context_is_the_same_for_every_method_subset(small_cfg):
         contexts.append(harness._PointContext(spec, d, phi, index, axes))
     first, second = contexts
     assert first.phi is phi and second.phi is phi
-    probe = np.random.default_rng(5).standard_normal(d.n_atoms).astype(np.complex64)
+    probe = np.random.default_rng(5).standard_normal(small_cfg.grid_size).astype(np.complex64)
     assert np.array_equal(first.task[0](probe), second.task[0](probe))
     assert first.task[2] == second.task[2]
     assert np.array_equal(first.gamma_blocks, second.gamma_blocks)
@@ -442,6 +442,12 @@ def test_csv_bytes_deterministic(tmp_path, small_cfg, monkeypatch):
         assert meta["blas"] == f"{blas['name']} {blas['version']}"
     except TypeError:  # numpy < 1.25 has no dict mode
         assert meta["blas"] == "unknown"
+
+
+def test_blas_name_is_unknown_without_dict_mode(monkeypatch):
+    # numpy < 1.25's show_config takes no mode: the call raises TypeError
+    monkeypatch.setattr(np, "show_config", lambda: None)
+    assert harness._blas_name() == "unknown"
 
 
 def test_sweep_axes_cartesian_product(small_cfg):

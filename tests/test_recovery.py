@@ -92,7 +92,7 @@ def _task_problem(seed, M, N, pri, k):
     of a random array, composed the way the harness composes it."""
     d, comp, s = _structured_problem(seed, M, N, pri, k)
     pair = _structured_pair(d, comp)
-    return (*pair, s, k, power_iteration_lipschitz(*pair, d.n_atoms))
+    return (*pair, s, k, power_iteration_lipschitz(*pair, d.config.grid_size))
 
 
 def _lasso_problems():
@@ -161,7 +161,7 @@ def test_single_precision_solve_matches_double():
             pair = _structured_pair(d, comp)
             apply32, adjoint32, _ = harness._solver_operator(d, comp)
             lip32 = power_iteration_lipschitz(
-                lambda x: apply32(x.astype(np.complex64)), adjoint32, d.n_atoms)
+                lambda x: apply32(x.astype(np.complex64)), adjoint32, d.config.grid_size)
             dtypes = set()
 
             def recorded(fn):
@@ -170,7 +170,7 @@ def test_single_precision_solve_matches_double():
                     return fn(v)
                 return inner
 
-            lip = power_iteration_lipschitz(*pair, d.n_atoms)
+            lip = power_iteration_lipschitz(*pair, d.config.grid_size)
             assert abs(lip32 - lip) <= 1e-5 * lip
             x, info = fista(*pair, s, spec, lipschitz=lip, return_info=True)
             x32, info32 = fista(recorded(apply32), recorded(adjoint32),
