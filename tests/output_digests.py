@@ -7,12 +7,16 @@ Run from the root of a checkout (a script, not a collected test):
 It writes into OUTDIR, which must be empty or missing, the `run_sweep` CSVs
 and sidecars of every array of the benchmark's paper-point seeds 0 and 7 and
 small-many seed 0 (specs from perfbench/workload.py), the `bitmimo design`
-outputs of design-sweep seed 1, and CI's off-grid `simulate` and `sweep` runs.
-It drops `timestamp` and `timing` from every sidecar and prints one
-`sha256 name` line per file; `diff` two checkouts' listings. BLAS runs on one
-thread unless the environment sets OPENBLAS_NUM_THREADS (or its OMP/MKL
-peers): paper-point's last bits move with the thread count, so only listings
-made at one count compare.
+outputs of design-sweep seed 1, and an off-grid `simulate` and `sweep` of all
+four methods. The off-grid layout's tones are off one common grid, so it has no
+band Gram and power iteration sets the solver constants, a path that no
+benchmark workload reaches. It drops `timestamp` and `timing` from every
+sidecar and prints one `sha256 name` line per file; `diff` two checkouts'
+listings, or two runs of one checkout, which is how CI checks that one spec
+and seed give the same bytes in every process. BLAS runs on one thread unless
+the environment sets OPENBLAS_NUM_THREADS (or its OMP/MKL peers): paper-point's
+last bits move with the thread count, so only listings made at one count
+compare.
 """
 
 from __future__ import annotations
@@ -34,7 +38,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workload  # noqa: E402  (puts ./src first on the path)
 from bitmimo import cli, harness  # noqa: E402
 
-# the config and flags of CI's off-grid `simulate` and `sweep` runs
+# an explicit layout whose bands' tones are off one common grid: no band Gram,
+# so power iteration sets the solver constants, which no benchmark workload
+# reaches. A `simulate` and a 2 x 2 x 2-point `sweep` on it, all four methods
 OFF_GRID = {"M": 2, "N": 3, "bandwidth": 1e6, "pri": 3e-6, "rx_pos": [0.0, 0.5, 1.0],
             "tx_pos": [0.0, 1.5], "tone_offsets": [-5e5, 6e5]}
 OFF_GRID_RUNS = {

@@ -201,6 +201,14 @@ def test_equalizer_stack_rejects_any_bad_block():
             equalizing_unitary(np.ones(shape))
 
 
+def test_equalizer_that_never_converges_raises(monkeypatch):
+    # with every rotation angle zero, each rotation is the identity and the
+    # spread never shrinks: the 50*P^2 cap is reached and the call refuses
+    monkeypatch.setattr(np, "arctan2", lambda y, x: np.zeros(np.broadcast(y, x).shape))
+    with pytest.raises(RuntimeError, match="did not converge within 200 rotations"):
+        equalizing_unitary([[2.0, 0.5]])
+
+
 def test_equalizer_stack_matches_reference_loop_on_mixed_blocks():
     # blocks that need different rotation counts, zero gains, and an all-equal
     # block that needs none, rotate in lockstep exactly as each does alone and
