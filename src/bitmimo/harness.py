@@ -1,12 +1,15 @@
 """Monte Carlo experiment engine: trials, sweeps, CSV output.
 
-A sweep point is one combination of (budget_bits, snr_db, dcr, k, matrix_kind).
-Its scalars (config at its SNR, P, b, task-ignorant quantizer) come from
-_point_scalars, which the spec runs on every point before any work, and
-design_point once more per point when it runs. Phi's solver operator is built
-once per sweep; the compression matrix, acquisition design, LMMSE transform
-Gamma and task operator M*Phi once per point, whichever methods run. All are
-shared read-only by the trials. Every trial runs in three steps:
+A sweep point is one combination of (budget_bits, snr_db, dcr, k, matrix_kind)
+and runs in one call of _run_point: the point's design once, then T trials x
+methods. run_sweep concatenates the points' rows in point order (spec.points()),
+each point's in METHODS order. A point's scalars (config at its SNR, P, b,
+task-ignorant quantizer) come from _point_scalars, which the spec runs on every
+point before any work, and design_point once more per point when it runs.
+Phi's solver operator is built once per sweep; the compression matrix,
+acquisition design, LMMSE transform Gamma and task operator M*Phi once per
+point, whichever methods run. All are shared read-only by the trials. Every
+trial runs in three steps:
 
     draw       scene and noise, with the grid, channel and task vectors they
                give; once per trial, shared by every method
@@ -151,6 +154,9 @@ class ExperimentSpec:
             _point_scalars(self, axes)
 
     def points(self):
+        """(index, axes) of every point, in itertools.product order of
+        (budget_bits, snr_db, dcr, k, matrix_kinds). The index keys every seed
+        of the point in the seed table, and the CSV rows follow this order."""
         return enumerate(itertools.product(self.budget_bits, self.snr_db, self.dcr,
                                            self.k, self.matrix_kinds))
 
@@ -320,17 +326,18 @@ def _mean_se(values):
 
 
 class PointResult:
-    """One (sweep point, method), built once when the point closes from the
-    trials it kept (at least one) of n_trials: the per-trial metrics and the
-    CSV aggregates, solver diagnostics included. index is the point's position
-    in spec.points(); n_failed = n_trials - kept; wall_ms, the sidecar's, sums
-    the kept trials' wall time."""
+    """One (sweep point, method), built by the harness when the point closes,
+    from its context ctx and the trials it kept (at least one) of n_trials: the
+    per-trial metrics and the CSV aggregates, solver diagnostics included. ctx
+    gives the index (position in spec.points()), axes, design errors and
+    max_iter. n_failed = n_trials - kept; wall_ms, the sidecar's, sums the kept
+    trials' wall time."""
 
-    def __init__(self, method, index, axes, kept, n_trials, wall_ms,
-                 eps_lmmse, eps_emse, max_iter):
-        self.method, self.index = method, index
-        self.budget_bits, self.snr_db, self.dcr, self.k, self.matrix_kind = axes
-        self.eps_lmmse, self.eps_emse = eps_lmmse, eps_emse
+    def __init__(self, method, ctx, kept, n_trials, wall_ms):
+        self.method, self.index = method, ctx.index
+        self.budget_bits, self.snr_db, self.dcr, self.k, self.matrix_kind = ctx.axes
+        self.eps_lmmse = ctx.design.lmmse
+        self.eps_emse = ctx.design.emse if method == "bilimo" else None
         self.n_failed, self.wall_ms = n_trials - len(kept), wall_ms
         self.mse_s = [m.mse_s for m in kept]
         self.mse_a = [m.mse_a for m in kept]
@@ -344,7 +351,7 @@ class PointResult:
                                 else None)
         iterations = np.array([m.iterations for m in kept])
         self.iters_mean = float(np.mean(iterations))
-        self.capped_frac = float(np.mean(iterations >= max_iter))
+        self.capped_frac = float(np.mean(iterations >= ctx.recovery.max_iter))
         self.backtracks_mean = float(np.mean([m.backtracks for m in kept]))
         self.objective_mean = float(np.mean([m.objective for m in kept]))
         self.rho_mean = float(np.mean([m.rho for m in kept]))
@@ -377,11 +384,13 @@ def design_point(spec, point_index, axes):
 
 class _PointContext:
     """design_point's results (ti_levels and ti_support None unless
-    task_ignorant runs), the point's k and coefficient model, Gamma and the
-    solver operators (apply, adjoint, lipschitz) of one sweep point, shared by
-    its trials: phi, the sweep's Phi, and task, the point's M*Phi operator."""
+    task_ignorant runs), the point's index and axes, k and coefficient model,
+    Gamma and the solver operators (apply, adjoint, lipschitz) of one sweep
+    point, shared by its trials: phi, the sweep's Phi, and task, the point's
+    M*Phi operator."""
 
     def __init__(self, spec, dictionary, phi, point_index, axes):
+        self.index, self.axes = point_index, axes
         self.config, stats, self.compression, self.design, task_ignorant = design_point(
             spec, point_index, axes)
         self.ti_levels, self.ti_support = task_ignorant
@@ -391,13 +400,43 @@ class _PointContext:
         self.task = _solver_operator(dictionary, self.compression)
 
 
+def _run_point(spec, dictionary, phi, point_index, axes):
+    """The point's PointResults, in METHODS order: its design once
+    (_PointContext), then spec.trials trials, each drawn once and run by every
+    method. It reads no state an earlier point leaves, so run alone it gives
+    the rows it gives in the sweep."""
+    ctx = _PointContext(spec, dictionary, phi, point_index, axes)
+    slots = [(slot, m) for slot, m in enumerate(METHODS, 1) if m in spec.methods]
+    kept = {m: [] for _, m in slots}
+    wall_ms = dict.fromkeys(kept, 0.0)
+    for t in range(spec.trials):
+        draw = draw_trial(ctx, _rng(spec, point_index, t, 0))
+        for slot, method in slots:
+            rng = _rng(spec, point_index, t, slot)
+            t0 = time.perf_counter()
+            try:
+                # looked up at call time because perfbench/spans.py wraps the
+                # run_*_trial functions; a plain call will do when that span goes
+                kept[method].append(globals()[f"run_{method}_trial"](ctx, draw, rng))
+            except (ValueError, ArithmeticError) as exc:
+                logger.exception("trial %d of %s at point %d failed; excluded",
+                                 t, method, point_index)
+                if t == spec.trials - 1 and not kept[method]:
+                    raise RuntimeError(f"every trial of {method} at point "
+                                       f"{point_index} failed") from exc
+                continue
+            wall_ms[method] += (time.perf_counter() - t0) * 1e3
+    return [PointResult(m, ctx, kept[m], spec.trials, wall_ms[m]) for m in kept]
+
+
 def run_sweep(spec: ExperimentSpec, out_csv=None, dictionary=None) -> ExperimentResult:
-    """Run every sweep point x method; optionally write the CSV and a JSON
-    provenance sidecar (<out_csv>.meta.json). A trial that fails numerically
-    (ValueError, ArithmeticError) is logged and excluded; other exceptions
-    propagate, and so does a method whose every trial at a point fails. A
-    dictionary given must be built for spec.config; ValueError names the
-    config keys that differ."""
+    """Run every sweep point in _run_point (its design once, then spec.trials
+    trials x methods), rows in point order and each point's in METHODS order;
+    optionally write the CSV and a JSON provenance sidecar (<out_csv>.meta.json).
+    A trial that fails numerically (ValueError, ArithmeticError) is logged and
+    excluded; other exceptions propagate, and so does a method whose every
+    trial at a point fails. A dictionary given must be built for spec.config;
+    ValueError names the config keys that differ."""
     if dictionary is None:
         dictionary = build_dictionary(spec.config)
     ours, theirs = config_to_dict(spec.config), config_to_dict(dictionary.config)
@@ -405,35 +444,9 @@ def run_sweep(spec: ExperimentSpec, out_csv=None, dictionary=None) -> Experiment
     if differ:
         raise ValueError("the dictionary was built for another config than the spec's: "
                          f"{', '.join(differ)} differ")
-    slots = [(slot, m) for slot, m in enumerate(METHODS, 1) if m in spec.methods]
     phi = _solver_operator(dictionary)
-    points = []
-    for p_idx, axes in spec.points():
-        ctx = _PointContext(spec, dictionary, phi, p_idx, axes)
-        kept = {m: [] for _, m in slots}
-        wall_ms = dict.fromkeys(kept, 0.0)
-        for t in range(spec.trials):
-            draw = draw_trial(ctx, _rng(spec, p_idx, t, 0))
-            for slot, method in slots:
-                rng = _rng(spec, p_idx, t, slot)
-                t0 = time.perf_counter()
-                try:
-                    # looked up at call time because perfbench/spans.py wraps the
-                    # run_*_trial functions; a plain call will do when that span goes
-                    kept[method].append(globals()[f"run_{method}_trial"](ctx, draw, rng))
-                except (ValueError, ArithmeticError) as exc:
-                    logger.exception("trial %d of %s at point %d failed; excluded",
-                                     t, method, p_idx)
-                    if t == spec.trials - 1 and not kept[method]:
-                        raise RuntimeError(f"every trial of {method} at point "
-                                           f"{p_idx} failed") from exc
-                    continue
-                wall_ms[method] += (time.perf_counter() - t0) * 1e3
-        points += [PointResult(m, p_idx, axes, kept[m], spec.trials, wall_ms[m],
-                               ctx.design.lmmse,
-                               ctx.design.emse if m == "bilimo" else None,
-                               spec.recovery.max_iter)
-                   for m in kept]
+    points = [row for index, axes in spec.points()
+              for row in _run_point(spec, dictionary, phi, index, axes)]
     result = ExperimentResult(points=points)
     if out_csv is not None:
         write_csv(result, out_csv)

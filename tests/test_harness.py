@@ -323,14 +323,29 @@ def test_noise_and_dither_keep_their_band_major_stream_order(small_cfg, monkeypa
     assert sat == np.mean(np.abs(parts) > ctx.ti_support)
 
 
+def _row_values(p):
+    return ((p.mse_s, p.mse_a, p.hits, p.saturation),
+            tuple(getattr(p, column) for column in CSV_COLUMNS))
+
+
 def test_fixed_seed_reproducible_metrics(small_cfg):
-    spec = _spec(small_cfg, trials=2)
+    spec = _spec(small_cfg, methods=bm.METHODS, trials=2, budget_bits=(36, 72),
+                 snr_db=(0.0, 10.0))
     r1 = run_sweep(spec)
     r2 = run_sweep(spec)
     for a, b in zip(r1.points, r2.points):
         assert a.mse_s == b.mse_s
         assert a.mse_a == b.mse_a
         assert a.hits == b.hits
+    # a point run alone, on a fresh dictionary and Phi operator, gives the rows
+    # it gives in the sweep: it reads no state an earlier point left behind
+    assert len(r1.points) == 4 * len(bm.METHODS)
+    for index, axes in spec.points():
+        d = bm.build_dictionary(small_cfg)
+        alone = harness._run_point(spec, d, harness._solver_operator(d), index, axes)
+        in_sweep = [p for p in r1.points if p.index == index]
+        assert [p.method for p in alone] == list(bm.METHODS)
+        assert list(map(_row_values, alone)) == list(map(_row_values, in_sweep))
 
 
 def test_method_metrics_independent_of_selection(small_cfg):
@@ -483,13 +498,27 @@ def test_programming_error_in_a_trial_propagates(small_cfg, monkeypatch):
         run_sweep(_spec(small_cfg))
 
 
-def test_method_whose_every_trial_fails_raises(small_cfg, monkeypatch):
+def test_method_whose_every_trial_fails_raises(small_cfg, monkeypatch, caplog):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("injected")
 
+    original = harness.run_noquan_dr_trial
     monkeypatch.setattr(harness, "run_noquan_dr_trial", singular)
-    with pytest.raises(RuntimeError, match="every trial of noquan_dr"):
+    with pytest.raises(RuntimeError, match="every trial of noquan_dr at point 0"):
         run_sweep(_spec(small_cfg, methods=("bilimo", "noquan_dr")))
+
+    # only the second point's trials fail: the error and every record name point 1
+    def second_point_singular(ctx, draw, rng):
+        return (singular if ctx.index == 1 else original)(ctx, draw, rng)
+
+    monkeypatch.setattr(harness, "run_noquan_dr_trial", second_point_singular)
+    caplog.clear()
+    spec = _spec(small_cfg, methods=("bilimo", "noquan_dr"), snr_db=(0.0, 10.0))
+    with pytest.raises(RuntimeError, match="every trial of noquan_dr at point 1 failed"):
+        run_sweep(spec)
+    records = [r for r in caplog.records if r.name == harness.__name__]
+    assert [r.getMessage() for r in records] == [
+        f"trial {t} of noquan_dr at point 1 failed; excluded" for t in range(spec.trials)]
 
 
 def test_numerical_failure_excludes_one_trial(tmp_path, small_cfg, monkeypatch):
