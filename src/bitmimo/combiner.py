@@ -317,8 +317,12 @@ def _byte_table(texts, dtype):
 _LEAD = _byte_table((f"{sign}{k // 10}.{k % 10}" if keep else f"{sign}{k // 10}\0\0"
                      for sign in ("\0", "-") for keep in (True, False) for k in range(100)),
                     np.uint32)
-_QUAD = _byte_table((f"{k:04d}" for k in range(10000)), np.uint32)
-_QUAD_ZEROS = np.array([4 - len(f"{k:04d}".rstrip("0")) for k in range(10000)])
+# the four digits of every k < 10000 as ASCII bytes, and their trailing zeros;
+# uint16 keeps every temporary small
+_QUADS = np.arange(10000, dtype=np.uint16)[:, None]
+_QUAD = (_QUADS // 10 ** np.arange(3, -1, -1, dtype=np.uint16) % 10 + ord("0")).astype(
+    np.uint8).view(np.uint32).reshape(-1)
+_QUAD_ZEROS = (_QUADS % 10 ** np.arange(1, 5, dtype=np.uint16) == 0).sum(axis=1)
 _KEEP = _byte_table(("\xff" * (8 - k) + "\0" * k for k in range(9)), np.uint64)
 _EXPONENT = _byte_table((f"e{k:+03d}".ljust(8, "\0") for k in range(-300, 301)), np.uint64)
 

@@ -5,11 +5,21 @@ and runs in one call of _run_point: the point's design once, then T trials x
 methods. run_sweep concatenates the points' rows in point order (spec.points()),
 each point's in METHODS order. A point's scalars (config at its SNR, P, b,
 task-ignorant quantizer) come from _point_scalars, which the spec runs on every
-point before any work, and design_point once more per point when it runs.
-Phi's solver operator is built once per sweep; the compression matrix,
-acquisition design, LMMSE transform Gamma and task operator M*Phi once per
-point, whichever methods run. All are shared read-only by the trials. Every
-trial runs in three steps:
+point before any work, and once more per point when it runs. Phi's solver
+operator is built once per sweep; the compression matrix, acquisition design,
+LMMSE transform Gamma and task operator M*Phi once per point, whichever
+methods run. All are shared read-only by the trials.
+
+Only bilimo reads the design. So where a process can fork safely, a point
+forks one child (os.fork and a pipe) once its context is built: the child runs
+task_ignorant, noquan_dr and noquan_lmmse over all the point's trials while
+the parent makes the design and runs bilimo, and the parent merges the child's
+pickled metrics into the rows. A point forks only where os.fork exists, at
+least two CPUs are the process's to run on (os.sched_getaffinity), one of
+those three methods runs and the process holds exactly one OS thread. Under
+`taskset -c 0`, or beside a threaded BLAS, every point runs in-process through
+the same trial loop, and the CSV bytes are the same either way. Every trial
+runs in three steps:
 
     draw       scene and noise, with the grid, channel and task vectors they
                give; once per trial, shared by every method
@@ -38,17 +48,22 @@ not depend on which other methods are enabled. Noise and the task-ignorant
 dither are drawn band by band, in (M, L, N) shape, and laid out tone-major.
 
 The CSV, the solver diagnostics included, is byte-reproducible for a fixed
-spec and seed, on one build (numpy, BLAS, this code) at one BLAS thread count;
-wall-clock timings and timestamps live only in the JSON sidecar.
+spec and seed, on one build (numpy, BLAS, this code) at one BLAS thread count,
+forked or not; wall-clock timings, the process that ran each method and
+timestamps live only in the JSON sidecar.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import logging
 import os
+import pickle
+import signal
 import time
+import traceback
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -89,6 +104,8 @@ logger = logging.getLogger(__name__)
 DENSE_OPERATOR_MAX_ENTRIES = 1 << 16
 
 METHODS = ("bilimo", "task_ignorant", "noquan_dr", "noquan_lmmse")
+# the methods that never read the point's design
+_DESIGN_FREE = ("task_ignorant", "noquan_dr", "noquan_lmmse")
 
 CSV_COLUMNS = ("method", "budget_bits", "snr_db", "dcr", "k", "matrix_kind",
                "mse_s_mean", "mse_s_se", "mse_a_mean", "mse_a_se",
@@ -331,10 +348,11 @@ class PointResult:
     per-trial metrics and the CSV aggregates, solver diagnostics included. ctx
     gives the index (position in spec.points()), axes, design errors and
     max_iter. n_failed = n_trials - kept; wall_ms, the sidecar's, sums the kept
-    trials' wall time."""
+    trials' wall time, and process, the sidecar's too, names the process that
+    ran them: "parent", or "child" for a point's forked child."""
 
-    def __init__(self, method, ctx, kept, n_trials, wall_ms):
-        self.method, self.index = method, ctx.index
+    def __init__(self, method, ctx, kept, n_trials, wall_ms, process):
+        self.method, self.index, self.process = method, ctx.index, process
         self.budget_bits, self.snr_db, self.dcr, self.k, self.matrix_kind = ctx.axes
         self.eps_lmmse = ctx.design.lmmse
         self.eps_emse = ctx.design.emse if method == "bilimo" else None
@@ -369,17 +387,25 @@ def _rng(spec, *key):
     return np.random.default_rng([spec.master_seed, *key])
 
 
-def design_point(spec, point_index, axes):
-    """(config at the point's SNR, statistics, compression, design, task-ignorant
-    quantizer) of the spec's point point_index with axes as spec.points() yields
-    them; `bitmimo design` is the one point of its spec."""
+def _point_inputs(spec, point_index, axes):
+    """(config at the point's SNR, statistics, compression, the design's
+    design_multitone call, not yet made, and the task-ignorant quantizer) of
+    the spec's point point_index with axes as spec.points() yields them."""
     _, _, dcr, k, kind = axes
     config, channels, levels, task_ignorant = _point_scalars(spec, axes)
     stats = build_covariances(config, k)
     compression = build_compression_matrix(_rng(spec, point_index, 1 << 20), config,
                                            dcr, kind)
-    return config, stats, compression, design_multitone(
-        stats, compression, channels, levels, config.eta), task_ignorant
+    return config, stats, compression, functools.partial(
+        design_multitone, stats, compression, channels, levels, config.eta), task_ignorant
+
+
+def design_point(spec, point_index, axes):
+    """(config at the point's SNR, statistics, compression, design, task-ignorant
+    quantizer) of the spec's point point_index with axes as spec.points() yields
+    them; `bitmimo design` is the one point of its spec."""
+    config, stats, compression, design, task_ignorant = _point_inputs(spec, point_index, axes)
+    return config, stats, compression, design(), task_ignorant
 
 
 class _PointContext:
@@ -387,46 +413,154 @@ class _PointContext:
     task_ignorant runs), the point's index and axes, k and coefficient model,
     Gamma and the solver operators (apply, adjoint, lipschitz) of one sweep
     point, shared by its trials: phi, the sweep's Phi, and task, the point's
-    M*Phi operator."""
+    M*Phi operator. design, gamma_blocks and task are made on their first
+    read, so a forked child and its parent each make only the ones their
+    methods read; _run_point reads them before the trials, so that no trial's
+    wall time holds one."""
 
     def __init__(self, spec, dictionary, phi, point_index, axes):
         self.index, self.axes = point_index, axes
-        self.config, stats, self.compression, self.design, task_ignorant = design_point(
-            spec, point_index, axes)
+        self.config, self._stats, self.compression, self._design, task_ignorant = (
+            _point_inputs(spec, point_index, axes))
         self.ti_levels, self.ti_support = task_ignorant
         self.k, self.coeff_model, self.recovery = axes[3], spec.coeff_model, spec.recovery
-        self.gamma_blocks = lmmse_transform(self.compression, stats)
         self.dictionary, self.phi = dictionary, phi
-        self.task = _solver_operator(dictionary, self.compression)
+
+    @functools.cached_property
+    def design(self):
+        return self._design()
+
+    @functools.cached_property
+    def gamma_blocks(self):
+        return lmmse_transform(self.compression, self._stats)
+
+    @functools.cached_property
+    def task(self):
+        return _solver_operator(self.dictionary, self.compression)
 
 
-def _run_point(spec, dictionary, phi, point_index, axes):
-    """The point's PointResults, in METHODS order: its design once
-    (_PointContext), then spec.trials trials, each drawn once and run by every
-    method. It reads no state an earlier point leaves, so run alone it gives
-    the rows it gives in the sweep."""
-    ctx = _PointContext(spec, dictionary, phi, point_index, axes)
-    slots = [(slot, m) for slot, m in enumerate(METHODS, 1) if m in spec.methods]
-    kept = {m: [] for _, m in slots}
+def _forks(spec):
+    """Whether a point of spec runs its design-free methods in a forked child:
+    only where os.fork exists, at least two CPUs are this process's to run on,
+    one of those methods runs and this process holds one OS thread. Forking
+    beside another thread, such as a threaded BLAS's, is unsafe."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and any(method in spec.methods for method in _DESIGN_FREE)
+            and os.path.isdir("/proc/self/task") and len(os.listdir("/proc/self/task")) == 1)
+
+
+def _run_trials(spec, ctx, slots):
+    """{method: (kept TrialMetrics, summed wall ms of the kept trials, [(trial,
+    formatted traceback)] of the failed ones)} of each (slot, method) of slots,
+    in slot order, over the point's spec.trials trials, each drawn once for all
+    of them. A trial that fails numerically (ValueError, ArithmeticError) is
+    excluded and recorded; any other exception propagates."""
+    kept = {method: [] for _, method in slots}
     wall_ms = dict.fromkeys(kept, 0.0)
+    failed = {method: [] for method in kept}
     for t in range(spec.trials):
-        draw = draw_trial(ctx, _rng(spec, point_index, t, 0))
+        draw = draw_trial(ctx, _rng(spec, ctx.index, t, 0))
         for slot, method in slots:
-            rng = _rng(spec, point_index, t, slot)
+            rng = _rng(spec, ctx.index, t, slot)
             t0 = time.perf_counter()
             try:
                 # looked up at call time because perfbench/spans.py wraps the
                 # run_*_trial functions; a plain call will do when that span goes
                 kept[method].append(globals()[f"run_{method}_trial"](ctx, draw, rng))
-            except (ValueError, ArithmeticError) as exc:
-                logger.exception("trial %d of %s at point %d failed; excluded",
-                                 t, method, point_index)
-                if t == spec.trials - 1 and not kept[method]:
-                    raise RuntimeError(f"every trial of {method} at point "
-                                       f"{point_index} failed") from exc
+            except (ValueError, ArithmeticError):
+                failed[method].append((t, traceback.format_exc()))
                 continue
             wall_ms[method] += (time.perf_counter() - t0) * 1e3
-    return [PointResult(m, ctx, kept[m], spec.trials, wall_ms[m]) for m in kept]
+    return {method: (kept[method], wall_ms[method], failed[method]) for method in kept}
+
+
+def _portable(exc):
+    """exc if it survives a pickle round trip, else a RuntimeError naming its
+    type and message."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
+def _run_forked(spec, ctx, slots):
+    """_run_trials of slots, split over two processes: a forked child makes Gamma
+    and M*Phi and runs the design-free methods, while this process makes the
+    design and M*Phi and runs the others. Returns the runs in slot order. The
+    child logs nothing and writes only its pickled runs, or the exception it
+    raised, to a pipe; that exception is raised here with the child's traceback
+    as its cause. The child is killed and reaped before this returns or raises."""
+    there = [(slot, method) for slot, method in slots if method in _DESIGN_FREE]
+    here = [(slot, method) for slot, method in slots if method not in _DESIGN_FREE]
+    read, write = os.pipe()
+    with os.fdopen(read, "rb") as reader, os.fdopen(write, "wb") as writer:
+        pid = os.fork()
+        if pid == 0:
+            try:
+                reader.close()
+                try:
+                    ctx.gamma_blocks, ctx.task  # made here, after the fork
+                    reply = (_run_trials(spec, ctx, there), None, None)
+                except BaseException as exc:
+                    reply = ({}, _portable(exc), traceback.format_exc())
+                writer.write(pickle.dumps(reply))
+                writer.close()
+            finally:
+                os._exit(0)
+        writer.close()
+        try:
+            ctx.design, ctx.task  # made while the child runs
+            runs = _run_trials(spec, ctx, here) if here else {}
+            try:
+                child_runs, exc, trace = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"the child process of point {ctx.index} "
+                                   "ended without a reply") from None
+        finally:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if exc is not None:
+        raise exc from RuntimeError(
+            f"raised in the child process of point {ctx.index}:\n{trace}")
+    runs.update(child_runs)
+    return {method: runs[method] for _, method in slots}
+
+
+def _log_failed_trial(point_index, t, method, trace):
+    """Log an excluded trial with its traceback, formatted in whichever
+    process ran it."""
+    if logger.isEnabledFor(logging.ERROR):
+        record = logger.makeRecord(logger.name, logging.ERROR, __file__, 0,
+                                   "trial %d of %s at point %d failed; excluded",
+                                   (t, method, point_index), None)
+        record.exc_text = trace.rstrip("\n")
+        logger.handle(record)
+
+
+def _run_point(spec, dictionary, phi, point_index, axes):
+    """The point's PointResults, in METHODS order: its context once
+    (_PointContext), then spec.trials trials, each drawn once and run by every
+    method; in a forked child for the design-free methods where _forks(spec)
+    holds, with the same bytes either way. It reads no state an earlier point
+    leaves, so run alone it gives the rows it gives in the sweep."""
+    ctx = _PointContext(spec, dictionary, phi, point_index, axes)
+    slots = [(slot, m) for slot, m in enumerate(METHODS, 1) if m in spec.methods]
+    forked = _forks(spec)
+    if forked:
+        runs = _run_forked(spec, ctx, slots)
+    else:
+        ctx.design, ctx.gamma_blocks, ctx.task  # made before the trials, design first
+        runs = _run_trials(spec, ctx, slots)
+    for method, (kept, _, failed) in runs.items():
+        for t, trace in failed:
+            _log_failed_trial(point_index, t, method, trace)
+        if not kept:
+            raise RuntimeError(f"every trial of {method} at point {point_index} failed")
+    return [PointResult(method, ctx, kept, spec.trials, wall_ms,
+                        "child" if forked and method in _DESIGN_FREE else "parent")
+            for method, (kept, wall_ms, _) in runs.items()]
 
 
 def run_sweep(spec: ExperimentSpec, out_csv=None, dictionary=None) -> ExperimentResult:
@@ -495,7 +629,8 @@ def _write_sidecar(spec: ExperimentSpec, points, path) -> None:
         "methods": list(spec.methods),
         "coeff_model": spec.coeff_model,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "timing": {f"point{p.index}/{p.method}": {"wall_ms": p.wall_ms}
+        "timing": {f"point{p.index}/{p.method}": {"wall_ms": p.wall_ms,
+                                                  "process": p.process}
                    for p in points},
     }
     with open(path, "w") as fh:

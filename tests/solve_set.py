@@ -63,7 +63,10 @@ def captured_solves(seed):
 
     with tempfile.TemporaryDirectory() as tmp:
         specs = workload.PaperPoint(seed, Path(tmp)).specs
-    harness.fista = recording
+    # the solves are captured in this process, so no point forks a child for
+    # its design-free methods; the forked path solves the same problems
+    forks = harness._forks
+    harness.fista, harness._forks = recording, lambda spec: False
     try:
         for i, spec in enumerate(specs):
             first = len(solves)
@@ -72,7 +75,7 @@ def captured_solves(seed):
                                                       if m in spec.methods]):
                 solve.insert(0, f"seed {seed} array {i} {method}")
     finally:
-        harness.fista = fista
+        harness.fista, harness._forks = fista, forks
     return solves, points
 
 

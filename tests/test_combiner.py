@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import bitmimo as bm
+from bitmimo import combiner
 from bitmimo.adc import quantize_complex_vector
 from bitmimo.combiner import (BUNDLE_ARRAYS, CSV_BLOCK_CHANNELS, _filter_table, _format_g10,
                               design_multitone, equalizing_unitary, load_design, save_design,
@@ -702,6 +703,16 @@ def test_format_g10_matches_python():
     shown = set(want.split())
     assert {b"2.5e+250", b"-0", b"inf", b"nan", b"1e+10", b"0.0001"} <= shown
     assert any(w.startswith(b"4.94") and w.endswith(b"e-324") for w in shown)
+
+
+def test_digit_tables_match_their_string_built_reference():
+    # the four-digit tables are built with integer arithmetic at import; the
+    # reference spells every k < 10000 as text
+    quad = np.frombuffer("".join(f"{k:04d}" for k in range(10000)).encode("latin-1"),
+                         np.uint32)
+    zeros = np.array([4 - len(f"{k:04d}".rstrip("0")) for k in range(10000)])
+    assert np.array_equal(combiner._QUAD, quad)
+    assert np.array_equal(combiner._QUAD_ZEROS, zeros)
 
 
 def test_format_g10_survives_an_exponent_off_by_one(monkeypatch):

@@ -1,7 +1,9 @@
 import csv
 import dataclasses
 import json
+import os
 import re
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -377,6 +379,9 @@ def test_seed_table_pins_every_generator(small_cfg, monkeypatch):
 
     for name in names:
         monkeypatch.setattr(harness, name, recorded(name))
+    # the states are recorded in this process, so every method runs in it;
+    # test_forked_sweep_matches_in_process covers the forked path's bytes
+    monkeypatch.setattr(harness, "_forks", lambda spec: False)
     run_sweep(spec)
 
     def state(*key):
@@ -414,6 +419,7 @@ def _csv_rows(path):
 
 def test_csv_reports_capped_solves(tmp_path, small_cfg):
     # the solver diagnostics are CSV columns; the sidecar keeps only wall times
+    # and the process that ran them
     spec = _spec(small_cfg, methods=bm.METHODS, trials=2,
                  recovery=RecoverySpec(max_iter=1))
     run_sweep(spec, out_csv=tmp_path / "r.csv")
@@ -428,7 +434,8 @@ def test_csv_reports_capped_solves(tmp_path, small_cfg):
         assert float(row["gap_mean"]) <= float(row["gap_max"])
     timing = json.loads((tmp_path / "r.csv.meta.json").read_text())["timing"]
     assert sorted(timing) == [f"point0/{m}" for m in sorted(bm.METHODS)]
-    assert all(list(entry) == ["wall_ms"] for entry in timing.values())
+    assert all(list(entry) == ["process", "wall_ms"] for entry in timing.values())
+    assert {entry["process"] for entry in timing.values()} <= {"parent", "child"}
 
 
 def test_csv_bytes_deterministic(tmp_path, small_cfg, monkeypatch):
@@ -498,7 +505,7 @@ def test_programming_error_in_a_trial_propagates(small_cfg, monkeypatch):
         run_sweep(_spec(small_cfg))
 
 
-def test_method_whose_every_trial_fails_raises(small_cfg, monkeypatch, caplog):
+def _assert_every_trial_failure_raises(small_cfg, monkeypatch, caplog):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("injected")
 
@@ -519,6 +526,109 @@ def test_method_whose_every_trial_fails_raises(small_cfg, monkeypatch, caplog):
     records = [r for r in caplog.records if r.name == harness.__name__]
     assert [r.getMessage() for r in records] == [
         f"trial {t} of noquan_dr at point 1 failed; excluded" for t in range(spec.trials)]
+
+
+def test_method_whose_every_trial_fails_raises(small_cfg, monkeypatch, caplog):
+    monkeypatch.setattr(harness, "_forks", lambda spec: False)
+    _assert_every_trial_failure_raises(small_cfg, monkeypatch, caplog)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The points that fork, one entry each; skips where no point can fork."""
+    if not harness._forks(SimpleNamespace(methods=bm.METHODS)):
+        pytest.skip("a point forks only in a process of one OS thread with two CPUs: "
+                    "this one runs a threaded BLAS or has one CPU")
+    points, original = [], harness._run_forked
+
+    def counted(spec, ctx, slots):
+        points.append(ctx.index)
+        return original(spec, ctx, slots)
+
+    monkeypatch.setattr(harness, "_run_forked", counted)
+    return points
+
+
+def test_method_whose_every_trial_fails_raises_forked(small_cfg, monkeypatch, caplog,
+                                                      forked):
+    # the child's failed trials are logged by the parent, which raises the error
+    _assert_every_trial_failure_raises(small_cfg, monkeypatch, caplog)
+    assert forked == [0, 0, 1]
+
+
+def test_forked_sweep_matches_in_process(tmp_path, small_cfg, monkeypatch, forked):
+    # the child runs the design-free methods with the same seed keys: the same
+    # CSV bytes and per-trial lists as the in-process run; only the sidecar's
+    # process field tells them apart
+    spec = _spec(small_cfg, methods=bm.METHODS, trials=2, budget_bits=(36, 72),
+                 snr_db=(0.0, 10.0))
+    runs = {}
+    for path in ("forked", "in_process"):
+        if path == "in_process":
+            monkeypatch.setattr(harness, "_forks", lambda spec: False)
+        out = tmp_path / f"{path}.csv"
+        points = run_sweep(spec, out_csv=out).points
+        timing = json.loads((tmp_path / f"{path}.csv.meta.json").read_text())["timing"]
+        runs[path] = (out.read_bytes(), list(map(_row_values, points)),
+                      {key: entry["process"] for key, entry in timing.items()})
+    assert forked == [0, 1, 2, 3]
+    assert runs["forked"][:2] == runs["in_process"][:2]
+    assert runs["forked"][2] == {f"point{i}/{m}": "parent" if m == "bilimo" else "child"
+                                 for i in range(4) for m in bm.METHODS}
+    assert set(runs["in_process"][2].values()) == {"parent"}
+
+
+def test_design_is_made_only_in_the_parent(small_cfg, monkeypatch, forked):
+    # the child never reads the design: a design made in it would raise there,
+    # and the parent would raise it again
+    parent, original = os.getpid(), harness.design_multitone
+    designs = []
+
+    def parent_only(*args):
+        if os.getpid() != parent:
+            raise AssertionError("the design was made in the child")
+        designs.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(harness, "design_multitone", parent_only)
+    spec = _spec(small_cfg, methods=bm.METHODS, trials=2, snr_db=(0.0, 10.0))
+    assert len(run_sweep(spec).points) == 2 * len(bm.METHODS)
+    assert forked == [0, 1] and len(designs) == 2
+
+
+class _Unpicklable(Exception):
+    def __init__(self, what, where):
+        super().__init__(f"{what} {where}")
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("method, fault, error, message", [
+    ("noquan_dr", lambda: _raise(TypeError("injected")), TypeError, "^injected$"),
+    ("noquan_dr", lambda: _raise(_Unpicklable("injected", "there")), RuntimeError,
+     "^_Unpicklable: injected there$"),
+    ("noquan_dr", lambda: os._exit(3), RuntimeError,
+     "^the child process of point 0 ended without a reply$"),
+    # raised in the parent while the child sleeps through its first trial
+    ("bilimo", lambda: _raise(TypeError("injected")), TypeError, "^injected$"),
+], ids=["child", "child-unpicklable", "child-exits", "parent"])
+def test_a_fault_on_either_side_of_the_fork_reaches_the_caller(
+        small_cfg, monkeypatch, forked, method, fault, error, message):
+    # raised with its type and message, and the child is reaped before it
+    # propagates: no process outlives run_sweep
+    monkeypatch.setattr(harness, f"run_{method}_trial", lambda *args: fault())
+    if method == "bilimo":
+        monkeypatch.setattr(harness, "run_noquan_dr_trial", lambda *args: time.sleep(60))
+    t0 = time.monotonic()
+    with pytest.raises(error, match=message) as raised:
+        run_sweep(_spec(small_cfg, methods=("bilimo", "noquan_dr")))
+    assert time.monotonic() - t0 < 30
+    if method == "noquan_dr" and error is TypeError:
+        assert "TypeError: injected" in str(raised.value.__cause__)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_numerical_failure_excludes_one_trial(tmp_path, small_cfg, monkeypatch):
