@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .combiner import design_multitone, save_design, write_filter_response_csv
-from .harness import METHODS, ExperimentSpec, design_point, run_sweep
+from .harness import METHODS, ExperimentSpec, _PointContext, run_sweep
 from .model import COEFF_MODELS, checked, load_config
 from .recovery import RecoverySpec
 # design_multitone and these two are unused here: perfbench/spans.py traces them
@@ -174,9 +174,11 @@ def _given(args, names):
 
 
 def cmd_design(args, spec):
-    """Write the design bundle (and filter CSV) of the spec's one point."""
+    """Write the design bundle (and filter CSV) of the spec's one point, built
+    as a sweep builds it but with no dictionary or Phi."""
     (index, axes), = spec.points()
-    config, _, _, design, _ = design_point(spec, index, axes)
+    point = _PointContext(spec, None, None, index, axes)
+    design, config = point.design, point.config
     save_design(design, args.out, config)
     if args.filters_csv:
         write_filter_response_csv(design, config, args.filters_csv)

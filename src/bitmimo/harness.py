@@ -7,8 +7,8 @@ each point's in METHODS order. A point's scalars (config at its SNR, P, b,
 task-ignorant quantizer) come from _point_scalars, which the spec runs on every
 point before any work, and once more per point when it runs. Phi's solver
 operator is built once per sweep; the compression matrix, acquisition design,
-LMMSE transform Gamma and task operator M*Phi once per point, whichever
-methods run. All are shared read-only by the trials.
+LMMSE transform Gamma and task operator M*Phi once per point, in its
+_PointContext, whichever methods run. All are shared read-only by the trials.
 
 Only bilimo reads the design. So where a process can fork safely, a point
 forks one child (os.fork and a pipe) once its context is built: the child runs
@@ -91,7 +91,6 @@ __all__ = [
     "run_task_ignorant_trial",
     "run_noquan_dr_trial",
     "run_noquan_lmmse_trial",
-    "design_point",
     "run_sweep",
     "write_csv",
     "CSV_COLUMNS",
@@ -387,48 +386,33 @@ def _rng(spec, *key):
     return np.random.default_rng([spec.master_seed, *key])
 
 
-def _point_inputs(spec, point_index, axes):
-    """(config at the point's SNR, statistics, compression, the design's
-    design_multitone call, not yet made, and the task-ignorant quantizer) of
-    the spec's point point_index with axes as spec.points() yields them."""
-    _, _, dcr, k, kind = axes
-    config, channels, levels, task_ignorant = _point_scalars(spec, axes)
-    stats = build_covariances(config, k)
-    compression = build_compression_matrix(_rng(spec, point_index, 1 << 20), config,
-                                           dcr, kind)
-    return config, stats, compression, functools.partial(
-        design_multitone, stats, compression, channels, levels, config.eta), task_ignorant
-
-
-def design_point(spec, point_index, axes):
-    """(config at the point's SNR, statistics, compression, design, task-ignorant
-    quantizer) of the spec's point point_index with axes as spec.points() yields
-    them; `bitmimo design` is the one point of its spec."""
-    config, stats, compression, design, task_ignorant = _point_inputs(spec, point_index, axes)
-    return config, stats, compression, design(), task_ignorant
-
-
 class _PointContext:
-    """design_point's results (ti_levels and ti_support None unless
-    task_ignorant runs), the point's index and axes, k and coefficient model,
-    Gamma and the solver operators (apply, adjoint, lipschitz) of one sweep
-    point, shared by its trials: phi, the sweep's Phi, and task, the point's
-    M*Phi operator. design, gamma_blocks and task are made on their first
-    read, so a forked child and its parent each make only the ones their
-    methods read; _run_point reads them before the trials, so that no trial's
-    wall time holds one."""
+    """One sweep point, built from (spec, index, axes) alone and shared
+    read-only by its trials: _point_scalars' config at the point's SNR, P, b
+    and task-ignorant quantizer (ti_levels and ti_support None unless
+    task_ignorant runs), its statistics, its compression (seed key (index,
+    1 << 20)), k, coefficient model and recovery spec. phi is the sweep's Phi
+    solver operator (apply, adjoint, lipschitz); `bitmimo design` passes None
+    for it and the dictionary. design, gamma_blocks (Gamma) and task (M*Phi's
+    operator) are made on first read; _run_point reads them before the trials,
+    so that no trial's wall time holds one: in-process all three, design
+    first; forked, the child makes Gamma and M*Phi and the parent the design
+    and M*Phi, whichever methods run."""
 
     def __init__(self, spec, dictionary, phi, point_index, axes):
-        self.index, self.axes = point_index, axes
-        self.config, self._stats, self.compression, self._design, task_ignorant = (
-            _point_inputs(spec, point_index, axes))
-        self.ti_levels, self.ti_support = task_ignorant
-        self.k, self.coeff_model, self.recovery = axes[3], spec.coeff_model, spec.recovery
-        self.dictionary, self.phi = dictionary, phi
+        _, _, dcr, k, kind = axes
+        self.index, self.axes, self.dictionary, self.phi = point_index, axes, dictionary, phi
+        self.k, self.coeff_model, self.recovery = k, spec.coeff_model, spec.recovery
+        self.config, self._channels, self._levels, (self.ti_levels, self.ti_support) = (
+            _point_scalars(spec, axes))
+        self._stats = build_covariances(self.config, k)
+        self.compression = build_compression_matrix(_rng(spec, point_index, 1 << 20),
+                                                    self.config, dcr, kind)
 
     @functools.cached_property
     def design(self):
-        return self._design()
+        return design_multitone(self._stats, self.compression, self._channels,
+                                self._levels, self.config.eta)
 
     @functools.cached_property
     def gamma_blocks(self):

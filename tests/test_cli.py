@@ -514,15 +514,32 @@ def test_design_bundle_is_sweep_point_zero(tmp_path, random_cfg_file, monkeypatc
     _assert_same_design(load_design(prefix), ctx.design)
 
 
-def test_sweep_point_design_is_design_point(tmp_path, random_cfg_file, monkeypatch):
-    # every sweep point, not only point 0, holds design_point's design
+def test_sweep_point_design_needs_no_dictionary(tmp_path, random_cfg_file, monkeypatch):
+    # a point depends only on (spec, index, axes): every sweep point, not only
+    # point 0, holds the design it holds when built without a dictionary or Phi
     spec = _parsed_spec(monkeypatch, [
         "sweep", "--config", str(random_cfg_file), "--seed", "6",
         "--budget-bits", "48", "--snr-db=-5,10", "--dcr", "2,4", "--k", "2",
         "--matrix-kind", "gaussian,dft", "--out", str(tmp_path / "s.csv")])
     index, axes = list(spec.points())[5]
-    ctx = harness._PointContext(spec, build_dictionary(spec.config), None, index, axes)
-    _assert_same_design(ctx.design, harness.design_point(spec, index, axes)[3])
+    d = build_dictionary(spec.config)
+    in_sweep = harness._PointContext(spec, d, harness._solver_operator(d), index, axes)
+    alone = harness._PointContext(spec, None, None, index, axes)
+    _assert_same_design(in_sweep.design, alone.design)
+
+
+def test_design_command_builds_no_dictionary_or_recovery(tmp_path, cfg_file, monkeypatch):
+    # `bitmimo design` bypasses the dictionary and recovery: no dictionary, no
+    # Phi or M*Phi solver operator and no Gamma
+    def refused(*args, **kwargs):
+        raise AssertionError("`bitmimo design` built what only a sweep needs")
+
+    for name in ("build_dictionary", "_solver_operator", "lmmse_transform"):
+        monkeypatch.setattr(harness, name, refused)
+    prefix = tmp_path / "bundle"
+    assert main(["design", "--config", str(cfg_file), "--budget-bits", "36",
+                 "--out", str(prefix), "--filters-csv", str(tmp_path / "f.csv")]) == 0
+    assert load_design(prefix).channels == 3 and (tmp_path / "f.csv").is_file()
 
 
 @pytest.mark.parametrize("values, want", [

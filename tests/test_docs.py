@@ -72,7 +72,7 @@ def test_readme_module_rows_are_short():
 
 def test_readme_dotted_names_resolve():
     # every backticked dotted name that starts at the package, at one of its
-    # modules or at a class it exports (`harness.design_point`,
+    # modules or at a class it exports (`harness._PointContext`,
     # `RadarConfig.at_snr`) names something that exists
     modules = {m.name for m in pkgutil.iter_modules(bitmimo.__path__)}
     classes = {name for name, obj in vars(bitmimo).items() if isinstance(obj, type)}

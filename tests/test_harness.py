@@ -391,11 +391,11 @@ def test_seed_table_pins_every_generator(small_cfg, monkeypatch):
     assert seen == [(name, state(point, t, slot)) for point in range(2)
                     for t in range(2) for slot, name in enumerate(names)]
     for point, axes in spec.points():
-        config, _, compression, _, _ = harness.design_point(spec, point, axes)
+        ctx = harness._PointContext(spec, None, None, point, axes)
         want = bm.build_compression_matrix(
             np.random.default_rng(np.random.SeedSequence([7, point, 1 << 20])),
-            config, axes[2], axes[4])
-        assert np.array_equal(compression, want)
+            ctx.config, axes[2], axes[4])
+        assert np.array_equal(ctx.compression, want)
 
 
 def test_each_trial_synthesizes_its_scene_once(small_cfg, monkeypatch):
